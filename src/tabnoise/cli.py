@@ -31,6 +31,7 @@ from .pipeline import (
     save_basis,
 )
 from .sampling import (
+    GENERATOR_NAMES,
     GeneratorSpec,
     SamplingPlan,
     read_seed_file,
@@ -43,13 +44,6 @@ log = logging.getLogger("tabnoise")
 
 _CLI_CONFIG_KEYS = set(FitConfig._KEYS) | {
     "entropy_seeds", "sampling_dict", "delimiter", "missing_sentinels",
-}
-
-_GENERATOR_NAMES = {
-    "PCG64": "default_pcg",
-    "default_pcg": "default_pcg",
-    "MersenneTwister": "mersenne",
-    "mersenne": "mersenne",
 }
 
 
@@ -86,12 +80,12 @@ def _sampling_plan(config: dict, args) -> SamplingPlan:
         kwargs["stochastic_count_safety_factor"] = sampling["stochastic_count_safety_factor"]
     generator = sampling.get("sampling_generator")
     if generator:
-        if generator not in _GENERATOR_NAMES:
+        if generator not in GENERATOR_NAMES:
             raise TabnoiseError(f"unknown sampling_generator: {generator!r}")
-        kwargs["sampling_generator"] = GeneratorSpec(kind=_GENERATOR_NAMES[generator])
+        kwargs["sampling_generator"] = GeneratorSpec(kind=GENERATOR_NAMES[generator])
     extra = sampling.get("extra_seed_generator")
     if extra:
-        kwargs["extra_seed_generator"] = "off" if extra == "off" else _GENERATOR_NAMES.get(extra, extra)
+        kwargs["extra_seed_generator"] = "off" if extra == "off" else GENERATOR_NAMES.get(extra, extra)
     return SamplingPlan(**kwargs)
 
 

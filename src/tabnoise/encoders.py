@@ -253,8 +253,3 @@ def apply_categoric(basis: CategoricBasis, cells) -> list[np.ndarray]:
         grid = codes_to_bits(basis, codes)
         return [grid[:, j].copy() for j in range(grid.shape[1])]
     raise ValueError(f"unsupported encoding: {basis.encoding!r}")
-
-
-def narw_marker(cells) -> np.ndarray:
-    """0/1 missing-data marker aligned with the input rows."""
-    return np.array([1 if cell is None else 0 for cell in cells], dtype=np.int64)

@@ -87,9 +87,6 @@ class NoiseSpec:
             "weighted": self.test_weighted,
         }
 
-    def fires(self, phase: str) -> bool:
-        return self.trainnoise if phase == "train" else self.testnoise
-
 
 def sample_bernoulli_mask(sampler, n: int, p: float, missing_mask=None) -> np.ndarray:
     """Independent 0/1 activations at probability p; missing-source rows forced 0.
@@ -367,17 +364,14 @@ def protected_weight_matrix(
     return out
 
 
-def resolve_param(value, retain_basis: bool, stored, sampler):
+def resolve_param(value, sampler):
     """Resolve a possibly randomized parameter to a concrete value.
 
     Fixed values pass through. A list is a choice sampling over candidates; a
-    mapping with a ``distribution`` key is one draw from that shape. With
-    ``retain_basis`` and a previously resolved value, the stored value wins.
+    mapping with a ``distribution`` key is one draw from that shape.
     """
     if not is_randomized_param(value):
         return value
-    if retain_basis and stored is not None:
-        return stored
     if isinstance(value, (list, tuple)):
         if not value:
             raise ConfigError("candidate list for parameter randomization is empty")

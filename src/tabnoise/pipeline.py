@@ -7,6 +7,12 @@ the prepared training set with train-phase noise. The returned basis holds
 everything needed to prepare later data with no access to the training set:
 fitted statistics, resolved parameters, applied steps, and the seed report.
 
+Every transform kind is a ``(fit, apply)`` pair: ``fit`` learns a step's
+payload from the training rows, and ``apply`` computes the step's output from
+that payload alone. Fitting and every later preparation run a column's steps
+through one executor, which, when fitting, fits each payload just before
+applying it.
+
 ``apply`` replays the recorded steps on new data. The traindata mode crossed
 with each transform's train/test flags decides where noise fires:
 
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -103,8 +110,12 @@ class AugmentSpec:
 
     @classmethod
     def from_literal(cls, text: str) -> "AugmentSpec":
-        value = float(text)
-        if value < 0 or value != int(value):
+        try:
+            value = float(text)
+            valid = value >= 0 and value == int(value)
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise ConfigError(f"augment count must be a nonnegative integer, got {text!r}")
         is_float = any(ch in text for ch in ".eE")
         return cls(count=int(value), all_noisy=is_float)
@@ -134,8 +145,13 @@ class FitConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**config)
-        if not 0.0 <= cfg.validation_ratio < 1.0:
-            raise ConfigError("validation_ratio must be in [0, 1)")
+        ratio = cfg.validation_ratio
+        if not isinstance(ratio, (int, float)) or not 0.0 <= ratio < 1.0:
+            raise ConfigError("validation_ratio must be a number in [0, 1)")
+        try:
+            AugmentSpec.from_literal(str(cfg.noise_augment))
+        except ConfigError as exc:
+            raise ConfigError(f"noise_augment: {exc}") from None
         if cfg.powertransform is not None:
             prefix, digit = cfg.powertransform[:2], cfg.powertransform[2:]
             if prefix not in ("DP", "DT", "DB") or digit not in _POWERTRANSFORM_STEMS:
@@ -259,18 +275,21 @@ class TransformBasis:
             raise BasisFormatError(
                 f"basis version {version!r} is not supported (expected {BASIS_FORMAT_VERSION!r})"
             )
-        return cls(
-            format_version=version,
-            input_columns=list(data["input_columns"]),
-            label_column=data["label_column"],
-            column_plans={c: ColumnPlan.from_dict(p) for c, p in data["column_plans"].items()},
-            seed_report=SeedReport.from_dict(data["seed_report"]),
-            shuffletrain=data["shuffletrain"],
-            validation_ratio=data["validation_ratio"],
-            validation_row_index=list(data["validation_row_index"]),
-            transformdict=data.get("transformdict", {}),
-            processdict=data.get("processdict", {}),
-        )
+        try:
+            return cls(
+                format_version=version,
+                input_columns=list(data["input_columns"]),
+                label_column=data["label_column"],
+                column_plans={c: ColumnPlan.from_dict(p) for c, p in data["column_plans"].items()},
+                seed_report=SeedReport.from_dict(data["seed_report"]),
+                shuffletrain=data["shuffletrain"],
+                validation_ratio=data["validation_ratio"],
+                validation_row_index=list(data["validation_row_index"]),
+                transformdict=data.get("transformdict", {}),
+                processdict=data.get("processdict", {}),
+            )
+        except KeyError as exc:
+            raise BasisFormatError(f"basis is missing the key {exc.args[0]!r}") from None
 
 
 @dataclass
@@ -318,9 +337,13 @@ def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     return column_as_floats(data)
 
 
-def _single(group_base: str, name: str, data, missing, meta=None, preserve=False) -> _Group:
-    return _Group(group_base, [(name, data)], np.asarray(missing, dtype=bool),
+def _single(name: str, data, missing, meta=None, preserve=False) -> _Group:
+    return _Group(name, [(name, data)], np.asarray(missing, dtype=bool),
                   meta or {}, preserve)
+
+
+def _output_names(out_base: str, count: int) -> list:
+    return [out_base] if count == 1 else [f"{out_base}_{j}" for j in range(count)]
 
 
 # -- execution context -------------------------------------------------------
@@ -350,49 +373,50 @@ class _Ctx:
 
 # -- noise parameter plumbing ------------------------------------------------
 
-_NOISE_FIELD_ORDER = (
-    "trainnoise", "testnoise", "flip_prob", "test_flip_prob", "sigma", "test_sigma",
-    "mu", "test_mu", "noisedistribution", "test_noisedistribution", "weighted",
-    "test_weighted", "rescale_sigmas", "retain_basis", "protected_feature",
-    "mask_value", "noise_scaling_bias_offset", "direct_flip", "swap_noise",
-)
+_NOISE_FIELD_ORDER = tuple(f.name for f in fields(NoiseSpec))
 
 
-def _resolve_noise_params(ctx: _Ctx, params: dict, tkey: str) -> tuple[dict, list, dict]:
-    """Resolve randomized parameters once at fit; returns (resolved, randomized, raw)."""
+def _fires(resolved: dict, phase: str) -> bool:
+    """Whether a noise transform's flags enable it in a phase."""
+    if phase == "train":
+        return resolved.get("trainnoise", True)
+    return resolved.get("testnoise", False)
+
+
+def _calibrates(resolved: dict) -> bool:
+    """Whether a scaled-noise transform calibrates its noise mean at fit."""
+    return resolved.get("noise_scaling_bias_offset", True) and resolved.get("rescale_sigmas", True)
+
+
+def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
+    """Fit of the payload every noise kind shares.
+
+    Randomized parameters are resolved once (one operation each); their raw
+    values are kept so later preparations can re-resolve them.
+    """
     raw = {k: params[k] for k in _NOISE_FIELD_ORDER if k in params}
     resolved = {}
     randomized = []
-    for name in _NOISE_FIELD_ORDER:
-        if name not in raw:
-            continue
-        value = raw[name]
+    for name, value in raw.items():
         if name not in _NOISE_FLAG_FIELDS and is_randomized_param(value):
             randomized.append(name)
-            sampler = ctx.manager.op_sampler(tkey)
-            resolved[name] = resolve_param(value, False, None, sampler)
-        else:
-            resolved[name] = value
-    return resolved, randomized, raw
+            value = resolve_param(value, ctx.manager.op_sampler(tkey))
+        resolved[name] = value
+    return {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
 
 
 def _spec_from(resolved: dict) -> NoiseSpec:
-    fields = {k: v for k, v in resolved.items() if k in _NOISE_FIELD_ORDER}
-    return NoiseSpec(**fields)
+    return NoiseSpec(**{k: v for k, v in resolved.items() if k in _NOISE_FIELD_ORDER})
 
 
-def _effective_spec(ctx: _Ctx, payload: dict, tkey: str) -> tuple[NoiseSpec, str] | None:
-    """Spec and phase when noise fires for the current mode, else None.
+def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
+    """(spec, phase params, Bernoulli mask) when noise fires in the current mode, else None.
 
-    Outside of fit, non-retained randomized parameters are re-resolved with
-    fresh sampling (one operation per parameter).
+    Outside of fit, non-retained randomized parameters are first re-resolved
+    with fresh sampling (one operation per parameter).
     """
-    if ctx.suppressed:
-        return None
     resolved = payload["resolved"]
-    phase = ctx.phase
-    fires = resolved.get("trainnoise", True) if phase == "train" else resolved.get("testnoise", False)
-    if not fires:
+    if ctx.suppressed or not _fires(resolved, ctx.phase):
         return None
     effective = dict(resolved)
     randomized = payload.get("randomized_fields", [])
@@ -400,259 +424,193 @@ def _effective_spec(ctx: _Ctx, payload: dict, tkey: str) -> tuple[NoiseSpec, str
         raw = payload["params_raw"]
         for name in randomized:
             sampler = ctx.manager.op_sampler(tkey)
-            effective[name] = resolve_param(raw[name], False, None, sampler)
-    return _spec_from(effective), phase
+            effective[name] = resolve_param(raw[name], sampler)
+    spec = _spec_from(effective)
+    pp = spec.phase_params(ctx.phase)
+    mask = sample_bernoulli_mask(
+        ctx.manager.op_sampler(tkey), len(missing), pp["flip_prob"], missing
+    )
+    return spec, pp, mask
 
 
-def _protected_cells(ctx: _Ctx, spec_resolved: dict, n_rows: int):
-    protected = spec_resolved.get("protected_feature")
-    if not protected:
-        return None
+def _protected_cells(ctx: _Ctx, resolved: dict, n_rows: int) -> list:
+    protected = resolved.get("protected_feature")
     cells = ctx.aligned_cells(protected)
     if len(cells) != n_rows:
         raise SchemaError(f"protected column {protected!r} is not row-aligned")
     return cells
 
 
-# -- transform implementations ------------------------------------------------
+# -- transforms: fit(ctx, group, params, tkey) -> payload and ------------------
+# -- apply(ctx, payload, group, out_base, tkey) -> output group ----------------
 
 
-def _numeric_encoder(kind: str):
-    def fit_fn(ctx, group, params, out_base, tkey):
-        basis = fit_numeric(_group_cells(group), kind)
-        payload = {"numeric_basis": basis.to_dict()}
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        basis = NumericBasis.from_dict(payload["numeric_basis"])
-        values, missing = apply_numeric(basis, _group_cells(group))
-        meta = {"numeric_basis": payload["numeric_basis"]}
-        return _single(out_base, out_names[0], values, missing, meta)
-
-    return fit_fn, apply_fn
+def _no_payload(ctx, group, params, tkey):
+    return {}
 
 
-def _categoric_encoder(encoding: str):
-    def fit_fn(ctx, group, params, out_base, tkey):
-        basis = fit_categoric(_group_cells(group), encoding)
-        payload = {"categoric_basis": basis.to_dict()}
-        return payload, apply_fn(ctx, payload, group, _multi_names(out_base, basis), out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        basis = CategoricBasis.from_dict(payload["categoric_basis"])
-        arrays = apply_categoric(basis, _group_cells(group))
-        missing = np.array([c is None for c in _group_cells(group)], dtype=bool)
-        meta = {"categoric_basis": payload["categoric_basis"], "encoding": encoding}
-        columns = list(zip(out_names, arrays))
-        return _Group(out_base, columns, missing, meta)
-
-    def _multi_names(out_base, basis):
-        arrays = apply_categoric(basis, [])
-        if len(arrays) == 1:
-            return [out_base]
-        return [f"{out_base}_{j}" for j in range(len(arrays))]
-
-    return fit_fn, apply_fn
+def _moments(values: np.ndarray, missing: np.ndarray) -> tuple[float, float]:
+    """Mean and population standard deviation of the present values (0, 0 if none)."""
+    present = values[~missing]
+    if not len(present):
+        return 0.0, 0.0
+    mean = float(np.mean(present))
+    return mean, float(np.sqrt(np.mean((present - mean) ** 2)))
 
 
-def _passthrough():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        return {}, apply_fn(ctx, {}, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        cells = list(_group_cells(group))
-        missing = np.array([c is None for c in cells], dtype=bool)
-        return _single(out_base, out_names[0], cells, missing, {}, preserve=True)
-
-    return fit_fn, apply_fn
+def _fit_numeric(kind, ctx, group, params, tkey):
+    return {"numeric_basis": fit_numeric(_group_cells(group), kind).to_dict()}
 
 
-def _passthrough_float():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        return {}, apply_fn(ctx, {}, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        values, missing = _group_floats(group)
-        return _single(out_base, out_names[0], values, missing, {}, preserve=True)
-
-    return fit_fn, apply_fn
+def _apply_numeric(ctx, payload, group, out_base, tkey):
+    basis = NumericBasis.from_dict(payload["numeric_basis"])
+    values, missing = apply_numeric(basis, _group_cells(group))
+    return _single(out_base, values, missing, {"numeric_basis": payload["numeric_basis"]})
 
 
-def _passthrough_vocab():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        basis = fit_categoric(_group_cells(group), "passthrough")
-        payload = {"categoric_basis": basis.to_dict()}
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        cells = list(_group_cells(group))
-        missing = np.array([c is None for c in cells], dtype=bool)
-        meta = {"categoric_basis": payload["categoric_basis"], "encoding": "passthrough"}
-        return _single(out_base, out_names[0], cells, missing, meta, preserve=True)
-
-    return fit_fn, apply_fn
+def _fit_categoric(encoding, ctx, group, params, tkey):
+    return {"categoric_basis": fit_categoric(_group_cells(group), encoding).to_dict()}
 
 
-def _stdbins():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        bincount = int(params.get("bincount", 6))
-        if bincount < 2:
-            raise ConfigError("bincount must be at least 2")
-        values, missing = _group_floats(group)
-        present = values[~missing]
-        if len(present):
-            mean = float(np.mean(present))
-            std = float(np.sqrt(np.mean((present - mean) ** 2)))
-        else:
-            mean, std = 0.0, 0.0
-        payload = {"mean": mean, "std": std, "bincount": bincount}
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
+def _apply_categoric(ctx, payload, group, out_base, tkey):
+    basis = CategoricBasis.from_dict(payload["categoric_basis"])
+    cells = _group_cells(group)
+    arrays = apply_categoric(basis, cells)
+    missing = np.array([c is None for c in cells], dtype=bool)
+    meta = {"categoric_basis": payload["categoric_basis"], "encoding": basis.encoding}
+    columns = list(zip(_output_names(out_base, len(arrays)), arrays))
+    return _Group(out_base, columns, missing, meta)
 
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        values, missing = _group_floats(group)
-        mean, std, bincount = payload["mean"], payload["std"], payload["bincount"]
-        if std > 0.0:
-            edges = _bin_edges(mean, std, bincount)
-            codes = np.digitize(values, edges)
-        else:
-            codes = np.full(len(values), bincount // 2, dtype=np.int64)
-        return _single(out_base, out_names[0], codes.astype(np.int64), missing)
 
-    def _bin_edges(mean, std, bincount):
+def _apply_passthrough(ctx, payload, group, out_base, tkey):
+    """Cells unchanged; a fitted vocabulary (passthrough_vocab) rides along for flip noise."""
+    cells = list(_group_cells(group))
+    missing = np.array([c is None for c in cells], dtype=bool)
+    meta = {**payload, "encoding": "passthrough"} if payload else {}
+    return _single(out_base, cells, missing, meta, preserve=True)
+
+
+def _apply_passthrough_float(ctx, payload, group, out_base, tkey):
+    values, missing = _group_floats(group)
+    return _single(out_base, values, missing, preserve=True)
+
+
+def _fit_stdbins(ctx, group, params, tkey):
+    bincount = int(params.get("bincount", 6))
+    if bincount < 2:
+        raise ConfigError("bincount must be at least 2")
+    mean, std = _moments(*_group_floats(group))
+    return {"mean": mean, "std": std, "bincount": bincount}
+
+
+def _apply_stdbins(ctx, payload, group, out_base, tkey):
+    values, missing = _group_floats(group)
+    mean, std, bincount = payload["mean"], payload["std"], payload["bincount"]
+    if std > 0.0:
         if bincount % 2:
             offsets = [k + 0.5 for k in range(-(bincount // 2), bincount // 2)]
         else:
             offsets = list(range(-(bincount // 2 - 1), bincount // 2))
-        return np.array([mean + std * k for k in offsets])
-
-    return fit_fn, apply_fn
-
-
-def _missing_marker():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        return {}, apply_fn(ctx, {}, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        marker = group.missing.astype(np.int64)
-        return _single(out_base, out_names[0], marker,
-                       np.zeros(len(marker), dtype=bool))
-
-    return fit_fn, apply_fn
+        edges = np.array([mean + std * k for k in offsets])
+        codes = np.digitize(values, edges)
+    else:
+        codes = np.full(len(values), bincount // 2, dtype=np.int64)
+    return _single(out_base, codes.astype(np.int64), missing)
 
 
-def _noise_numeric():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        resolved, randomized, raw = _resolve_noise_params(ctx, params, tkey)
-        values, missing = _group_floats(group)
-        present = values[~missing]
-        if len(present):
-            mean = float(np.mean(present))
-            train_std = float(np.sqrt(np.mean((present - mean) ** 2)))
-        else:
-            train_std = 0.0
-        payload = {
-            "resolved": resolved,
-            "params_raw": raw,
-            "randomized_fields": randomized,
-            "train_std": train_std,
-        }
-        protected = resolved.get("protected_feature")
-        if protected:
-            basis = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
-            payload["protected"] = basis.to_dict()
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
+def _apply_missing_marker(ctx, payload, group, out_base, tkey):
+    marker = group.missing.astype(np.int64)
+    return _single(out_base, marker, np.zeros(len(marker), dtype=bool))
 
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        values, missing = _group_floats(group)
-        out = values.copy()
-        gate = _effective_spec(ctx, payload, tkey)
-        if gate is not None:
-            spec, phase = gate
+
+def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.ndarray) -> dict:
+    protected = payload["resolved"].get("protected_feature")
+    if protected:
+        basis = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
+        payload["protected"] = basis.to_dict()
+    return payload
+
+
+def _numeric_noise(ctx: _Ctx, payload: dict, values, missing, tkey: str, mu_sigma):
+    """Mask and noise shared by the numeric kinds, or None when no noise fires.
+
+    ``mu_sigma(spec, phase_params)`` is the kind's choice of noise mean and
+    scale. Returns (mask, active rows, noise), with the noise already scaled
+    by the protected segment ratios when the transform has them.
+    """
+    drawn = _draw_mask(ctx, payload, missing, tkey)
+    if drawn is None:
+        return None
+    spec, pp, mask = drawn
+    mu, sigma = mu_sigma(spec, pp)
+    active = np.flatnonzero(mask)
+    noise = sample_noise(ctx.manager.op_sampler(tkey), pp["distribution"], mu, sigma, len(active))
+    if payload.get("protected"):
+        basis = ProtectedBasis.from_dict(payload["protected"])
+        cells = _protected_cells(ctx, payload["resolved"], len(values))
+        noise = noise * protected_ratio_vector(basis, cells, active)
+    return mask, active, noise
+
+
+def _fit_noise_numeric(ctx, group, params, tkey):
+    payload = _noise_payload(ctx, group, params, tkey)
+    values, missing = _group_floats(group)
+    payload["train_std"] = _moments(values, missing)[1]
+    return _with_protected(ctx, payload, values, missing)
+
+
+def _apply_noise_numeric(ctx, payload, group, out_base, tkey):
+    values, missing = _group_floats(group)
+
+    def mu_sigma(spec, pp):
+        if spec.rescale_sigmas:
+            return pp["mu"], rescale_sigma_passthrough(pp["sigma"], payload["train_std"])
+        return pp["mu"], pp["sigma"]
+
+    drawn = _numeric_noise(ctx, payload, values, missing, tkey, mu_sigma)
+    out = values.copy()
+    if drawn is not None:
+        mask, _, noise = drawn
+        out = inject_numeric(values, mask, noise)
+    return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
+
+
+def _fit_noise_scaled(ctx, group, params, tkey):
+    payload = _noise_payload(ctx, group, params, tkey)
+    resolved, randomized = payload["resolved"], payload["randomized_fields"]
+    values, missing = _group_floats(group)
+    panel = values[~missing]
+    payload.update(mu_adjusted_train=None, mu_adjusted_test=None,
+                   adjust_degenerate_train=False, adjust_degenerate_test=False)
+    if _calibrates(resolved) and len(panel):
+        spec = _spec_from(resolved)
+        # calibration is skipped for phases that can never inject
+        for phase in ("train", "test"):
+            if not _phase_can_inject(resolved, randomized, phase):
+                continue
             pp = spec.phase_params(phase)
-            sigma = pp["sigma"]
-            if spec.rescale_sigmas:
-                sigma = rescale_sigma_passthrough(sigma, payload["train_std"])
-            mask = sample_bernoulli_mask(
-                ctx.manager.op_sampler(tkey), len(values), pp["flip_prob"], missing
+            mu_adj, degenerate = adjust_noise_mean(
+                panel, pp["mu"], pp["sigma"], pp["distribution"],
+                lambda p=phase: ctx.manager.calibration_sampler(tkey, p),
             )
-            active = np.flatnonzero(mask)
-            noise = sample_noise(
-                ctx.manager.op_sampler(tkey), pp["distribution"], pp["mu"], sigma, len(active)
-            )
-            if payload.get("protected"):
-                basis = ProtectedBasis.from_dict(payload["protected"])
-                cells = _protected_cells(ctx, payload["resolved"], len(values))
-                noise = noise * protected_ratio_vector(basis, cells, active)
-            out = inject_numeric(values, mask, noise)
-        return _single(out_base, out_names[0], out, missing, dict(group.meta),
-                       preserve=group.preserve_missing)
-
-    return fit_fn, apply_fn
+            payload[f"mu_adjusted_{phase}"] = mu_adj
+            payload[f"adjust_degenerate_{phase}"] = degenerate
+    return _with_protected(ctx, payload, values, missing)
 
 
-def _noise_scaled():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        resolved, randomized, raw = _resolve_noise_params(ctx, params, tkey)
-        values, missing = _group_floats(group)
-        panel = values[~missing]
-        payload = {
-            "resolved": resolved,
-            "params_raw": raw,
-            "randomized_fields": randomized,
-            "mu_adjusted_train": None,
-            "mu_adjusted_test": None,
-            "adjust_degenerate_train": False,
-            "adjust_degenerate_test": False,
-        }
-        adjustment = resolved.get("noise_scaling_bias_offset", True) and resolved.get(
-            "rescale_sigmas", True
-        )
-        if adjustment and len(panel):
-            spec = _spec_from(resolved)
-            # calibration is skipped for phases that can never inject
-            for phase in ("train", "test"):
-                if not _phase_can_inject(resolved, randomized, phase):
-                    continue
-                pp = spec.phase_params(phase)
-                mu_adj, degenerate = adjust_noise_mean(
-                    panel, pp["mu"], pp["sigma"], pp["distribution"],
-                    lambda p=phase: ctx.manager.calibration_sampler(tkey, p),
-                )
-                payload[f"mu_adjusted_{phase}"] = mu_adj
-                payload[f"adjust_degenerate_{phase}"] = degenerate
-        protected = resolved.get("protected_feature")
-        if protected:
-            basis = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
-            payload["protected"] = basis.to_dict()
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
+def _apply_noise_scaled(ctx, payload, group, out_base, tkey):
+    values, missing = _group_floats(group)
 
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        values, missing = _group_floats(group)
-        out = values.copy()
-        gate = _effective_spec(ctx, payload, tkey)
-        if gate is not None:
-            spec, phase = gate
-            pp = spec.phase_params(phase)
-            mu = pp["mu"]
-            adjusted = payload.get(f"mu_adjusted_{phase}")
-            if adjusted is not None:
-                mu = adjusted
-            mask = sample_bernoulli_mask(
-                ctx.manager.op_sampler(tkey), len(values), pp["flip_prob"], missing
-            )
-            active = np.flatnonzero(mask)
-            noise = sample_noise(
-                ctx.manager.op_sampler(tkey), pp["distribution"], mu, pp["sigma"], len(active)
-            )
-            if payload.get("protected"):
-                basis = ProtectedBasis.from_dict(payload["protected"])
-                cells = _protected_cells(ctx, payload["resolved"], len(values))
-                noise = noise * protected_ratio_vector(basis, cells, active)
-            out[active] = values[active] + scale_noise_minmax(noise, values[active])
-        return _single(out_base, out_names[0], out, missing, dict(group.meta),
-                       preserve=group.preserve_missing)
+    def mu_sigma(spec, pp):
+        adjusted = payload.get(f"mu_adjusted_{ctx.phase}")
+        return (pp["mu"] if adjusted is None else adjusted), pp["sigma"]
 
-    return fit_fn, apply_fn
+    drawn = _numeric_noise(ctx, payload, values, missing, tkey, mu_sigma)
+    out = values.copy()
+    if drawn is not None:
+        _, active, noise = drawn
+        out[active] = values[active] + scale_noise_minmax(noise, values[active])
+    return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
 
 
 def _codes_from_group(group: _Group, basis: CategoricBasis, encoding: str) -> np.ndarray:
@@ -694,152 +652,114 @@ def _emit_codes(group: _Group, basis: CategoricBasis, encoding: str, codes: np.n
                   preserve_missing=True)
 
 
-def _noise_flip():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        resolved, randomized, raw = _resolve_noise_params(ctx, params, tkey)
-        basis_dict = group.meta.get("categoric_basis")
-        if basis_dict is None:
-            raise ConfigError(
-                "flip noise requires an upstream categoric encoding with a fitted vocabulary"
-            )
-        encoding = group.meta.get("encoding", "ordinal")
-        payload = {
-            "resolved": resolved,
-            "params_raw": raw,
-            "randomized_fields": randomized,
-            "categoric_basis": basis_dict,
-            "encoding": encoding,
-        }
-        protected = resolved.get("protected_feature")
-        if protected:
-            basis = CategoricBasis.from_dict(basis_dict)
-            codes = _codes_from_group(group, basis, encoding)
-            pbasis = fit_protected_categoric(
-                codes, len(basis.vocabulary), ctx.aligned_cells(protected)
-            )
-            payload["protected"] = pbasis.to_dict()
-        names = [out_base] if len(group.columns) == 1 else [
-            f"{out_base}_{j}" for j in range(len(group.columns))
-        ]
-        return payload, apply_fn(ctx, payload, group, names, out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        basis = CategoricBasis.from_dict(payload["categoric_basis"])
-        encoding = payload["encoding"]
+def _fit_noise_flip(ctx, group, params, tkey):
+    payload = _noise_payload(ctx, group, params, tkey)
+    basis_dict = group.meta.get("categoric_basis")
+    if basis_dict is None:
+        raise ConfigError(
+            "flip noise requires an upstream categoric encoding with a fitted vocabulary"
+        )
+    encoding = group.meta.get("encoding", "ordinal")
+    payload.update(categoric_basis=basis_dict, encoding=encoding)
+    protected = payload["resolved"].get("protected_feature")
+    if protected:
+        basis = CategoricBasis.from_dict(basis_dict)
         codes = _codes_from_group(group, basis, encoding)
-        gate = _effective_spec(ctx, payload, tkey)
-        if gate is None:
-            return _emit_codes(group, basis, encoding, codes, out_names, out_base,
-                               np.array([], dtype=np.int64))
-        spec, phase = gate
-        pp = spec.phase_params(phase)
-        n = len(codes)
-        mask = sample_bernoulli_mask(ctx.manager.op_sampler(tkey), n, pp["flip_prob"],
-                                     group.missing)
-        active = np.flatnonzero(mask)
-        if spec.direct_flip and encoding == "boolean":
-            out01 = flip_boolean_direct(codes - 1, mask)
-            new_codes = out01 + 1
-        elif spec.swap_noise:
-            sampler = ctx.manager.op_sampler(tkey)
-            new_codes = codes.copy()
-            if n >= 2 and len(active):
-                picks = sampler.bounded_ints(len(active), n)
-                new_codes[active] = codes[picks]
-            elif n < 2 and len(active):
-                warnings.warn("swap noise needs at least two rows; entries unchanged")
+        pbasis = fit_protected_categoric(
+            codes, len(basis.vocabulary), ctx.aligned_cells(protected)
+        )
+        payload["protected"] = pbasis.to_dict()
+    return payload
+
+
+def _apply_noise_flip(ctx, payload, group, out_base, tkey):
+    basis = CategoricBasis.from_dict(payload["categoric_basis"])
+    encoding = payload["encoding"]
+    codes = _codes_from_group(group, basis, encoding)
+    out_names = _output_names(out_base, len(group.columns))
+    drawn = _draw_mask(ctx, payload, group.missing, tkey)
+    if drawn is None:
+        return _emit_codes(group, basis, encoding, codes, out_names, out_base,
+                           np.array([], dtype=np.int64))
+    spec, pp, mask = drawn
+    n = len(codes)
+    active = np.flatnonzero(mask)
+    if spec.direct_flip and encoding == "boolean":
+        out01 = flip_boolean_direct(codes - 1, mask)
+        new_codes = out01 + 1
+    elif spec.swap_noise:
+        sampler = ctx.manager.op_sampler(tkey)
+        new_codes = codes.copy()
+        if n >= 2 and len(active):
+            picks = sampler.bounded_ints(len(active), n)
+            new_codes[active] = codes[picks]
+        elif n < 2 and len(active):
+            warnings.warn("swap noise needs at least two rows; entries unchanged")
+    else:
+        sampler = ctx.manager.op_sampler(tkey)
+        vocab_size = len(basis.vocabulary)
+        if pp["weighted"]:
+            weights = np.asarray(basis.frequencies, dtype=np.float64)
         else:
-            sampler = ctx.manager.op_sampler(tkey)
-            vocab_size = len(basis.vocabulary)
-            if pp["weighted"]:
-                weights = np.asarray(basis.frequencies, dtype=np.float64)
-            else:
-                weights = np.ones(vocab_size, dtype=np.float64)
-            segment_weights = None
-            if payload.get("protected") and pp["weighted"]:
-                pbasis = ProtectedBasis.from_dict(payload["protected"])
-                cells = _protected_cells(ctx, payload["resolved"], n)
-                segment_weights = protected_weight_matrix(pbasis, weights, cells, n)
-            new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler,
-                                      segment_weights)
-        flipped = active[new_codes[active] != codes[active]] if len(active) else active
-        return _emit_codes(group, basis, encoding, new_codes, out_names, out_base, flipped)
-
-    return fit_fn, apply_fn
+            weights = np.ones(vocab_size, dtype=np.float64)
+        segment_weights = None
+        if payload.get("protected") and pp["weighted"]:
+            pbasis = ProtectedBasis.from_dict(payload["protected"])
+            cells = _protected_cells(ctx, payload["resolved"], n)
+            segment_weights = protected_weight_matrix(pbasis, weights, cells, n)
+        new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler,
+                                  segment_weights)
+    flipped = active[new_codes[active] != codes[active]] if len(active) else active
+    return _emit_codes(group, basis, encoding, new_codes, out_names, out_base, flipped)
 
 
-def _noise_swap():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        resolved, randomized, raw = _resolve_noise_params(ctx, params, tkey)
-        payload = {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
+def _apply_noise_swap(ctx, payload, group, out_base, tkey):
+    _, data = group.columns[0]
+    out = list(data) if not isinstance(data, np.ndarray) else data.copy()
+    drawn = _draw_mask(ctx, payload, group.missing, tkey)
+    if drawn is not None:
+        out = swap_noise(out, drawn[2], ctx.manager.op_sampler(tkey))
+    return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        name, data = group.columns[0]
+
+def _apply_noise_mask(ctx, payload, group, out_base, tkey):
+    _, data = group.columns[0]
+    drawn = _draw_mask(ctx, payload, group.missing, tkey)
+    if drawn is None:
         out = list(data) if not isinstance(data, np.ndarray) else data.copy()
-        gate = _effective_spec(ctx, payload, tkey)
-        if gate is not None:
-            spec, phase = gate
-            pp = spec.phase_params(phase)
-            mask = sample_bernoulli_mask(ctx.manager.op_sampler(tkey), len(group.missing),
-                                         pp["flip_prob"], group.missing)
-            out = swap_noise(out, mask, ctx.manager.op_sampler(tkey))
-        return _Group(out_base, [(out_names[0], out)], group.missing, dict(group.meta),
-                      preserve_missing=group.preserve_missing)
-
-    return fit_fn, apply_fn
-
-
-def _noise_mask():
-    def fit_fn(ctx, group, params, out_base, tkey):
-        resolved, randomized, raw = _resolve_noise_params(ctx, params, tkey)
-        payload = {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
-        return payload, apply_fn(ctx, payload, group, [out_base], out_base, tkey)
-
-    def apply_fn(ctx, payload, group, out_names, out_base, tkey):
-        name, data = group.columns[0]
-        gate = _effective_spec(ctx, payload, tkey)
-        if gate is None:
-            out = list(data) if not isinstance(data, np.ndarray) else data.copy()
+    else:
+        spec, _, mask = drawn
+        if isinstance(data, np.ndarray):
+            out = mask_noise(data, mask, spec.mask_value)
         else:
-            spec, phase = gate
-            pp = spec.phase_params(phase)
-            mask = sample_bernoulli_mask(ctx.manager.op_sampler(tkey), len(group.missing),
-                                         pp["flip_prob"], group.missing)
-            if isinstance(data, np.ndarray):
-                out = mask_noise(data, mask, spec.mask_value)
-            else:
-                out = list(data)
-                for row in np.flatnonzero(mask):
-                    out[row] = float(spec.mask_value)
-        return _Group(out_base, [(out_names[0], out)], group.missing, dict(group.meta),
-                      preserve_missing=group.preserve_missing)
-
-    return fit_fn, apply_fn
+            out = list(data)
+            for row in np.flatnonzero(mask):
+                out[row] = float(spec.mask_value)
+    return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
 
 _TRANSFORMS = {
-    "zscore": _numeric_encoder("zscore"),
-    "minmax": _numeric_encoder("minmax"),
-    "retain": _numeric_encoder("retain"),
-    "boolean": _categoric_encoder("boolean"),
-    "ordinal": _categoric_encoder("ordinal"),
-    "onehot": _categoric_encoder("onehot"),
-    "binarized": _categoric_encoder("binarized"),
-    "passthrough": _passthrough(),
-    "passthrough_float": _passthrough_float(),
-    "passthrough_vocab": _passthrough_vocab(),
-    "stdbins": _stdbins(),
-    "missing_marker": _missing_marker(),
-    "noise_numeric": _noise_numeric(),
-    "noise_scaled": _noise_scaled(),
-    "noise_flip": _noise_flip(),
-    "noise_swap": _noise_swap(),
-    "noise_mask": _noise_mask(),
+    "zscore": (partial(_fit_numeric, "zscore"), _apply_numeric),
+    "minmax": (partial(_fit_numeric, "minmax"), _apply_numeric),
+    "retain": (partial(_fit_numeric, "retain"), _apply_numeric),
+    "boolean": (partial(_fit_categoric, "boolean"), _apply_categoric),
+    "ordinal": (partial(_fit_categoric, "ordinal"), _apply_categoric),
+    "onehot": (partial(_fit_categoric, "onehot"), _apply_categoric),
+    "binarized": (partial(_fit_categoric, "binarized"), _apply_categoric),
+    "passthrough": (_no_payload, _apply_passthrough),
+    "passthrough_float": (_no_payload, _apply_passthrough_float),
+    "passthrough_vocab": (partial(_fit_categoric, "passthrough"), _apply_passthrough),
+    "stdbins": (_fit_stdbins, _apply_stdbins),
+    "missing_marker": (_no_payload, _apply_missing_marker),
+    "noise_numeric": (_fit_noise_numeric, _apply_noise_numeric),
+    "noise_scaled": (_fit_noise_scaled, _apply_noise_scaled),
+    "noise_flip": (_fit_noise_flip, _apply_noise_flip),
+    "noise_swap": (_noise_payload, _apply_noise_swap),
+    "noise_mask": (_noise_payload, _apply_noise_mask),
 }
 
 
-# -- fitting -----------------------------------------------------------------
+# -- one executor for fit and apply --------------------------------------------
 
 
 def _automation_root(kind: str, powertransform: str | None) -> str:
@@ -853,72 +773,50 @@ def _label_root(kind: str) -> str:
     return "excl" if kind == "numeric" else "ord3"
 
 
-def _dry_walk(catalog, assignments, column, root, used_names):
-    """Structural pass: step skeleton without fitting or sampling."""
-    steps = []
+def _structure(catalog, assignments, column, root, kind, used_names):
+    """Structural pass over a column's family tree, before anything is fitted or sampled.
 
-    class _Ref:
-        __slots__ = ("base",)
-
-        def __init__(self, base):
-            self.base = base
-
-    def executor(category, in_ref):
-        kind, defaults = catalog.resolve_entry(category)
-        accepted = KIND_PARAMS[kind]
-        resolve_params(category, column, in_ref.base, assignments, defaults, accepted)
-        out_base = suffixed_name(in_ref.base, category, used_names)
-        used_names.add(out_base)
-        steps.append((kind, category, in_ref.base, out_base))
-        return _Ref(out_base)
-
-    apply_root_category(catalog, root, _Ref(column), executor)
-    return steps
-
-
-def _fit_column(ctx, catalog, assignments, column, root, kind, cells, used_names):
+    Returns the plan's step skeleton (the fitting run fills in payloads and
+    output columns) and, for that run, each step's resolved params and the
+    bases of the surviving outputs.
+    """
     plan = ColumnPlan(input_column=column, root=root, kind=kind)
-    raw = _raw_group(column, cells)
-    groups = {column: raw}
+    params = []
 
-    def executor(category, in_group):
+    def executor(category, in_base):
         tkind, defaults = catalog.resolve_entry(category)
         accepted = KIND_PARAMS[tkind]
-        params = resolve_params(category, column, in_group.base, assignments, defaults, accepted)
-        out_base = suffixed_name(in_group.base, category, used_names)
+        params.append(resolve_params(category, column, in_base, assignments, defaults, accepted))
+        out_base = suffixed_name(in_base, category, used_names)
         used_names.add(out_base)
-        tkey = _transform_key(column, len(plan.steps))
-        fit_fn, _ = _TRANSFORMS[tkind]
-        payload, out_group = fit_fn(ctx, in_group, params, out_base, tkey)
-        plan.steps.append(
-            AppliedStep(
-                category=category,
-                kind=tkind,
-                input_base=in_group.base,
-                output_base=out_base,
-                output_columns=[name for name, _ in out_group.columns],
-                payload=payload,
-            )
-        )
-        groups[out_base] = out_group
-        return out_group
+        plan.steps.append(AppliedStep(category, tkind, in_base, out_base, [], {}))
+        return out_base
 
-    surviving = apply_root_category(catalog, root, raw, executor)
-    plan.output_columns = [name for g in surviving for name, _ in g.columns]
-    return plan, [groups[g.base] for g in surviving]
+    surviving = apply_root_category(catalog, root, column, executor)
+    return plan, (params, surviving)
 
 
-def _replay_column(ctx, plan: ColumnPlan, cells):
-    raw = _raw_group(plan.input_column, cells)
-    groups = {plan.input_column: raw}
+def _run_column(ctx: _Ctx, plan: ColumnPlan, cells, fitting=None) -> list:
+    """Run a column's steps in order; returns its output columns as (name, cells).
+
+    With ``fitting`` (the structural pass's params and surviving bases), each
+    step's payload is fitted just before the step is applied, and the plan
+    records its output column names.
+    """
+    params, surviving = fitting or (None, None)
+    groups = {plan.input_column: _raw_group(plan.input_column, cells)}
     for idx, step in enumerate(plan.steps):
-        in_group = groups[step.input_base]
-        _, apply_fn = _TRANSFORMS[step.kind]
+        fit_fn, apply_fn = _TRANSFORMS[step.kind]
         tkey = _transform_key(plan.input_column, idx)
-        out_group = apply_fn(ctx, step.payload, in_group, step.output_columns,
-                             step.output_base, tkey)
-        groups[step.output_base] = out_group
-    return groups
+        in_group = groups[step.input_base]
+        if params is not None:
+            step.payload = fit_fn(ctx, in_group, params[idx], tkey)
+        groups[step.output_base] = apply_fn(ctx, step.payload, in_group, step.output_base, tkey)
+    if surviving is not None:
+        for step in plan.steps:
+            step.output_columns = [name for name, _ in groups[step.output_base].columns]
+        plan.output_columns = [name for base in surviving for name, _ in groups[base].columns]
+    return _collect_columns(plan, groups)
 
 
 def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
@@ -938,6 +836,31 @@ def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
             cells = list(data)
         out.append((name, cells))
     return out
+
+
+def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
+             fitting: dict | None = None) -> DataTable:
+    """Prepare a table on the basis; ``fitting`` maps each column to its structural pass."""
+    ctx = _Ctx(manager, mode, lambda c: table.column(c) if table.has_column(c) else None,
+               fitting=fitting is not None)
+    # the label is optional in later data
+    present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
+    columns: dict[str, list] = {}
+    for col in sorted(present):
+        columns.update(_run_column(ctx, basis.plan_for(col), table.column(col),
+                                   fitting and fitting[col]))
+    ordered = [name for col in present for name in basis.plan_for(col).output_columns]
+    return DataTable({name: columns[name] for name in ordered}, row_index=table.row_index)
+
+
+def _register_noise_steps(manager: StreamManager, basis: TransformBasis) -> StreamManager:
+    """Register every noise transform up front (see ``StreamManager.register_transform``)."""
+    for key in basis.noise_step_keys():
+        manager.register_transform(key)
+    return manager
+
+
+# -- fitting -----------------------------------------------------------------
 
 
 def fit(
@@ -990,62 +913,16 @@ def fit(
     train_sub = train.take(positions)
     val_sub = train.take(val_positions) if val_positions else None
 
-    schema: dict[str, str] = {}
-    roots: dict[str, str] = {}
-    for col in train.column_names:
-        kind = infer_feature_kind(train_sub.column(col)).value
-        schema[col] = kind
-        if col == cfg.labels_column:
-            roots[col] = _label_root(kind)
-        else:
-            roots[col] = assigned_roots.get(col) or _automation_root(kind, cfg.powertransform)
-
-    # structural pass first so every noise transform is registered up front
-    dry_names: set = set(train.column_names)
-    noise_keys = []
-    for col in sorted(train.column_names):
-        for idx, (tkind, _, _, _) in enumerate(
-            _dry_walk(catalog, assignments, col, roots[col], dry_names)
-        ):
-            if tkind in NOISE_KINDS:
-                noise_keys.append(_transform_key(col, idx))
-    for key in noise_keys:
-        manager.register_transform(key)
-
-    ctx = _Ctx(manager, "train", lambda c: train_sub.column(c) if train_sub.has_column(c) else None,
-               fitting=True)
     used_names: set = set(train.column_names)
     plans: dict[str, ColumnPlan] = {}
-    fitted_columns: dict[str, list] = {}
+    fitting: dict[str, tuple] = {}
     for col in sorted(train.column_names):
-        column_plan, groups = _fit_column(
-            ctx, catalog, assignments, col, roots[col], schema[col],
-            train_sub.column(col), used_names
-        )
-        plans[col] = column_plan
-        collected = []
-        by_name = {}
-        for g in groups:
-            for name, data in g.columns:
-                by_name[name] = (data, g.missing, g.preserve_missing)
-        for name in column_plan.output_columns:
-            data, missing, preserve = by_name[name]
-            if isinstance(data, np.ndarray):
-                cells = [float(v) for v in data]
-                if preserve:
-                    cells = [None if m else c for c, m in zip(cells, missing)]
-            else:
-                cells = list(data)
-            collected.append((name, cells))
-        fitted_columns[col] = collected
-
-    prepared_train = DataTable(
-        {name: cells for col in train.column_names for name, cells in fitted_columns[col]},
-        row_index=train_sub.row_index,
-    )
-    if cfg.shuffletrain and prepared_train.n_rows > 1:
-        order = manager.utility_sampler("shuffle").shuffled(list(range(prepared_train.n_rows)))
-        prepared_train = prepared_train.take(order)
+        kind = infer_feature_kind(train_sub.column(col)).value
+        if col == cfg.labels_column:
+            root = _label_root(kind)
+        else:
+            root = assigned_roots.get(col) or _automation_root(kind, cfg.powertransform)
+        plans[col], fitting[col] = _structure(catalog, assignments, col, root, kind, used_names)
 
     basis = TransformBasis(
         input_columns=list(train.column_names),
@@ -1057,8 +934,11 @@ def fit(
         transformdict=cfg.transformdict,
         processdict=cfg.processdict,
     )
-    for col, column_plan in plans.items():
-        column_plan.kind = schema[col]
+    _register_noise_steps(manager, basis)
+    prepared_train = _prepare(basis, train_sub, "train", manager, fitting)
+    if cfg.shuffletrain and prepared_train.n_rows > 1:
+        order = manager.utility_sampler("shuffle").shuffled(list(range(prepared_train.n_rows)))
+        prepared_train = prepared_train.take(order)
 
     n_train_basis = len(positions)
     n_test_basis = test.n_rows if test is not None else n_train_basis
@@ -1088,25 +968,6 @@ def fit(
 # -- application --------------------------------------------------------------
 
 
-def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager) -> DataTable:
-    ctx = _Ctx(manager, mode, lambda c: table.column(c) if table.has_column(c) else None,
-               fitting=False)
-    columns: dict[str, list] = {}
-    ordered: list[str] = []
-    for col in sorted(basis.column_plans):
-        if col == basis.label_column and not table.has_column(col):
-            continue
-        plan = basis.plan_for(col)
-        groups = _replay_column(ctx, plan, table.column(col))
-        for name, cells in _collect_columns(plan, groups):
-            columns[name] = cells
-    for col in basis.input_columns:
-        if col == basis.label_column and not table.has_column(col):
-            continue
-        ordered.extend(basis.plan_for(col).output_columns)
-    return DataTable({name: columns[name] for name in ordered}, row_index=table.row_index)
-
-
 def apply(
     basis: TransformBasis,
     table: DataTable,
@@ -1126,22 +987,15 @@ def apply_with_stats(
     if mode not in TRAINDATA_MODES:
         raise ConfigError(f"unknown traindata mode: {mode!r}")
     plan = plan or SamplingPlan()
-    missing = [c for c in basis.required_columns() if not table.has_column(c)]
+    required = basis.required_columns()
+    missing = [c for c in required if not table.has_column(c)]
     if missing:
         raise SchemaError(f"data is missing fitted schema columns: {', '.join(sorted(missing))}")
-    known = set(basis.input_columns)
-    for plan_col in basis.column_plans.values():
-        protected = {
-            step.payload.get("resolved", {}).get("protected_feature")
-            for step in plan_col.steps
-        }
-        known.update(p for p in protected if p)
+    known = set(basis.input_columns) | set(required)
     extra = [c for c in table.column_names if c not in known]
     if extra:
         warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
-    manager = StreamManager(plan)
-    for key in basis.noise_step_keys():
-        manager.register_transform(key)
+    manager = _register_noise_steps(StreamManager(plan), basis)
     prepared = _prepare(basis, table, mode, manager)
     stats = {"ops_executed": manager.ops_executed, "seeds_consumed": manager.seeds_consumed}
     return prepared, stats
@@ -1160,10 +1014,7 @@ def augment(
     shuffling enabled; row identifiers are strided per copy so duplicates
     stay distinguishable.
     """
-    plan = plan or SamplingPlan()
-    manager = StreamManager(plan)
-    for key in basis.noise_step_keys():
-        manager.register_transform(key)
+    manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
     stride = (max(table.row_index) + 1) if table.n_rows else 0
     copies = []
     for copy_idx in range(spec.count + 1):
@@ -1200,10 +1051,7 @@ def _phase_can_inject(resolved: dict, randomized: list, phase: str) -> bool:
 
     Randomized flip probabilities count as potentially nonzero.
     """
-    flag = resolved.get("trainnoise", True) if phase == "train" else resolved.get(
-        "testnoise", False
-    )
-    if not flag:
+    if not _fires(resolved, phase):
         return False
     if "flip_prob" in randomized or "test_flip_prob" in randomized:
         return True
@@ -1239,20 +1087,13 @@ def _op_costs(basis: TransformBasis, n_train: int, n_test: int):
             randomized = step.payload.get("randomized_fields", [])
             for _ in randomized:
                 costs.append(OpCost("train", 1, False, key))
-            if step.kind == "noise_scaled":
-                adjustment = resolved.get("noise_scaling_bias_offset", True) and resolved.get(
-                    "rescale_sigmas", True
-                )
-                if adjustment:
-                    for phase in ("train", "test"):
-                        if _phase_can_inject(resolved, randomized, phase):
-                            costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
-                            costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
+            if step.kind == "noise_scaled" and _calibrates(resolved):
+                for phase in ("train", "test"):
+                    if _phase_can_inject(resolved, randomized, phase):
+                        costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
+                        costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
             for phase, rows in (("train", n_train), ("test", n_test)):
-                fires = resolved.get("trainnoise", True) if phase == "train" else resolved.get(
-                    "testnoise", False
-                )
-                if not fires:
+                if not _fires(resolved, phase):
                     continue
                 if phase == "test" and randomized and not resolved.get("retain_basis", False):
                     for _ in randomized:

@@ -42,6 +42,14 @@ SEEDING_TYPES = ("supplemental_seeds", "primary_seeds")
 
 MAX_SUGGESTED_SEED = 2**31 - 1
 
+# Generator names accepted in configs, mapped to generator kinds.
+GENERATOR_NAMES = {
+    "PCG64": "default_pcg",
+    "default_pcg": "default_pcg",
+    "MersenneTwister": "mersenne",
+    "mersenne": "mersenne",
+}
+
 
 @dataclass
 class GeneratorSpec:
@@ -202,7 +210,6 @@ class StreamManager:
         self._extra_built = False
         self.ops_executed = 0
         self.seeds_consumed = 0
-        self.bulk_entries_drawn = 0
 
     # -- seed bank -----------------------------------------------------------
 
@@ -215,11 +222,9 @@ class StreamManager:
             self._extra = None
         else:
             if isinstance(spec, str):
-                kind_map = {"PCG64": "default_pcg", "default_pcg": "default_pcg",
-                            "MersenneTwister": "mersenne", "mersenne": "mersenne"}
-                if spec not in kind_map:
+                if spec not in GENERATOR_NAMES:
                     raise ConfigError(f"unknown extra_seed_generator: {spec!r}")
-                spec = GeneratorSpec(kind=kind_map[spec])
+                spec = GeneratorSpec(kind=GENERATOR_NAMES[spec])
             state, seq = mix_seed(self._os_material + b"extra", self.plan.entropy_seeds)
             self._extra = make_stream(spec.kind, state, seq, spec.external)
         return self._extra
@@ -257,7 +262,6 @@ class StreamManager:
 
         def source():
             seed = self.next_seed()
-            self.bulk_entries_drawn += 1
             state, seq = mix_seed(mix_os, [seed])
             return state, seq, gen.kind, gen.external
 

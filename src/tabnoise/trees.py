@@ -279,16 +279,6 @@ class ParamAssignments:
                 out.per_category[key] = {col: dict(v) for col, v in value.items()}
         return out
 
-    def to_config(self) -> dict:
-        out: dict = {}
-        if self.global_assignparam:
-            out["global_assignparam"] = dict(self.global_assignparam)
-        if self.default_assignparam:
-            out["default_assignparam"] = {k: dict(v) for k, v in self.default_assignparam.items()}
-        for cat, cols in self.per_category.items():
-            out[cat] = {col: dict(v) for col, v in cols.items()}
-        return out
-
 
 def resolve_params(
     category: str,

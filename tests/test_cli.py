@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tabnoise
 from tabnoise.cli import main
 from tabnoise.table import load_csv
 
@@ -235,3 +240,47 @@ def test_missing_sentinel_flag(workdir):
     assert code == 0
     prepared = load_csv(workdir / "out_na" / "train.out.csv")
     assert prepared.column("num_NArw")[0] == 1.0  # NA ingested as missing
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tabnoise.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_transform_basis_missing_key_exit_2(workdir):
+    basis = workdir / "basis.json"
+    basis.write_text(json.dumps({"format_version": "tabnoise-basis/1"}))
+    code, err = _run_cli("transform", str(basis), str(workdir / "train.csv"),
+                         "--out", str(workdir / "x.csv"))
+    assert code == 2
+    assert "input_columns" in err
+    assert "Traceback" not in err
+
+
+def test_augment_non_numeric_count_exit_2(workdir):
+    assert _fit(workdir) == 0
+    code, err = _run_cli("augment", str(workdir / "out" / "basis.json"),
+                         str(workdir / "train.csv"), "--count", "abc",
+                         "--out", str(workdir / "aug.csv"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert "abc" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["validation_ratio", "noise_augment"])
+def test_fit_non_numeric_config_value_exit_2(workdir, key):
+    config = json.loads((workdir / "config.json").read_text())
+    config[key] = "x"
+    (workdir / "config.json").write_text(json.dumps(config))
+    code, err = _run_cli("fit", str(workdir / "train.csv"),
+                         "--config", str(workdir / "config.json"),
+                         "--out-dir", str(workdir / "out"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()  # rejected before anything is fitted

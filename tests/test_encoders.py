@@ -8,7 +8,6 @@ from tabnoise.encoders import (
     codes_to_bits,
     fit_categoric,
     fit_numeric,
-    narw_marker,
     ordinal_codes,
 )
 
@@ -160,12 +159,6 @@ def test_boolean_codes():
     codes = boolean_codes(basis, ["n", "y", None])
     assert list(codes[:2]) == [0, 1]
     assert codes[2] == 1  # missing falls back to the more frequent value
-
-
-def test_narw_marker():
-    assert list(narw_marker([1.0, None])) == [0, 1]
-    assert list(narw_marker([1.0, 2.0])) == [0, 0]
-    assert list(narw_marker([None, None])) == [1, 1]
 
 
 def test_numeric_vocabulary_sorts_before_text():

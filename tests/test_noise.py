@@ -330,32 +330,28 @@ def test_protected_ratio_vector_fallback():
 
 
 def test_resolve_param_fixed():
-    assert resolve_param(0.03, False, None, _sampler()) == 0.03
+    assert resolve_param(0.03, _sampler()) == 0.03
 
 
 def test_resolve_param_singleton_list():
-    assert resolve_param([0.01], False, None, _sampler()) == 0.01
-
-
-def test_resolve_param_retained():
-    assert resolve_param([0.01, 0.05, 0.1], True, 0.05, _sampler()) == 0.05
+    assert resolve_param([0.01], _sampler()) == 0.01
 
 
 def test_resolve_param_choice_hits_candidates():
     sampler = _sampler(17)
-    picks = {resolve_param([1, 2, 3], False, None, sampler) for _ in range(100)}
+    picks = {resolve_param([1, 2, 3], sampler) for _ in range(100)}
     assert picks == {1, 2, 3}
 
 
 def test_resolve_param_distribution():
     value = resolve_param({"distribution": "uniform", "low": 0.1, "high": 0.2},
-                          False, None, _sampler(18))
+                          _sampler(18))
     assert 0.1 <= value < 0.2
 
 
 def test_resolve_param_empty_list_rejected():
     with pytest.raises(ConfigError, match="empty"):
-        resolve_param([], False, None, _sampler())
+        resolve_param([], _sampler())
 
 
 def test_is_randomized_param():
