@@ -203,10 +203,10 @@ def bits_to_codes(basis: CategoricBasis, bits: np.ndarray) -> np.ndarray:
 def codes_to_onehot(basis: CategoricBasis, codes: np.ndarray) -> np.ndarray:
     """(n, |vocab| [+1 for missing]) activations; unknown rows are all zero."""
     width = basis.code_count - 1  # one column per real code, none for unknown
+    codes = np.asarray(codes, dtype=np.int64)
     out = np.zeros((len(codes), width), dtype=np.int64)
-    for i, code in enumerate(codes):
-        if code >= 1:
-            out[i, code - 1] = 1
+    rows = np.flatnonzero(codes >= 1)
+    out[rows, codes[rows] - 1] = 1
     return out
 
 

@@ -33,6 +33,9 @@ from .rng import NOISE_DISTRIBUTIONS
 
 CALIBRATION_DRAWS = 100_000
 
+# weight-table entries per block of activations in weighted_flip
+_FLIP_BLOCK = 1 << 16
+
 
 @dataclass
 class NoiseSpec:
@@ -193,6 +196,11 @@ def weighted_flip(
     value; ``segment_weights`` optionally supplies a per-row weight vector
     (rows x vocab) for protected-attribute segmentation. One uniform draw is
     consumed per activation.
+
+    The pick is the first bucket whose running weight sum exceeds
+    ``draw * total``, with the sums added in vocabulary order, so picks are
+    bit-for-bit those of a sequential scan; activations are processed in
+    blocks to bound the memory of the per-row weight table.
     """
     codes = np.asarray(codes, dtype=np.int64)
     out = codes.copy()
@@ -204,30 +212,32 @@ def weighted_flip(
         return out
     base = np.asarray(weights, dtype=np.float64)
     draws = sampler.uniforms(len(active))
-    for draw, row in zip(draws, active):
-        w = base if segment_weights is None else segment_weights[row]
-        current = out[row]
-        cur_idx = current - 1 if 1 <= current <= vocab_size else -1
-        total = float(np.sum(w)) - (float(w[cur_idx]) if cur_idx >= 0 else 0.0)
-        if total <= 0.0:
-            continue
-        target = draw * total
-        acc = 0.0
-        pick = -1
-        for j in range(vocab_size):
-            if j == cur_idx:
-                continue
-            acc += w[j]
-            if target < acc:
-                pick = j
-                break
-        if pick < 0:  # float round-off on the last bucket
-            for j in range(vocab_size - 1, -1, -1):
-                if j != cur_idx and w[j] > 0:
-                    pick = j
-                    break
-        if pick >= 0:
-            out[row] = pick + 1
+    step = max(1, _FLIP_BLOCK // vocab_size)
+    for start in range(0, len(active), step):
+        rows = active[start : start + step]
+        if segment_weights is None:
+            w = np.tile(base, (len(rows), 1))
+            total = np.full(len(rows), float(np.sum(base)))
+        else:
+            w = np.asarray(segment_weights, dtype=np.float64)[rows]
+            total = np.sum(w, axis=1)
+        # exclude the current code: its weight leaves the total and its bucket
+        current = codes[rows]
+        own = np.flatnonzero((current >= 1) & (current <= vocab_size))
+        cur_idx = current[own] - 1
+        total[own] -= w[own, cur_idx]
+        w[own, cur_idx] = 0.0
+        w = w[:, :vocab_size]
+        passed = np.cumsum(w, axis=1) > (draws[start : start + step] * total)[:, None]
+        pick = np.argmax(passed, axis=1)
+        # float round-off on the last bucket: take the last nonzero weight
+        short = np.flatnonzero(~passed.any(axis=1))
+        positive = w[short] > 0
+        pick[short] = np.where(
+            positive.any(axis=1), vocab_size - 1 - np.argmax(positive[:, ::-1], axis=1), -1
+        )
+        keep = ~(total <= 0.0) & (pick >= 0)
+        out[rows[keep]] = pick[keep] + 1
     return out
 
 
@@ -352,16 +362,16 @@ def protected_weight_matrix(
     basis: ProtectedBasis, aggregate_weights: np.ndarray, protected_cells, n_rows: int
 ) -> np.ndarray:
     """(rows x vocab) weight table; unseen segments use the aggregate weights."""
-    vocab_size = len(aggregate_weights)
-    out = np.empty((n_rows, vocab_size), dtype=np.float64)
-    for i in range(n_rows):
-        key = _segment_key(protected_cells[i])
-        table = basis.segment_frequencies.get(key)
-        if table is None or sum(table) <= 0:
-            out[i] = aggregate_weights
-        else:
-            out[i] = table
-    return out
+    # one table row per distinct protected cell; the key holds the type, since
+    # equal cells of different types (True, 1) format to different segment keys
+    segments: dict = {}
+    index = [segments.setdefault((type(cell), cell), len(segments))
+             for cell in protected_cells[:n_rows]]
+    tables = np.empty((len(segments), len(aggregate_weights)), dtype=np.float64)
+    for (_, cell), j in segments.items():
+        table = basis.segment_frequencies.get(_segment_key(cell))
+        tables[j] = aggregate_weights if table is None or sum(table) <= 0 else table
+    return tables[np.asarray(index, dtype=np.int64)]
 
 
 def resolve_param(value, sampler):

@@ -3,9 +3,12 @@
 Every random draw in the package flows through a stream of 64-bit words, so
 that alternate word sources (external hardware, remote entropy services) can
 be dropped in without touching any shaping code. The default stream is a PCG
-generator with 128-bit state and the XSL-RR 64-bit output function; a
-Mersenne twister and an adapter for arbitrary external word sources are
-provided as alternates.
+generator with 128-bit state and the XSL-RR 64-bit output function (O'Neill
+2014); a Mersenne twister seeded by ``init_by_array`` (Matsumoto & Nishimura
+1998) and an adapter for arbitrary external word sources are provided as
+alternates. The words of both generators come from numpy's ``PCG64`` and
+``MT19937`` bit generators, bit for bit the words of the reference
+algorithms; seeding and shaping are the package's own.
 
 Shaping is built directly on the word stream: uniform doubles take the top
 53 bits of a word, normals use the Marsaglia polar method, Laplace uses the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,14 +37,50 @@ _U53_SCALE = 2.0 ** -53
 
 _SEED_DOMAIN = b"tabnoise.seed.v1"
 
+# The numpy PCG64 that Pcg64Stream.words loads each stream's state into; it is
+# built on first use, so importing the package leaves numpy.random unloaded.
+_shared_pcg = None
+_shared_pcg_lock = threading.Lock()
 
-def mix_seed(os_entropy: bytes | None, supplemental: Iterable[int]) -> tuple[int, int]:
+
+def _seed_block(seed) -> bytes:
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("entropy seeds must be nonnegative integers")
+    return seed.to_bytes(16, "little")
+
+
+class PackedSeeds:
+    """A seed sequence serialized once, for hashing by :func:`mix_seed` many times.
+
+    Hashing the packed bytes gives the same digest as passing the seeds one
+    by one, since SHA-256 is a streaming hash.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, seeds: Sequence[int]):
+        blocks = np.zeros((len(seeds), 2), dtype="<u8")
+        try:
+            blocks[:, 0] = seeds
+            self.data = blocks.tobytes()
+        except OverflowError:  # negative, or wider than 64 bits
+            self.data = b"".join(map(_seed_block, seeds))
+
+    def __len__(self) -> int:
+        return len(self.data) // 16
+
+
+def mix_seed(
+    os_entropy: bytes | None, supplemental: Iterable[int] | PackedSeeds
+) -> tuple[int, int]:
     """Deterministically expand seed material into ``(initstate, initseq)``.
 
     ``os_entropy`` is optional byte material (normally from the operating
     system, injectable in tests); ``supplemental`` is a sequence of
-    nonnegative integer seeds. Output is a 128-bit state and a 64-bit
-    sequence selector derived through SHA-256.
+    nonnegative integer seeds, or the same sequence as :class:`PackedSeeds`.
+    Output is a 128-bit state and a 64-bit sequence selector derived
+    through SHA-256.
     """
     digest = hashlib.sha256()
     digest.update(_SEED_DOMAIN)
@@ -49,11 +89,11 @@ def mix_seed(os_entropy: bytes | None, supplemental: Iterable[int]) -> tuple[int
         digest.update(os_entropy)
     else:
         digest.update(b"\x00\x00\x00\x00")
-    for seed in supplemental:
-        seed = int(seed)
-        if seed < 0:
-            raise ValueError("entropy seeds must be nonnegative integers")
-        digest.update(seed.to_bytes(16, "little"))
+    if isinstance(supplemental, PackedSeeds):
+        digest.update(supplemental.data)
+    else:
+        for seed in supplemental:
+            digest.update(_seed_block(seed))
     material = digest.digest()
     initstate = int.from_bytes(material[:16], "little")
     initseq = int.from_bytes(material[16:24], "little")
@@ -61,7 +101,12 @@ def mix_seed(os_entropy: bytes | None, supplemental: Iterable[int]) -> tuple[int
 
 
 class Pcg64Stream:
-    """PCG with 128-bit LCG state and XSL-RR output of 64-bit words."""
+    """PCG with 128-bit LCG state and XSL-RR output of 64-bit words.
+
+    The state lives in Python ints, so building a stream and drawing single
+    words stays cheap; bulk draws load that state into a shared numpy
+    ``PCG64``, which computes the same words, and store the advanced state back.
+    """
 
     __slots__ = ("_state", "_inc")
 
@@ -77,100 +122,42 @@ class Pcg64Stream:
         return ((xored >> rot) | (xored << (64 - rot))) & _MASK64
 
     def words(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64)
-        state = self._state
-        inc = self._inc
-        for i in range(n):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            xored = ((state >> 64) ^ state) & _MASK64
-            rot = state >> 122
-            out[i] = ((xored >> rot) | (xored << (64 - rot))) & _MASK64
-        self._state = state
+        global _shared_pcg
+        with _shared_pcg_lock:
+            if _shared_pcg is None:
+                _shared_pcg = np.random.PCG64(0)
+            _shared_pcg.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out = _shared_pcg.random_raw(n)
+            self._state = _shared_pcg.state["state"]["state"]
         return out
 
 
 class Mt19937Stream:
     """Mersenne twister; two 32-bit outputs are packed into each 64-bit word."""
 
-    __slots__ = ("_mt", "_index")
-
-    _N = 624
-    _M = 397
-    _MATRIX_A = 0x9908B0DF
-    _UPPER = 0x80000000
-    _LOWER = 0x7FFFFFFF
+    __slots__ = ("_bitgen",)
 
     def __init__(self, initstate: int, initseq: int = 0):
         # Expand the 128+64 bit seed material into the standard key-array init.
         key = [
             (initstate >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32)
         ] + [(initseq >> shift) & 0xFFFFFFFF for shift in range(0, 64, 32)]
-        self._mt = [0] * self._N
-        self._index = self._N
-        self._init_genrand(19650218)
-        i, j = 1, 0
-        for _ in range(max(self._N, len(key))):
-            self._mt[i] = (
-                (self._mt[i] ^ ((self._mt[i - 1] ^ (self._mt[i - 1] >> 30)) * 1664525))
-                + key[j]
-                + j
-            ) & 0xFFFFFFFF
-            i += 1
-            j += 1
-            if i >= self._N:
-                self._mt[0] = self._mt[self._N - 1]
-                i = 1
-            if j >= len(key):
-                j = 0
-        for _ in range(self._N - 1):
-            self._mt[i] = (
-                (self._mt[i] ^ ((self._mt[i - 1] ^ (self._mt[i - 1] >> 30)) * 1566083941))
-                - i
-            ) & 0xFFFFFFFF
-            i += 1
-            if i >= self._N:
-                self._mt[0] = self._mt[self._N - 1]
-                i = 1
-        self._mt[0] = 0x80000000
-
-    def _init_genrand(self, seed: int) -> None:
-        self._mt[0] = seed & 0xFFFFFFFF
-        for i in range(1, self._N):
-            self._mt[i] = (
-                1812433253 * (self._mt[i - 1] ^ (self._mt[i - 1] >> 30)) + i
-            ) & 0xFFFFFFFF
-
-    def _refill(self) -> None:
-        mt = self._mt
-        for i in range(self._N):
-            y = (mt[i] & self._UPPER) | (mt[(i + 1) % self._N] & self._LOWER)
-            value = mt[(i + self._M) % self._N] ^ (y >> 1)
-            if y & 1:
-                value ^= self._MATRIX_A
-            mt[i] = value
-        self._index = 0
-
-    def _next32(self) -> int:
-        if self._index >= self._N:
-            self._refill()
-        y = self._mt[self._index]
-        self._index += 1
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        return y
+        self._bitgen = np.random.MT19937()
+        self._bitgen.state = np.random.RandomState(key).get_state(legacy=False)
 
     def next_word(self) -> int:
-        hi = self._next32()
-        lo = self._next32()
+        hi, lo = self._bitgen.random_raw(2).tolist()
         return (hi << 32) | lo
 
     def words(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            out[i] = self.next_word()
-        return out
+        # each raw value is one 32-bit output
+        raw = self._bitgen.random_raw(2 * n)
+        return (raw[0::2] << np.uint64(32)) | raw[1::2]
 
 
 class ExternalWordStream:

@@ -32,6 +32,7 @@ from .errors import ConfigError, SeedExhaustedError
 from .rng import (
     BulkSampler,
     GENERATOR_KINDS,
+    PackedSeeds,
     StreamSampler,
     make_stream,
     mix_seed,
@@ -203,6 +204,7 @@ class StreamManager:
             self._os_material = plan.os_material if plan.os_material is not None else os.urandom(32)
         self._bank = list(plan.entropy_seeds)
         self._bank_pos = 0
+        self._packed_bank = None
         self._root = None
         self._transform_streams: dict[str, StreamSampler] = {}
         self._calibration_counts: dict[str, int] = {}
@@ -212,6 +214,12 @@ class StreamManager:
         self.seeds_consumed = 0
 
     # -- seed bank -----------------------------------------------------------
+
+    def _whole_bank(self) -> PackedSeeds:
+        """The bank serialized once; several streams mix in all of it."""
+        if self._packed_bank is None:
+            self._packed_bank = PackedSeeds(self.plan.entropy_seeds)
+        return self._packed_bank
 
     def _extra_generator(self):
         if self._extra_built:
@@ -225,7 +233,7 @@ class StreamManager:
                 if spec not in GENERATOR_NAMES:
                     raise ConfigError(f"unknown extra_seed_generator: {spec!r}")
                 spec = GeneratorSpec(kind=GENERATOR_NAMES[spec])
-            state, seq = mix_seed(self._os_material + b"extra", self.plan.entropy_seeds)
+            state, seq = mix_seed(self._os_material + b"extra", self._whole_bank())
             self._extra = make_stream(spec.kind, state, seq, spec.external)
         return self._extra
 
@@ -319,15 +327,13 @@ class StreamManager:
             count = self._calibration_counts.get(counter_key, 0)
             self._calibration_counts[counter_key] = count + 1
             tag = f"calibration:{counter_key}:{count}".encode()
-            state, seq = mix_seed(self._os_material + tag, self.plan.entropy_seeds)
+            state, seq = mix_seed(self._os_material + tag, self._whole_bank())
             return StreamSampler(self._make(state, seq))
         return self.op_sampler(transform_key)
 
     def utility_sampler(self, tag: str) -> StreamSampler:
         """Non-bank stream for plumbing draws (row shuffles, validation splits)."""
-        state, seq = mix_seed(
-            self._os_material + b"utility:" + tag.encode(), self.plan.entropy_seeds
-        )
+        state, seq = mix_seed(self._os_material + b"utility:" + tag.encode(), self._whole_bank())
         return StreamSampler(self._make(state, seq))
 
 

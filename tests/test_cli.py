@@ -284,3 +284,16 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     assert key in err
     assert "Traceback" not in err
     assert not (workdir / "out").exists()  # rejected before anything is fitted
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the word streams load numpy.random on first use, not at CLI start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))
+    probe = ("import sys, numpy; numpy_loads = 'numpy.random' in sys.modules; "
+             "import tabnoise.cli; print(numpy_loads, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    numpy_loads, loaded = proc.stdout.split()
+    if numpy_loads == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"

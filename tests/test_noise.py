@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnoise.errors import ConfigError
 from tabnoise.noise import (
@@ -13,7 +15,9 @@ from tabnoise.noise import (
     inject_numeric,
     is_randomized_param,
     mask_noise,
+    ProtectedBasis,
     protected_ratio_vector,
+    protected_weight_matrix,
     resolve_param,
     rescale_sigma_passthrough,
     sample_bernoulli_mask,
@@ -204,6 +208,100 @@ def test_flip_outputs_stay_in_vocabulary():
     out = weighted_flip(codes, 4, weights, mask, _sampler(13))
     flipped = out != codes
     assert np.all(out[flipped] >= 1) and np.all(out[flipped] <= 4)
+
+
+def _weighted_flip_scan(codes, vocab_size, weights, mask, draws, segment_weights=None):
+    """Oracle: one sequential bucket scan per activation."""
+    out = np.asarray(codes, dtype=np.int64).copy()
+    base = np.asarray(weights, dtype=np.float64)
+    for draw, row in zip(draws, np.flatnonzero(mask)):
+        w = base if segment_weights is None else segment_weights[row]
+        current = out[row]
+        cur_idx = current - 1 if 1 <= current <= vocab_size else -1
+        total = float(np.sum(w)) - (float(w[cur_idx]) if cur_idx >= 0 else 0.0)
+        if total <= 0.0:
+            continue
+        target = draw * total
+        acc = 0.0
+        pick = -1
+        for j in range(vocab_size):
+            if j == cur_idx:
+                continue
+            acc += w[j]
+            if target < acc:
+                pick = j
+                break
+        if pick < 0:  # float round-off on the last bucket
+            for j in range(vocab_size - 1, -1, -1):
+                if j != cur_idx and w[j] > 0:
+                    pick = j
+                    break
+        if pick >= 0:
+            out[row] = pick + 1
+    return out
+
+
+class _FixedDraws:
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def uniforms(self, n):
+        assert n == len(self.draws)
+        return self.draws
+
+
+_weight = st.one_of(
+    st.just(0.0), st.floats(1e-300, 1e6), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.0])
+)
+_draw = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vocab_size=st.integers(2, 12), n=st.integers(1, 40),
+       segmented=st.booleans())
+def test_weighted_flip_matches_sequential_scan(data, vocab_size, n, segmented):
+    codes = np.array(data.draw(st.lists(st.integers(0, vocab_size + 2), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                    dtype=np.int8)
+    weights = np.array(data.draw(st.lists(_weight, min_size=vocab_size, max_size=vocab_size)))
+    segment_weights = None
+    if segmented:
+        # a few distinct segment tables, one per row, as protected features give
+        tables = np.array(data.draw(st.lists(
+            st.lists(_weight, min_size=vocab_size, max_size=vocab_size),
+            min_size=1, max_size=3)))
+        segment_weights = tables[data.draw(st.lists(
+            st.integers(0, len(tables) - 1), min_size=n, max_size=n))]
+    draws = data.draw(st.lists(_draw, min_size=int(mask.sum()), max_size=int(mask.sum())))
+    expected = _weighted_flip_scan(codes, vocab_size, weights, mask, draws, segment_weights)
+    out = weighted_flip(codes, vocab_size, weights, mask, _FixedDraws(draws), segment_weights)
+    assert np.array_equal(out, expected)
+
+
+def test_weighted_flip_round_off_takes_last_nonzero_bucket():
+    # total = 1.1 - 0.7 = 0.40000000000000013 but the running sum 0.3 + 0.1 ends
+    # at 0.4, so a draw just below 1 passes no bucket; the last nonzero
+    # alternate (code 3) wins over the first (code 2) and the empty code 4
+    codes = np.array([1], dtype=np.int64)
+    weights = np.array([0.7, 0.3, 0.1, 0.0])
+    draws = [1.0 - 2.0**-53]
+    assert draws[0] * (float(np.sum(weights)) - 0.7) >= 0.3 + 0.1
+    out = weighted_flip(codes, 4, weights, np.ones(1, dtype=np.int8), _FixedDraws(draws))
+    assert out.tolist() == [3]
+    assert _weighted_flip_scan(codes, 4, weights, [1], draws).tolist() == [3]
+
+
+def test_protected_weight_matrix_per_segment_rows():
+    basis = ProtectedBasis(segment_frequencies={"a": [2.0, 1.0], "1": [0.0, 3.0],
+                                                "empty": [0.0, 0.0]})
+    aggregate = np.array([5.0, 7.0])
+    cells = ["a", 1.0, "1", "unseen", "empty", None, "a"]
+    out = protected_weight_matrix(basis, aggregate, cells, len(cells))
+    assert out.tolist() == [[2.0, 1.0], [0.0, 3.0], [0.0, 3.0], [5.0, 7.0], [5.0, 7.0],
+                            [5.0, 7.0], [2.0, 1.0]]
 
 
 def test_singleton_vocabulary_no_op_with_warning():

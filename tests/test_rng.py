@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from tabnoise.rng import (
     BulkSampler,
     ExternalWordStream,
     Mt19937Stream,
+    PackedSeeds,
     Pcg64Stream,
     StreamSampler,
     make_stream,
@@ -82,6 +85,31 @@ def test_golden_words_interleaved(cls):
         else:
             out.extend(int(w) for w in stream.words(step))
     assert _word_digest(out) == GOLDEN_INTERLEAVED[cls]
+
+
+def test_pcg_words_from_many_threads():
+    # streams in different threads share one numpy PCG64 for bulk draws
+    seeds = range(6)
+    expected = {s: Pcg64Stream(*mix_seed(None, [s])).words(64 * 40) for s in seeds}
+    results = {}
+
+    def draw(seed):
+        stream = Pcg64Stream(*mix_seed(None, [seed]))
+        results[seed] = np.concatenate([stream.words(64) for _ in range(40)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(s,)) for s in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert np.array_equal(results[seed], expected[seed])
 
 
 def test_mt_words_in_range():
@@ -244,3 +272,18 @@ def test_bulk_normals_reproducible():
     b = BulkSampler(make_source()).normals(100, 1.0, 2.0)
     assert np.array_equal(a, b)
     assert abs(np.mean(a) - 1.0) < 1.0
+
+
+def test_packed_seeds_hash_like_the_seed_sequence():
+    for seeds in ([], [0], [1, 2**31 - 1, 5], list(range(1000)), [3, 2**64, 2**100]):
+        packed = PackedSeeds(seeds)
+        assert len(packed) == len(seeds)
+        assert mix_seed(b"os", packed) == mix_seed(b"os", seeds)
+        assert mix_seed(None, packed) == mix_seed(None, seeds)
+
+
+def test_negative_seeds_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        mix_seed(None, [1, -1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        PackedSeeds([1, -1])
