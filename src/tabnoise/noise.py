@@ -165,10 +165,13 @@ def adjust_noise_mean(
     panel = np.tile(minmax_train, reps)[:draws]
     provide = sampler if callable(sampler) else (lambda: sampler)
 
-    noise0 = sample_noise(provide(), distribution, mu0, sigma, draws)
-    mu1 = float(np.mean(scale_noise_minmax(noise0, panel)))
-    noise1 = sample_noise(provide(), distribution, mu1, sigma, draws)
-    mu2 = float(np.mean(scale_noise_minmax(noise1, panel)))
+    def post_scaling_mean(mu: float) -> float:
+        # a helper, so each round's noise is freed before the next is drawn
+        noise = sample_noise(provide(), distribution, mu, sigma, draws)
+        return float(np.mean(scale_noise_minmax(noise, panel)))
+
+    mu1 = post_scaling_mean(mu0)
+    mu2 = post_scaling_mean(mu1)
     if mu2 == mu1:
         return mu0, True
     return mu0 - mu1 * (mu1 - mu0) / (mu2 - mu1), False

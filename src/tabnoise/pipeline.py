@@ -1016,27 +1016,16 @@ def augment(
     """
     manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
     stride = (max(table.row_index) + 1) if table.n_rows else 0
-    copies = []
-    for copy_idx in range(spec.count + 1):
-        if copy_idx == 1 and not spec.all_noisy:
-            mode = "train_no_noise"
-        else:
-            mode = "train"
-        prepared = _prepare(basis, table, mode, manager)
-        copies.append(
-            DataTable(
-                {name: prepared.column(name) for name in prepared.column_names},
-                row_index=[i + copy_idx * stride for i in prepared.row_index],
-            )
-        )
-    names = copies[0].column_names
-    stacked = {name: [] for name in names}
+    stacked: dict[str, list] = {}
     row_index: list[int] = []
-    for copy in copies:
-        for name in names:
-            stacked[name].extend(copy.column(name))
-        row_index.extend(copy.row_index)
+    for copy_idx in range(spec.count + 1):
+        mode = "train_no_noise" if copy_idx == 1 and not spec.all_noisy else "train"
+        prepared = _prepare(basis, table, mode, manager)
+        for name in prepared.column_names:
+            stacked.setdefault(name, []).extend(prepared.column(name))
+        row_index.extend(i + copy_idx * stride for i in prepared.row_index)
     combined = DataTable(stacked, row_index=row_index)
+    del stacked, row_index  # combined holds its own lists; free these before the shuffle
     if basis.shuffletrain and combined.n_rows > 1:
         order = manager.utility_sampler("augment_shuffle").shuffled(list(range(combined.n_rows)))
         combined = combined.take(order)

@@ -227,6 +227,23 @@ def _words_to_uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 
+def _polar_fill(u: np.ndarray, out: np.ndarray) -> int:
+    """Marsaglia polar normals from the pairs of ``u``, written to the head of
+    ``out``; returns how many were written. The round's temporaries die here."""
+    x = 2.0 * u[0::2] - 1.0
+    y = 2.0 * u[1::2] - 1.0
+    s = x * x + y * y
+    ok = (s > 0.0) & (s < 1.0)
+    x, y, s = x[ok], y[ok], s[ok]
+    factor = np.sqrt(-2.0 * np.log(s) / s)
+    z = np.empty(2 * len(s), dtype=np.float64)
+    z[0::2] = x * factor
+    z[1::2] = y * factor
+    take = min(len(z), len(out))
+    out[:take] = z[:take]
+    return take
+
+
 def _laplace_from_uniforms(u: np.ndarray, mu: float, scale: float) -> np.ndarray:
     q = u - 0.5
     inner = np.maximum(1.0 - 2.0 * np.abs(q), _U53_SCALE)
@@ -253,22 +270,9 @@ class StreamSampler:
         out = np.empty(n, dtype=np.float64)
         have = 0
         while have < n:
-            short = n - have
             # Polar method yields two normals per accepted pair (~78.5% accept).
-            pairs = max(4, int(short * 0.7) + 4)
-            u = self.uniforms(2 * pairs)
-            x = 2.0 * u[0::2] - 1.0
-            y = 2.0 * u[1::2] - 1.0
-            s = x * x + y * y
-            ok = (s > 0.0) & (s < 1.0)
-            x, y, s = x[ok], y[ok], s[ok]
-            factor = np.sqrt(-2.0 * np.log(s) / s)
-            z = np.empty(2 * len(s), dtype=np.float64)
-            z[0::2] = x * factor
-            z[1::2] = y * factor
-            take = min(len(z), short)
-            out[have : have + take] = z[:take]
-            have += take
+            pairs = max(4, int((n - have) * 0.7) + 4)
+            have += _polar_fill(self.uniforms(2 * pairs), out[have:])
         return mu + sigma * out
 
     def laplaces(self, n: int, mu: float = 0.0, scale: float = 1.0) -> np.ndarray:
