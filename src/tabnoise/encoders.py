@@ -11,11 +11,11 @@ frequency so it never participates in noise replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .table import Cell, sort_cells
+from .table import Cell, cells_of, sort_cells
 
 NUMERIC_KINDS = ("zscore", "minmax", "retain", "passthrough")
 CATEGORIC_ENCODINGS = ("ordinal", "boolean", "onehot", "binarized", "passthrough")
@@ -25,15 +25,11 @@ UNKNOWN_CODE = 0  # reserved ordinal slot for values unseen in training
 
 def column_as_floats(cells) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing_mask); text and missing cells are masked, values 0-filled."""
-    n = len(cells)
-    values = np.zeros(n, dtype=np.float64)
-    missing = np.zeros(n, dtype=bool)
-    for i, cell in enumerate(cells):
-        if isinstance(cell, float):
-            values[i] = cell
-        else:
-            missing[i] = True
-    return values, missing
+    if not (isinstance(cells, np.ndarray) and cells.dtype.kind == "f"):
+        cells = np.array([c if isinstance(c, float) else np.nan for c in cells_of(cells)],
+                         dtype=np.float64)
+    missing = np.isnan(cells)
+    return np.where(missing, 0.0, cells), missing
 
 
 @dataclass
@@ -45,7 +41,7 @@ class NumericBasis:
     kind: str = "zscore"
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "min": self.min, "max": self.max, "kind": self.kind}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NumericBasis":
@@ -129,20 +125,13 @@ class CategoricBasis:
     def value_of(self, code: int) -> Cell:
         if 1 <= code <= len(self.vocabulary):
             return self.vocabulary[code - 1]
-        if self.missing_code is not None and code == self.missing_code:
-            return None
         return None
 
     def __post_init__(self):
         self._index = {value: i for i, value in enumerate(self.vocabulary)}
 
     def to_dict(self) -> dict:
-        return {
-            "vocabulary": list(self.vocabulary),
-            "frequencies": list(self.frequencies),
-            "encoding": self.encoding,
-            "missing_code": self.missing_code,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CategoricBasis":
@@ -159,7 +148,7 @@ def fit_categoric(cells, encoding: str = "ordinal") -> CategoricBasis:
         raise ValueError(f"unknown categoric encoding: {encoding!r}")
     counts: dict = {}
     saw_missing = False
-    for cell in cells:
+    for cell in cells_of(cells):
         if cell is None:
             saw_missing = True
             continue
@@ -176,7 +165,7 @@ def fit_categoric(cells, encoding: str = "ordinal") -> CategoricBasis:
 
 
 def ordinal_codes(basis: CategoricBasis, cells) -> np.ndarray:
-    return np.array([basis.code_of(c) for c in cells], dtype=np.int64)
+    return np.array([basis.code_of(c) for c in cells_of(cells)], dtype=np.int64)
 
 
 def binarized_width(basis: CategoricBasis) -> int:
@@ -185,19 +174,13 @@ def binarized_width(basis: CategoricBasis) -> int:
 
 def codes_to_bits(basis: CategoricBasis, codes: np.ndarray) -> np.ndarray:
     """(n, width) 0/1 matrix; row bits are the binary representation of the code."""
-    width = binarized_width(basis)
-    out = np.zeros((len(codes), width), dtype=np.int64)
-    for bit in range(width):
-        out[:, bit] = (codes >> (width - 1 - bit)) & 1
-    return out
+    shifts = np.arange(binarized_width(basis) - 1, -1, -1)
+    return (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 1
 
 
 def bits_to_codes(basis: CategoricBasis, bits: np.ndarray) -> np.ndarray:
-    width = bits.shape[1]
-    codes = np.zeros(len(bits), dtype=np.int64)
-    for bit in range(width):
-        codes = (codes << 1) | bits[:, bit].astype(np.int64)
-    return codes
+    shifts = np.arange(bits.shape[1] - 1, -1, -1)
+    return np.bitwise_or.reduce(np.asarray(bits, dtype=np.int64) << shifts, axis=1)
 
 
 def codes_to_onehot(basis: CategoricBasis, codes: np.ndarray) -> np.ndarray:
@@ -218,6 +201,11 @@ def onehot_to_codes(basis: CategoricBasis, columns: np.ndarray) -> np.ndarray:
     return codes
 
 
+# multi-column encodings: (codes -> grid, grid -> codes)
+GRID_CODECS = {"onehot": (codes_to_onehot, onehot_to_codes),
+               "binarized": (codes_to_bits, bits_to_codes)}
+
+
 def boolean_codes(basis: CategoricBasis, cells) -> np.ndarray:
     """Single 0/1 column for a two-value vocabulary.
 
@@ -226,17 +214,10 @@ def boolean_codes(basis: CategoricBasis, cells) -> np.ndarray:
     """
     if len(basis.vocabulary) > 2:
         raise ValueError("boolean encoding requires at most 2 training values")
-    fallback = 0
-    if len(basis.frequencies) == 2 and basis.frequencies[1] > basis.frequencies[0]:
-        fallback = 1
-    out = np.empty(len(cells), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        if cell is None:
-            out[i] = fallback
-        else:
-            code = basis.code_of(cell)
-            out[i] = code - 1 if code >= 1 and code != basis.missing_code else fallback
-    return out
+    fallback = int(len(basis.frequencies) == 2 and basis.frequencies[1] > basis.frequencies[0])
+    codes = ordinal_codes(basis, cells)
+    seen = (codes >= 1) & (codes <= len(basis.vocabulary))
+    return np.where(seen, codes - 1, fallback)
 
 
 def apply_categoric(basis: CategoricBasis, cells) -> list[np.ndarray]:
@@ -246,10 +227,6 @@ def apply_categoric(basis: CategoricBasis, cells) -> list[np.ndarray]:
     codes = ordinal_codes(basis, cells)
     if basis.encoding == "ordinal":
         return [codes]
-    if basis.encoding == "onehot":
-        grid = codes_to_onehot(basis, codes)
-        return [grid[:, j].copy() for j in range(grid.shape[1])]
-    if basis.encoding == "binarized":
-        grid = codes_to_bits(basis, codes)
-        return [grid[:, j].copy() for j in range(grid.shape[1])]
+    if basis.encoding in GRID_CODECS:
+        return list(GRID_CODECS[basis.encoding][0](basis, codes).T.copy())
     raise ValueError(f"unsupported encoding: {basis.encoding!r}")

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .encoders import column_as_floats
 from .errors import ConfigError
 from .pipeline import apply, fit
 from .rng import Pcg64Stream, StreamSampler, mix_seed
@@ -87,18 +88,18 @@ def generate_task(spec: SyntheticTask) -> tuple[DataTable, DataTable]:
     for j in range(spec.n_numeric):
         latent = sampler.normals(total, 0.0, 1.0)
         logit += weights[j] * latent
-        columns[f"x{j}"] = [float(v) for v in latent]
+        columns[f"x{j}"] = latent
     for k in range(spec.n_categoric):
         picks = sampler.bounded_ints(total, len(_CATEGORY_LEVELS))
         logit += effects[k][picks]
         columns[f"c{k}"] = [_CATEGORY_LEVELS[p] for p in picks]
     noise = sampler.normals(total, 0.0, 0.8)
     labels = (logit + noise > 0.0).astype(np.float64)
-    columns[spec.label_column] = [float(v) for v in labels]
+    columns[spec.label_column] = labels
 
     def slice_table(lo, hi):
-        return DataTable({name: cells[lo:hi] for name, cells in columns.items()},
-                         row_index=range(lo, hi))
+        return DataTable({name: column[lo:hi] for name, column in columns.items()},
+                         row_index=np.arange(lo, hi))
 
     return slice_table(0, spec.n_rows), slice_table(spec.n_rows, total)
 
@@ -134,16 +135,10 @@ def auc_score(labels: np.ndarray, probs: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(probs, kind="mergesort")
-    ranks = np.empty(len(probs), dtype=np.float64)
-    sorted_probs = probs[order]
-    i = 0
-    while i < len(probs):
-        j = i
-        while j + 1 < len(probs) and sorted_probs[j + 1] == sorted_probs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie block at sorted positions i..j gets the midrank (i + j) / 2 + 1
+    _, block, counts = np.unique(probs, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts) - 1
+    ranks = (0.5 * (ends - counts + 1 + ends) + 1.0)[block]
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -201,11 +196,8 @@ def _features_and_labels(prepared: DataTable, label_column: str):
     if label_name is None:
         raise ConfigError(f"prepared data has no label column for {label_column!r}")
     features = [n for n in prepared.column_names if n != label_name]
-    matrix = np.column_stack(
-        [np.array([0.0 if v is None else float(v) for v in prepared.column(n)])
-         for n in features]
-    )
-    labels = np.array([float(v) for v in prepared.column(label_name)])
+    matrix = np.column_stack([column_as_floats(prepared.array(n))[0] for n in features])
+    labels = column_as_floats(prepared.array(label_name))[0]
     return matrix, labels
 
 
@@ -217,27 +209,19 @@ def run_sweep(task: SyntheticTask, sweep: SweepSpec) -> list[dict]:
     """
     results = []
     for rep in range(sweep.reps):
-        rep_task = SyntheticTask(
-            seed=task.seed + rep,
-            n_rows=task.n_rows,
-            n_test_rows=task.n_test_rows,
-            n_numeric=task.n_numeric,
-            n_categoric=task.n_categoric,
-            label_column=task.label_column,
-        )
+        rep_task = replace(task, seed=task.seed + rep)
         train_table, test_table = generate_task(rep_task)
         seeds = _rep_seeds(task.seed, rep)
+
+        def plan():
+            return SamplingPlan(sampling_type="sampling_seed", seeding_type="primary_seeds",
+                                entropy_seeds=seeds)
+
         for value in sweep.grid:
             for scenario in sweep.scenarios:
                 config = _sweep_config(rep_task, scenario, sweep.axis, value, sweep)
-                plan = SamplingPlan(sampling_type="sampling_seed",
-                                    seeding_type="primary_seeds",
-                                    entropy_seeds=seeds)
-                fitted = fit(train_table, config, plan)
-                plan_apply = SamplingPlan(sampling_type="sampling_seed",
-                                          seeding_type="primary_seeds",
-                                          entropy_seeds=seeds)
-                prepared_test = apply(fitted.basis, test_table, "test", plan_apply)
+                fitted = fit(train_table, config, plan())
+                prepared_test = apply(fitted.basis, test_table, "test", plan())
                 train_x, train_y = _features_and_labels(fitted.train, task.label_column)
                 test_x, test_y = _features_and_labels(prepared_test, task.label_column)
                 weights = train_logistic(train_x, train_y)

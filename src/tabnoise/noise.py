@@ -24,7 +24,7 @@ distribution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -251,27 +251,20 @@ def swap_noise(values, mask: np.ndarray, sampler):
     the test batch distribution. A single-row input is returned unchanged
     with a warning.
     """
-    n = len(values)
-    out = np.array(values) if isinstance(values, np.ndarray) else list(values)
+    out = np.array(values)
     active = np.flatnonzero(mask)
-    if len(active) == 0:
-        return out
-    if n < 2:
+    if len(active) and len(out) < 2:
         warnings.warn("swap noise needs at least two rows; input returned unchanged")
-        return out
-    picks = sampler.bounded_ints(len(active), n)
-    if isinstance(out, np.ndarray):
-        out[active] = np.asarray(values)[picks]
-    else:
-        src = list(values)
-        for row, pick in zip(active, picks):
-            out[row] = src[pick]
+    elif len(active):
+        out[active] = out[sampler.bounded_ints(len(active), len(out))]
     return out
 
 
 def mask_noise(values: np.ndarray, mask: np.ndarray, mask_value: float) -> np.ndarray:
-    out = np.array(values, dtype=np.float64, copy=True)
-    out[np.asarray(mask, dtype=bool)] = mask_value
+    """Activated entries set to ``mask_value``; a column of object cells stays object."""
+    values = np.asarray(values)
+    out = values.astype(object if values.dtype == object else np.float64)
+    out[np.asarray(mask, dtype=bool)] = float(mask_value)
     return out
 
 
@@ -298,11 +291,7 @@ class ProtectedBasis:
         return self.ratios.get(segment_key, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "ratios": dict(self.ratios),
-            "segment_frequencies": {k: list(v) for k, v in self.segment_frequencies.items()},
-            "flagged_segments": list(self.flagged_segments),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtectedBasis":

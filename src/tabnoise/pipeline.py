@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .encoders import (
+    GRID_CODECS,
     CategoricBasis,
     NumericBasis,
     apply_categoric,
@@ -40,10 +41,7 @@ from .encoders import (
     column_as_floats,
     fit_categoric,
     fit_numeric,
-    onehot_to_codes,
-    bits_to_codes,
-    codes_to_bits,
-    codes_to_onehot,
+    ordinal_codes,
 )
 from .errors import BasisFormatError, ConfigError, SchemaError
 from .noise import (
@@ -67,7 +65,7 @@ from .noise import (
     weighted_flip,
 )
 from .sampling import OpCost, SamplingPlan, SeedReport, StreamManager, compute_seed_report
-from .table import DataTable, infer_feature_kind, suffixed_name
+from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
 from .trees import (
     KIND_PARAMS,
     NOISE_KINDS,
@@ -169,14 +167,7 @@ class AppliedStep:
     payload: dict
 
     def to_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "kind": self.kind,
-            "input_base": self.input_base,
-            "output_base": self.output_base,
-            "output_columns": list(self.output_columns),
-            "payload": self.payload,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppliedStep":
@@ -199,13 +190,7 @@ class ColumnPlan:
     output_columns: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "input_column": self.input_column,
-            "root": self.root,
-            "kind": self.kind,
-            "steps": [s.to_dict() for s in self.steps],
-            "output_columns": list(self.output_columns),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnPlan":
@@ -255,18 +240,7 @@ class TransformBasis:
         return keys
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "input_columns": list(self.input_columns),
-            "label_column": self.label_column,
-            "column_plans": {c: p.to_dict() for c, p in self.column_plans.items()},
-            "seed_report": self.seed_report.to_dict(),
-            "shuffletrain": self.shuffletrain,
-            "validation_ratio": self.validation_ratio,
-            "validation_row_index": list(self.validation_row_index),
-            "transformdict": self.transformdict,
-            "processdict": self.processdict,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransformBasis":
@@ -311,30 +285,37 @@ def _transform_key(column: str, step_index: int) -> str:
 
 @dataclass
 class _Group:
+    """A step's output columns: (name, array) pairs of cells as a table stores
+    them, or of derived floats or codes whose missing rows only ``missing`` marks."""
+
     base: str
-    columns: list  # [(name, np.ndarray | list-of-cells)]
+    columns: list  # [(name, np.ndarray)]
     missing: np.ndarray  # bool mask: source cell missing or not usable
     meta: dict = field(default_factory=dict)
     preserve_missing: bool = False
 
 
-def _raw_group(name: str, cells: list) -> _Group:
-    missing = np.array([c is None for c in cells], dtype=bool)
-    return _Group(name, [(name, cells)], missing)
+def _raw_group(name: str, column: np.ndarray) -> _Group:
+    return _Group(name, [(name, column)], missing_of(column))
 
 
-def _group_cells(group: _Group) -> list:
+def _group_cells(group: _Group) -> np.ndarray:
+    """The first column as cells: object cells as they are, numbers with NaN for missing."""
     _, data = group.columns[0]
-    if isinstance(data, np.ndarray):
-        return [None if m else float(v) for v, m in zip(data, group.missing)]
-    return data
+    if data.dtype == object:
+        return data
+    return np.where(group.missing, np.nan, data.astype(np.float64))
 
 
 def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
+    """(values, missing) of the first column; text and missing cells are masked and 0-filled."""
     _, data = group.columns[0]
-    if isinstance(data, np.ndarray):
-        return data.astype(np.float64), group.missing.copy()
-    return column_as_floats(data)
+    if data.dtype == object:
+        return column_as_floats(data)
+    values = data.astype(np.float64)
+    nan = np.isnan(values)  # missing cells carried over from a table column
+    values[nan] = 0.0
+    return values, group.missing | nan
 
 
 def _single(name: str, data, missing, meta=None, preserve=False) -> _Group:
@@ -476,7 +457,7 @@ def _apply_categoric(ctx, payload, group, out_base, tkey):
     basis = CategoricBasis.from_dict(payload["categoric_basis"])
     cells = _group_cells(group)
     arrays = apply_categoric(basis, cells)
-    missing = np.array([c is None for c in cells], dtype=bool)
+    missing = missing_of(cells)
     meta = {"categoric_basis": payload["categoric_basis"], "encoding": basis.encoding}
     columns = list(zip(_output_names(out_base, len(arrays)), arrays))
     return _Group(out_base, columns, missing, meta)
@@ -484,8 +465,8 @@ def _apply_categoric(ctx, payload, group, out_base, tkey):
 
 def _apply_passthrough(ctx, payload, group, out_base, tkey):
     """Cells unchanged; a fitted vocabulary (passthrough_vocab) rides along for flip noise."""
-    cells = list(_group_cells(group))
-    missing = np.array([c is None for c in cells], dtype=bool)
+    cells = _group_cells(group)
+    missing = missing_of(cells)
     meta = {**payload, "encoding": "passthrough"} if payload else {}
     return _single(out_base, cells, missing, meta, preserve=True)
 
@@ -614,40 +595,31 @@ def _apply_noise_scaled(ctx, payload, group, out_base, tkey):
 
 
 def _codes_from_group(group: _Group, basis: CategoricBasis, encoding: str) -> np.ndarray:
-    if encoding == "ordinal":
-        return group.columns[0][1].astype(np.int64)
-    if encoding == "boolean":
-        return group.columns[0][1].astype(np.int64) + 1
-    if encoding == "onehot":
+    if encoding in ("ordinal", "boolean"):  # a boolean column holds code - 1
+        return group.columns[0][1].astype(np.int64) + (encoding == "boolean")
+    if encoding in GRID_CODECS:
         grid = np.column_stack([data for _, data in group.columns])
-        return onehot_to_codes(basis, grid)
-    if encoding == "binarized":
-        grid = np.column_stack([data for _, data in group.columns])
-        return bits_to_codes(basis, grid)
+        return GRID_CODECS[encoding][1](basis, grid)
     if encoding == "passthrough":
-        return np.array([basis.code_of(c) for c in _group_cells(group)], dtype=np.int64)
+        return ordinal_codes(basis, _group_cells(group))
     raise ConfigError(f"flip noise cannot follow encoding {encoding!r}")
 
 
 def _emit_codes(group: _Group, basis: CategoricBasis, encoding: str, codes: np.ndarray,
                 out_names: list, out_base: str, flipped: np.ndarray) -> _Group:
     meta = dict(group.meta)
-    if encoding == "ordinal":
-        return _Group(out_base, [(out_names[0], codes)], group.missing, meta)
-    if encoding == "boolean":
-        return _Group(out_base, [(out_names[0], codes - 1)], group.missing, meta)
-    if encoding == "onehot":
-        grid = codes_to_onehot(basis, codes)
-        cols = [(name, grid[:, j].copy()) for j, name in enumerate(out_names)]
-        return _Group(out_base, cols, group.missing, meta)
-    if encoding == "binarized":
-        grid = codes_to_bits(basis, codes)
-        cols = [(name, grid[:, j].copy()) for j, name in enumerate(out_names)]
-        return _Group(out_base, cols, group.missing, meta)
+    if encoding in ("ordinal", "boolean"):
+        return _Group(out_base, [(out_names[0], codes - (encoding == "boolean"))],
+                      group.missing, meta)
+    if encoding in GRID_CODECS:
+        grid = GRID_CODECS[encoding][0](basis, codes)
+        return _Group(out_base, list(zip(out_names, grid.T.copy())), group.missing, meta)
     # passthrough: only flipped entries change, decoded through the vocabulary
-    cells = list(_group_cells(group))
-    for row in flipped:
-        cells[row] = basis.value_of(int(codes[row]))
+    cells = _group_cells(group)
+    if len(flipped):
+        cells = np.array(cells_of(cells), dtype=object)
+        for row in flipped.tolist():
+            cells[row] = basis.value_of(int(codes[row]))
     return _Group(out_base, [(out_names[0], cells)], group.missing, meta,
                   preserve_missing=True)
 
@@ -714,8 +686,7 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
 
 
 def _apply_noise_swap(ctx, payload, group, out_base, tkey):
-    _, data = group.columns[0]
-    out = list(data) if not isinstance(data, np.ndarray) else data.copy()
+    _, out = group.columns[0]
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
     if drawn is not None:
         out = swap_noise(out, drawn[2], ctx.manager.op_sampler(tkey))
@@ -723,18 +694,11 @@ def _apply_noise_swap(ctx, payload, group, out_base, tkey):
 
 
 def _apply_noise_mask(ctx, payload, group, out_base, tkey):
-    _, data = group.columns[0]
+    _, out = group.columns[0]
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
-    if drawn is None:
-        out = list(data) if not isinstance(data, np.ndarray) else data.copy()
-    else:
+    if drawn is not None:
         spec, _, mask = drawn
-        if isinstance(data, np.ndarray):
-            out = mask_noise(data, mask, spec.mask_value)
-        else:
-            out = list(data)
-            for row in np.flatnonzero(mask):
-                out[row] = float(spec.mask_value)
+        out = mask_noise(out, mask, spec.mask_value)
     return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
 
@@ -796,15 +760,15 @@ def _structure(catalog, assignments, column, root, kind, used_names):
     return plan, (params, surviving)
 
 
-def _run_column(ctx: _Ctx, plan: ColumnPlan, cells, fitting=None) -> list:
-    """Run a column's steps in order; returns its output columns as (name, cells).
+def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -> list:
+    """Run a column's steps in order; returns its output columns as (name, array).
 
     With ``fitting`` (the structural pass's params and surviving bases), each
     step's payload is fitted just before the step is applied, and the plan
     records its output column names.
     """
     params, surviving = fitting or (None, None)
-    groups = {plan.input_column: _raw_group(plan.input_column, cells)}
+    groups = {plan.input_column: _raw_group(plan.input_column, column)}
     for idx, step in enumerate(plan.steps):
         fit_fn, apply_fn = _TRANSFORMS[step.kind]
         tkey = _transform_key(plan.input_column, idx)
@@ -820,7 +784,8 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, cells, fitting=None) -> list:
 
 
 def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
-    """(name, cells) for the plan's surviving output columns, in order."""
+    """(name, array) for the plan's surviving output columns, in order; a derived
+    number in a missing row is kept unless its group preserves missing cells."""
     by_name = {}
     for group in groups.values():
         for name, data in group.columns:
@@ -828,13 +793,9 @@ def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
     out = []
     for name in plan.output_columns:
         data, missing, preserve = by_name[name]
-        if isinstance(data, np.ndarray):
-            cells = [float(v) for v in data]
-            if preserve:
-                cells = [None if m else c for c, m in zip(cells, missing)]
-        else:
-            cells = list(data)
-        out.append((name, cells))
+        if preserve and data.dtype != object:
+            data = np.where(missing, np.nan, data)
+        out.append((name, data))
     return out
 
 
@@ -845,12 +806,12 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
                fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
-    columns: dict[str, list] = {}
+    columns: dict[str, np.ndarray] = {}
     for col in sorted(present):
-        columns.update(_run_column(ctx, basis.plan_for(col), table.column(col),
+        columns.update(_run_column(ctx, basis.plan_for(col), table.array(col),
                                    fitting and fitting[col]))
     ordered = [name for col in present for name in basis.plan_for(col).output_columns]
-    return DataTable({name: columns[name] for name in ordered}, row_index=table.row_index)
+    return DataTable({name: columns[name] for name in ordered}, row_index=table.index)
 
 
 def _register_noise_steps(manager: StreamManager, basis: TransformBasis) -> StreamManager:
@@ -897,7 +858,7 @@ def fit(
     # validation rows come out before anything is fitted
     n = train.n_rows
     k_val = int(n * cfg.validation_ratio + 1e-9)
-    positions = list(range(n))
+    positions = np.arange(n)
     val_positions: list[int] = []
     if k_val > 0:
         sampler = manager.utility_sampler("validation_split")
@@ -906,8 +867,7 @@ def fit(
             j = i + sampler.bounded_int(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         val_positions = sorted(pool[:k_val])
-        in_val = set(val_positions)
-        positions = [p for p in range(n) if p not in in_val]
+        positions = np.delete(positions, val_positions)
     # statistics are fitted in original row order (keeps recomputation exact);
     # the shuffle permutes the prepared output at the end
     train_sub = train.take(positions)
@@ -917,7 +877,7 @@ def fit(
     plans: dict[str, ColumnPlan] = {}
     fitting: dict[str, tuple] = {}
     for col in sorted(train.column_names):
-        kind = infer_feature_kind(train_sub.column(col)).value
+        kind = infer_feature_kind(train_sub.array(col)).value
         if col == cfg.labels_column:
             root = _label_root(kind)
         else:
@@ -930,7 +890,7 @@ def fit(
         column_plans=plans,
         shuffletrain=cfg.shuffletrain,
         validation_ratio=cfg.validation_ratio,
-        validation_row_index=[train.row_index[p] for p in val_positions],
+        validation_row_index=train.index[val_positions].tolist(),
         transformdict=cfg.transformdict,
         processdict=cfg.processdict,
     )
@@ -1015,21 +975,29 @@ def augment(
     stay distinguishable.
     """
     manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
-    stride = (max(table.row_index) + 1) if table.n_rows else 0
-    stacked: dict[str, list] = {}
-    row_index: list[int] = []
+    stride = int(table.index.max()) + 1 if table.n_rows else 0
+    copies: dict[str, list] = {}
+    row_index: list[np.ndarray] = []
     for copy_idx in range(spec.count + 1):
         mode = "train_no_noise" if copy_idx == 1 and not spec.all_noisy else "train"
         prepared = _prepare(basis, table, mode, manager)
         for name in prepared.column_names:
-            stacked.setdefault(name, []).extend(prepared.column(name))
-        row_index.extend(i + copy_idx * stride for i in prepared.row_index)
-    combined = DataTable(stacked, row_index=row_index)
-    del stacked, row_index  # combined holds its own lists; free these before the shuffle
+            copies.setdefault(name, []).append(prepared.array(name))
+        row_index.append(prepared.index + copy_idx * stride)
+    combined = DataTable({name: _stacked(parts) for name, parts in copies.items()},
+                         row_index=np.concatenate(row_index))
+    del copies, row_index  # free the copies before the shuffle
     if basis.shuffletrain and combined.n_rows > 1:
         order = manager.utility_sampler("augment_shuffle").shuffled(list(range(combined.n_rows)))
         combined = combined.take(order)
     return combined
+
+
+def _stacked(parts: list) -> np.ndarray:
+    """One column from the copies' arrays; noise can leave a copy float and another text."""
+    if len({part.dtype for part in parts}) > 1:
+        parts = [np.array(cells_of(part), dtype=object) for part in parts]
+    return np.concatenate(parts)
 
 
 # -- seed budgeting ------------------------------------------------------------
@@ -1139,6 +1107,6 @@ def orig_headers_mode(prepared: DataTable, basis: TransformBasis) -> DataTable:
         raise ConfigError(
             f"original headers require a one-to-one plan; unmapped outputs: {extra}"
         )
-    columns = {rename[name]: prepared.column(name) for name in prepared.column_names}
+    columns = {rename[name]: prepared.array(name) for name in prepared.column_names}
     ordered = [c for c in basis.input_columns if c in columns]
-    return DataTable({c: columns[c] for c in ordered}, row_index=prepared.row_index)
+    return DataTable({c: columns[c] for c in ordered}, row_index=prepared.index)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import ConfigError, SeedExhaustedError
@@ -114,16 +114,7 @@ class SeedReport:
     stochastic_count_safety_factor: float = 0.15
 
     def to_dict(self) -> dict:
-        return {
-            "bulk_seeds_total_train": self.bulk_seeds_total_train,
-            "bulk_seeds_total_test": self.bulk_seeds_total_test,
-            "rowcount_basis_train": self.rowcount_basis_train,
-            "rowcount_basis_test": self.rowcount_basis_test,
-            "sampling_seed_total_train": self.sampling_seed_total_train,
-            "sampling_seed_total_test": self.sampling_seed_total_test,
-            "transform_seed_total": self.transform_seed_total,
-            "stochastic_count_safety_factor": self.stochastic_count_safety_factor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeedReport":

@@ -3,16 +3,27 @@
 Cells are one of: finite 64-bit float, text string, or missing (``None``).
 Typing happens at ingestion: a field that parses as a finite float becomes a
 number, empty fields (or configured sentinels) become missing, everything
-else stays text. Tables are immutable after construction and safe to share;
-transforms always build new columns.
+else stays text.
+
+Each column is stored as one read-only numpy array. A column whose cells are
+all numbers or missing is a ``float64`` array with ``NaN`` for missing (cells
+are never non-finite, so ``NaN`` is free to mean missing); any other column
+is an ``object`` array of ``float | str | None``. ``row_index`` is an
+``int64`` array. Python cells are made only at the edges: ``column()`` and
+``row_index`` return lists, and ``write_csv`` formats whole columns. Tables
+are immutable after construction and safe to share; transforms always build
+new columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import TableError
 
@@ -67,19 +78,66 @@ def _normalize_cell(value: Cell) -> Cell:
     raise TableError(f"unsupported cell type: {type(value).__name__}")
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the array itself when already read-only)."""
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
+
+
+def _column_of_cells(cells: list) -> np.ndarray:
+    """Column array of normalized cells: float64 when every cell is a number or missing."""
+    if all(c is None or isinstance(c, float) for c in cells):
+        return np.array(cells, dtype=np.float64)
+    return np.array(cells, dtype=object)
+
+
+def _as_column(values) -> np.ndarray:
+    """Stored form of one column given as a numeric array or a sequence of cells."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        if values.ndim != 1:
+            raise TableError("column arrays must be one-dimensional")
+        column = values.astype(np.float64, copy=False)
+        if np.isinf(column).any():
+            raise TableError("non-finite numbers are not valid cells; use missing instead")
+        return _frozen(column)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return _frozen(_column_of_cells([_normalize_cell(v) for v in values]))
+
+
+def cells_of(column) -> list:
+    """Python cells of a column array (``NaN`` reads as missing); other sequences as given."""
+    if not isinstance(column, np.ndarray):
+        return column
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = None
+    return cells
+
+
+def missing_of(column: np.ndarray) -> np.ndarray:
+    """Boolean mask of the missing cells of a column array."""
+    if column.dtype == object:
+        return np.equal(column, None)
+    return np.isnan(column)
+
+
 class DataTable:
     """Ordered named columns of equal length plus stable integer row identifiers."""
 
-    __slots__ = ("column_names", "_columns", "row_index")
+    __slots__ = ("column_names", "_columns", "_index")
 
-    def __init__(self, columns: dict[str, Sequence[Cell]], row_index: Sequence[int] | None = None):
+    def __init__(self, columns: dict, row_index: Sequence[int] | np.ndarray | None = None):
         names = list(columns)
         if len(set(names)) != len(names):
             raise TableError("duplicate column names")
-        data: dict[str, list[Cell]] = {}
+        data: dict[str, np.ndarray] = {}
         n_rows = None
         for name in names:
-            col = [_normalize_cell(v) for v in columns[name]]
+            col = _as_column(columns[name])
             if n_rows is None:
                 n_rows = len(col)
             elif len(col) != n_rows:
@@ -90,38 +148,72 @@ class DataTable:
         if n_rows is None:
             n_rows = 0
         if row_index is None:
-            row_index = range(n_rows)
-        index = [int(i) for i in row_index]
-        if len(index) != n_rows:
+            row_index = np.arange(n_rows, dtype=np.int64)
+        try:
+            index = np.asarray(row_index, dtype=np.int64)
+        except OverflowError:
+            raise TableError("row_index values must fit in 64 bits") from None
+        if index.shape != (n_rows,):
             raise TableError("row_index length does not match column length")
         self.column_names = names
         self._columns = data
-        self.row_index = index
+        self._index = _frozen(index)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_index)
+        return len(self._index)
+
+    @property
+    def index(self) -> np.ndarray:
+        """``row_index`` as a read-only int64 array."""
+        return self._index
+
+    @property
+    def row_index(self) -> list[int]:
+        return self._index.tolist()
+
+    def array(self, name: str) -> np.ndarray:
+        """The stored read-only column: float64 with NaN for missing, or object cells."""
+        return self._columns[name]
 
     def column(self, name: str) -> list[Cell]:
-        return self._columns[name]
+        return cells_of(self._columns[name])
 
     def has_column(self, name: str) -> bool:
         return name in self._columns
 
     def take(self, rows: Sequence[int]) -> "DataTable":
         """New table with the given positional rows, preserving row_index values."""
-        cols = {name: [self._columns[name][i] for i in rows] for name in self.column_names}
-        return DataTable(cols, row_index=[self.row_index[i] for i in rows])
+        rows = np.asarray(rows, dtype=np.intp)
+        table = object.__new__(DataTable)
+        table.column_names = list(self.column_names)
+        # stored columns are already typed; a row subset needs no normalizing
+        table._columns = {name: _frozen(col[rows]) for name, col in self._columns.items()}
+        table._index = _frozen(self._index[rows])
+        return table
 
     def equals(self, other: "DataTable") -> bool:
         return (
             self.column_names == other.column_names
             and self.row_index == other.row_index
-            and all(self._columns[n] == other._columns[n] for n in self.column_names)
+            and all(self.column(n) == other.column(n) for n in self.column_names)
         )
 
     def __repr__(self) -> str:
         return f"DataTable({len(self.column_names)} columns x {self.n_rows} rows)"
+
+
+def _typed_column(fields: Sequence[str], sentinels) -> np.ndarray:
+    """One column of CSV fields, typed by ``parse_cell``'s rules."""
+    try:
+        cells = [None if text in sentinels else float(text) for text in fields]
+        values = np.array(cells, dtype=np.float64)
+        if np.count_nonzero(np.isfinite(values)) + cells.count(None) == len(cells):
+            return values
+    except ValueError:
+        pass
+    # text, or 'nan'/'inf' spellings, which parse but stay text
+    return _column_of_cells([parse_cell(text, sentinels) for text in fields])
 
 
 def load_csv(
@@ -141,36 +233,52 @@ def load_csv(
     else:
         names = [f"c{i}" for i in range(len(rows[0]))]
         body = rows
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+    dupes = sorted(name for name, count in Counter(names).items() if count > 1)
+    if dupes:
         raise TableError(f"{path}: duplicate headers: {', '.join(dupes)}")
     width = len(names)
-    columns: dict[str, list[Cell]] = {name: [] for name in names}
     for number, row in enumerate(body, start=2 if header else 1):
         if len(row) != width:
             raise TableError(
                 f"{path}: row {number} has {len(row)} fields, expected {width}"
             )
-        for name, field in zip(names, row):
-            columns[name].append(parse_cell(field, missing_sentinels))
-    return DataTable(columns)
+    fields = zip(*body) if body else ((),) * width
+    sentinels = frozenset(missing_sentinels)
+    return DataTable({name: _typed_column(col, sentinels) for name, col in zip(names, fields)})
+
+
+_WRITE_BLOCK_ROWS = 1024
+
+
+def _formatted(column: np.ndarray) -> list[str]:
+    """``format_cell`` of each cell, float columns column-wise; int arrays (row index) as ints."""
+    if column.dtype == object:
+        return [format_cell(cell) for cell in column.tolist()]
+    if column.dtype.kind == "i":
+        return list(map(str, column.tolist()))
+    text = np.full(len(column), "", dtype=object)
+    integral = (np.trunc(column) == column) & (np.abs(column) < 1e16)
+    text[integral] = np.array(list(map(str, column[integral].astype(np.int64).tolist())),
+                              dtype=object)
+    rest = ~integral & ~np.isnan(column)
+    text[rest] = np.array(list(map(repr, column[rest].tolist())), dtype=object)
+    return text.tolist()
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:
     """Write RFC-4180-style CSV; missing cells become empty fields."""
+    names = table.column_names
+    arrays = [table.array(n) for n in names]
+    if include_row_index:
+        names = ["row_index"] + names
+        arrays.insert(0, table.index)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
-        names = table.column_names
-        if include_row_index:
-            writer.writerow(["row_index"] + names)
-        else:
-            writer.writerow(names)
-        cols = [table.column(n) for n in names]
-        for i in range(table.n_rows):
-            row = [format_cell(col[i]) for col in cols]
-            if include_row_index:
-                row = [str(table.row_index[i])] + row
-            writer.writerow(row)
+        writer.writerow(names)
+        # a block of rows at a time, so the formatted text never holds the whole table
+        for start in range(0, table.n_rows, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            writer.writerows(zip(*[_formatted(array[block]) for array in arrays]))
 
 
 def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:
@@ -180,19 +288,14 @@ def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:
     unique values is boolean; everything else (including all-missing) is
     categoric.
     """
-    seen: set = set()
-    all_numeric = True
-    any_present = False
-    for value in column:
-        if value is None:
-            continue
-        any_present = True
-        seen.add(value)
-        if not isinstance(value, float):
-            all_numeric = False
-    if not any_present:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        if np.isnan(column).all():
+            return FeatureKind.CATEGORIC
+        return FeatureKind.NUMERIC
+    seen = {value for value in cells_of(column) if value is not None}
+    if not seen:
         return FeatureKind.CATEGORIC
-    if all_numeric:
+    if all(isinstance(value, float) for value in seen):
         return FeatureKind.NUMERIC
     if len(seen) == 2:
         return FeatureKind.BOOLEAN_CATEGORIC

@@ -339,52 +339,31 @@ _ENCODER_ROOTS = {
     "pvoc": "passthrough_vocab",
 }
 
+# Table-default params shared by the stems of each noise kind
+_NUMERIC_DEFAULTS = {"flip_prob": 0.03, "mu": 0.0, "test_mu": 0.0, "noisedistribution": "normal",
+                     "test_noisedistribution": "normal", "retain_basis": False,
+                     "protected_feature": None}
+_SCALED_DEFAULTS = {**_NUMERIC_DEFAULTS, "sigma": 0.03, "test_sigma": 0.02,
+                    "rescale_sigmas": True, "noise_scaling_bias_offset": True}
+_FLIP_DEFAULTS = {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
+                  "test_weighted": True, "retain_basis": False, "protected_feature": None}
+_ROW_DEFAULTS = {"flip_prob": 0.03, "test_flip_prob": 0.01, "retain_basis": False}
+
 # stem -> (upstream encoder category, noise transform kind, Table-default params)
 _NOISE_STEMS = {
     "nb": ("nmbr", "noise_numeric",
-           {"flip_prob": 0.03, "sigma": 0.06, "test_sigma": 0.03, "mu": 0.0,
-            "test_mu": 0.0, "noisedistribution": "normal",
-            "test_noisedistribution": "normal", "rescale_sigmas": False,
-            "retain_basis": False, "protected_feature": None}),
-    "mm": ("mnmx", "noise_scaled",
-           {"flip_prob": 0.03, "sigma": 0.03, "test_sigma": 0.02, "mu": 0.0,
-            "test_mu": 0.0, "noisedistribution": "normal",
-            "test_noisedistribution": "normal", "rescale_sigmas": True,
-            "noise_scaling_bias_offset": True, "retain_basis": False,
-            "protected_feature": None}),
-    "rt": ("retn", "noise_scaled",
-           {"flip_prob": 0.03, "sigma": 0.03, "test_sigma": 0.02, "mu": 0.0,
-            "test_mu": 0.0, "noisedistribution": "normal",
-            "test_noisedistribution": "normal", "rescale_sigmas": True,
-            "noise_scaling_bias_offset": True, "retain_basis": False,
-            "protected_feature": None}),
-    "bn": ("bnry", "noise_flip",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
-            "test_weighted": True, "retain_basis": False, "protected_feature": None}),
-    "od": ("ord3", "noise_flip",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
-            "test_weighted": True, "retain_basis": False, "protected_feature": None}),
-    "oh": ("onht", "noise_flip",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
-            "test_weighted": True, "swap_noise": False, "retain_basis": False,
-            "protected_feature": None}),
-    "10": ("1010", "noise_flip",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
-            "test_weighted": True, "swap_noise": False, "retain_basis": False,
-            "protected_feature": None}),
+           {**_NUMERIC_DEFAULTS, "sigma": 0.06, "test_sigma": 0.03, "rescale_sigmas": False}),
+    "mm": ("mnmx", "noise_scaled", _SCALED_DEFAULTS),
+    "rt": ("retn", "noise_scaled", _SCALED_DEFAULTS),
+    "bn": ("bnry", "noise_flip", _FLIP_DEFAULTS),
+    "od": ("ord3", "noise_flip", _FLIP_DEFAULTS),
+    "oh": ("onht", "noise_flip", {**_FLIP_DEFAULTS, "swap_noise": False}),
+    "10": ("1010", "noise_flip", {**_FLIP_DEFAULTS, "swap_noise": False}),
     "ne": ("exclf", "noise_numeric",
-           {"flip_prob": 0.03, "sigma": 0.06, "test_sigma": 0.03, "mu": 0.0,
-            "test_mu": 0.0, "noisedistribution": "normal",
-            "test_noisedistribution": "normal", "rescale_sigmas": True,
-            "retain_basis": False, "protected_feature": None}),
-    "pc": ("pvoc", "noise_flip",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "weighted": True,
-            "test_weighted": True, "retain_basis": False, "protected_feature": None}),
-    "se": ("excl", "noise_swap",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "retain_basis": False}),
-    "sk": ("excl", "noise_mask",
-           {"flip_prob": 0.03, "test_flip_prob": 0.01, "mask_value": 0.0,
-            "retain_basis": False}),
+           {**_NUMERIC_DEFAULTS, "sigma": 0.06, "test_sigma": 0.03, "rescale_sigmas": True}),
+    "pc": ("pvoc", "noise_flip", _FLIP_DEFAULTS),
+    "se": ("excl", "noise_swap", _ROW_DEFAULTS),
+    "sk": ("excl", "noise_mask", {**_ROW_DEFAULTS, "mask_value": 0.0}),
 }
 
 # Passthrough-style stems keep original data untouched apart from noise:

@@ -1,9 +1,12 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnoise.encoders import (
     apply_categoric,
     apply_numeric,
     binarized_width,
+    bits_to_codes,
     boolean_codes,
     codes_to_bits,
     fit_categoric,
@@ -164,3 +167,36 @@ def test_boolean_codes():
 def test_numeric_vocabulary_sorts_before_text():
     basis = fit_categoric([3.0, "b", 1.0, "a"])
     assert basis.vocabulary == [1.0, 3.0, "a", "b"]
+
+
+def _boolean_codes_by_cell(basis, cells):
+    """One cell at a time: missing and unseen cells take the fallback code."""
+    fallback = 1 if len(basis.frequencies) == 2 and basis.frequencies[1] > basis.frequencies[0] else 0
+    out = []
+    for cell in cells:
+        code = basis.code_of(cell)
+        seen = cell is not None and code >= 1 and code != basis.missing_code
+        out.append(code - 1 if seen else fallback)
+    return out
+
+
+def _bits_by_shift(codes, width):
+    return [[(int(c) >> (width - 1 - bit)) & 1 for bit in range(width)] for c in codes]
+
+
+_cell = st.sampled_from(["y", "n", "maybe", None, 1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(train=st.lists(_cell, max_size=12), cells=st.lists(_cell, max_size=12))
+def test_vectorized_codes_match_cell_loops(train, cells):
+    basis = fit_categoric(train, "binarized")
+    codes = ordinal_codes(basis, cells)
+    width = binarized_width(basis)
+    bits = codes_to_bits(basis, codes)
+    assert bits.shape == (len(cells), width)
+    assert bits.tolist() == _bits_by_shift(codes, width)
+    assert bits_to_codes(basis, bits).tolist() == codes.tolist()
+    if len(basis.vocabulary) <= 2:
+        boolean = fit_categoric(train, "boolean")
+        assert boolean_codes(boolean, cells).tolist() == _boolean_codes_by_cell(boolean, cells)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnoise.errors import ConfigError
 from tabnoise.harness import (
@@ -40,6 +42,38 @@ def test_single_row_task_valid():
 def test_labels_are_binary():
     train, _ = generate_task(SyntheticTask(seed=5, n_rows=200, n_test_rows=10))
     assert set(train.column("label")) <= {0.0, 1.0}
+
+
+def _auc_by_tie_scan(labels, probs):
+    """Rank-sum AUC with midranks found by scanning tie blocks in sorted order."""
+    positive = labels > 0.5
+    n_pos = int(positive.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    order = np.argsort(probs, kind="mergesort")
+    ranks = np.empty(len(probs), dtype=np.float64)
+    sorted_probs = probs[order]
+    i = 0
+    while i < len(probs):
+        j = i
+        while j + 1 < len(probs) and sorted_probs[j + 1] == sorted_probs[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.booleans(),
+                               st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+                               | st.floats(0.0, 1.0)),
+                     min_size=1, max_size=40))
+def test_auc_score_matches_tie_scan(rows):
+    labels = np.array([float(label) for label, _ in rows])
+    probs = np.array([prob for _, prob in rows])
+    assert auc_score(labels, probs) == _auc_by_tie_scan(labels, probs)
 
 
 def test_auc_score_oracle():

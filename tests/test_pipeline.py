@@ -411,6 +411,20 @@ def test_augment_duplicates_differ_pairwise():
     assert by_copy[1] != by_copy[2]
 
 
+def test_augment_stacks_masked_numbers_with_text_copy():
+    # mask noise on every present cell turns the noisy copies into numbers,
+    # while the noiseless copy keeps the column's text and missing cells
+    table = DataTable({"a": ["x", 1.0, None, 2.0]})
+    config = {"shuffletrain": False, "assigncat": {"DPsk": ["a"]},
+              "assignparam": {"default_assignparam": {"DPsk": {"flip_prob": 1.0,
+                                                               "mask_value": 5.0}}}}
+    res = fit(table, config, _plan())
+    out = augment(res.basis, table, AugmentSpec(count=2), _plan())
+    assert out.row_index == list(range(12))
+    masked = [5.0, 5.0, None, 5.0]
+    assert out.column("a_DPske_DPsk") == masked + ["x", 1.0, None, 2.0] + masked
+
+
 def test_augment_spec_literal_parsing():
     assert AugmentSpec.from_literal("2") == AugmentSpec(count=2, all_noisy=False)
     assert AugmentSpec.from_literal("2.0") == AugmentSpec(count=2, all_noisy=True)

@@ -1,11 +1,18 @@
+import csv
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabnoise import table as table_module
 from tabnoise.errors import TableError
 from tabnoise.table import (
     DataTable,
     FeatureKind,
+    format_cell,
     infer_feature_kind,
     load_csv,
     parse_cell,
@@ -146,3 +153,164 @@ def test_row_index_preserved_by_take():
     sub = table.take([2, 0])
     assert sub.row_index == [12, 10]
     assert sub.column("a") == [3.0, 1.0]
+
+
+# -- column arrays ---------------------------------------------------------------
+
+
+def test_inf_in_float_array_rejected():
+    with pytest.raises(TableError, match="non-finite"):
+        DataTable({"a": np.array([1.0, np.inf])})
+    with pytest.raises(TableError, match="non-finite"):
+        DataTable({"a": np.array([-np.inf], dtype=np.float32)})
+
+
+def test_nan_in_float_array_reads_as_missing():
+    table = DataTable({"a": np.array([1.5, np.nan, -0.0])})
+    assert table.column("a") == [1.5, None, -0.0]
+    assert infer_feature_kind(table.array("a")) is FeatureKind.NUMERIC
+
+
+def test_int_and_bool_inputs_become_floats():
+    table = DataTable({
+        "ints": np.array([1, -2, 3], dtype=np.int64),
+        "bools": np.array([True, False, True]),
+        "int_cells": [1, -2, True],
+    })
+    for name in ("ints", "bools", "int_cells"):
+        assert table.array(name).dtype == np.float64
+        assert all(type(c) is float for c in table.column(name))
+    assert table.column("ints") == [1.0, -2.0, 3.0]
+    assert table.column("bools") == [1.0, 0.0, 1.0]
+    assert table.column("int_cells") == [1.0, -2.0, 1.0]
+
+
+def test_storage_types():
+    table = DataTable({"num": [1.0, None], "text": ["x", None], "none": [None, None]},
+                      row_index=[7, 9])
+    assert table.array("num").dtype == np.float64
+    assert table.array("none").dtype == np.float64
+    assert table.array("text").dtype == object
+    assert table.index.dtype == np.int64
+    assert table.row_index == [7, 9]
+    assert table.column("text") == ["x", None]
+    with pytest.raises(TableError, match="one-dimensional"):
+        DataTable({"a": np.zeros((2, 2))})
+    with pytest.raises(TableError, match="64 bits"):
+        DataTable({"a": [1.0]}, row_index=[2**63])
+
+
+def test_columns_are_read_only():
+    source = np.array([1.0, 2.0, 3.0])
+    table = DataTable({"a": source, "b": ["x", "y", None]})
+    for view in (table.array("a"), table.array("b"), table.index,
+                 table.take([2, 0]).array("a"), table.take([1]).array("b")):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = view[0]
+    # the caller's array stays writable; the table holds a read-only view of it
+    assert source.flags.writeable
+
+
+def test_transform_leaves_input_table_unchanged():
+    from tabnoise.pipeline import apply, fit
+    from tabnoise.sampling import SamplingPlan
+
+    table = DataTable({"num": np.array([1.0, np.nan, 3.0, -2.0]),
+                       "cat": ["a", "b", None, "a"]})
+    before = {name: table.column(name) for name in table.column_names}
+    config = {"shuffletrain": False, "assigncat": {"DPsk": ["num"], "DPod": ["cat"]},
+              "assignparam": {"default_assignparam": {"DPsk": {"flip_prob": 1.0},
+                                                      "DPod": {"flip_prob": 1.0}}}}
+    plan = SamplingPlan(sampling_type="sampling_seed", seeding_type="primary_seeds",
+                        entropy_seeds=list(range(50)))
+    fitted = fit(table, config, plan)
+    apply(fitted.basis, table, "train", plan)
+    assert {name: table.column(name) for name in table.column_names} == before
+
+
+# -- CSV round trip against the cell-by-cell reference ------------------------------
+
+
+def _write_rows_reference(table, path, include_row_index):
+    """The row-at-a-time writer: one format_cell call per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        names = table.column_names
+        writer.writerow(["row_index"] + names if include_row_index else names)
+        cols = [table.column(n) for n in names]
+        for i in range(table.n_rows):
+            row = [format_cell(col[i]) for col in cols]
+            if include_row_index:
+                row = [str(table.row_index[i])] + row
+            writer.writerow(row)
+
+
+def _load_cells_reference(path, sentinels):
+    """The cell-by-cell loader: parse_cell on every field, in row order."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    names, body = rows[0], rows[1:]
+    columns = {name: [] for name in names}
+    for row in body:
+        for name, field in zip(names, row):
+            columns[name].append(parse_cell(field, sentinels))
+    return columns
+
+
+def _typed(cells):
+    """Cells compared with their type and sign: -0.0 differs from 0.0."""
+    return [(type(c).__name__, repr(c)) for c in cells]
+
+
+_SENTINELS = ("NA", "?", "nan", "-", "0")
+_special_float = st.sampled_from([
+    -0.0, 0.0, 1e16, -1e16, 1e16 - 2.0, 5e-324, -5e-324, 0.1 + 0.2, 3.0, -7.0, 2.0**53,
+    2.0**53 + 2.0, 1e-5, 123456.789, 1.7976931348623157e308,
+])
+_float_cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _special_float,
+                        st.integers(-10**6, 10**6).map(float))
+_text_cell = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e400", " 1.5 ", "1_0", "x",
+                     'a,b', 'say "hi"', "line\nbreak", "NA", "?", "-", "0"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=6),
+)
+_column_kind = st.sampled_from(["float", "text", "mixed"])
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = {}
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(_column_kind)
+        cell = {"float": _float_cell, "text": _text_cell,
+                "mixed": st.one_of(_float_cell, _text_cell)}[kind]
+        cells = draw(st.lists(st.one_of(st.none(), cell), min_size=n_rows, max_size=n_rows))
+        columns[f"{kind}{j}"] = cells
+    row_index = draw(st.lists(st.integers(0, 2**62), min_size=n_rows, max_size=n_rows))
+    return DataTable(columns, row_index=row_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), include_row_index=st.booleans(),
+       extra=st.lists(st.sampled_from(_SENTINELS), max_size=2),
+       block=st.sampled_from([1, 3, 1024]))
+def test_csv_round_trip_matches_cell_reference(tmp_path_factory, table, include_row_index,
+                                               extra, block):
+    tmp = tmp_path_factory.mktemp("rt")
+    expected, path = tmp / "reference.csv", tmp / "columnar.csv"
+    _write_rows_reference(table, expected, include_row_index)
+    # a small block splits the rows across several formatting blocks
+    with mock.patch.object(table_module, "_WRITE_BLOCK_ROWS", block):
+        write_csv(table, path, include_row_index=include_row_index)
+    assert path.read_bytes() == expected.read_bytes()
+
+    sentinels = ("",) + tuple(extra)
+    back = load_csv(path, missing_sentinels=sentinels)
+    reference = _load_cells_reference(path, sentinels)
+    assert back.column_names == list(reference)
+    for name in back.column_names:
+        assert _typed(back.column(name)) == _typed(reference[name])
+        if not include_row_index:
+            assert back.row_index == list(range(table.n_rows))
