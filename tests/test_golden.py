@@ -7,7 +7,10 @@ them the configs cover every builtin noise stem across the DP/DT/DB
 prefixes, ``bsor`` through ``transformdict``, a protected feature on the
 numeric and the flip path, randomized ``flip_prob`` with ``retain_basis``
 true and false, ``direct_flip``, ``swap_noise``, ``orig_headers``, all four
-sampling types and the mersenne generator. A digest change means a change in
+sampling types and the mersenne generator. ``bulk_seeds_dry`` gives every
+entry a mersenne stream from a 50-seed bank that runs dry inside an
+operation, so the rest of each run's seeds come from the PCG64 extra seed
+generator, with the training rows shuffled. A digest change means a change in
 output bytes: a bug, or a format change that needs a new basis version.
 """
 
@@ -60,6 +63,23 @@ CONFIGS = {
         },
         "sampling_dict": {"sampling_type": "bulk_seeds", "seeding_type": "primary_seeds"},
     },
+    "bulk_seeds_dry": {
+        "labels_column": "label",
+        "validation_ratio": 0.2,
+        "shuffletrain": True,
+        "assigncat": {"DBnb": ["n1"], "DBmm": ["n2"], "DBse": ["n3"], "DBod": ["c1"],
+                      "DBbn": ["b1"], "DBoh": ["c3"]},
+        "assignparam": {
+            "DBnb": {"n1": {"flip_prob": 0.5, "test_flip_prob": 0.5,
+                            "noisedistribution": "laplace",
+                            "test_noisedistribution": "abs_normal"}},
+            "DBod": {"c1": {"flip_prob": [0.2, 0.4], "test_flip_prob": 0.3,
+                            "retain_basis": False}},
+            "DBoh": {"c3": {"swap_noise": True, "flip_prob": 0.4, "test_flip_prob": 0.4}},
+        },
+        "sampling_dict": {"sampling_type": "bulk_seeds", "seeding_type": "primary_seeds",
+                          "sampling_generator": "mersenne", "extra_seed_generator": "PCG64"},
+    },
     "default_mersenne": {
         "orig_headers": True,
         "assigncat": {"DBne": ["n1"], "DPsk": ["n2"], "DTse": ["n3"], "excl": ["n4", "label"],
@@ -72,9 +92,19 @@ CONFIGS = {
 }
 
 BANK_SIZES = {"sampling_seed": 400, "transform_seed": 64, "bulk_seeds": 4000,
-              "default_mersenne": 16}
+              "bulk_seeds_dry": 50, "default_mersenne": 16}
 
 GOLDEN = {
+    "bulk_seeds_dry": {
+        "aug.csv": "7a58eff58562ca4950ae308c335afee7e87e33b2361162981ce3028c4a938f53",
+        "basis.json": "38f603d158152ec61b090e4479bd3171f4dedfbb551cf9dcb06649c9e9d608fb",
+        "seed_report.json": "edf1b69ca9a0e8d84c673902e77140ffb5a5e18da237f42a5217c597991b0ada",
+        "test.out.csv": "52e8d54d7108bde2c8ed3f4134dc7fae6a28a02cf0772c45347d3632f9d90fd3",
+        "tr_test.csv": "c696ef1a33d877000ab6ebf29e3c289a8560cc563ebb2f7ffe99e6f91efb5040",
+        "tr_train.csv": "9315c62b8ef98eba9c8890bc32d6f0badd0772a8d5cfae5b5972659786e7a1d0",
+        "train.out.csv": "22728571293e4ad4f38deb179b62b1c81adc5a1a7cda76df3bc2fea2d7bf15b9",
+        "val.out.csv": "2a25bc540e577fcc4b8366a291c677a8486d047ee4b043e636c29b77fabd1e3c",
+    },
     "bulk_seeds": {
         "aug.csv": "8414cc75d2f3a49c480895a40cbd264454479ac02f1ce553949fc86a959de90e",
         "basis.json": "d1e3c0a66b203e7d30ddb27f29754f27bf496f432c809bdf517696b209975bc1",
