@@ -72,7 +72,7 @@ def _sampling_plan(config: dict, args) -> SamplingPlan:
         sampling["sampling_type"] = args.sampling_type
     kwargs = {
         "sampling_type": sampling.get("sampling_type", "default"),
-        "entropy_seeds": list(seeds),
+        "entropy_seeds": seeds,
     }
     if sampling.get("seeding_type"):
         kwargs["seeding_type"] = sampling["seeding_type"]

@@ -450,7 +450,13 @@ def _apply_numeric(ctx, payload, group, out_base, tkey):
 
 
 def _fit_categoric(encoding, ctx, group, params, tkey):
-    return {"categoric_basis": fit_categoric(_group_cells(group), encoding).to_dict()}
+    basis = fit_categoric(_group_cells(group), encoding)
+    if encoding == "boolean" and len(basis.vocabulary) > 2:
+        raise ConfigError(
+            f"column {group.base!r} has {len(basis.vocabulary)} distinct training values; "
+            "a boolean encoding takes at most 2"
+        )
+    return {"categoric_basis": basis.to_dict()}
 
 
 def _apply_categoric(ctx, payload, group, out_base, tkey):
@@ -861,11 +867,12 @@ def fit(
     positions = np.arange(n)
     val_positions: list[int] = []
     if k_val > 0:
+        # the first k_val steps of a forward Fisher-Yates over the row positions
         sampler = manager.utility_sampler("validation_split")
+        picks = sampler.bounded_each(np.arange(n, n - k_val, -1)).tolist()
         pool = list(range(n))
-        for i in range(k_val):
-            j = i + sampler.bounded_int(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        for i, j in enumerate(picks):
+            pool[i], pool[i + j] = pool[i + j], pool[i]
         val_positions = sorted(pool[:k_val])
         positions = np.delete(positions, val_positions)
     # statistics are fitted in original row order (keeps recomputation exact);
@@ -897,7 +904,7 @@ def fit(
     _register_noise_steps(manager, basis)
     prepared_train = _prepare(basis, train_sub, "train", manager, fitting)
     if cfg.shuffletrain and prepared_train.n_rows > 1:
-        order = manager.utility_sampler("shuffle").shuffled(list(range(prepared_train.n_rows)))
+        order = manager.utility_sampler("shuffle").shuffled(range(prepared_train.n_rows))
         prepared_train = prepared_train.take(order)
 
     n_train_basis = len(positions)
@@ -988,7 +995,7 @@ def augment(
                          row_index=np.concatenate(row_index))
     del copies, row_index  # free the copies before the shuffle
     if basis.shuffletrain and combined.n_rows > 1:
-        order = manager.utility_sampler("augment_shuffle").shuffled(list(range(combined.n_rows)))
+        order = manager.utility_sampler("augment_shuffle").shuffled(range(combined.n_rows))
         combined = combined.take(order)
     return combined
 

@@ -16,9 +16,12 @@ inverse CDF, and bounded integers use threshold rejection. All accumulation
 is in 64-bit floats.
 
 Seed material enters through :func:`mix_seed`, a hash-based construction
-that expands 32-bit external seeds (plus optional OS entropy bytes) into the
-128-bit state and 64-bit sequence selector of a stream. The same inputs
-always produce the same stream.
+that expands external seeds below 2**128 (plus optional OS entropy bytes)
+into the 128-bit state and 64-bit sequence selector of a stream. The same
+inputs always produce the same stream. Under bulk seeding every sampled entry
+has a stream of its own: :class:`BulkSampler` hashes an operation's seeds in
+one pass and steps all of its PCG streams at once, on 32-bit limbs of numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -43,34 +46,76 @@ _shared_pcg = None
 _shared_pcg_lock = threading.Lock()
 
 
-def _seed_block(seed) -> bytes:
+_SEED_LIMIT = 1 << 128  # a seed fills one 16-byte little-endian block
+
+
+def _checked_seed(seed) -> int:
     seed = int(seed)
     if seed < 0:
         raise ValueError("entropy seeds must be nonnegative integers")
-    return seed.to_bytes(16, "little")
+    if seed >= _SEED_LIMIT:
+        raise ValueError("entropy seeds must be below 2**128")
+    return seed
+
+
+def _seed_block(seed) -> bytes:
+    return _checked_seed(seed).to_bytes(16, "little")
 
 
 class PackedSeeds:
-    """A seed sequence serialized once, for hashing by :func:`mix_seed` many times.
+    """A seed sequence validated and serialized once, as 16-byte blocks.
 
-    Hashing the packed bytes gives the same digest as passing the seeds one
-    by one, since SHA-256 is a streaming hash.
+    ``blocks`` is an ``(n, 2)`` array of little-endian uint64 halves, one row
+    per seed (low half first), whose bytes are the blocks that
+    :func:`mix_seed` hashes. Hashing them gives the same digest as passing the
+    seeds one by one, since SHA-256 is a streaming hash. Seeds are taken as
+    ``int(seed)``; one that is negative, at least ``2**128`` or not a number
+    raises ``ValueError``.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("blocks",)
 
     def __init__(self, seeds: Sequence[int]):
-        # numpy packs a 200k-seed bank ~10x faster than joining 16-byte blocks,
-        # and without a bytes object per seed
+        if not hasattr(seeds, "__len__"):
+            seeds = list(seeds)
         blocks = np.zeros((len(seeds), 2), dtype="<u8")
         try:
-            blocks[:, 0] = seeds
-            self.data = blocks.tobytes()
-        except OverflowError:  # negative, or wider than 64 bits
-            self.data = b"".join(map(_seed_block, seeds))
+            # int() of each seed, straight into an array: no Python object per seed
+            low = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
+        except (OverflowError, TypeError, ValueError):  # wide, or not a number
+            try:
+                values = [int(seed) for seed in seeds]
+            except (TypeError, ValueError):
+                raise ValueError("entropy seeds must be nonnegative integers") from None
+            values = [_checked_seed(value) for value in values]
+            blocks[:, 0] = [v & _MASK64 for v in values]
+            blocks[:, 1] = [v >> 64 for v in values]
+        else:
+            if len(low) and low.min() < 0:
+                raise ValueError("entropy seeds must be nonnegative integers")
+            blocks[:, 0] = low
+        blocks.flags.writeable = False
+        self.blocks = blocks
 
     def __len__(self) -> int:
-        return len(self.data) // 16
+        return len(self.blocks)
+
+    def take(self, order) -> "PackedSeeds":
+        """The seeds reordered (or picked) by the positions in ``order``."""
+        packed = PackedSeeds.__new__(PackedSeeds)
+        packed.blocks = self.blocks[np.asarray(order, dtype=np.intp)]
+        return packed
+
+
+def _seed_prefix(os_entropy: bytes | None):
+    """SHA-256 over the domain tag and the OS material: every seed hash starts here."""
+    digest = hashlib.sha256(_SEED_DOMAIN)
+    if os_entropy:
+        digest.update(len(os_entropy).to_bytes(4, "little"))
+        digest.update(os_entropy)
+    else:
+        digest.update(b"\x00\x00\x00\x00")
+    return digest
 
 
 def mix_seed(
@@ -80,19 +125,13 @@ def mix_seed(
 
     ``os_entropy`` is optional byte material (normally from the operating
     system, injectable in tests); ``supplemental`` is a sequence of
-    nonnegative integer seeds, or the same sequence as :class:`PackedSeeds`.
-    Output is a 128-bit state and a 64-bit sequence selector derived
-    through SHA-256.
+    nonnegative integer seeds below ``2**128``, or the same sequence as
+    :class:`PackedSeeds`. Output is a 128-bit state and a 64-bit sequence
+    selector derived through SHA-256.
     """
-    digest = hashlib.sha256()
-    digest.update(_SEED_DOMAIN)
-    if os_entropy:
-        digest.update(len(os_entropy).to_bytes(4, "little"))
-        digest.update(os_entropy)
-    else:
-        digest.update(b"\x00\x00\x00\x00")
+    digest = _seed_prefix(os_entropy)
     if isinstance(supplemental, PackedSeeds):
-        digest.update(supplemental.data)
+        digest.update(supplemental.blocks)
     else:
         for seed in supplemental:
             digest.update(_seed_block(seed))
@@ -100,6 +139,23 @@ def mix_seed(
     initstate = int.from_bytes(material[:16], "little")
     initseq = int.from_bytes(material[16:24], "little")
     return initstate, initseq
+
+
+def _mix_blocks(os_entropy: bytes | None, blocks: np.ndarray) -> np.ndarray:
+    """``mix_seed(os_entropy, [seed])`` for the seed of every row of ``blocks``.
+
+    Returns an ``(n, 3)`` uint64 array: the low and high halves of
+    ``initstate``, then ``initseq``.
+    """
+    copy = _seed_prefix(os_entropy).copy
+    raw = memoryview(np.asarray(blocks, dtype="<u8").tobytes())
+    digests = []
+    for start in range(0, len(raw), 16):
+        digest = copy()
+        digest.update(raw[start : start + 16])
+        digests.append(digest.digest())
+    words = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 4)
+    return words[:, :3].astype(np.uint64)
 
 
 class Pcg64Stream:
@@ -137,6 +193,90 @@ class Pcg64Stream:
             out = _shared_pcg.random_raw(n)
             self._state = _shared_pcg.state["state"]["state"]
         return out
+
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_PCG_MULT_LIMBS = tuple((_PCG_MULT >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32))
+
+
+def _limbs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """128-bit values from uint64 halves, as a (4, n) array of 32-bit limbs."""
+    return np.stack([low & _M32, low >> _S32, high & _M32, high >> _S32])
+
+
+def _lcg(state: np.ndarray, mult: tuple, inc: np.ndarray) -> np.ndarray:
+    """``(state * mult + inc) mod 2**128`` on 32-bit limbs, lowest first.
+
+    A limb product is below 2**64 and a column sums at most eight 32-bit
+    halves, so no uint64 sum wraps before the carries are propagated.
+    """
+    acc = inc.copy()
+    for a in range(4):
+        for b in range(4 - a):
+            if mult[b]:
+                product = state[a] * np.uint64(mult[b])
+                acc[a + b] += product & _M32
+                if a + b < 3:
+                    acc[a + b + 1] += product >> _S32
+    for k in range(3):
+        acc[k + 1] += acc[k] >> _S32
+        acc[k] &= _M32
+    acc[3] &= _M32
+    return acc
+
+
+def _xsl_rr(state: np.ndarray) -> np.ndarray:
+    """PCG's XSL-RR output of each 128-bit state: the halves xored, rotated right
+    by the state's top six bits."""
+    xored = ((state[3] << _S32) | state[2]) ^ ((state[1] << _S32) | state[0])
+    rot = state[3] >> np.uint64(26)
+    return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+class _PcgLanes:
+    """One :class:`Pcg64Stream` per entry, all stepped at once as uint64 arrays.
+
+    Built from ``(initstate, initseq)`` like the stream, its words equal those
+    of ``Pcg64Stream(initstate, initseq).next_word()`` for each entry.
+    """
+
+    independent = True
+
+    def __init__(self, state_low: np.ndarray, state_high: np.ndarray, initseq: np.ndarray):
+        self._inc = np.stack([
+            ((initseq << np.uint64(1)) | np.uint64(1)) & _M32,
+            (initseq >> np.uint64(31)) & _M32,
+            initseq >> np.uint64(63),
+            np.zeros_like(initseq),
+        ])
+        state = _lcg(_limbs(state_low, state_high), (1, 0, 0, 0), self._inc)
+        self._state = _lcg(state, _PCG_MULT_LIMBS, self._inc)  # the constructor's word
+
+    def next(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """The next word of each entry in ``idx`` (every entry when None)."""
+        if idx is None:
+            self._state = _lcg(self._state, _PCG_MULT_LIMBS, self._inc)
+            return _xsl_rr(self._state)
+        state = _lcg(self._state[:, idx], _PCG_MULT_LIMBS, self._inc[:, idx])
+        self._state[:, idx] = state
+        return _xsl_rr(state)
+
+
+class _StreamLanes:
+    """One stream object per entry, behind the interface of :class:`_PcgLanes`.
+
+    External streams all read one shared source, so their entries are not
+    independent: each must draw all of its words before the next one starts.
+    """
+
+    def __init__(self, streams: list, independent: bool):
+        self._streams = streams
+        self.independent = independent
+
+    def next(self, idx: np.ndarray | None = None) -> np.ndarray:
+        streams = self._streams if idx is None else [self._streams[i] for i in idx.tolist()]
+        return np.array([stream.next_word() for stream in streams], dtype=np.uint64)
 
 
 class Mt19937Stream:
@@ -303,20 +443,39 @@ class StreamSampler:
             have += len(accepted)
         return out
 
-    def bounded_int(self, bound: int) -> int:
-        if bound <= 1:
-            return 0
-        threshold = (1 << 64) % bound
+    def bounded_each(self, bounds) -> np.ndarray:
+        """One integer uniform on ``[0, b)`` for each ``b`` of ``bounds``, in order.
+
+        The words are those of drawing the bounds one at a time: none for a
+        bound of 1, else one, plus one more each time a word falls below its
+        bound's rejection threshold. They come from one ``words()`` call and
+        one more word per rejection.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        out = np.zeros(len(bounds), dtype=np.int64)
+        live = np.flatnonzero(bounds > 1)
+        if not len(live):
+            return out
+        live_bounds = bounds[live]
+        thresholds = (np.uint64(0) - live_bounds) % live_bounds  # 2**64 % bound
+        words = self.stream.words(len(live))
+        done = 0
         while True:
-            word = self.stream.next_word()
-            if word >= threshold:
-                return word % bound
+            rejected = np.flatnonzero(words < thresholds[done:])
+            stop = int(rejected[0]) if len(rejected) else len(words)
+            out[live[done : done + stop]] = words[:stop] % live_bounds[done : done + stop]
+            if not len(rejected):
+                return out
+            # the rejected word is spent; the words after it move up one bound
+            done += stop
+            words = np.concatenate([words[stop + 1 :], self.stream.words(1)])
 
     def shuffled(self, items: Sequence) -> list:
         """Fisher-Yates permutation of ``items`` driven by this stream."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.bounded_int(i + 1)
+        n = len(out)
+        picks = self.bounded_each(np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             out[i], out[j] = out[j], out[i]
         return out
 
@@ -324,39 +483,61 @@ class StreamSampler:
 class BulkSampler:
     """Shaped sampling where every sampled entry has its own seeded stream.
 
-    ``seed_source`` is called once per entry and must return a fresh
-    ``(initstate, initseq, kind, external)`` tuple; each output value is then
-    drawn from the resulting single-entry stream.
+    ``seed_blocks(n)`` returns the seeds of the next ``n`` entries as an
+    ``(n, 2)`` uint64 array of 16-byte seed blocks (see :class:`PackedSeeds`).
+    Entry ``i`` draws from ``make_stream(kind, *mix_seed(os_entropy,
+    [seed_i]), external)``. Each call hashes its entries' seeds in one pass
+    and draws their words as arrays; rejection sampling redraws only the
+    entries still pending.
     """
 
-    __slots__ = ("_seed_source",)
+    __slots__ = ("_seed_blocks", "_os_entropy", "_kind", "_external")
 
-    def __init__(self, seed_source):
-        self._seed_source = seed_source
+    def __init__(self, seed_blocks, os_entropy: bytes | None = None,
+                 kind: str = "default_pcg", external=None):
+        self._seed_blocks = seed_blocks
+        self._os_entropy = os_entropy
+        self._kind = kind
+        self._external = external
 
-    def _entry_stream(self):
-        initstate, initseq, kind, external = self._seed_source()
-        return make_stream(kind, initstate, initseq, external)
+    def _lanes(self, n: int):
+        mixed = _mix_blocks(self._os_entropy, self._seed_blocks(n))
+        if self._kind == "default_pcg":
+            return _PcgLanes(mixed[:, 0], mixed[:, 1], mixed[:, 2])
+        streams = [
+            make_stream(self._kind, low | high << 64, seq, self._external)
+            for low, high, seq in mixed.tolist()
+        ]
+        return _StreamLanes(streams, independent=self._kind != "external")
 
-    def _entry_uniform(self) -> float:
-        stream = self._entry_stream()
-        return (stream.next_word() >> 11) * _U53_SCALE
+    def _until_accepted(self, n: int, attempt, dtype) -> np.ndarray:
+        """Run ``attempt(lanes, idx) -> (accepted, values)`` on the pending
+        entries until each has a value; entries of a shared source go one by one."""
+        lanes = self._lanes(n)
+        out = np.empty(n, dtype=dtype)
+        entries = np.arange(n)
+        for pending in [entries] if lanes.independent else entries[:, None]:
+            while len(pending):
+                accepted, values = attempt(lanes, pending)
+                out[pending[accepted]] = values
+                pending = pending[~accepted]
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self._entry_uniform() for _ in range(n)], dtype=np.float64)
+        return _words_to_uniforms(self._lanes(n).next())
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            stream = self._entry_stream()
-            while True:
-                x = 2.0 * ((stream.next_word() >> 11) * _U53_SCALE) - 1.0
-                y = 2.0 * ((stream.next_word() >> 11) * _U53_SCALE) - 1.0
-                s = x * x + y * y
-                if 0.0 < s < 1.0:
-                    out[i] = x * math.sqrt(-2.0 * math.log(s) / s)
-                    break
-        return mu + sigma * out
+        def attempt(lanes, idx):
+            x = 2.0 * _words_to_uniforms(lanes.next(idx)) - 1.0
+            y = 2.0 * _words_to_uniforms(lanes.next(idx)) - 1.0
+            s = x * x + y * y
+            accepted = (s > 0.0) & (s < 1.0)
+            s = s[accepted]
+            # math.log per accepted entry: numpy's log may round the last bit differently
+            logs = np.array([math.log(v) for v in s.tolist()], dtype=np.float64)
+            return accepted, x[accepted] * np.sqrt(-2.0 * logs / s)
+
+        return mu + sigma * self._until_accepted(n, attempt, np.float64)
 
     def laplaces(self, n: int, mu: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return _laplace_from_uniforms(self.uniforms(n), mu, scale)
@@ -370,22 +551,17 @@ class BulkSampler:
     def bounded_ints(self, n: int, bound: int) -> np.ndarray:
         if bound <= 0:
             raise ValueError("bound must be positive")
-        out = np.empty(n, dtype=np.int64)
         if bound == 1:
-            out[:] = 0
-            # each entry still receives (and expends) its own seed
-            for _ in range(n):
-                self._entry_stream()
-            return out
-        threshold = (1 << 64) % bound
-        for i in range(n):
-            stream = self._entry_stream()
-            while True:
-                word = stream.next_word()
-                if word >= threshold:
-                    out[i] = word % bound
-                    break
-        return out
+            self._seed_blocks(n)  # each entry still receives (and expends) its own seed
+            return np.zeros(n, dtype=np.int64)
+        threshold = np.uint64((1 << 64) % bound)
+
+        def attempt(lanes, idx):
+            words = lanes.next(idx)
+            accepted = words >= threshold
+            return accepted, words[accepted] % np.uint64(bound)
+
+        return self._until_accepted(n, attempt, np.int64)
 
 
 def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -> np.ndarray:

@@ -28,6 +28,8 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, SeedExhaustedError
 from .rng import (
     BulkSampler,
@@ -70,7 +72,8 @@ class GeneratorSpec:
 class SamplingPlan:
     sampling_type: str = "default"
     seeding_type: str | None = None
-    entropy_seeds: list[int] = field(default_factory=list)
+    # any sequence of int-like seeds; held as PackedSeeds once the plan is built
+    entropy_seeds: Sequence[int] | PackedSeeds = field(default_factory=list)
     stochastic_count_safety_factor: float = 0.15
     sampling_generator: GeneratorSpec = field(default_factory=GeneratorSpec)
     extra_seed_generator: GeneratorSpec | str | None = None
@@ -87,13 +90,11 @@ class SamplingPlan:
             raise ConfigError(f"unknown seeding_type: {self.seeding_type!r}")
         if not 0.0 <= self.stochastic_count_safety_factor <= 1.0:
             raise ConfigError("stochastic_count_safety_factor must be in [0, 1]")
-        seeds = []
-        for seed in self.entropy_seeds:
-            seed = int(seed)
-            if seed < 0:
-                raise ConfigError("entropy seeds must be nonnegative integers")
-            seeds.append(seed)
-        self.entropy_seeds = seeds
+        if not isinstance(self.entropy_seeds, PackedSeeds):
+            try:
+                self.entropy_seeds = PackedSeeds(self.entropy_seeds)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def primary(self) -> bool:
@@ -193,9 +194,8 @@ class StreamManager:
             self._os_material = b""
         else:
             self._os_material = plan.os_material if plan.os_material is not None else os.urandom(32)
-        self._bank = list(plan.entropy_seeds)
+        self._bank: PackedSeeds = plan.entropy_seeds
         self._bank_pos = 0
-        self._packed_bank = None
         self._root = None
         self._transform_streams: dict[str, StreamSampler] = {}
         self._calibration_counts: dict[str, int] = {}
@@ -205,12 +205,6 @@ class StreamManager:
         self.seeds_consumed = 0
 
     # -- seed bank -----------------------------------------------------------
-
-    def _whole_bank(self) -> PackedSeeds:
-        """The bank serialized once; several streams mix in all of it."""
-        if self._packed_bank is None:
-            self._packed_bank = PackedSeeds(self.plan.entropy_seeds)
-        return self._packed_bank
 
     def _extra_generator(self):
         if self._extra_built:
@@ -224,24 +218,36 @@ class StreamManager:
                 if spec not in GENERATOR_NAMES:
                     raise ConfigError(f"unknown extra_seed_generator: {spec!r}")
                 spec = GeneratorSpec(kind=GENERATOR_NAMES[spec])
-            state, seq = mix_seed(self._os_material + b"extra", self._whole_bank())
+            state, seq = mix_seed(self._os_material + b"extra", self._bank)
             self._extra = make_stream(spec.kind, state, seq, spec.external)
         return self._extra
 
-    def next_seed(self) -> int:
-        if self._bank_pos < len(self._bank):
-            seed = self._bank[self._bank_pos]
-            self._bank_pos += 1
-            self.seeds_consumed += 1
-            return seed
+    def seed_blocks(self, n: int) -> np.ndarray:
+        """The next ``n`` seeds as an ``(n, 2)`` array of 16-byte blocks.
+
+        The bank comes first; once it is dry, words of the extra seed
+        generator (masked to ``MAX_SUGGESTED_SEED``) follow.
+        """
+        blocks = self._bank.blocks[self._bank_pos : self._bank_pos + n]
+        self._bank_pos += len(blocks)
+        self.seeds_consumed += len(blocks)
+        short = n - len(blocks)
+        if not short:
+            return blocks
         extra = self._extra_generator()
         if extra is None:
             raise SeedExhaustedError(
                 f"entropy seed bank exhausted after {self.seeds_consumed} seeds "
                 "and extra_seed_generator is off"
             )
-        self.seeds_consumed += 1
-        return extra.next_word() & MAX_SUGGESTED_SEED
+        fresh = np.zeros((short, 2), dtype=np.uint64)
+        fresh[:, 0] = extra.words(short) & np.uint64(MAX_SUGGESTED_SEED)
+        self.seeds_consumed += short
+        return np.concatenate([blocks, fresh])
+
+    def next_seed(self) -> int:
+        low, high = self.seed_blocks(1)[0].tolist()
+        return low | high << 64
 
     # -- stream construction -------------------------------------------------
 
@@ -255,23 +261,13 @@ class StreamManager:
             self._root = StreamSampler(self._make(state, seq))
         return self._root
 
-    def _bulk_seed_source(self):
-        gen = self.plan.sampling_generator
-        mix_os = None if self.plan.primary else self._os_material
-
-        def source():
-            seed = self.next_seed()
-            state, seq = mix_seed(mix_os, [seed])
-            return state, seq, gen.kind, gen.external
-
-        return source
-
     def op_sampler(self, transform_key: str):
         """Sampler for one sampling operation of the given transform."""
         self.ops_executed += 1
         mode = self.plan.sampling_type
         if mode == "bulk_seeds":
-            return BulkSampler(self._bulk_seed_source())
+            gen = self.plan.sampling_generator
+            return BulkSampler(self.seed_blocks, self._os_material, gen.kind, gen.external)
         if mode == "sampling_seed":
             seed = self.next_seed()
             state, seq = mix_seed(self._os_material, [seed])
@@ -281,7 +277,7 @@ class StreamManager:
         # default: shuffle the common bank, mix with a per-call nonce
         root = self._root_sampler()
         nonce = root.stream.next_word()
-        shuffled = root.shuffled(self._bank) if self._bank else []
+        shuffled = self._bank.take(root.shuffled(range(len(self._bank))))
         state, seq = mix_seed(self._os_material + nonce.to_bytes(8, "little"), shuffled)
         return StreamSampler(self._make(state, seq))
 
@@ -318,18 +314,37 @@ class StreamManager:
             count = self._calibration_counts.get(counter_key, 0)
             self._calibration_counts[counter_key] = count + 1
             tag = f"calibration:{counter_key}:{count}".encode()
-            state, seq = mix_seed(self._os_material + tag, self._whole_bank())
+            state, seq = mix_seed(self._os_material + tag, self._bank)
             return StreamSampler(self._make(state, seq))
         return self.op_sampler(transform_key)
 
     def utility_sampler(self, tag: str) -> StreamSampler:
         """Non-bank stream for plumbing draws (row shuffles, validation splits)."""
-        state, seq = mix_seed(self._os_material + b"utility:" + tag.encode(), self._whole_bank())
+        state, seq = mix_seed(self._os_material + b"utility:" + tag.encode(), self._bank)
         return StreamSampler(self._make(state, seq))
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def read_seed_file(path) -> list[int]:
-    """Newline-delimited decimal integers."""
+    """Newline-delimited decimal integers; blank lines are skipped.
+
+    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is parsed in
+    one numpy pass. Any other file, or one with a seed that may not fit in
+    int64, takes the line-by-line path, which accepts whatever ``int()``
+    accepts on a stripped line and names the first line that is not a seed.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    crlf_only = b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
+    if crlf_only and not data.translate(None, b"0123456789\r\n"):
+        digits = np.frombuffer(data, dtype=np.uint8) >= ord("0")
+        count = int(np.count_nonzero(digits[1:] & ~digits[:-1])) + int(digits[:1].sum())
+        seeds = np.fromstring(data, dtype=np.int64, sep="\n")
+        # a blank-only file parses as [0], and an overflowing seed as INT64_MAX
+        if len(seeds) == count and (not count or seeds.max() < _INT64_MAX):
+            return seeds.tolist()
     seeds = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):

@@ -286,6 +286,36 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     assert not (workdir / "out").exists()  # rejected before anything is fitted
 
 
+@pytest.mark.parametrize("sampling_type", ["sampling_seed", "bulk_seeds"])
+def test_seed_at_or_above_2_128_exit_2(workdir, sampling_type):
+    config = json.loads((workdir / "config.json").read_text())
+    config["sampling_dict"]["sampling_type"] = sampling_type
+    (workdir / "config.json").write_text(json.dumps(config))
+    (workdir / "seeds.txt").write_text("".join(f"{2**130 + i}\n" for i in range(2000)))
+    code, err = _run_cli("fit", str(workdir / "train.csv"),
+                         "--config", str(workdir / "config.json"),
+                         "--out-dir", str(workdir / "out"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert "2**128" in err
+    assert "Traceback" not in err
+
+
+def test_boolean_root_on_three_values_exit_2(workdir):
+    config = json.loads((workdir / "config.json").read_text())
+    config["assigncat"] = {"bnry": ["cat"]}
+    (workdir / "train.csv").write_text(
+        "num,cat,label\n" + "".join(f"{i},{'abc'[i % 3]},{i % 2}\n" for i in range(12)))
+    (workdir / "config.json").write_text(json.dumps(config))
+    code, err = _run_cli("fit", str(workdir / "train.csv"),
+                         "--config", str(workdir / "config.json"),
+                         "--out-dir", str(workdir / "out"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert "'cat'" in err and "boolean" in err
+    assert "Traceback" not in err
+
+
 def test_import_leaves_numpy_random_unloaded():
     # the word streams load numpy.random on first use, not at CLI start-up
     env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))

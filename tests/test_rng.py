@@ -5,18 +5,29 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tabnoise.errors import SeedExhaustedError
 from tabnoise.rng import (
+    _PCG_MULT_LIMBS,
+    NOISE_DISTRIBUTIONS,
     BulkSampler,
     ExternalWordStream,
     Mt19937Stream,
     PackedSeeds,
     Pcg64Stream,
     StreamSampler,
+    _laplace_from_uniforms,
+    _lcg,
+    _limbs,
+    _PcgLanes,
+    _xsl_rr,
     make_stream,
     mix_seed,
     shaped_sample,
 )
+from tabnoise.sampling import GeneratorSpec, SamplingPlan, StreamManager
 
 
 def _sampler(seed: int = 1) -> StreamSampler:
@@ -231,42 +242,32 @@ def test_external_word_stream_object():
     assert [stream.next_word() for _ in range(3)] == [1, 2, 3]
 
 
+def _seed_feed(seeds, consumed):
+    """A ``seed_blocks`` callable serving ``seeds`` in order and recording them."""
+
+    def seed_blocks(n):
+        picked = seeds[len(consumed) : len(consumed) + n]
+        consumed.extend(picked)
+        return PackedSeeds(picked).blocks
+
+    return seed_blocks
+
+
 def test_bulk_sampler_entry_per_seed():
     seeds = list(range(50))
     consumed = []
-
-    def source():
-        seed = seeds[len(consumed)]
-        consumed.append(seed)
-        state, seq = mix_seed(None, [seed])
-        return state, seq, "default_pcg", None
-
-    sampler = BulkSampler(source)
+    sampler = BulkSampler(_seed_feed(seeds, consumed))
     values = sampler.uniforms(20)
     assert len(consumed) == 20
     # same seeds -> same values
     consumed2 = []
-
-    def source2():
-        seed = seeds[len(consumed2)]
-        consumed2.append(seed)
-        state, seq = mix_seed(None, [seed])
-        return state, seq, "default_pcg", None
-
-    values2 = BulkSampler(source2).uniforms(20)
+    values2 = BulkSampler(_seed_feed(seeds, consumed2)).uniforms(20)
     assert np.array_equal(values, values2)
 
 
 def test_bulk_normals_reproducible():
     def make_source():
-        counter = [0]
-
-        def source():
-            counter[0] += 1
-            state, seq = mix_seed(None, [counter[0]])
-            return state, seq, "default_pcg", None
-
-        return source
+        return _seed_feed(list(range(1, 1000)), [])
 
     a = BulkSampler(make_source()).normals(100, 1.0, 2.0)
     b = BulkSampler(make_source()).normals(100, 1.0, 2.0)
@@ -287,3 +288,310 @@ def test_negative_seeds_rejected():
         mix_seed(None, [1, -1])
     with pytest.raises(ValueError, match="nonnegative"):
         PackedSeeds([1, -1])
+
+
+# -- the batched BulkSampler against the per-entry one it replaced ------------
+
+
+class _PerEntryBulkSampler:
+    """The former BulkSampler: one stream per entry from ``seed_source()``,
+    drawn one word at a time. Kept as the oracle of the batched one."""
+
+    def __init__(self, seed_source):
+        self._seed_source = seed_source
+
+    def _entry_stream(self):
+        initstate, initseq, kind, external = self._seed_source()
+        return make_stream(kind, initstate, initseq, external)
+
+    def uniforms(self, n):
+        out = []
+        for _ in range(n):
+            out.append((self._entry_stream().next_word() >> 11) * 2.0**-53)
+        return np.array(out, dtype=np.float64)
+
+    def normals(self, n, mu=0.0, sigma=1.0):
+        out = np.empty(n, dtype=np.float64)
+        for i in range(n):
+            stream = self._entry_stream()
+            while True:
+                x = 2.0 * ((stream.next_word() >> 11) * 2.0**-53) - 1.0
+                y = 2.0 * ((stream.next_word() >> 11) * 2.0**-53) - 1.0
+                s = x * x + y * y
+                if 0.0 < s < 1.0:
+                    out[i] = x * math.sqrt(-2.0 * math.log(s) / s)
+                    break
+        return mu + sigma * out
+
+    def laplaces(self, n, mu=0.0, scale=1.0):
+        return _laplace_from_uniforms(self.uniforms(n), mu, scale)
+
+    def uniform_interval(self, n, mu=0.0, half_width=1.0):
+        return mu + half_width * (2.0 * self.uniforms(n) - 1.0)
+
+    def shaped(self, distribution, mu, sigma, n):
+        return shaped_sample(self, distribution, mu, sigma, n)
+
+    def bounded_ints(self, n, bound):
+        out = np.empty(n, dtype=np.int64)
+        if bound == 1:
+            out[:] = 0
+            for _ in range(n):
+                self._entry_stream()
+            return out
+        threshold = (1 << 64) % bound
+        for i in range(n):
+            stream = self._entry_stream()
+            while True:
+                word = stream.next_word()
+                if word >= threshold:
+                    out[i] = word % bound
+                    break
+        return out
+
+
+class _PerEntrySeeds:
+    """The former StreamManager.next_seed: the bank one seed at a time, then
+    extra-generator words masked to 31 bits, then SeedExhaustedError."""
+
+    def __init__(self, bank, os_material=b"", extra_kind=None):
+        self.bank = list(bank)
+        self.extra = None
+        if extra_kind is not None:
+            self.extra = make_stream(extra_kind, *mix_seed(os_material + b"extra", self.bank))
+        self.seeds_consumed = 0
+
+    def next_seed(self):
+        if self.seeds_consumed < len(self.bank):
+            self.seeds_consumed += 1
+            return self.bank[self.seeds_consumed - 1]
+        if self.extra is None:
+            raise SeedExhaustedError(
+                f"entropy seed bank exhausted after {self.seeds_consumed} seeds "
+                "and extra_seed_generator is off"
+            )
+        self.seeds_consumed += 1
+        return self.extra.next_word() & (2**31 - 1)
+
+    def source(self, os_entropy, kind, external=None):
+        def entry():
+            state, seq = mix_seed(os_entropy, [self.next_seed()])
+            return state, seq, kind, external
+
+        return entry
+
+
+class _SharedSource:
+    """An external word source that every entry's stream reads in turn; every
+    fourth word is small, so bounded draws reject often."""
+
+    def __init__(self):
+        self.inner = Pcg64Stream(*mix_seed(b"shared", [3]))
+        self.calls = 0
+
+    def next_word(self):
+        self.calls += 1
+        word = self.inner.next_word()
+        return word >> 60 if self.calls % 4 == 0 else word
+
+
+# one bound with a 1/8 rejection rate, far above any realistic bound's
+_REJECTING_BOUND = 3 * 2**61
+
+_SHAPER_CALLS = [
+    ("uniforms", (25,)),
+    ("normals", (40, 1.5, 2.0)),
+    ("laplaces", (9, -1.0, 0.5)),
+    ("uniform_interval", (7, 2.0, 3.0)),
+    *(("shaped", (name, 0.5, 1.5, 11)) for name in NOISE_DISTRIBUTIONS),
+    ("bounded_ints", (30, 1)),
+    ("bounded_ints", (30, 2)),
+    ("bounded_ints", (30, 7)),
+    ("bounded_ints", (60, _REJECTING_BOUND)),
+    ("uniforms", (0,)),
+    ("normals", (1,)),
+    ("bounded_ints", (1, 5)),
+]
+
+
+def _run_shapers(sampler):
+    return [getattr(sampler, name)(*args) for name, args in _SHAPER_CALLS]
+
+
+@pytest.mark.parametrize("kind", ["default_pcg", "mersenne", "external"])
+def test_bulk_sampler_matches_per_entry_oracle(kind):
+    bank = [(i * 2654435761) % 2**31 for i in range(5000)] + [2**64 + 9, 2**128 - 1]
+    os_entropy = b"os-material"
+    old_ext, new_ext = (_SharedSource(), _SharedSource()) if kind == "external" else (None, None)
+    old = _PerEntryBulkSampler(_PerEntrySeeds(bank).source(os_entropy, kind, old_ext))
+    consumed = []
+    new = BulkSampler(_seed_feed(bank, consumed), os_entropy, kind, new_ext)
+    for (name, args), want, got in zip(_SHAPER_CALLS, _run_shapers(old), _run_shapers(new)):
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), (name, args)
+    assert len(consumed) == sum(args[-1] if name == "shaped" else args[0]
+                                for name, args in _SHAPER_CALLS)
+    if kind == "external":
+        assert new_ext.calls == old_ext.calls
+
+
+def test_bulk_sampler_rejects_at_least_once():
+    # the oracle comparison above exercises the redraw loops
+    draws = BulkSampler(_seed_feed(list(range(200)), [])).bounded_ints(200, _REJECTING_BOUND)
+    words = [Pcg64Stream(*mix_seed(None, [seed])).next_word() for seed in range(200)]
+    assert any(word < (1 << 64) % _REJECTING_BOUND for word in words)
+    assert draws.min() >= 0 and draws.max() < _REJECTING_BOUND
+
+
+@pytest.mark.parametrize("seeding_type", ["primary_seeds", "supplemental_seeds"])
+@pytest.mark.parametrize("generator", ["default_pcg", "mersenne"])
+def test_bulk_manager_matches_per_entry_oracle(seeding_type, generator):
+    bank = [(i * 40503) % 2**31 for i in range(300)]
+    plan = SamplingPlan(sampling_type="bulk_seeds", seeding_type=seeding_type,
+                        entropy_seeds=bank, os_material=b"injected",
+                        sampling_generator=GeneratorSpec(kind=generator),
+                        extra_seed_generator="PCG64")
+    os_entropy = b"" if seeding_type == "primary_seeds" else b"injected"
+    seeds = _PerEntrySeeds(bank, os_entropy, extra_kind="default_pcg")
+    manager = StreamManager(plan)
+    for name, args in _SHAPER_CALLS * 2:  # the second pass runs on extra-generator seeds
+        want = getattr(_PerEntryBulkSampler(seeds.source(os_entropy, generator)), name)(*args)
+        got = getattr(manager.op_sampler("t#1"), name)(*args)
+        assert got.tobytes() == want.tobytes(), (name, args)
+        assert manager.seeds_consumed == seeds.seeds_consumed
+    assert manager.seeds_consumed > len(bank)
+
+
+@pytest.mark.parametrize("extra", [None, "PCG64"])
+def test_bulk_exhaustion_mid_batch_matches_per_entry_oracle(extra):
+    bank = list(range(100, 130))
+    plan = SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=bank,
+                        extra_seed_generator=extra)
+    manager = StreamManager(plan)
+    seeds = _PerEntrySeeds(bank, extra_kind=extra and "default_pcg")
+    outcomes = []
+    for draw in (lambda s: s.uniforms(20), lambda s: s.normals(25)):
+        try:
+            want = draw(_PerEntryBulkSampler(seeds.source(None, "default_pcg")))
+        except SeedExhaustedError as exc:
+            want = str(exc)
+        try:
+            got = draw(manager.op_sampler("t#1"))
+        except SeedExhaustedError as exc:
+            got = str(exc)
+        outcomes.append((got, want))
+        assert manager.seeds_consumed == seeds.seeds_consumed
+    (got1, want1), (got2, want2) = outcomes
+    assert np.array_equal(got1, want1)
+    if extra is None:
+        assert got2 == want2 == ("entropy seed bank exhausted after 30 seeds "
+                                 "and extra_seed_generator is off")
+    else:
+        assert got2.tobytes() == want2.tobytes()
+        assert manager.seeds_consumed == 45
+
+
+_MULT_INVERSE = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+
+
+def _limb_array(values):
+    values = [int(v) for v in values]
+    low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    high = np.array([v >> 64 for v in values], dtype=np.uint64)
+    return _limbs(low, high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stepped=st.integers(0, 2**128 - 1), seq=st.integers(0, 2**64 - 1))
+@example(stepped=0, seq=0)
+@example(stepped=2**128 - 1, seq=2**64 - 1)
+@example(stepped=(2**122 - 1), seq=5)  # rotation 0
+@example(stepped=(1 << 122) | 0xDEADBEEF, seq=2**63)  # rotation 1
+@example(stepped=2**128 - 2**122, seq=1)  # rotation 63
+def test_limb_pcg_step_matches_pcg64_stream(stepped, seq):
+    # pick the state before the step so the stepped state (and its rotation) is chosen
+    inc = (seq << 1) | 1
+    state = ((stepped - inc) * _MULT_INVERSE) % 2**128
+    stream = Pcg64Stream(0, 0)
+    stream._state, stream._inc = state, inc
+    want = stream.next_word()
+    assert stream._state == stepped
+    limbs = _limb_array([state])
+    inc_limbs = _limb_array([inc])
+    got_state = _lcg(limbs, _PCG_MULT_LIMBS, inc_limbs)
+    assert np.array_equal(got_state, _limb_array([stepped]))
+    assert int(_xsl_rr(got_state)[0]) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(states=st.lists(st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1)),
+                       min_size=1, max_size=20))
+@example(states=[(0, 0), (2**128 - 1, 2**64 - 1), (2**127, 2**63)])
+def test_pcg_lanes_match_pcg64_streams(states):
+    lanes = _PcgLanes(
+        np.array([s & (2**64 - 1) for s, _ in states], dtype=np.uint64),
+        np.array([s >> 64 for s, _ in states], dtype=np.uint64),
+        np.array([q for _, q in states], dtype=np.uint64),
+    )
+    streams = [Pcg64Stream(s, q) for s, q in states]
+    every = np.arange(len(states))
+    for idx in (None, every, every[::2], None):
+        picked = every if idx is None else idx
+        want = [streams[i].next_word() for i in picked.tolist()]
+        assert lanes.next(idx).tolist() == want
+
+
+# -- Fisher-Yates: bounded draws taken as one array ---------------------------
+
+
+def _per_word_bounded_int(stream, bound):
+    if bound <= 1:
+        return 0
+    threshold = (1 << 64) % bound
+    while True:
+        word = stream.next_word()
+        if word >= threshold:
+            return word % bound
+
+
+def _per_word_shuffled(stream, items):
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = _per_word_bounded_int(stream, i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+class _ScriptedWords:
+    """Words of a PCG stream, with chosen positions replaced by 0."""
+
+    def __init__(self, zero_at=()):
+        self.inner = Pcg64Stream(*mix_seed(b"script", [1]))
+        self.zero_at = set(zero_at)
+        self.calls = 0
+
+    def next_word(self):
+        self.calls += 1
+        word = self.inner.next_word()
+        return 0 if self.calls - 1 in self.zero_at else word
+
+
+@pytest.mark.parametrize("n, zero_at", [(1, ()), (2, ()), (50, ()), (50, (7,)), (50, (0, 1, 47)),
+                                        (1000, (500,))])
+def test_shuffled_matches_per_word_fisher_yates(n, zero_at):
+    # a zero word is below the rejection threshold of any bound that is not a power of 2
+    old_source, new_source = _ScriptedWords(zero_at), _ScriptedWords(zero_at)
+    want = _per_word_shuffled(ExternalWordStream(old_source), range(n))
+    got = StreamSampler(ExternalWordStream(new_source)).shuffled(range(n))
+    assert got == want
+    assert new_source.calls == old_source.calls == max(n - 1, 0) + len(zero_at)
+
+
+def test_bounded_each_matches_per_word_draws():
+    bounds = [1, 5, 2, 1, 3 * 2**61, 7, 1, 1000, 3]
+    old_source, new_source = _ScriptedWords((1, 3, 4)), _ScriptedWords((1, 3, 4))
+    old_stream = ExternalWordStream(old_source)
+    want = [_per_word_bounded_int(old_stream, b) for b in bounds]
+    got = StreamSampler(ExternalWordStream(new_source)).bounded_each(bounds)
+    assert got.tolist() == want
+    assert new_source.calls == old_source.calls

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnoise.errors import ConfigError, SeedExhaustedError
+from tabnoise.pipeline import fit
+from tabnoise.rng import ExternalWordStream, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
     OpCost,
@@ -12,6 +16,7 @@ from tabnoise.sampling import (
     read_seed_file,
     rescale_budget,
 )
+from tabnoise.table import DataTable
 
 
 def test_bulk_seeds_defaults_to_primary():
@@ -210,3 +215,154 @@ def test_read_seed_file(tmp_path):
     bad.write_text("1\nxyz\n")
     with pytest.raises(ConfigError, match="line 2"):
         read_seed_file(bad)
+
+
+def _per_line_read_seed_file(path) -> list[int]:
+    """The former read_seed_file, kept as the oracle of the vectorized one."""
+    seeds = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                seeds.append(int(line))
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno} is not an integer seed")
+    return seeds
+
+
+_SEED_LINES = st.one_of(
+    st.integers(0, 2**31 - 1).map(str),
+    st.integers(0, 10**40).map(str),  # 19 to 40 digits cross int64 and 2**128
+    st.integers(10**18, 10**19 + 10**18).map(str),
+    st.integers(0, 999).map(lambda v: f"000{v}"),
+    st.sampled_from(["", "0", "9223372036854775807", "9223372036854775808",
+                     "18446744073709551616", "+5", " 7 ", "1_000", "\t3", "3\t", "-3",
+                     "abc", "1.5", "٣٤", "12 ", "0x10", "½"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_SEED_LINES, max_size=12),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
+       final_end=st.booleans())
+def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, final_end):
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final_end:
+        text = text[: -len(ends[len(lines) - 1])]
+    path = tmp_path_factory.mktemp("seeds") / "seeds.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _per_line_read_seed_file(path)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            read_seed_file(path)
+        assert str(got.value) == str(exc)
+    else:
+        got = read_seed_file(path)
+        assert got == want and all(type(seed) is int for seed in got)
+
+
+@pytest.mark.parametrize("text, seeds", [
+    ("", []), ("\n\n", []), ("\r\n", []), ("5", [5]), ("\n5\n\n6", [5, 6]),
+    ("1\r\n2\r\n", [1, 2]), ("1\r2\n", [1, 2]), ("007\n", [7]),
+    ("9223372036854775807\n", [2**63 - 1]), ("99999999999999999999\n1\n", [10**20 - 1, 1]),
+])
+def test_read_seed_file_edge_cases(tmp_path, text, seeds):
+    path = tmp_path / "seeds.txt"
+    path.write_bytes(text.encode())
+    assert read_seed_file(path) == seeds
+
+
+def test_seed_of_2_128_rejected_at_plan_time():
+    SamplingPlan(entropy_seeds=[0, 2**128 - 1])
+    for seeds in ([2**128], [1, 2**130 + 5]):
+        with pytest.raises(ConfigError, match=r"2\*\*128"):
+            SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=seeds)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        SamplingPlan(entropy_seeds=[3, "x"])
+
+
+def test_plan_takes_seeds_as_int():
+    # each seed is int(seed), as the per-seed validation took it
+    plan = SamplingPlan(entropy_seeds=[5.7, True, "12", np.int64(9)])
+    assert plan.entropy_seeds.blocks.tolist() == [[5, 0], [1, 0], [12, 0], [9, 0]]
+    assert len(SamplingPlan(entropy_seeds=iter([1, 2])).entropy_seeds) == 2
+
+
+@pytest.mark.parametrize("sampling_type", ["sampling_seed", "bulk_seeds"])
+def test_wide_seeds_keep_their_streams(sampling_type):
+    seeds = [2**64 + 5, 2**127 + 3, 2**128 - 1, 17]
+    plan = SamplingPlan(sampling_type=sampling_type, entropy_seeds=seeds, os_material=b"w")
+    manager = StreamManager(plan)
+    os_entropy = b"w"
+    if sampling_type == "bulk_seeds":
+        os_entropy = b""  # primary seeding by default
+        got = manager.op_sampler("t").uniforms(4)
+        want = [StreamSampler(Pcg64Stream(*mix_seed(os_entropy, [s]))).uniforms(1)[0]
+                for s in seeds]
+    else:
+        got = [manager.op_sampler("t").uniforms(1)[0] for _ in seeds]
+        want = [StreamSampler(Pcg64Stream(*mix_seed(os_entropy, [s]))).uniforms(1)[0]
+                for s in seeds]
+    assert list(got) == want
+
+
+def _per_word_bounded_int(stream, bound):
+    if bound <= 1:
+        return 0
+    threshold = (1 << 64) % bound
+    while True:
+        word = stream.next_word()
+        if word >= threshold:
+            return word % bound
+
+
+def test_default_mode_bank_shuffle_matches_per_word_loop():
+    bank = [(i * 7919) % 2**31 for i in range(300)] + [2**100]
+    plan = SamplingPlan(entropy_seeds=bank, os_material=b"pinned")
+    manager = StreamManager(plan)
+    root = Pcg64Stream(*mix_seed(b"pinned" + b"root", []))
+    for _ in range(3):
+        nonce = root.next_word()
+        shuffled = list(bank)
+        for i in range(len(shuffled) - 1, 0, -1):
+            j = _per_word_bounded_int(root, i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        state, seq = mix_seed(b"pinned" + nonce.to_bytes(8, "little"), shuffled)
+        want = StreamSampler(Pcg64Stream(state, seq)).uniforms(6)
+        assert np.array_equal(manager.op_sampler("t").uniforms(6), want)
+
+
+class _ScriptedWords:
+    """PCG words with chosen positions replaced by 0, which any bound that is
+    not a power of 2 rejects."""
+
+    def __init__(self, zero_at):
+        self.inner = Pcg64Stream(*mix_seed(b"split", [2]))
+        self.zero_at = set(zero_at)
+        self.calls = 0
+
+    def next_word(self):
+        self.calls += 1
+        word = self.inner.next_word()
+        return 0 if self.calls - 1 in self.zero_at else word
+
+
+@pytest.mark.parametrize("zero_at", [(), (2,)])
+def test_validation_split_matches_per_word_loop(zero_at):
+    n, ratio = 30, 0.3
+    table = DataTable({"num": [float(i) for i in range(n)],
+                       "label": [float(i % 2) for i in range(n)]})
+    source = _ScriptedWords(zero_at)
+    plan = SamplingPlan(sampling_generator=GeneratorSpec(kind="external", external=source),
+                        os_material=b"fixed")
+    res = fit(table, {"labels_column": "label", "validation_ratio": ratio,
+                      "shuffletrain": False}, plan)
+    oracle = ExternalWordStream(_ScriptedWords(zero_at))  # the split is the first draw
+    pool = list(range(n))
+    for i in range(int(n * ratio)):
+        j = i + _per_word_bounded_int(oracle, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert res.basis.validation_row_index == sorted(pool[: int(n * ratio)])
