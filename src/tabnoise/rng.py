@@ -47,19 +47,19 @@ _shared_pcg_lock = threading.Lock()
 
 
 _SEED_LIMIT = 1 << 128  # a seed fills one 16-byte little-endian block
+_NOT_A_SEED = "entropy seeds must be nonnegative integers"
 
 
 def _checked_seed(seed) -> int:
-    seed = int(seed)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_A_SEED) from None
     if seed < 0:
-        raise ValueError("entropy seeds must be nonnegative integers")
+        raise ValueError(_NOT_A_SEED)
     if seed >= _SEED_LIMIT:
         raise ValueError("entropy seeds must be below 2**128")
     return seed
-
-
-def _seed_block(seed) -> bytes:
-    return _checked_seed(seed).to_bytes(16, "little")
 
 
 class PackedSeeds:
@@ -83,16 +83,12 @@ class PackedSeeds:
             # int() of each seed, straight into an array: no Python object per seed
             low = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
         except (OverflowError, TypeError, ValueError):  # wide, or not a number
-            try:
-                values = [int(seed) for seed in seeds]
-            except (TypeError, ValueError):
-                raise ValueError("entropy seeds must be nonnegative integers") from None
-            values = [_checked_seed(value) for value in values]
+            values = [_checked_seed(seed) for seed in seeds]
             blocks[:, 0] = [v & _MASK64 for v in values]
             blocks[:, 1] = [v >> 64 for v in values]
         else:
             if len(low) and low.min() < 0:
-                raise ValueError("entropy seeds must be nonnegative integers")
+                raise ValueError(_NOT_A_SEED)
             blocks[:, 0] = low
         blocks.flags.writeable = False
         self.blocks = blocks
@@ -129,12 +125,10 @@ def mix_seed(
     :class:`PackedSeeds`. Output is a 128-bit state and a 64-bit sequence
     selector derived through SHA-256.
     """
+    if not isinstance(supplemental, PackedSeeds):
+        supplemental = PackedSeeds(supplemental)
     digest = _seed_prefix(os_entropy)
-    if isinstance(supplemental, PackedSeeds):
-        digest.update(supplemental.blocks)
-    else:
-        for seed in supplemental:
-            digest.update(_seed_block(seed))
+    digest.update(supplemental.blocks)
     material = digest.digest()
     initstate = int.from_bytes(material[:16], "little")
     initseq = int.from_bytes(material[16:24], "little")
@@ -430,18 +424,7 @@ class StreamSampler:
         """n integers uniform on [0, bound) by scaled-integer rejection."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        if bound == 1:
-            return np.zeros(n, dtype=np.int64)
-        threshold = (1 << 64) % bound
-        out = np.empty(n, dtype=np.int64)
-        have = 0
-        while have < n:
-            words = self.stream.words(n - have)
-            keep = words >= np.uint64(threshold)
-            accepted = (words[keep] % np.uint64(bound)).astype(np.int64)
-            out[have : have + len(accepted)] = accepted
-            have += len(accepted)
-        return out
+        return self.bounded_each(np.full(n, bound, dtype=np.uint64))
 
     def bounded_each(self, bounds) -> np.ndarray:
         """One integer uniform on ``[0, b)`` for each ``b`` of ``bounds``, in order.
