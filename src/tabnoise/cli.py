@@ -18,6 +18,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import TabnoiseError
 from .harness import SweepSpec, SyntheticTask, emit_curves, run_sweep
 from .pipeline import (
@@ -128,7 +130,9 @@ def cmd_fit(args) -> int:
         spec = AugmentSpec.from_literal(str(cfg.noise_augment))
         if spec.count:
             log.info("noise_augment: preparing %d duplicates", spec.count)
-            prepared_train = augment(result.basis, train, spec, _sampling_plan(config, args))
+            # the duplicates come from the rows left after the validation split
+            kept = np.flatnonzero(~np.isin(train.index, result.basis.validation_row_index))
+            prepared_train = augment(result.basis, train.take(kept), spec, plan)
     if cfg.orig_headers:
         prepared_train = orig_headers_mode(prepared_train, result.basis)
     write_csv(prepared_train, out_dir / "train.out.csv", include_row_index=True)

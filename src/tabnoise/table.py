@@ -10,9 +10,9 @@ all numbers or missing is a ``float64`` array with ``NaN`` for missing (cells
 are never non-finite, so ``NaN`` is free to mean missing); any other column
 is an ``object`` array of ``float | str | None``. ``row_index`` is an
 ``int64`` array. Python cells are made only at the edges: ``column()`` and
-``row_index`` return lists, and ``write_csv`` formats whole columns. Tables
-are immutable after construction and safe to share; transforms always build
-new columns.
+``row_index`` return lists, and ``write_csv`` formats each distinct value of a
+column once. Tables are immutable after construction and safe to share;
+transforms always build new columns.
 """
 
 from __future__ import annotations
@@ -185,11 +185,17 @@ class DataTable:
     def take(self, rows: Sequence[int]) -> "DataTable":
         """New table with the given positional rows, preserving row_index values."""
         rows = np.asarray(rows, dtype=np.intp)
-        table = object.__new__(DataTable)
-        table.column_names = list(self.column_names)
-        # stored columns are already typed; a row subset needs no normalizing
-        table._columns = {name: _frozen(col[rows]) for name, col in self._columns.items()}
-        table._index = _frozen(self._index[rows])
+        return DataTable._trusted({name: col[rows] for name, col in self._columns.items()},
+                                self._index[rows])
+
+    @classmethod
+    def _trusted(cls, columns: dict, index: np.ndarray) -> "DataTable":
+        """A table of column arrays already in stored form, of equal length, under unique
+        names: taken as they are, with no normalizing or checks."""
+        table = object.__new__(cls)
+        table.column_names = list(columns)
+        table._columns = {name: _frozen(col) for name, col in columns.items()}
+        table._index = _frozen(index)
         return table
 
     def equals(self, other: "DataTable") -> bool:
@@ -212,8 +218,9 @@ def _typed_column(fields: Sequence[str], sentinels) -> np.ndarray:
             return values
     except ValueError:
         pass
-    # text, or 'nan'/'inf' spellings, which parse but stay text
-    return _column_of_cells([parse_cell(text, sentinels) for text in fields])
+    # text, or 'nan'/'inf' spellings, which parse but stay text: each distinct field once
+    typed = {text: parse_cell(text, sentinels) for text in set(fields)}
+    return _column_of_cells(list(map(typed.__getitem__, fields)))
 
 
 def load_csv(
@@ -244,41 +251,65 @@ def load_csv(
             )
     fields = zip(*body) if body else ((),) * width
     sentinels = frozenset(missing_sentinels)
-    return DataTable({name: _typed_column(col, sentinels) for name, col in zip(names, fields)})
+    columns = {name: _typed_column(col, sentinels) for name, col in zip(names, fields)}
+    return DataTable._trusted(columns, np.arange(len(body), dtype=np.int64))
 
 
-_WRITE_BLOCK_ROWS = 1024
+# cells formatted and joined per block of rows, so the text never holds the whole table
+_WRITE_BLOCK_CELLS = 1 << 14
 
 
-def _formatted(column: np.ndarray) -> list[str]:
-    """``format_cell`` of each cell, float columns column-wise; int arrays (row index) as ints."""
+def _field(text: str, delimiter: str) -> str:
+    """``text`` as one CSV field under ``csv.writer``'s minimal quoting: quoted, with inner
+    quotes doubled, when it holds the delimiter, a quote or a line break."""
+    if delimiter in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _distinct_fields(column: np.ndarray, delimiter: str, empty: str):
+    """(field of each distinct cell, each cell's position among them) for one column.
+
+    Every distinct cell is formatted by ``format_cell`` and quoted once. Equal floats
+    format the same (``-0.0`` and ``0.0`` both as ``0``), so merging them is safe.
+    """
     if column.dtype == object:
-        return [format_cell(cell) for cell in column.tolist()]
-    if column.dtype.kind == "i":
-        return list(map(str, column.tolist()))
-    text = np.full(len(column), "", dtype=object)
-    integral = (np.trunc(column) == column) & (np.abs(column) < 1e16)
-    text[integral] = np.array(list(map(str, column[integral].astype(np.int64).tolist())),
-                              dtype=object)
-    rest = ~integral & ~np.isnan(column)
-    text[rest] = np.array(list(map(repr, column[rest].tolist())), dtype=object)
-    return text.tolist()
+        cells = column.tolist()
+        distinct = list(dict.fromkeys(cells))
+        codes = {cell: code for code, cell in enumerate(distinct)}
+        inverse = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        distinct = cells_of(values)
+    texts = [_field(format_cell(cell), delimiter) or empty for cell in distinct]
+    # the positions are held for the whole write, so in the narrowest type that fits
+    return np.array(texts, dtype=object), inverse.astype(np.min_scalar_type(len(texts)))
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:
-    """Write RFC-4180-style CSV; missing cells become empty fields."""
+    """Write RFC-4180-style CSV: CRLF line ends, fields quoted only when they must be,
+    numbers as ``format_cell`` writes them, and missing cells as empty fields."""
     names = table.column_names
-    arrays = [table.array(n) for n in names]
-    if include_row_index:
-        names = ["row_index"] + names
-        arrays.insert(0, table.index)
+    header = ["row_index"] + names if include_row_index else names
+    # csv.writer writes a row of one empty field as "", so it does not read as a blank line
+    empty = '""' if len(header) == 1 else ""
+    columns = [_distinct_fields(table.array(name), delimiter, empty) for name in names]
+    # row identifiers are distinct, and their text needs quoting only under a digit or '-'
+    # delimiter
+    quote_index = delimiter in "-0123456789"
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, len(header)))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(names)
-        # a block of rows at a time, so the formatted text never holds the whole table
-        for start in range(0, table.n_rows, _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
-            writer.writerows(zip(*[_formatted(array[block]) for array in arrays]))
+        handle.write(delimiter.join(_field(name, delimiter) or empty for name in header)
+                     + "\r\n")
+        for start in range(0, table.n_rows, step):
+            block = slice(start, start + step)
+            texts = [fields[inverse[block]].tolist() for fields, inverse in columns]
+            if include_row_index:
+                index = list(map(str, table.index[block].tolist()))
+                if quote_index:
+                    index = [_field(text, delimiter) for text in index]
+                texts.insert(0, index)
+            handle.write("\r\n".join(map(delimiter.join, zip(*texts))) + "\r\n")
 
 
 def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import tabnoise
+from tabnoise import cli
 from tabnoise.cli import main
 from tabnoise.table import load_csv
 
@@ -57,6 +59,33 @@ def test_fit_validation_file_when_ratio_set(workdir):
     (workdir / "config.json").write_text(json.dumps(config))
     assert _fit(workdir) == 0
     assert (workdir / "out" / "val.out.csv").exists()
+
+
+def _with_config(workdir, **values):
+    config = json.loads((workdir / "config.json").read_text())
+    config.update(values)
+    (workdir / "config.json").write_text(json.dumps(config))
+
+
+def test_noise_augment_leaves_validation_rows_out(workdir):
+    _with_config(workdir, validation_ratio=0.25, noise_augment=1)
+    assert _fit(workdir) == 0
+    out = workdir / "out"
+    validation = set(load_csv(out / "val.out.csv").column("row_index"))
+    assert len(validation) == 5
+    kept = set(map(float, range(20))) - validation
+    # augment strides each copy's row identifiers by the largest kept one plus one
+    stride = max(kept) + 1
+    train_ids = load_csv(out / "train.out.csv").column("row_index")
+    assert len(train_ids) == 2 * len(kept)
+    assert {i % stride for i in train_ids} == kept
+
+
+def test_fit_reads_seed_file_once(workdir):
+    _with_config(workdir, validation_ratio=0.25, noise_augment=2)
+    with mock.patch.object(cli, "read_seed_file", wraps=cli.read_seed_file) as read:
+        assert _fit(workdir) == 0
+    assert read.call_count == 1
 
 
 def test_fit_bad_assigncat_exit_2(workdir, caplog):

@@ -10,8 +10,10 @@ true and false, ``direct_flip``, ``swap_noise``, ``orig_headers``, all four
 sampling types and the mersenne generator. ``bulk_seeds_dry`` gives every
 entry a mersenne stream from a 50-seed bank that runs dry inside an
 operation, so the rest of each run's seeds come from the PCG64 extra seed
-generator, with the training rows shuffled. A digest change means a change in
-output bytes: a bug, or a format change that needs a new basis version.
+generator, with the training rows shuffled. ``noise_augment_validation``
+has ``fit`` write its training duplicates from the rows left after the
+validation split. A digest change means a change in output bytes: a bug,
+or a format change that needs a new basis version.
 """
 
 import hashlib
@@ -80,6 +82,14 @@ CONFIGS = {
         "sampling_dict": {"sampling_type": "bulk_seeds", "seeding_type": "primary_seeds",
                           "sampling_generator": "mersenne", "extra_seed_generator": "PCG64"},
     },
+    "noise_augment_validation": {
+        "labels_column": "label",
+        "validation_ratio": 0.25,
+        "noise_augment": 2,
+        "assigncat": {"DPnb": ["n1"], "DPmm": ["n2"], "DPod": ["c1"], "DPbn": ["b1"]},
+        "assignparam": {"DPnb": {"n1": {"flip_prob": 0.5}}, "DPod": {"c1": {"flip_prob": 0.4}}},
+        "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
+    },
     "default_mersenne": {
         "orig_headers": True,
         "assigncat": {"DBne": ["n1"], "DPsk": ["n2"], "DTse": ["n3"], "excl": ["n4", "label"],
@@ -92,7 +102,7 @@ CONFIGS = {
 }
 
 BANK_SIZES = {"sampling_seed": 400, "transform_seed": 64, "bulk_seeds": 4000,
-              "bulk_seeds_dry": 50, "default_mersenne": 16}
+              "bulk_seeds_dry": 50, "noise_augment_validation": 400, "default_mersenne": 16}
 
 GOLDEN = {
     "bulk_seeds_dry": {
@@ -122,6 +132,16 @@ GOLDEN = {
         "tr_test.csv": "fa4b6728772fcaa8e64e6b31245df82cfac00375e5de8f4add8685c9ebf4e36f",
         "tr_train.csv": "a40a716ba3a4017d55757ce3cafe146ab55392617d361bce0b6e35f7bfb440dd",
         "train.out.csv": "08fa39b47648055009141a4733a8cb1db8e78294b26e776e508cb28bb3fedb7b",
+    },
+    "noise_augment_validation": {
+        "aug.csv": "279d61905b310dbf75d6632cae04693a3c8b7030005c8853db2e4e610304260c",
+        "basis.json": "5440f1c7d48757db7cf2caf7440bc592268de09670d082a683e3c5b4e7fc346e",
+        "seed_report.json": "6f71e875b4c7d741ad09576d7f5cd876fde3f554e4624d3bd57634686a69789e",
+        "test.out.csv": "580aed8c11b3c473a45a04fa64447e7bc7aa19c8e8e9687986ae083f81c912e6",
+        "tr_test.csv": "580aed8c11b3c473a45a04fa64447e7bc7aa19c8e8e9687986ae083f81c912e6",
+        "tr_train.csv": "c59126a088b27db2088f0467fe4d4589566ac9acd3e2e00dcbb9f93e63d99888",
+        "train.out.csv": "175ed098b8eb49d31e89274ab1ba79abb6864d3f987804742655b74f74a491c5",
+        "val.out.csv": "3f73f2f78e66098837c56e2664137f04d141c5fe9a04b197e4cecef7bd953c82",
     },
     "sampling_seed": {
         "aug.csv": "e7359e103e0961e040145cad801b0a14bbb6f588597f3c95afb7617da974f1a8",

@@ -231,10 +231,10 @@ def test_transform_leaves_input_table_unchanged():
 # -- CSV round trip against the cell-by-cell reference ------------------------------
 
 
-def _write_rows_reference(table, path, include_row_index):
-    """The row-at-a-time writer: one format_cell call per cell."""
+def _write_rows_reference(table, path, include_row_index, delimiter=","):
+    """The row-at-a-time writer: csv.writer and one format_cell call per cell."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, delimiter=delimiter)
         names = table.column_names
         writer.writerow(["row_index"] + names if include_row_index else names)
         cols = [table.column(n) for n in names]
@@ -245,10 +245,10 @@ def _write_rows_reference(table, path, include_row_index):
             writer.writerow(row)
 
 
-def _load_cells_reference(path, sentinels):
+def _load_cells_reference(path, sentinels, delimiter=","):
     """The cell-by-cell loader: parse_cell on every field, in row order."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+        rows = list(csv.reader(handle, delimiter=delimiter))
     names, body = rows[0], rows[1:]
     columns = {name: [] for name in names}
     for row in body:
@@ -271,46 +271,75 @@ _float_cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _speci
                         st.integers(-10**6, 10**6).map(float))
 _text_cell = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e400", " 1.5 ", "1_0", "x",
-                     'a,b', 'say "hi"', "line\nbreak", "NA", "?", "-", "0"]),
+                     'a,b', 'say "hi"', "line\nbreak", "NA", "?", "-", "0", "a;b", "t\tab",
+                     "1.5", "cr\r"]),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
 )
-_column_kind = st.sampled_from(["float", "text", "mixed"])
+# few values, so the same cells recur across write blocks; sentinels among the text
+_repeated_cell = st.sampled_from([-0.0, 0.0, 1.5, 1e16, "0", "NA", "a.b", 'q"', "x", ""])
+_CELLS = {
+    "float": _float_cell,
+    "text": _text_cell,
+    "mixed": st.one_of(_float_cell, _text_cell),
+    "zeros": st.sampled_from([-0.0, 0.0]),
+    "repeated": _repeated_cell,
+}
+_header_name = st.sampled_from(["{}", "{},x", "{};y", "{}\tz", "{}.w", '{}"q', "{}\nn", "{}\r"])
 
 
 @st.composite
 def _tables(draw):
     n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(1, 4))
     columns = {}
-    for j in range(draw(st.integers(1, 4))):
-        kind = draw(_column_kind)
-        cell = {"float": _float_cell, "text": _text_cell,
-                "mixed": st.one_of(_float_cell, _text_cell)}[kind]
-        cells = draw(st.lists(st.one_of(st.none(), cell), min_size=n_rows, max_size=n_rows))
-        columns[f"{kind}{j}"] = cells
-    row_index = draw(st.lists(st.integers(0, 2**62), min_size=n_rows, max_size=n_rows))
+    for j in range(n_cols):
+        kind = draw(st.sampled_from(sorted(_CELLS)))
+        cells = draw(st.lists(st.one_of(st.none(), _CELLS[kind]), min_size=n_rows,
+                              max_size=n_rows))
+        columns[draw(_header_name).format(f"{kind}{j}")] = cells
+    if n_cols == 1 and draw(st.booleans()):
+        # a lone column named "": its header row is one empty field
+        columns = {"": cells}
+    row_index = draw(st.lists(st.integers(-2**62, 2**62), min_size=n_rows, max_size=n_rows))
     return DataTable(columns, row_index=row_index)
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables(), include_row_index=st.booleans(),
        extra=st.lists(st.sampled_from(_SENTINELS), max_size=2),
-       block=st.sampled_from([1, 3, 1024]))
+       cells=st.sampled_from([1, 3, table_module._WRITE_BLOCK_CELLS]),
+       delimiter=st.sampled_from([",", ";", "\t", ".", "-"]))
 def test_csv_round_trip_matches_cell_reference(tmp_path_factory, table, include_row_index,
-                                               extra, block):
+                                               extra, cells, delimiter):
     tmp = tmp_path_factory.mktemp("rt")
     expected, path = tmp / "reference.csv", tmp / "columnar.csv"
-    _write_rows_reference(table, expected, include_row_index)
-    # a small block splits the rows across several formatting blocks
-    with mock.patch.object(table_module, "_WRITE_BLOCK_ROWS", block):
-        write_csv(table, path, include_row_index=include_row_index)
+    _write_rows_reference(table, expected, include_row_index, delimiter)
+    # a small cell budget splits the rows across several write blocks
+    with mock.patch.object(table_module, "_WRITE_BLOCK_CELLS", cells):
+        write_csv(table, path, delimiter=delimiter, include_row_index=include_row_index)
     assert path.read_bytes() == expected.read_bytes()
 
     sentinels = ("",) + tuple(extra)
-    back = load_csv(path, missing_sentinels=sentinels)
-    reference = _load_cells_reference(path, sentinels)
+    back = load_csv(path, delimiter=delimiter, missing_sentinels=sentinels)
+    reference = _load_cells_reference(path, sentinels, delimiter)
     assert back.column_names == list(reference)
     for name in back.column_names:
         assert _typed(back.column(name)) == _typed(reference[name])
         if not include_row_index:
             assert back.row_index == list(range(table.n_rows))
+
+
+def test_signed_zeros_and_lone_empty_fields_written_as_csv_writer_does(tmp_path):
+    cases = [
+        (DataTable({"z": [-0.0, 0.0, None, -0.0, 0.0]}), False),
+        (DataTable({"": [None, "x", None]}), False),
+        (DataTable({"": ["", None]}, row_index=[3, 4]), True),
+        (DataTable({}), True),
+    ]
+    for number, (table, include_row_index) in enumerate(cases):
+        expected, path = tmp_path / f"ref{number}.csv", tmp_path / f"out{number}.csv"
+        _write_rows_reference(table, expected, include_row_index)
+        write_csv(table, path, include_row_index=include_row_index)
+        assert path.read_bytes() == expected.read_bytes(), number
+    assert (tmp_path / "out0.csv").read_bytes() == b"z\r\n0\r\n0\r\n\"\"\r\n0\r\n0\r\n"
