@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ from .table import load_csv, write_csv
 
 log = logging.getLogger("tabnoise")
 
-_CLI_CONFIG_KEYS = set(FitConfig._KEYS) | {
+_FIT_KEYS = {f.name for f in fields(FitConfig)}
+_CLI_CONFIG_KEYS = _FIT_KEYS | {
     "entropy_seeds", "sampling_dict", "delimiter", "missing_sentinels",
 }
 
@@ -66,7 +68,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _sampling_plan(config: dict, args) -> SamplingPlan:
-    sampling = dict(config.get("sampling_dict") or {})
+    sampling = config.get("sampling_dict") or {}
+    if not isinstance(sampling, dict):
+        raise TabnoiseError("sampling_dict must be a JSON object")
+    sampling = dict(sampling)
     seeds = config.get("entropy_seeds") or []
     if getattr(args, "entropy_seeds", None):
         seeds = read_seed_file(args.entropy_seeds)
@@ -92,7 +97,7 @@ def _sampling_plan(config: dict, args) -> SamplingPlan:
 
 
 def _fit_config(config: dict) -> FitConfig:
-    fit_keys = {k: v for k, v in config.items() if k in FitConfig._KEYS}
+    fit_keys = {k: v for k, v in config.items() if k in _FIT_KEYS}
     return FitConfig.from_dict(fit_keys)
 
 
@@ -133,19 +138,13 @@ def cmd_fit(args) -> int:
             # the duplicates come from the rows left after the validation split
             kept = np.flatnonzero(~np.isin(train.index, result.basis.validation_row_index))
             prepared_train = augment(result.basis, train.take(kept), spec, plan)
-    if cfg.orig_headers:
-        prepared_train = orig_headers_mode(prepared_train, result.basis)
-    write_csv(prepared_train, out_dir / "train.out.csv", include_row_index=True)
-    if result.validation is not None:
-        validation = result.validation
-        if cfg.orig_headers:
-            validation = orig_headers_mode(validation, result.basis)
-        write_csv(validation, out_dir / "val.out.csv", include_row_index=True)
-    if result.test is not None:
-        prepared_test = result.test
-        if cfg.orig_headers:
-            prepared_test = orig_headers_mode(prepared_test, result.basis)
-        write_csv(prepared_test, out_dir / "test.out.csv", include_row_index=True)
+    outputs = (("train.out.csv", prepared_train), ("val.out.csv", result.validation),
+               ("test.out.csv", result.test))
+    for name, prepared in outputs:
+        if prepared is not None:
+            if cfg.orig_headers:
+                prepared = orig_headers_mode(prepared, result.basis)
+            write_csv(prepared, out_dir / name, include_row_index=True)
     save_basis(result.basis, out_dir / "basis.json")
     write_seed_report(result.basis.seed_report, out_dir / "seed_report.json")
     log.info("wrote outputs to %s", out_dir)

@@ -72,9 +72,10 @@ class NoiseSpec:
             raise ConfigError("sigma must be nonnegative")
 
     def phase_params(self, phase: str) -> dict:
-        """Effective (flip_prob, mu, sigma, distribution, weighted) for a phase."""
+        """Effective (fires, flip_prob, mu, sigma, distribution, weighted) for a phase."""
         if phase == "train":
             return {
+                "fires": self.trainnoise,
                 "flip_prob": self.flip_prob,
                 "mu": self.mu,
                 "sigma": self.sigma,
@@ -83,6 +84,7 @@ class NoiseSpec:
             }
         flip = self.test_flip_prob if self.test_flip_prob is not None else self.flip_prob
         return {
+            "fires": self.testnoise,
             "flip_prob": flip,
             "mu": self.test_mu,
             "sigma": self.test_sigma,

@@ -64,7 +64,7 @@ from .noise import (
     swap_noise,
     weighted_flip,
 )
-from .sampling import OpCost, SamplingPlan, SeedReport, StreamManager, compute_seed_report
+from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
 from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
 from .trees import (
     KIND_PARAMS,
@@ -132,16 +132,28 @@ class FitConfig:
     processdict: dict = field(default_factory=dict)
     noise_augment: float | int = 0
 
-    _KEYS = ("labels_column", "validation_ratio", "powertransform", "shuffletrain",
-             "orig_headers", "assigncat", "assignparam", "transformdict",
-             "processdict", "noise_augment")
-
     @classmethod
     def from_dict(cls, config: dict | None) -> "FitConfig":
         config = dict(config or {})
-        unknown = set(config) - set(cls._KEYS)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(config) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in (key for key in config if types[key] == "dict"):
+            if not isinstance(config[key], dict):
+                raise ConfigError(f"{key} must be a JSON object")
+            for name, entry in config[key].items():
+                if key == "assigncat":
+                    names = entry if isinstance(entry, list) else [entry]
+                    valid, want = all(isinstance(c, str) for c in names), "a column name or a list"
+                elif key == "assignparam" and name != "global_assignparam":
+                    valid = isinstance(entry, dict) and all(isinstance(v, dict)
+                                                            for v in entry.values())
+                    want = "a JSON object of objects"
+                else:
+                    valid, want = isinstance(entry, dict), "a JSON object"
+                if not valid:
+                    raise ConfigError(f"{key} entry {name!r} must be {want}")
         cfg = cls(**config)
         ratio = cfg.validation_ratio
         if not isinstance(ratio, (int, float)) or not 0.0 <= ratio < 1.0:
@@ -151,7 +163,7 @@ class FitConfig:
         except ConfigError as exc:
             raise ConfigError(f"noise_augment: {exc}") from None
         if cfg.powertransform is not None:
-            prefix, digit = cfg.powertransform[:2], cfg.powertransform[2:]
+            prefix, digit = str(cfg.powertransform)[:2], str(cfg.powertransform)[2:]
             if prefix not in ("DP", "DT", "DB") or digit not in _POWERTRANSFORM_STEMS:
                 raise ConfigError(f"unknown powertransform mode: {cfg.powertransform!r}")
         return cfg
@@ -330,20 +342,39 @@ def _output_names(out_base: str, count: int) -> list:
 # -- execution context -------------------------------------------------------
 
 
+def _phase(mode: str) -> str:
+    return "train" if mode in ("train", "train_no_noise") else "test"
+
+
 class _Ctx:
     def __init__(self, manager: StreamManager, mode: str, cells_lookup, fitting: bool):
         self.manager = manager
         self.mode = mode
         self._cells_lookup = cells_lookup
         self.fitting = fitting
+        # the step's declared operation names (None while its payload is fitted), and those taken
+        self.declared: list | None = []
+        self.taken: list = []
 
     @property
     def phase(self) -> str:
-        return "train" if self.mode in ("train", "train_no_noise") else "test"
+        return _phase(self.mode)
 
-    @property
-    def suppressed(self) -> bool:
-        return self.mode.endswith("no_noise")
+    def sampler(self, tkey: str, op: str):
+        """The sampler for the step's next operation, ``op`` as ``_noise_ops`` names it."""
+        self.taken.append(op)
+        self.check(tkey)
+        if op.startswith("calibrate:"):
+            return self.manager.calibration_sampler(tkey, op.partition(":")[2])
+        return self.manager.op_sampler(tkey)
+
+    def check(self, tkey: str, done: bool = False) -> None:
+        """Raise unless the operations taken start (or, when ``done``, are) the declared ones."""
+        taken, declared = self.taken, self.declared
+        if declared is not None and (taken != declared[:len(taken)]
+                                     or done and len(taken) != len(declared)):
+            raise RuntimeError(f"transform {tkey} took sampling operations {taken}, "
+                               f"but declares {declared}")
 
     def aligned_cells(self, column: str) -> list:
         cells = self._cells_lookup(column)
@@ -355,18 +386,6 @@ class _Ctx:
 # -- noise parameter plumbing ------------------------------------------------
 
 _NOISE_FIELD_ORDER = tuple(f.name for f in fields(NoiseSpec))
-
-
-def _fires(resolved: dict, phase: str) -> bool:
-    """Whether a noise transform's flags enable it in a phase."""
-    if phase == "train":
-        return resolved.get("trainnoise", True)
-    return resolved.get("testnoise", False)
-
-
-def _calibrates(resolved: dict) -> bool:
-    """Whether a scaled-noise transform calibrates its noise mean at fit."""
-    return resolved.get("noise_scaling_bias_offset", True) and resolved.get("rescale_sigmas", True)
 
 
 def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
@@ -381,7 +400,7 @@ def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
     for name, value in raw.items():
         if name not in _NOISE_FLAG_FIELDS and is_randomized_param(value):
             randomized.append(name)
-            value = resolve_param(value, ctx.manager.op_sampler(tkey))
+            value = resolve_param(value, ctx.sampler(tkey, "resolve"))
         resolved[name] = value
     return {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
 
@@ -390,27 +409,67 @@ def _spec_from(resolved: dict) -> NoiseSpec:
     return NoiseSpec(**{k: v for k, v in resolved.items() if k in _NOISE_FIELD_ORDER})
 
 
-def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
-    """(spec, phase params, Bernoulli mask) when noise fires in the current mode, else None.
+# The draw each noise kind makes over a mask's activations; noise_flip picks its own.
+_KIND_DRAWS = {"noise_numeric": "noise", "noise_scaled": "noise", "noise_swap": "swap"}
 
-    Outside of fit, non-retained randomized parameters are first re-resolved
-    with fresh sampling (one operation per parameter).
+
+def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) -> list:
+    """The sampling operations a noise step runs in a traindata mode, in draw order.
+
+    The executor checks out a sampler for exactly these (``_Ctx.sampler``),
+    and the seed report sums them. Each is (name, entries, stochastic):
+    ``entries`` are the entries sampled at ``rows`` rows, which is the step's
+    ``bulk_seeds`` budget, and ``stochastic`` marks a count that varies with
+    the mask. In order:
+
+    - ``resolve``: one per randomized parameter when fitting, and again in a
+      later preparation that fires, unless ``retain_basis``;
+    - ``calibrate:<phase>``: when fitting, the two rounds of each phase whose
+      noise mean was calibrated; they draw from a substream, not the bank;
+    - ``mask``: one Bernoulli draw per row, when noise fires in the mode;
+    - the kind's draw over the activations: ``noise`` (numeric kinds),
+      ``swap``, or for flip noise ``flip`` (weighted), ``swap``, or none for
+      ``direct_flip``, which skips the draw only on a boolean encoding.
     """
-    resolved = payload["resolved"]
-    if ctx.suppressed or not _fires(resolved, ctx.phase):
+    spec = _spec_from(payload["resolved"])
+    resolves = [("resolve", 1, False)] * len(payload.get("randomized_fields", []))
+    ops = []
+    if fitting:
+        ops += resolves
+        for phase in ("train", "test"):
+            if payload.get(f"mu_adjusted_{phase}") is not None:
+                ops += [(f"calibrate:{phase}", 0, False)] * 2
+    pp = spec.phase_params(_phase(mode))
+    if mode.endswith("no_noise") or not pp["fires"]:
+        return ops
+    if not fitting and not spec.retain_basis:
+        ops += resolves
+    ops.append(("mask", rows, False))
+    draw = _KIND_DRAWS.get(kind)
+    if kind == "noise_flip" and not (spec.direct_flip and payload["encoding"] == "boolean"):
+        draw = "swap" if spec.swap_noise else "flip"
+    if draw:
+        ops.append((draw, rows * pp["flip_prob"], True))
+    return ops
+
+
+def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
+    """(spec, phase params, Bernoulli mask) when the step declares a mask, else None.
+
+    Outside of fit, the randomized parameters the step declares are first
+    re-resolved with fresh sampling.
+    """
+    if "mask" not in ctx.declared:
         return None
-    effective = dict(resolved)
-    randomized = payload.get("randomized_fields", [])
-    if randomized and not ctx.fitting and not resolved.get("retain_basis", False):
-        raw = payload["params_raw"]
-        for name in randomized:
-            sampler = ctx.manager.op_sampler(tkey)
-            effective[name] = resolve_param(raw[name], sampler)
+    effective = dict(payload["resolved"])
+    if not ctx.fitting and "resolve" in ctx.declared:
+        for name in payload["randomized_fields"]:
+            effective[name] = resolve_param(payload["params_raw"][name],
+                                            ctx.sampler(tkey, "resolve"))
     spec = _spec_from(effective)
     pp = spec.phase_params(ctx.phase)
-    mask = sample_bernoulli_mask(
-        ctx.manager.op_sampler(tkey), len(missing), pp["flip_prob"], missing
-    )
+    mask = sample_bernoulli_mask(ctx.sampler(tkey, "mask"), len(missing), pp["flip_prob"],
+                                 missing)
     return spec, pp, mask
 
 
@@ -531,7 +590,7 @@ def _numeric_noise(ctx: _Ctx, payload: dict, values, missing, tkey: str, mu_sigm
     spec, pp, mask = drawn
     mu, sigma = mu_sigma(spec, pp)
     active = np.flatnonzero(mask)
-    noise = sample_noise(ctx.manager.op_sampler(tkey), pp["distribution"], mu, sigma, len(active))
+    noise = sample_noise(ctx.sampler(tkey, "noise"), pp["distribution"], mu, sigma, len(active))
     if payload.get("protected"):
         basis = ProtectedBasis.from_dict(payload["protected"])
         cells = _protected_cells(ctx, payload["resolved"], len(values))
@@ -564,21 +623,21 @@ def _apply_noise_numeric(ctx, payload, group, out_base, tkey):
 
 def _fit_noise_scaled(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
-    resolved, randomized = payload["resolved"], payload["randomized_fields"]
+    spec = _spec_from(payload["resolved"])
+    flip_randomized = {"flip_prob", "test_flip_prob"} & set(payload["randomized_fields"])
     values, missing = _group_floats(group)
     panel = values[~missing]
     payload.update(mu_adjusted_train=None, mu_adjusted_test=None,
                    adjust_degenerate_train=False, adjust_degenerate_test=False)
-    if _calibrates(resolved) and len(panel):
-        spec = _spec_from(resolved)
-        # calibration is skipped for phases that can never inject
+    if spec.noise_scaling_bias_offset and spec.rescale_sigmas and len(panel):
         for phase in ("train", "test"):
-            if not _phase_can_inject(resolved, randomized, phase):
-                continue
             pp = spec.phase_params(phase)
+            # calibration is skipped for phases that can never inject
+            if not pp["fires"] or not (flip_randomized or pp["flip_prob"] > 0.0):
+                continue
             mu_adj, degenerate = adjust_noise_mean(
                 panel, pp["mu"], pp["sigma"], pp["distribution"],
-                lambda p=phase: ctx.manager.calibration_sampler(tkey, p),
+                lambda p=phase: ctx.sampler(tkey, f"calibrate:{p}"),
             )
             payload[f"mu_adjusted_{phase}"] = mu_adj
             payload[f"adjust_degenerate_{phase}"] = degenerate
@@ -659,22 +718,13 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
     if drawn is None:
         return _emit_codes(group, basis, encoding, codes, out_names, out_base,
                            np.array([], dtype=np.int64))
-    spec, pp, mask = drawn
+    _, pp, mask = drawn
     n = len(codes)
     active = np.flatnonzero(mask)
-    if spec.direct_flip and encoding == "boolean":
-        out01 = flip_boolean_direct(codes - 1, mask)
-        new_codes = out01 + 1
-    elif spec.swap_noise:
-        sampler = ctx.manager.op_sampler(tkey)
-        new_codes = codes.copy()
-        if n >= 2 and len(active):
-            picks = sampler.bounded_ints(len(active), n)
-            new_codes[active] = codes[picks]
-        elif n < 2 and len(active):
-            warnings.warn("swap noise needs at least two rows; entries unchanged")
-    else:
-        sampler = ctx.manager.op_sampler(tkey)
+    if "swap" in ctx.declared:
+        new_codes = swap_noise(codes, mask, ctx.sampler(tkey, "swap"))
+    elif "flip" in ctx.declared:
+        sampler = ctx.sampler(tkey, "flip")
         vocab_size = len(basis.vocabulary)
         if pp["weighted"]:
             weights = np.asarray(basis.frequencies, dtype=np.float64)
@@ -687,6 +737,8 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
             segment_weights = protected_weight_matrix(pbasis, weights, cells, n)
         new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler,
                                   segment_weights)
+    else:  # a direct flip, which only a boolean encoding declares
+        new_codes = flip_boolean_direct(codes - 1, mask) + 1
     flipped = active[new_codes[active] != codes[active]] if len(active) else active
     return _emit_codes(group, basis, encoding, new_codes, out_names, out_base, flipped)
 
@@ -695,7 +747,7 @@ def _apply_noise_swap(ctx, payload, group, out_base, tkey):
     _, out = group.columns[0]
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
     if drawn is not None:
-        out = swap_noise(out, drawn[2], ctx.manager.op_sampler(tkey))
+        out = swap_noise(out, drawn[2], ctx.sampler(tkey, "swap"))
     return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
 
@@ -779,9 +831,15 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
         fit_fn, apply_fn = _TRANSFORMS[step.kind]
         tkey = _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
+        noise = step.kind in NOISE_KINDS
+        ctx.taken, ctx.declared = [], None if noise and params is not None else []
         if params is not None:
             step.payload = fit_fn(ctx, in_group, params[idx], tkey)
+        if noise:
+            ctx.declared = [op for op, _, _ in _noise_ops(step.kind, step.payload, ctx.mode,
+                                                          ctx.fitting, len(column))]
         groups[step.output_base] = apply_fn(ctx, step.payload, in_group, step.output_base, tkey)
+        ctx.check(tkey, done=True)
     if surviving is not None:
         for step in plan.steps:
             step.output_columns = [name for name, _ in groups[step.output_base].columns]
@@ -909,11 +967,14 @@ def fit(
 
     n_train_basis = len(positions)
     n_test_basis = test.n_rows if test is not None else n_train_basis
-    costs, transform_count = _op_costs(basis, n_train_basis, n_test_basis)
-    basis.seed_report = compute_seed_report(
-        costs, transform_count, n_train_basis, n_test_basis,
-        plan.stochastic_count_safety_factor,
-    )
+    # the seed report sums each noise step's operations: fitting, then a test preparation
+    steps = [step for p in plans.values() for step in p.steps if step.kind in NOISE_KINDS]
+    ops = [(phase, entries, stochastic) for step in steps
+           for phase, rows in (("train", n_train_basis), ("test", n_test_basis))
+           for _, entries, stochastic in _noise_ops(step.kind, step.payload, phase,
+                                                    phase == "train", rows)]
+    basis.seed_report = compute_seed_report(ops, len(steps), n_train_basis, n_test_basis,
+                                            plan.stochastic_count_safety_factor)
 
     prepared_val = None
     if val_sub is not None:
@@ -1005,68 +1066,6 @@ def _stacked(parts: list) -> np.ndarray:
     if len({part.dtype for part in parts}) > 1:
         parts = [np.array(cells_of(part), dtype=object) for part in parts]
     return np.concatenate(parts)
-
-
-# -- seed budgeting ------------------------------------------------------------
-
-
-def _phase_can_inject(resolved: dict, randomized: list, phase: str) -> bool:
-    """Whether a phase can ever fire noise: flag set and flip probability nonzero.
-
-    Randomized flip probabilities count as potentially nonzero.
-    """
-    if not _fires(resolved, phase):
-        return False
-    if "flip_prob" in randomized or "test_flip_prob" in randomized:
-        return True
-    return _phase_flip(resolved, phase) > 0.0
-
-
-def _second_op(kind: str, resolved: dict) -> bool:
-    if kind == "noise_mask":
-        return False
-    if kind == "noise_flip" and resolved.get("direct_flip", False):
-        return False
-    return True
-
-
-def _phase_flip(resolved: dict, phase: str) -> float:
-    if phase == "train":
-        return resolved.get("flip_prob", 0.03)
-    test_flip = resolved.get("test_flip_prob")
-    return test_flip if test_flip is not None else resolved.get("flip_prob", 0.03)
-
-
-def _op_costs(basis: TransformBasis, n_train: int, n_test: int):
-    costs: list[OpCost] = []
-    transform_count = 0
-    for col in sorted(basis.column_plans):
-        plan = basis.column_plans[col]
-        for idx, step in enumerate(plan.steps):
-            if step.kind not in NOISE_KINDS:
-                continue
-            transform_count += 1
-            key = _transform_key(col, idx)
-            resolved = step.payload["resolved"]
-            randomized = step.payload.get("randomized_fields", [])
-            for _ in randomized:
-                costs.append(OpCost("train", 1, False, key))
-            if step.kind == "noise_scaled" and _calibrates(resolved):
-                for phase in ("train", "test"):
-                    if _phase_can_inject(resolved, randomized, phase):
-                        costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
-                        costs.append(OpCost("train", 0, False, key, counts_toward_bulk=False))
-            for phase, rows in (("train", n_train), ("test", n_test)):
-                if not _fires(resolved, phase):
-                    continue
-                if phase == "test" and randomized and not resolved.get("retain_basis", False):
-                    for _ in randomized:
-                        costs.append(OpCost("test", 1, False, key))
-                costs.append(OpCost(phase, rows, False, key))
-                if _second_op(step.kind, resolved):
-                    flip = _phase_flip(resolved, phase)
-                    costs.append(OpCost(phase, rows * flip, True, key))
-    return costs, transform_count
 
 
 # -- persistence ---------------------------------------------------------------

@@ -129,53 +129,34 @@ def rescale_budget(total: int, rowcount_basis: int, rowcount_new: int) -> int:
     return math.ceil(total * rowcount_new / rowcount_basis)
 
 
-@dataclass
-class OpCost:
-    """Cost model entry for one sampling operation of a planned transform.
-
-    ``entries`` is the expected number of sampled entries at the basis
-    rowcount; ``stochastic`` marks counts that vary run to run (budgeted with
-    the safety factor). ``phase`` is 'train' or 'test'; calibration and
-    parameter-resolution operations happen at fit time and land in the train
-    totals. ``bank_entries`` covers the bulk_seeds budget; operations that
-    never touch the per-entry bank (calibration substreams) set it to 0.
-    """
-
-    phase: str
-    entries: float
-    stochastic: bool
-    transform_key: str
-    counts_toward_bulk: bool = True
-
-
 def compute_seed_report(
-    op_costs: Sequence[OpCost],
+    ops: Sequence[tuple],
     transform_count: int,
     rowcount_train: int,
     rowcount_test: int,
     safety_factor: float = 0.15,
 ) -> SeedReport:
+    """Budgets for a plan's sampling operations, each ``(phase, entries, stochastic)``.
+
+    Every operation takes one seed of its phase under ``sampling_seed``;
+    fit-time operations are in the train phase. Under ``bulk_seeds`` an
+    operation takes its entries at the basis rowcount, inflated by the safety
+    factor when ``stochastic`` (the count varies run to run).
+    """
     report = SeedReport(
         rowcount_basis_train=rowcount_train,
         rowcount_basis_test=rowcount_test,
         transform_seed_total=transform_count,
         stochastic_count_safety_factor=safety_factor,
     )
-    for cost in op_costs:
-        if cost.phase == "train":
+    for phase, entries, stochastic in ops:
+        bulk = math.ceil(entries * (1.0 + safety_factor) if stochastic else entries)
+        if phase == "train":
             report.sampling_seed_total_train += 1
+            report.bulk_seeds_total_train += bulk
         else:
             report.sampling_seed_total_test += 1
-        if not cost.counts_toward_bulk:
-            continue
-        if cost.stochastic:
-            entries = math.ceil(cost.entries * (1.0 + safety_factor))
-        else:
-            entries = math.ceil(cost.entries)
-        if cost.phase == "train":
-            report.bulk_seeds_total_train += entries
-        else:
-            report.bulk_seeds_total_test += entries
+            report.bulk_seeds_total_test += bulk
     return report
 
 

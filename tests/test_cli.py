@@ -315,6 +315,25 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     assert not (workdir / "out").exists()  # rejected before anything is fitted
 
 
+@pytest.mark.parametrize("key, value", [
+    ("assigncat", "x"), ("assigncat", {"DPnb": 3}), ("assigncat", {"DPnb": [["num"]]}),
+    ("assignparam", "x"),
+    ("assignparam", {"DPnb": 1}), ("assignparam", {"DPnb": {"num": 1}}),
+    ("transformdict", 1), ("processdict", {"x": 1}), ("powertransform", 5),
+    ("sampling_dict", "x"),
+])
+def test_fit_malformed_config_section_exit_2(workdir, key, value):
+    _with_config(workdir, **{key: value})
+    code, err = _run_cli("fit", str(workdir / "train.csv"),
+                         "--config", str(workdir / "config.json"),
+                         "--out-dir", str(workdir / "out"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("sampling_type", ["sampling_seed", "bulk_seeds"])
 def test_seed_at_or_above_2_128_exit_2(workdir, sampling_type):
     config = json.loads((workdir / "config.json").read_text())

@@ -1,14 +1,17 @@
+import math
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise.errors import ConfigError, SeedExhaustedError
-from tabnoise.pipeline import fit
+from tabnoise.pipeline import _noise_ops, apply, apply_with_stats, fit
 from tabnoise.rng import ExternalWordStream, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
-    OpCost,
     SamplingPlan,
     SeedReport,
     StreamManager,
@@ -17,6 +20,7 @@ from tabnoise.sampling import (
     rescale_budget,
 )
 from tabnoise.table import DataTable
+from tabnoise.trees import KIND_PARAMS, NOISE_KINDS, builtin_catalog
 
 
 def test_bulk_seeds_defaults_to_primary():
@@ -175,17 +179,17 @@ def test_report_zero_plan():
 
 
 def test_transform_seed_total_counts_transforms():
-    costs = [OpCost("train", 10, False, "a#1"), OpCost("test", 10, False, "b#1")]
+    costs = [("train", 10, False), ("test", 10, False)]
     report = compute_seed_report(costs, 3, 10, 10)
     assert report.transform_seed_total == 3
 
 
 def test_bulk_totals_inflate_stochastic_counts():
     costs = [
-        OpCost("train", 100, False, "a#1"),        # mask: exact
-        OpCost("train", 3.0, True, "a#1"),         # noise: ceil(3 * 1.15) = 4
-        OpCost("test", 100, False, "a#1"),
-        OpCost("test", 1.0, True, "a#1"),          # ceil(1.15) = 2
+        ("train", 100, False),  # mask: exact
+        ("train", 3.0, True),  # noise: ceil(3 * 1.15) = 4
+        ("test", 100, False),
+        ("test", 1.0, True),  # ceil(1.15) = 2
     ]
     report = compute_seed_report(costs, 1, 100, 100, safety_factor=0.15)
     assert report.bulk_seeds_total_train == 104
@@ -195,7 +199,7 @@ def test_bulk_totals_inflate_stochastic_counts():
 
 
 def test_calibration_ops_excluded_from_bulk():
-    costs = [OpCost("train", 0, False, "a#1", counts_toward_bulk=False)]
+    costs = [("train", 0, False)]
     report = compute_seed_report(costs, 1, 10, 10)
     assert report.bulk_seeds_total_train == 0
     assert report.sampling_seed_total_train == 1
@@ -366,3 +370,189 @@ def test_validation_split_matches_per_word_loop(zero_at):
         j = i + _per_word_bounded_int(oracle, n - i)
         pool[i], pool[j] = pool[j], pool[i]
     assert res.basis.validation_row_index == sorted(pool[: int(n * ratio)])
+
+
+# -- the seed report against what the executor checks out --------------------------
+
+
+def _seed_plan(sampling_type, **kwargs):
+    return SamplingPlan(sampling_type=sampling_type, seeding_type="primary_seeds",
+                        entropy_seeds=list(range(500)), **kwargs)
+
+
+def test_direct_flip_on_ordinal_encoding_budgets_its_weighted_flip():
+    # direct_flip skips the second draw only on a boolean encoding; an ordinal
+    # one still runs a weighted flip, and the report budgets it
+    rng = np.random.default_rng(71)
+    cats = ["a", "b", "c"]
+    table = DataTable({"cat": [cats[v] for v in rng.integers(0, 3, size=60)]})
+    config = {"shuffletrain": False, "assigncat": {"DBod": ["cat"]},
+              "assignparam": {"default_assignparam": {"DBod": {
+                  "direct_flip": True, "flip_prob": 0.5, "test_flip_prob": 0.5}}}}
+    fitted = fit(table, config, _seed_plan("sampling_seed"))
+    report = fitted.basis.seed_report
+    assert fitted.ops_executed == report.sampling_seed_total_train == 2
+    _, stats = apply_with_stats(fitted.basis, table, "test", _seed_plan("sampling_seed"))
+    assert stats["ops_executed"] == report.sampling_seed_total_test == 2
+
+    n_new = 500
+    budget = rescale_budget(report.bulk_seeds_total_test, report.rowcount_basis_test, n_new)
+    for _ in range(20):
+        new = DataTable({"cat": [cats[v] for v in rng.integers(0, 3, size=n_new)]})
+        seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=budget)]
+        plan = SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=seeds,
+                            extra_seed_generator="off")
+        apply(fitted.basis, new, "test", plan)  # no SeedExhaustedError
+
+
+def test_scaled_noise_on_all_missing_column_reports_only_what_runs():
+    # an empty training panel skips the mean calibration: mask and noise remain
+    table = DataTable({"num": [None] * 30})
+    fitted = fit(table, {"shuffletrain": False, "assigncat": {"DBmm": ["num"]}},
+                 _seed_plan("sampling_seed"))
+    steps = fitted.basis.plan_for("num").steps
+    payload = next(step.payload for step in steps if step.kind == "noise_scaled")
+    assert payload["mu_adjusted_train"] is None and payload["mu_adjusted_test"] is None
+    assert fitted.ops_executed == fitted.basis.seed_report.sampling_seed_total_train == 2
+
+
+# Data each builtin noise stem takes: numbers, three categories, or two.
+_STEM_DATA = {"nb": "num", "mm": "num", "rt": "num", "ne": "num", "se": "num", "sk": "num",
+              "od": "cat", "oh": "cat", "10": "cat", "pc": "cat", "bn": "bool"}
+_ROWS = 2000
+# At 2000 rows the 15% safety factor is over 6 binomial standard deviations
+# of a mask at these probabilities, so a stochastic budget holds here.
+_FLIPS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def _maybe_randomized(values):
+    return st.one_of(values, st.lists(values, min_size=2, max_size=3))
+
+
+@st.composite
+def _noise_columns(draw, first_stem):
+    columns = []
+    for index in range(draw(st.integers(1, 2))):
+        stem = draw(st.sampled_from(sorted(_STEM_DATA))) if index else first_stem
+        root = draw(st.sampled_from(["DP", "DT", "DB"])) + stem
+        accepted = KIND_PARAMS[builtin_catalog().resolve_entry(root)[0]]
+        params = {"flip_prob": draw(_maybe_randomized(_FLIPS)),
+                  "retain_basis": draw(st.booleans())}
+        if draw(st.booleans()):
+            params["test_flip_prob"] = draw(_maybe_randomized(_FLIPS))
+        if "sigma" in accepted:
+            params["sigma"] = draw(_maybe_randomized(st.sampled_from([0.02, 0.1])))
+        if "direct_flip" in accepted:
+            params["direct_flip"] = draw(st.booleans())
+            params["swap_noise"] = draw(st.booleans())
+            params["weighted"] = draw(_maybe_randomized(st.booleans()))
+        empty = _STEM_DATA[stem] == "num" and draw(st.booleans())
+        columns.append((f"c{index}", root, params, _STEM_DATA[stem], empty))
+    return columns
+
+
+def _column_cells(kind, empty, rng):
+    if empty:
+        return [None] * _ROWS
+    values = {"num": rng.normal(0, 1, size=_ROWS).tolist(),
+              "cat": [["a", "b", "c"][v] for v in rng.integers(0, 3, size=_ROWS)],
+              "bool": [["x", "y"][v] for v in rng.integers(0, 2, size=_ROWS)]}[kind]
+    for row in rng.integers(0, _ROWS, size=_ROWS // 20).tolist():
+        values[row] = None
+    return values
+
+
+class _Checkouts:
+    """Records each StreamManager checkout, and bank entries drawn, by transform key."""
+
+    def __init__(self):
+        self.names, self.entries = {}, {}
+        self._key, self._calibrating = None, False
+        real_op = StreamManager.op_sampler
+        real_calibration = StreamManager.calibration_sampler
+        real_blocks = StreamManager.seed_blocks
+
+        def op_sampler(manager, key):
+            if not self._calibrating:
+                self._record(key, "op")
+            return real_op(manager, key)
+
+        def calibration_sampler(manager, key, phase="train"):
+            self._record(key, f"calibrate:{phase}")
+            self._calibrating = True
+            try:
+                return real_calibration(manager, key, phase)
+            finally:
+                self._calibrating = False
+
+        def seed_blocks(manager, n):
+            self.entries[self._key] = self.entries.get(self._key, 0) + n
+            return real_blocks(manager, n)
+
+        self._patches = [mock.patch.object(StreamManager, "op_sampler", op_sampler),
+                         mock.patch.object(StreamManager, "calibration_sampler",
+                                           calibration_sampler),
+                         mock.patch.object(StreamManager, "seed_blocks", seed_blocks)]
+
+    def _record(self, key, name):
+        self._key = key
+        self.names.setdefault(key, []).append(name)
+
+    def __enter__(self):
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self._patches:
+            patch.stop()
+
+
+def _declared(basis, mode, fitting):
+    """Per transform key, from its declaration: (checkout names, bulk_seeds budget,
+    whether a flip probability is re-resolved)."""
+    safety = basis.seed_report.stochastic_count_safety_factor
+    out = {}
+    for column, plan in basis.column_plans.items():
+        for idx, step in enumerate(plan.steps):
+            if step.kind not in NOISE_KINDS:
+                continue
+            ops = _noise_ops(step.kind, step.payload, mode, fitting, _ROWS)
+            names = [name if name.startswith("calibrate") else "op" for name, _, _ in ops]
+            budget = sum(math.ceil(entries * (1.0 + safety) if stochastic else entries)
+                         for _, entries, stochastic in ops)
+            reresolved = not (fitting or step.payload["resolved"]["retain_basis"]) and {
+                "flip_prob", "test_flip_prob"} & set(step.payload["randomized_fields"])
+            out[f"{column}#{idx}"] = (names, budget, reresolved)
+    return out
+
+
+@pytest.mark.parametrize("stem", sorted(_STEM_DATA))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), data_seed=st.integers(0, 2**16))
+def test_each_transform_checks_out_what_it_declares(stem, data, data_seed):
+    columns = data.draw(_noise_columns(stem))
+    rng = np.random.default_rng(data_seed)
+    table = DataTable({name: _column_cells(kind, empty, rng)
+                       for name, _, _, kind, empty in columns})
+    config = {"shuffletrain": False, "assigncat": {}, "assignparam": {}}
+    for name, root, params, _, _ in columns:
+        config["assigncat"].setdefault(root, []).append(name)
+        config["assignparam"].setdefault(root, {})[name] = params
+    for sampling_type in ("sampling_seed", "transform_seed", "bulk_seeds"):
+        plan = partial(_seed_plan, sampling_type, extra_seed_generator="PCG64")
+        with _Checkouts() as fitting:
+            fitted = fit(table, config, plan())
+        runs = [(fitting, fitted.ops_executed, _declared(fitted.basis, "train", True))]
+        for mode in ("train", "test"):
+            with _Checkouts() as applying:
+                _, stats = apply_with_stats(fitted.basis, table, mode, plan())
+            runs.append((applying, stats["ops_executed"], _declared(fitted.basis, mode, False)))
+        for taken, ops_executed, declared in runs:
+            assert ops_executed == sum(len(names) for names, _, _ in declared.values())
+            for key, (names, budget, reresolved) in declared.items():
+                assert taken.names.get(key, []) == names, (sampling_type, key)
+                # the report budgets the flip probability resolved at fit, which a
+                # later preparation's re-resolution can exceed
+                if sampling_type == "bulk_seeds" and not reresolved:
+                    assert taken.entries.get(key, 0) <= budget, (key, budget)
