@@ -123,6 +123,18 @@ def inject_numeric(scaled: np.ndarray, mask: np.ndarray, noise: np.ndarray) -> n
     return out
 
 
+def _shrink_terms(minmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entries below 0.5, each entry's shrink numerator) for :func:`_shrink`."""
+    low = minmax < 0.5
+    return low, np.where(low, minmax, 1.0 - minmax)
+
+
+def _shrink(noise, low: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    noise = np.clip(np.asarray(noise, dtype=np.float64), -0.5, 0.5)
+    # negative noise shrinks below 0.5, nonnegative noise at or above it
+    return np.where(low == (noise < 0.0), noise * numer / 0.5, noise)
+
+
 def scale_noise_minmax(noise: np.ndarray, minmax: np.ndarray) -> np.ndarray:
     """Entry-dependent shrink that keeps unit-interval values in range.
 
@@ -131,16 +143,7 @@ def scale_noise_minmax(noise: np.ndarray, minmax: np.ndarray) -> np.ndarray:
     (1-entry)/0.5, and the other two quadrants pass through unscaled. The
     injected value entry+scaled is then guaranteed to stay in [0, 1].
     """
-    noise = np.clip(np.asarray(noise, dtype=np.float64), -0.5, 0.5)
-    minmax = np.asarray(minmax, dtype=np.float64)
-    low = minmax < 0.5
-    negative = noise < 0.0
-    scaled = noise.copy()
-    shrink_low = low & negative
-    scaled[shrink_low] = noise[shrink_low] * minmax[shrink_low] / 0.5
-    shrink_high = ~low & ~negative
-    scaled[shrink_high] = noise[shrink_high] * (1.0 - minmax[shrink_high]) / 0.5
-    return scaled
+    return _shrink(noise, *_shrink_terms(np.asarray(minmax, dtype=np.float64)))
 
 
 def adjust_noise_mean(
@@ -164,13 +167,13 @@ def adjust_noise_mean(
     if len(minmax_train) == 0:
         raise ValueError("minmax_train must be nonempty")
     reps = int(np.ceil(draws / len(minmax_train)))
-    panel = np.tile(minmax_train, reps)[:draws]
+    low, numer = _shrink_terms(np.tile(minmax_train, reps)[:draws])
     provide = sampler if callable(sampler) else (lambda: sampler)
 
     def post_scaling_mean(mu: float) -> float:
         # a helper, so each round's noise is freed before the next is drawn
         noise = sample_noise(provide(), distribution, mu, sigma, draws)
-        return float(np.mean(scale_noise_minmax(noise, panel)))
+        return float(np.mean(_shrink(noise, low, numer)))
 
     mu1 = post_scaling_mean(mu0)
     mu2 = post_scaling_mean(mu1)

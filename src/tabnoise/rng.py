@@ -70,7 +70,8 @@ class PackedSeeds:
     :func:`mix_seed` hashes. Hashing them gives the same digest as passing the
     seeds one by one, since SHA-256 is a streaming hash. Seeds are taken as
     ``int(seed)``; one that is negative, at least ``2**128`` or not a number
-    raises ``ValueError``.
+    raises ``ValueError``. An integer ndarray is packed without a Python
+    object per seed.
     """
 
     __slots__ = ("blocks",)
@@ -80,8 +81,11 @@ class PackedSeeds:
             seeds = list(seeds)
         blocks = np.zeros((len(seeds), 2), dtype="<u8")
         try:
-            # int() of each seed, straight into an array: no Python object per seed
-            low = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
+            if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu" and seeds.ndim == 1:
+                low = seeds  # every value of a 64-bit integer type fits a low half
+            else:
+                # int() of each seed, straight into an array: no Python object per seed
+                low = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
         except (OverflowError, TypeError, ValueError):  # wide, or not a number
             values = [_checked_seed(seed) for seed in seeds]
             blocks[:, 0] = [v & _MASK64 for v in values]

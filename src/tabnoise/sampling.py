@@ -308,13 +308,15 @@ class StreamManager:
 _INT64_MAX = 2**63 - 1
 
 
-def read_seed_file(path) -> list[int]:
-    """Newline-delimited decimal integers; blank lines are skipped.
+def read_seed_file(path) -> PackedSeeds:
+    """Newline-delimited decimal integers, packed; blank lines are skipped.
 
-    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is parsed in
-    one numpy pass. Any other file, or one with a seed that may not fit in
-    int64, takes the line-by-line path, which accepts whatever ``int()``
-    accepts on a stripped line and names the first line that is not a seed.
+    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is parsed and
+    packed in one numpy pass. Any other file, or one with a seed that may not
+    fit in int64, takes the line-by-line path, which accepts whatever
+    ``int()`` accepts on a stripped line and names the first line that is not
+    a seed. A seed that is negative or at least ``2**128`` raises
+    ``ConfigError`` too.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -325,7 +327,7 @@ def read_seed_file(path) -> list[int]:
         seeds = np.fromstring(data, dtype=np.int64, sep="\n")
         # a blank-only file parses as [0], and an overflowing seed as INT64_MAX
         if len(seeds) == count and (not count or seeds.max() < _INT64_MAX):
-            return seeds.tolist()
+            return PackedSeeds(seeds)
     seeds = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -336,7 +338,10 @@ def read_seed_file(path) -> list[int]:
                 seeds.append(int(line))
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno} is not an integer seed")
-    return seeds
+    try:
+        return PackedSeeds(seeds)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_seed_report(report: SeedReport, path) -> None:

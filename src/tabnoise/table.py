@@ -267,23 +267,37 @@ def _field(text: str, delimiter: str) -> str:
     return text
 
 
+# the characters of an integer's or a finite float's text
+_NUMBER_CHARS = frozenset("0123456789.-+e")
+
+
 def _distinct_fields(column: np.ndarray, delimiter: str, empty: str):
     """(field of each distinct cell, each cell's position among them) for one column.
 
-    Every distinct cell is formatted by ``format_cell`` and quoted once. Equal floats
-    format the same (``-0.0`` and ``0.0`` both as ``0``), so merging them is safe.
+    Every distinct cell is formatted as ``format_cell`` formats it and quoted once.
+    Equal floats format the same (``-0.0`` and ``0.0`` both as ``0``), so merging them
+    is safe.
     """
     if column.dtype == object:
         cells = column.tolist()
         distinct = list(dict.fromkeys(cells))
         codes = {cell: code for code, cell in enumerate(distinct)}
         inverse = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
+        texts = np.array([_field(format_cell(cell), delimiter) or empty for cell in distinct],
+                         dtype=object)
     else:
         values, inverse = np.unique(column, return_inverse=True)
-        distinct = cells_of(values)
-    texts = [_field(format_cell(cell), delimiter) or empty for cell in distinct]
+        texts = np.full(len(values), empty, dtype=object)  # NaN, the one missing value
+        whole = (np.abs(values) < 1e16) & (values == np.trunc(values))
+        other = ~whole & ~np.isnan(values)
+        texts[whole] = np.fromiter(map(str, values[whole].astype(np.int64).tolist()), object)
+        texts[other] = np.fromiter(map(repr, values[other].tolist()), object)
+        if set(delimiter) <= _NUMBER_CHARS:
+            numbers = whole | other
+            texts[numbers] = np.fromiter((_field(text, delimiter) for text in texts[numbers]),
+                                         object)
     # the positions are held for the whole write, so in the narrowest type that fits
-    return np.array(texts, dtype=object), inverse.astype(np.min_scalar_type(len(texts)))
+    return texts, inverse.astype(np.min_scalar_type(len(texts)))
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:

@@ -75,6 +75,9 @@ class FamilyTree:
         unknown = set(data) - set(PRIMITIVE_NAMES)
         if unknown:
             raise ConfigError(f"unknown family tree primitives: {sorted(unknown)}")
+        for name, value in data.items():
+            if not isinstance(value, (list, tuple)) or not all(isinstance(c, str) for c in value):
+                raise ConfigError(f"{name} must be a list of category names")
         return cls(**{k: tuple(v) for k, v in data.items()})
 
     def to_dict(self) -> dict:
@@ -196,19 +199,23 @@ class TransformCatalog:
         """
         for category, spec in (processdict or {}).items():
             pointer = spec.get("functionpointer")
-            if pointer is None:
+            if not isinstance(pointer, str):
                 raise ConfigError(
                     f"processdict entry {category!r} must name a functionpointer"
                 )
-            self.register_entry(
-                ProcessEntry(
-                    category,
-                    functionpointer=pointer,
-                    defaultparams=dict(spec.get("defaultparams", {})),
+            params = spec.get("defaultparams", {})
+            if not isinstance(params, dict):
+                raise ConfigError(
+                    f"processdict entry {category!r}: defaultparams must be a JSON object"
                 )
-            )
+            self.register_entry(ProcessEntry(category, functionpointer=pointer,
+                                             defaultparams=dict(params)))
         for category, spec in (transformdict or {}).items():
-            self.register_tree(category, FamilyTree.from_dict(spec))
+            try:
+                tree = FamilyTree.from_dict(spec)
+            except ConfigError as exc:
+                raise ConfigError(f"transformdict entry {category!r}: {exc}") from None
+            self.register_tree(category, tree)
 
 
 def apply_root_category(catalog: TransformCatalog, root: str, input_ref, executor):

@@ -321,6 +321,8 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("assignparam", {"DPnb": 1}), ("assignparam", {"DPnb": {"num": 1}}),
     ("transformdict", 1), ("processdict", {"x": 1}), ("powertransform", 5),
     ("sampling_dict", "x"),
+    ("processdict", {"mynb": {"functionpointer": "DPnb", "defaultparams": "x"}}),
+    ("transformdict", {"mynb": {"parents": 5}}),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})

@@ -126,6 +126,72 @@ def test_scale_noise_range_guarantee_random():
     assert np.all(injected >= 0.0) and np.all(injected <= 1.0)
 
 
+def _four_mask_scale_noise_minmax(noise, minmax):
+    """The former scale_noise_minmax, one mask per quadrant; the oracle of the one-pass shrink."""
+    noise = np.clip(np.asarray(noise, dtype=np.float64), -0.5, 0.5)
+    minmax = np.asarray(minmax, dtype=np.float64)
+    low = minmax < 0.5
+    negative = noise < 0.0
+    scaled = noise.copy()
+    shrink_low = low & negative
+    scaled[shrink_low] = noise[shrink_low] * minmax[shrink_low] / 0.5
+    shrink_high = ~low & ~negative
+    scaled[shrink_high] = noise[shrink_high] * (1.0 - minmax[shrink_high]) / 0.5
+    return scaled
+
+
+_NOISE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.5000000000000001, -0.5000000000000001,
+                     0.7, -3.0, 1e300, -1e300, 5e-324, -5e-324]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_MINMAX_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.49999999999999994, 5e-324, 1.5, -0.25]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_NOISE_VALUES, _MINMAX_VALUES), max_size=40))
+def test_scale_noise_matches_four_mask_oracle_bit_for_bit(pairs):
+    noise = np.array([n for n, _ in pairs], dtype=np.float64)
+    minmax = np.array([m for _, m in pairs], dtype=np.float64)
+    got = scale_noise_minmax(noise, minmax)
+    want = _four_mask_scale_noise_minmax(noise, minmax)
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _oracle_adjust_noise_mean(minmax_train, mu0, sigma, distribution, sampler, draws):
+    """The former adjust_noise_mean, scaling each round with the four-mask oracle."""
+    minmax_train = np.asarray(minmax_train, dtype=np.float64)
+    panel = np.tile(minmax_train, int(np.ceil(draws / len(minmax_train))))[:draws]
+
+    def post_scaling_mean(mu):
+        noise = sample_noise(sampler, distribution, mu, sigma, draws)
+        return float(np.mean(_four_mask_scale_noise_minmax(noise, panel)))
+
+    mu1 = post_scaling_mean(mu0)
+    mu2 = post_scaling_mean(mu1)
+    if mu2 == mu1:
+        return mu0, True
+    return mu0 - mu1 * (mu1 - mu0) / (mu2 - mu1), False
+
+
+@pytest.mark.parametrize("distribution", ["normal", "laplace", "abs_normal"])
+@pytest.mark.parametrize("feature, mu0, sigma, draws", [
+    (np.random.default_rng(23).beta(2, 8, size=5000), 0.0, 0.03, 100_000),
+    (np.array([0.0, 1.0, 0.5, 0.25, 0.75, -0.0]), 0.02, 0.4, 7_001),
+    (np.full(13, 0.5), 0.0, 0.0, 999),
+])
+def test_adjust_noise_mean_matches_oracle_bit_for_bit(distribution, feature, mu0, sigma,
+                                                      draws):
+    seed = 31 + draws
+    got = adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
+    want = _oracle_adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
+    assert got[1] == want[1] and float(got[0]).hex() == float(want[0]).hex()
+
+
 # -- mean adjustment -------------------------------------------------------------
 
 

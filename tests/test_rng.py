@@ -283,6 +283,25 @@ def test_packed_seeds_hash_like_the_seed_sequence():
         assert mix_seed(None, packed) == mix_seed(None, seeds)
 
 
+class _NoIteration(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("the seeds were iterated one by one")
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
+def test_packed_seeds_take_integer_arrays_whole(dtype):
+    seeds = [0, 1, 7, 200, 255]
+    if np.dtype(dtype).itemsize == 8:
+        seeds += [2**31 - 1, 2**62 + 3]
+    if dtype == np.uint64:
+        seeds += [2**63, 2**64 - 1]
+    array = np.array(seeds, dtype=dtype).view(_NoIteration)
+    assert PackedSeeds(array).blocks.tolist() == PackedSeeds(seeds).blocks.tolist()
+    assert PackedSeeds(array[:0]).blocks.shape == (0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PackedSeeds(np.array([3, -1], dtype=np.int64))
+
+
 def test_negative_seeds_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         mix_seed(None, [1, -1])

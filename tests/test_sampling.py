@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tabnoise.errors import ConfigError, SeedExhaustedError
 from tabnoise.pipeline import _noise_ops, apply, apply_with_stats, fit
-from tabnoise.rng import ExternalWordStream, Pcg64Stream, StreamSampler, mix_seed
+from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
     SamplingPlan,
@@ -211,10 +211,17 @@ def test_report_round_trip():
     assert SeedReport.from_dict(report.to_dict()) == report
 
 
+def _assert_packs(got, seeds):
+    """``got`` is a PackedSeeds holding exactly ``seeds``."""
+    want = PackedSeeds(seeds).blocks
+    assert isinstance(got, PackedSeeds)
+    assert got.blocks.dtype == want.dtype and got.blocks.tolist() == want.tolist()
+
+
 def test_read_seed_file(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_text("1\n22\n\n333\n")
-    assert read_seed_file(path) == [1, 22, 333]
+    _assert_packs(read_seed_file(path), [1, 22, 333])
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nxyz\n")
     with pytest.raises(ConfigError, match="line 2"):
@@ -259,24 +266,41 @@ def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, fin
     path.write_bytes(text.encode("utf-8"))
     try:
         want = _per_line_read_seed_file(path)
-    except ConfigError as exc:
-        with pytest.raises(ConfigError) as got:
-            read_seed_file(path)
-        assert str(got.value) == str(exc)
+        PackedSeeds(want)
+    except ConfigError as exc:  # a line that is not an integer
+        message = str(exc)
+    except ValueError as exc:  # an integer that is not a seed: negative, or 2**128 and up
+        message = f"{path}: {exc}"
     else:
-        got = read_seed_file(path)
-        assert got == want and all(type(seed) is int for seed in got)
+        _assert_packs(read_seed_file(path), want)
+        return
+    with pytest.raises(ConfigError) as got:
+        read_seed_file(path)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("text, seeds", [
     ("", []), ("\n\n", []), ("\r\n", []), ("5", [5]), ("\n5\n\n6", [5, 6]),
     ("1\r\n2\r\n", [1, 2]), ("1\r2\n", [1, 2]), ("007\n", [7]),
     ("9223372036854775807\n", [2**63 - 1]), ("99999999999999999999\n1\n", [10**20 - 1, 1]),
+    (f"{2**128 - 1}\n{2**64}\n", [2**128 - 1, 2**64]),
 ])
 def test_read_seed_file_edge_cases(tmp_path, text, seeds):
     path = tmp_path / "seeds.txt"
     path.write_bytes(text.encode())
-    assert read_seed_file(path) == seeds
+    _assert_packs(read_seed_file(path), seeds)
+
+
+@pytest.mark.parametrize("text, match", [
+    (f"{2**128}\n", r"2\*\*128"), (f"1\n{2**130 + 5}\n", r"2\*\*128"),
+    ("-1\n", "nonnegative"), ("7\r\n-1\r\n", "nonnegative"),
+])
+def test_read_seed_file_rejects_seeds_out_of_range(tmp_path, text, match):
+    path = tmp_path / "seeds.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ConfigError, match=match) as got:
+        read_seed_file(path)
+    assert str(got.value).startswith(f"{path}: ")
 
 
 def test_seed_of_2_128_rejected_at_plan_time():

@@ -343,3 +343,24 @@ def test_signed_zeros_and_lone_empty_fields_written_as_csv_writer_does(tmp_path)
         write_csv(table, path, include_row_index=include_row_index)
         assert path.read_bytes() == expected.read_bytes(), number
     assert (tmp_path / "out0.csv").read_bytes() == b"z\r\n0\r\n0\r\n\"\"\r\n0\r\n0\r\n"
+
+
+_FLOAT_EDGES = [-0.0, 0.0, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0, 5e-324,
+                -5e-324, 1.5, -2.0, 1e300, 0.1 + 0.2, float("nan")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(_FLOAT_EDGES),
+                                 st.floats(allow_nan=False, allow_infinity=False),
+                                 st.integers(-10**17, 10**17).map(float)), max_size=30),
+       delimiter=st.sampled_from([",", ".", "e", "-", "5", "+", ";"]),
+       lone=st.booleans())
+def test_float_fields_match_format_cell(values, delimiter, lone):
+    # the vectorized float formatting of write_csv against format_cell, one cell at a time
+    column = np.array(values + _FLOAT_EDGES, dtype=np.float64)
+    empty = '""' if lone else ""
+    texts, inverse = table_module._distinct_fields(column, delimiter, empty)
+    want = [table_module._field(format_cell(None if np.isnan(v) else v), delimiter) or empty
+            for v in column.tolist()]
+    assert texts[inverse].tolist() == want
+    assert all(type(text) is str for text in texts)
