@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TabnoiseError
+from .errors import ConfigError, TabnoiseError
 from .harness import SweepSpec, SyntheticTask, emit_curves, run_sweep
 from .pipeline import (
+    TRAINDATA_MODES,
     AugmentSpec,
     FitConfig,
     apply,
@@ -33,9 +34,9 @@ from .pipeline import (
     orig_headers_mode,
     save_basis,
 )
+from .rng import PackedSeeds
 from .sampling import (
-    GENERATOR_NAMES,
-    GeneratorSpec,
+    SAMPLING_TYPES,
     SamplingPlan,
     read_seed_file,
     rescale_budget,
@@ -46,6 +47,7 @@ from .table import load_csv, write_csv
 log = logging.getLogger("tabnoise")
 
 _FIT_KEYS = {f.name for f in fields(FitConfig)}
+_SAMPLING_KEYS = {f.name for f in fields(SamplingPlan)} - {"entropy_seeds", "os_material"}
 _CLI_CONFIG_KEYS = _FIT_KEYS | {
     "entropy_seeds", "sampling_dict", "delimiter", "missing_sentinels",
 }
@@ -70,30 +72,26 @@ def _load_config(path: str | None) -> dict:
 def _sampling_plan(config: dict, args) -> SamplingPlan:
     sampling = config.get("sampling_dict") or {}
     if not isinstance(sampling, dict):
-        raise TabnoiseError("sampling_dict must be a JSON object")
-    sampling = dict(sampling)
-    seeds = config.get("entropy_seeds") or []
+        raise ConfigError("sampling_dict must be a JSON object")
+    unknown = set(sampling) - _SAMPLING_KEYS
+    if unknown:
+        raise ConfigError(f"unknown sampling_dict keys: {sorted(unknown)}")
+    seeds = config.get("entropy_seeds", [])
+    if not isinstance(seeds, list):
+        raise ConfigError("entropy_seeds must be a list of integer seeds")
+    try:
+        seeds = PackedSeeds(seeds)
+    except ValueError as exc:
+        raise ConfigError(f"entropy_seeds: {exc}") from None
     if getattr(args, "entropy_seeds", None):
         seeds = read_seed_file(args.entropy_seeds)
+    sampling = dict(sampling)
     if getattr(args, "sampling_type", None):
         sampling["sampling_type"] = args.sampling_type
-    kwargs = {
-        "sampling_type": sampling.get("sampling_type", "default"),
-        "entropy_seeds": seeds,
-    }
-    if sampling.get("seeding_type"):
-        kwargs["seeding_type"] = sampling["seeding_type"]
-    if "stochastic_count_safety_factor" in sampling:
-        kwargs["stochastic_count_safety_factor"] = sampling["stochastic_count_safety_factor"]
-    generator = sampling.get("sampling_generator")
-    if generator:
-        if generator not in GENERATOR_NAMES:
-            raise TabnoiseError(f"unknown sampling_generator: {generator!r}")
-        kwargs["sampling_generator"] = GeneratorSpec(kind=GENERATOR_NAMES[generator])
-    extra = sampling.get("extra_seed_generator")
-    if extra:
-        kwargs["extra_seed_generator"] = "off" if extra == "off" else GENERATOR_NAMES.get(extra, extra)
-    return SamplingPlan(**kwargs)
+    try:
+        return SamplingPlan(entropy_seeds=seeds, **sampling)
+    except ConfigError as exc:
+        raise ConfigError(f"sampling_dict: {exc}") from None
 
 
 def _fit_config(config: dict) -> FitConfig:
@@ -111,12 +109,16 @@ def _echo_effective(config: dict, args) -> None:
 
 
 def _load_table(path, config: dict, args):
-    sentinels = list(config.get("missing_sentinels", []))
-    sentinels.extend(getattr(args, "missing_sentinel", None) or [])
+    delimiter = config.get("delimiter", ",")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError("delimiter must be a one-character string")
+    sentinels = config.get("missing_sentinels", [])
+    if not isinstance(sentinels, list) or not all(isinstance(v, str) for v in sentinels):
+        raise ConfigError("missing_sentinels must be a list of strings")
+    sentinels = sentinels + (getattr(args, "missing_sentinel", None) or [])
     if "" not in sentinels:
         sentinels.insert(0, "")
-    return load_csv(path, delimiter=config.get("delimiter", ","),
-                    missing_sentinels=tuple(sentinels))
+    return load_csv(path, delimiter=delimiter, missing_sentinels=tuple(sentinels))
 
 
 def cmd_fit(args) -> int:
@@ -154,11 +156,12 @@ def cmd_fit(args) -> int:
 def cmd_transform(args) -> int:
     config = _load_config(args.config)
     _echo_effective(config, args)
+    orig_headers = args.orig_headers or _fit_config(config).orig_headers
     basis = load_basis(args.basis)
     plan = _sampling_plan(config, args)
     table = _load_table(args.data, config, args)
     prepared = apply(basis, table, args.traindata, plan)
-    if args.orig_headers or config.get("orig_headers"):
+    if orig_headers:
         prepared = orig_headers_mode(prepared, basis)
     write_csv(prepared, args.out, include_row_index=True)
     log.info("wrote %s", args.out)
@@ -236,32 +239,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="increase log verbosity (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit on training data and write prepared outputs")
+    # the options fit, transform and augment share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON configuration file")
+    shared.add_argument("--entropy-seeds", help="newline-delimited integer seed file")
+    shared.add_argument("--missing-sentinel", action="append",
+                        help="treat this field value as missing on ingestion (repeatable; "
+                             "default: empty field only)")
+    shared.add_argument("--sampling-type", choices=SAMPLING_TYPES)
+
+    p_fit = sub.add_parser("fit", parents=[shared],
+                           help="fit on training data and write prepared outputs")
     p_fit.add_argument("train", help="training CSV path")
-    p_fit.add_argument("--config", help="JSON configuration file")
     p_fit.add_argument("--test", help="optional test CSV prepared on the train basis")
     p_fit.add_argument("--out-dir", required=True, help="output directory")
-    p_fit.add_argument("--entropy-seeds", help="newline-delimited integer seed file")
-    p_fit.add_argument("--missing-sentinel", action="append",
-                       help="treat this field value as missing on ingestion (repeatable; "
-                            "default: empty field only)")
-    p_fit.add_argument("--sampling-type",
-                       choices=("default", "bulk_seeds", "sampling_seed", "transform_seed"))
     p_fit.set_defaults(func=cmd_fit)
 
-    p_tr = sub.add_parser("transform", help="prepare additional data on a fitted basis")
+    p_tr = sub.add_parser("transform", parents=[shared],
+                          help="prepare additional data on a fitted basis")
     p_tr.add_argument("basis", help="basis JSON path")
     p_tr.add_argument("data", help="data CSV path")
     p_tr.add_argument("--out", required=True, help="output CSV path")
-    p_tr.add_argument("--config", help="JSON configuration file (sampling sections)")
-    p_tr.add_argument("--traindata", default="test",
-                      choices=("test", "train", "train_no_noise", "test_no_noise"),
+    p_tr.add_argument("--traindata", default="test", choices=TRAINDATA_MODES,
                       help="treat the data as train or test, optionally without noise")
-    p_tr.add_argument("--entropy-seeds", help="newline-delimited integer seed file")
-    p_tr.add_argument("--missing-sentinel", action="append",
-                      help="treat this field value as missing on ingestion (repeatable)")
-    p_tr.add_argument("--sampling-type",
-                      choices=("default", "bulk_seeds", "sampling_seed", "transform_seed"))
     p_tr.add_argument("--orig-headers", action="store_true",
                       help="restore original column headers (one-to-one plans only)")
     p_tr.set_defaults(func=cmd_transform)
@@ -274,19 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rescale the test budget to this row count (0 omits it)")
     p_rep.set_defaults(func=cmd_seed_report)
 
-    p_aug = sub.add_parser("augment", help="concatenate freshly-noised training duplicates")
+    p_aug = sub.add_parser("augment", parents=[shared],
+                           help="concatenate freshly-noised training duplicates")
     p_aug.add_argument("basis", help="basis JSON path")
     p_aug.add_argument("train", help="training CSV path")
     p_aug.add_argument("--count", required=True,
                        help="duplicate count; integer literal keeps one duplicate noiseless, "
                             "float literal (e.g. 2.0) makes all duplicates noisy")
     p_aug.add_argument("--out", required=True, help="output CSV path")
-    p_aug.add_argument("--config", help="JSON configuration file (sampling sections)")
-    p_aug.add_argument("--entropy-seeds", help="newline-delimited integer seed file")
-    p_aug.add_argument("--missing-sentinel", action="append",
-                       help="treat this field value as missing on ingestion (repeatable)")
-    p_aug.add_argument("--sampling-type",
-                       choices=("default", "bulk_seeds", "sampling_seed", "transform_seed"))
     p_aug.set_defaults(func=cmd_augment)
 
     p_sw = sub.add_parser("sweep", help="run the synthetic sensitivity harness")

@@ -181,10 +181,9 @@ def _sweep_config(task: SyntheticTask, scenario: str, axis: str, value: float,
     }
 
 
-def _rep_seeds(base_seed: int, rep: int, count: int = 4096) -> list:
+def _rep_seeds(base_seed: int, rep: int, count: int = 4096) -> np.ndarray:
     state, seq = mix_seed(b"sweep-rep", [base_seed, rep])
-    stream = Pcg64Stream(state, seq)
-    return [stream.next_word() & (2**31 - 1) for _ in range(count)]
+    return Pcg64Stream(state, seq).words(count) & np.uint64(2**31 - 1)
 
 
 def _features_and_labels(prepared: DataTable, label_column: str):

@@ -51,7 +51,6 @@ from .noise import (
     fit_protected_categoric,
     fit_protected_numeric,
     flip_boolean_direct,
-    inject_numeric,
     is_randomized_param,
     mask_noise,
     protected_ratio_vector,
@@ -139,6 +138,9 @@ class FitConfig:
         unknown = set(config) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in (key for key in config if types[key] == "bool"):
+            if not isinstance(config[key], bool):
+                raise ConfigError(f"{key} must be true or false")
         for key in (key for key in config if types[key] == "dict"):
             if not isinstance(config[key], dict):
                 raise ConfigError(f"{key} must be a JSON object")
@@ -178,9 +180,6 @@ class AppliedStep:
     output_columns: list
     payload: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "AppliedStep":
         return cls(
@@ -200,9 +199,6 @@ class ColumnPlan:
     kind: str  # feature kind
     steps: list = field(default_factory=list)
     output_columns: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnPlan":
@@ -577,48 +573,11 @@ def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.nd
     return payload
 
 
-def _numeric_noise(ctx: _Ctx, payload: dict, values, missing, tkey: str, mu_sigma):
-    """Mask and noise shared by the numeric kinds, or None when no noise fires.
-
-    ``mu_sigma(spec, phase_params)`` is the kind's choice of noise mean and
-    scale. Returns (mask, active rows, noise), with the noise already scaled
-    by the protected segment ratios when the transform has them.
-    """
-    drawn = _draw_mask(ctx, payload, missing, tkey)
-    if drawn is None:
-        return None
-    spec, pp, mask = drawn
-    mu, sigma = mu_sigma(spec, pp)
-    active = np.flatnonzero(mask)
-    noise = sample_noise(ctx.sampler(tkey, "noise"), pp["distribution"], mu, sigma, len(active))
-    if payload.get("protected"):
-        basis = ProtectedBasis.from_dict(payload["protected"])
-        cells = _protected_cells(ctx, payload["resolved"], len(values))
-        noise = noise * protected_ratio_vector(basis, cells, active)
-    return mask, active, noise
-
-
 def _fit_noise_numeric(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
     values, missing = _group_floats(group)
     payload["train_std"] = _moments(values, missing)[1]
     return _with_protected(ctx, payload, values, missing)
-
-
-def _apply_noise_numeric(ctx, payload, group, out_base, tkey):
-    values, missing = _group_floats(group)
-
-    def mu_sigma(spec, pp):
-        if spec.rescale_sigmas:
-            return pp["mu"], rescale_sigma_passthrough(pp["sigma"], payload["train_std"])
-        return pp["mu"], pp["sigma"]
-
-    drawn = _numeric_noise(ctx, payload, values, missing, tkey, mu_sigma)
-    out = values.copy()
-    if drawn is not None:
-        mask, _, noise = drawn
-        out = inject_numeric(values, mask, noise)
-    return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
 
 
 def _fit_noise_scaled(ctx, group, params, tkey):
@@ -644,18 +603,35 @@ def _fit_noise_scaled(ctx, group, params, tkey):
     return _with_protected(ctx, payload, values, missing)
 
 
-def _apply_noise_scaled(ctx, payload, group, out_base, tkey):
+def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
+    """Numeric noise on the masked rows.
+
+    ``noise_numeric`` adds the drawn noise, its sigma rescaled by the training
+    standard deviation under ``rescale_sigmas``; ``noise_scaled`` (``scaled``)
+    draws around the calibrated noise mean and shrinks the noise so values
+    stay in [0, 1]. Protected segment ratios scale the noise first.
+    """
     values, missing = _group_floats(group)
-
-    def mu_sigma(spec, pp):
-        adjusted = payload.get(f"mu_adjusted_{ctx.phase}")
-        return (pp["mu"] if adjusted is None else adjusted), pp["sigma"]
-
-    drawn = _numeric_noise(ctx, payload, values, missing, tkey, mu_sigma)
     out = values.copy()
+    drawn = _draw_mask(ctx, payload, missing, tkey)
     if drawn is not None:
-        _, active, noise = drawn
-        out[active] = values[active] + scale_noise_minmax(noise, values[active])
+        spec, pp, mask = drawn
+        mu, sigma = pp["mu"], pp["sigma"]
+        if scaled:
+            adjusted = payload.get(f"mu_adjusted_{ctx.phase}")
+            mu = mu if adjusted is None else adjusted
+        elif spec.rescale_sigmas:
+            sigma = rescale_sigma_passthrough(sigma, payload["train_std"])
+        active = np.flatnonzero(mask)
+        noise = sample_noise(ctx.sampler(tkey, "noise"), pp["distribution"], mu, sigma,
+                             len(active))
+        if payload.get("protected"):
+            basis = ProtectedBasis.from_dict(payload["protected"])
+            cells = _protected_cells(ctx, payload["resolved"], len(values))
+            noise = noise * protected_ratio_vector(basis, cells, active)
+        if scaled:
+            noise = scale_noise_minmax(noise, values[active])
+        out[active] += noise
     return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
 
 
@@ -743,20 +719,17 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
     return _emit_codes(group, basis, encoding, new_codes, out_names, out_base, flipped)
 
 
-def _apply_noise_swap(ctx, payload, group, out_base, tkey):
-    _, out = group.columns[0]
-    drawn = _draw_mask(ctx, payload, group.missing, tkey)
-    if drawn is not None:
-        out = swap_noise(out, drawn[2], ctx.sampler(tkey, "swap"))
-    return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
-
-
-def _apply_noise_mask(ctx, payload, group, out_base, tkey):
+def _apply_noise_rows(ctx, payload, group, out_base, tkey):
+    """Swap noise (masked rows trade values) or, when no swap is declared, mask
+    noise (masked rows take ``mask_value``)."""
     _, out = group.columns[0]
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
     if drawn is not None:
         spec, _, mask = drawn
-        out = mask_noise(out, mask, spec.mask_value)
+        if "swap" in ctx.declared:
+            out = swap_noise(out, mask, ctx.sampler(tkey, "swap"))
+        else:
+            out = mask_noise(out, mask, spec.mask_value)
     return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
 
@@ -773,11 +746,11 @@ _TRANSFORMS = {
     "passthrough_vocab": (partial(_fit_categoric, "passthrough"), _apply_passthrough),
     "stdbins": (_fit_stdbins, _apply_stdbins),
     "missing_marker": (_no_payload, _apply_missing_marker),
-    "noise_numeric": (_fit_noise_numeric, _apply_noise_numeric),
-    "noise_scaled": (_fit_noise_scaled, _apply_noise_scaled),
+    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False)),
+    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True)),
     "noise_flip": (_fit_noise_flip, _apply_noise_flip),
-    "noise_swap": (_noise_payload, _apply_noise_swap),
-    "noise_mask": (_noise_payload, _apply_noise_mask),
+    "noise_swap": (_noise_payload, _apply_noise_rows),
+    "noise_mask": (_noise_payload, _apply_noise_rows),
 }
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,12 +38,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U53_SCALE = 2.0 ** -53
 
 _SEED_DOMAIN = b"tabnoise.seed.v1"
-
-# The numpy PCG64 that Pcg64Stream.words loads each stream's state into; it is
-# built on first use, so importing the package leaves numpy.random unloaded.
-_shared_pcg = None
-_shared_pcg_lock = threading.Lock()
-
 
 _SEED_LIMIT = 1 << 128  # a seed fills one 16-byte little-endian block
 _NOT_A_SEED = "entropy seeds must be nonnegative integers"
@@ -159,38 +152,29 @@ def _mix_blocks(os_entropy: bytes | None, blocks: np.ndarray) -> np.ndarray:
 class Pcg64Stream:
     """PCG with 128-bit LCG state and XSL-RR output of 64-bit words.
 
-    The state lives in Python ints, so building a stream and drawing single
-    words stays cheap; bulk draws load that state into a shared numpy
-    ``PCG64``, which computes the same words, and store the advanced state back.
+    The words come from a numpy ``PCG64`` of the stream's own, seeded with
+    ``(initstate + inc) mod 2**128`` and stepped once, as the reference
+    seeding does.
     """
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_bitgen",)
 
     def __init__(self, initstate: int, initseq: int = 0):
-        self._inc = ((initseq & _MASK64) << 1) | 1
-        self._state = (initstate + self._inc) & _MASK128
-        self.next_word()
+        inc = ((initseq & _MASK64) << 1) | 1
+        self._bitgen = np.random.PCG64(0)
+        self._bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (initstate + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bitgen.random_raw()
 
     def next_word(self) -> int:
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        xored = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        return ((xored >> rot) | (xored << (64 - rot))) & _MASK64
+        return int(self._bitgen.random_raw())
 
     def words(self, n: int) -> np.ndarray:
-        global _shared_pcg
-        with _shared_pcg_lock:
-            if _shared_pcg is None:
-                _shared_pcg = np.random.PCG64(0)
-            _shared_pcg.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": self._state, "inc": self._inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            out = _shared_pcg.random_raw(n)
-            self._state = _shared_pcg.state["state"]["state"]
-        return out
+        return self._bitgen.random_raw(n)
 
 
 _M32 = np.uint64(0xFFFFFFFF)

@@ -68,6 +68,15 @@ class GeneratorSpec:
             raise ConfigError("external generator requires a word source")
 
 
+def _generator_spec(key: str, value) -> GeneratorSpec:
+    """``value`` as a :class:`GeneratorSpec`: one already, or a name in ``GENERATOR_NAMES``."""
+    if isinstance(value, GeneratorSpec):
+        return value
+    if isinstance(value, str) and value in GENERATOR_NAMES:
+        return GeneratorSpec(kind=GENERATOR_NAMES[value])
+    raise ConfigError(f"unknown {key}: {value!r} (accepted: {', '.join(GENERATOR_NAMES)})")
+
+
 @dataclass
 class SamplingPlan:
     sampling_type: str = "default"
@@ -75,7 +84,8 @@ class SamplingPlan:
     # any sequence of int-like seeds; held as PackedSeeds once the plan is built
     entropy_seeds: Sequence[int] | PackedSeeds = field(default_factory=list)
     stochastic_count_safety_factor: float = 0.15
-    sampling_generator: GeneratorSpec = field(default_factory=GeneratorSpec)
+    # generators: a GeneratorSpec or a name in GENERATOR_NAMES; "off" or None: no extra one
+    sampling_generator: GeneratorSpec | str = field(default_factory=GeneratorSpec)
     extra_seed_generator: GeneratorSpec | str | None = None
     os_material: bytes | None = None  # injectable for reproducible tests
 
@@ -88,8 +98,15 @@ class SamplingPlan:
             )
         if self.seeding_type not in SEEDING_TYPES:
             raise ConfigError(f"unknown seeding_type: {self.seeding_type!r}")
-        if not 0.0 <= self.stochastic_count_safety_factor <= 1.0:
-            raise ConfigError("stochastic_count_safety_factor must be in [0, 1]")
+        factor = self.stochastic_count_safety_factor
+        if not isinstance(factor, (int, float)) or not 0.0 <= factor <= 1.0:
+            raise ConfigError("stochastic_count_safety_factor must be a number in [0, 1]")
+        self.sampling_generator = _generator_spec("sampling_generator", self.sampling_generator)
+        if self.extra_seed_generator == "off":
+            self.extra_seed_generator = None
+        elif self.extra_seed_generator is not None:
+            self.extra_seed_generator = _generator_spec("extra_seed_generator",
+                                                        self.extra_seed_generator)
         if not isinstance(self.entropy_seeds, PackedSeeds):
             try:
                 self.entropy_seeds = PackedSeeds(self.entropy_seeds)
@@ -192,13 +209,7 @@ class StreamManager:
             return self._extra
         self._extra_built = True
         spec = self.plan.extra_seed_generator
-        if spec is None or spec == "off":
-            self._extra = None
-        else:
-            if isinstance(spec, str):
-                if spec not in GENERATOR_NAMES:
-                    raise ConfigError(f"unknown extra_seed_generator: {spec!r}")
-                spec = GeneratorSpec(kind=GENERATOR_NAMES[spec])
+        if spec is not None:
             state, seq = mix_seed(self._os_material + b"extra", self._bank)
             self._extra = make_stream(spec.kind, state, seq, spec.external)
         return self._extra

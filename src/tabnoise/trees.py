@@ -80,9 +80,6 @@ class FamilyTree:
                 raise ConfigError(f"{name} must be a list of category names")
         return cls(**{k: tuple(v) for k, v in data.items()})
 
-    def to_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
 
 @dataclass
 class ProcessEntry:
@@ -225,41 +222,29 @@ def apply_root_category(catalog: TransformCatalog, root: str, input_ref, executo
     and returns the output ref; the walker handles ordering, recursion, and
     replace/supplement column retention.
     """
-    tree = catalog.tree(root)
-    results = []
-    input_retained = True
-    for name, replaces, offspring in UPSTREAM_PRIMITIVES:
-        for category in getattr(tree, name):
-            out_ref = executor(category, input_ref)
-            if replaces:
-                input_retained = False
-            if offspring:
-                results.extend(_descend(catalog, category, out_ref, executor, 1))
-            else:
-                results.append(out_ref)
-    if input_retained:
-        results.insert(0, input_ref)
-    return results
+    return _walk(catalog, catalog.tree(root), UPSTREAM_PRIMITIVES, input_ref, executor, 0)
 
 
-def _descend(catalog: TransformCatalog, category: str, ref, executor, depth: int):
-    if depth > DEPTH_LIMIT:
-        raise ConfigError(
-            f"family tree recursion exceeded depth {DEPTH_LIMIT} at {category!r}; "
-            "check for cyclic definitions"
-        )
-    tree = catalog.tree_or_empty(category)
+def _walk(catalog: TransformCatalog, tree: FamilyTree, primitives, ref, executor, depth: int):
+    """Run ``primitives`` of ``tree`` on ``ref``; offspring walk their own trees'
+    downstream primitives, one level deeper."""
     results = []
     retained = True
-    for name, replaces, offspring in DOWNSTREAM_PRIMITIVES:
-        for child in getattr(tree, name):
-            out_ref = executor(child, ref)
+    for name, replaces, offspring in primitives:
+        for category in getattr(tree, name):
+            out_ref = executor(category, ref)
             if replaces:
                 retained = False
-            if offspring:
-                results.extend(_descend(catalog, child, out_ref, executor, depth + 1))
-            else:
+            if not offspring:
                 results.append(out_ref)
+                continue
+            if depth >= DEPTH_LIMIT:
+                raise ConfigError(
+                    f"family tree recursion exceeded depth {DEPTH_LIMIT} at {category!r}; "
+                    "check for cyclic definitions"
+                )
+            results.extend(_walk(catalog, catalog.tree_or_empty(category),
+                                 DOWNSTREAM_PRIMITIVES, out_ref, executor, depth + 1))
     if retained:
         results.insert(0, ref)
     return results
@@ -376,10 +361,6 @@ _NOISE_STEMS = {
 # Passthrough-style stems keep original data untouched apart from noise:
 # their trees carry no missing-data marker aggregation.
 _PASSTHROUGH_STEMS = ("ne", "pc", "se", "sk")
-
-NOISE_ROOTS = tuple(
-    prefix + stem for prefix in ROOT_PREFIX_POLICY for stem in _NOISE_STEMS
-)
 
 
 def builtin_catalog() -> TransformCatalog:

@@ -154,6 +154,19 @@ def test_transform_missing_column_exit_2(workdir, caplog):
     assert any("cat" in r.message for r in caplog.records)
 
 
+def test_transform_non_boolean_orig_headers_exit_2(workdir, caplog):
+    _fit(workdir)
+    _with_config(workdir, orig_headers="yes")
+    code = main([
+        "transform", str(workdir / "out" / "basis.json"), str(workdir / "train.csv"),
+        "--out", str(workdir / "x.csv"),
+        "--config", str(workdir / "config.json"),
+    ])
+    assert code == 2
+    assert any("orig_headers" in r.message for r in caplog.records)
+    assert not (workdir / "x.csv").exists()
+
+
 def test_transform_repeated_batches_consistent_basis(workdir):
     _fit(workdir)
     outputs = []
@@ -323,6 +336,14 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("sampling_dict", "x"),
     ("processdict", {"mynb": {"functionpointer": "DPnb", "defaultparams": "x"}}),
     ("transformdict", {"mynb": {"parents": 5}}),
+    ("sampling_dict", {"extra_seed_generator": "PCG65"}),
+    ("sampling_dict", {"sampling_typ": "bulk_seeds"}),
+    ("sampling_dict", {"stochastic_count_safety_factor": "x"}),
+    ("sampling_dict", {"sampling_generator": ["PCG64"]}),
+    ("entropy_seeds", "123"),
+    ("delimiter", ";;"), ("delimiter", 5),
+    ("missing_sentinels", "NA"), ("missing_sentinels", 5),
+    ("shuffletrain", "no"), ("orig_headers", "yes"),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})

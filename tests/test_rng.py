@@ -99,7 +99,7 @@ def test_golden_words_interleaved(cls):
 
 
 def test_pcg_words_from_many_threads():
-    # streams in different threads share one numpy PCG64 for bulk draws
+    # streams drawn from in different threads keep their words apart
     seeds = range(6)
     expected = {s: Pcg64Stream(*mix_seed(None, [s])).words(64 * 40) for s in seeds}
     results = {}
@@ -528,9 +528,11 @@ def test_limb_pcg_step_matches_pcg64_stream(stepped, seq):
     inc = (seq << 1) | 1
     state = ((stepped - inc) * _MULT_INVERSE) % 2**128
     stream = Pcg64Stream(0, 0)
-    stream._state, stream._inc = state, inc
+    bitgen_state = stream._bitgen.state
+    bitgen_state["state"] = {"state": state, "inc": inc}
+    stream._bitgen.state = bitgen_state
     want = stream.next_word()
-    assert stream._state == stepped
+    assert stream._bitgen.state["state"]["state"] == stepped
     limbs = _limb_array([state])
     inc_limbs = _limb_array([inc])
     got_state = _lcg(limbs, _PCG_MULT_LIMBS, inc_limbs)
