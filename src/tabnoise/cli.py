@@ -16,8 +16,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
@@ -42,15 +43,19 @@ from .sampling import (
     rescale_budget,
     write_seed_report,
 )
+from .schema import typed
 from .table import load_csv, write_csv
 
 log = logging.getLogger("tabnoise")
 
 _FIT_KEYS = {f.name for f in fields(FitConfig)}
 _SAMPLING_KEYS = {f.name for f in fields(SamplingPlan)} - {"entropy_seeds", "os_material"}
-_CLI_CONFIG_KEYS = _FIT_KEYS | {
-    "entropy_seeds", "sampling_dict", "delimiter", "missing_sentinels",
-}
+
+
+# the config keys the CLI reads itself; FitConfig checks the others
+_CliConfig = TypedDict("_CliConfig", {"entropy_seeds": list[int], "sampling_dict": dict,
+                                      "delimiter": str, "missing_sentinels": list[str]},
+                       total=False)
 
 
 def _load_config(path: str | None) -> dict:
@@ -61,37 +66,28 @@ def _load_config(path: str | None) -> dict:
             config = json.load(handle)
         except json.JSONDecodeError as exc:
             raise TabnoiseError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(config, dict):
-        raise TabnoiseError(f"{path}: config must be a JSON object")
-    unknown = set(config) - _CLI_CONFIG_KEYS
-    if unknown:
-        raise TabnoiseError(f"{path}: unknown config keys: {sorted(unknown)}")
+    own = {k: v for k, v in typed(dict, config, "config", ConfigError).items() if k not in _FIT_KEYS}
+    typed(_CliConfig, own, "config", ConfigError)
     return config
 
 
 def _sampling_plan(config: dict, args) -> SamplingPlan:
-    sampling = config.get("sampling_dict") or {}
-    if not isinstance(sampling, dict):
-        raise ConfigError("sampling_dict must be a JSON object")
+    sampling = dict(config.get("sampling_dict", {}))
     unknown = set(sampling) - _SAMPLING_KEYS
     if unknown:
-        raise ConfigError(f"unknown sampling_dict keys: {sorted(unknown)}")
-    seeds = config.get("entropy_seeds", [])
-    if not isinstance(seeds, list):
-        raise ConfigError("entropy_seeds must be a list of integer seeds")
+        raise ConfigError(f"config.sampling_dict: unknown keys {sorted(unknown)}")
     try:
-        seeds = PackedSeeds(seeds)
+        seeds = PackedSeeds(config.get("entropy_seeds", []))
     except ValueError as exc:
-        raise ConfigError(f"entropy_seeds: {exc}") from None
+        raise ConfigError(f"config.entropy_seeds: {exc}") from None
     if getattr(args, "entropy_seeds", None):
         seeds = read_seed_file(args.entropy_seeds)
-    sampling = dict(sampling)
     if getattr(args, "sampling_type", None):
         sampling["sampling_type"] = args.sampling_type
     try:
         return SamplingPlan(entropy_seeds=seeds, **sampling)
-    except ConfigError as exc:
-        raise ConfigError(f"sampling_dict: {exc}") from None
+    except ConfigError as exc:  # it names the option
+        raise ConfigError(f"config.sampling_dict.{exc}") from None
 
 
 def _fit_config(config: dict) -> FitConfig:
@@ -110,11 +106,9 @@ def _echo_effective(config: dict, args) -> None:
 
 def _load_table(path, config: dict, args):
     delimiter = config.get("delimiter", ",")
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError("delimiter must be a one-character string")
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ConfigError("config.delimiter: must be one character, not a quote or a line break")
     sentinels = config.get("missing_sentinels", [])
-    if not isinstance(sentinels, list) or not all(isinstance(v, str) for v in sentinels):
-        raise ConfigError("missing_sentinels must be a list of strings")
     sentinels = sentinels + (getattr(args, "missing_sentinel", None) or [])
     if "" not in sentinels:
         sentinels.insert(0, "")
@@ -180,7 +174,7 @@ def cmd_seed_report(args) -> int:
             },
             "transform_seed": {"total": report.transform_seed_total},
         },
-        "report": report.to_dict(),
+        "report": asdict(report),
     }
     bulk = budgets["sampling_type"]["bulk_seeds"]
     if args.rows_train:

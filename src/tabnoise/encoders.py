@@ -8,17 +8,16 @@ vocabularies give missing its own entry for encoding while keeping a zero
 frequency so it never participates in noise replacement.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .table import Cell, cells_of, sort_cells
 
-NUMERIC_KINDS = ("zscore", "minmax", "retain", "passthrough")
-CATEGORIC_ENCODINGS = ("ordinal", "boolean", "onehot", "binarized", "passthrough")
+NumericKind = Literal["zscore", "minmax", "retain", "passthrough"]
+CategoricEncoding = Literal["ordinal", "boolean", "onehot", "binarized", "passthrough"]
 
 UNKNOWN_CODE = 0  # reserved ordinal slot for values unseen in training
 
@@ -38,19 +37,10 @@ class NumericBasis:
     std: float = 0.0
     min: float = 0.0
     max: float = 0.0
-    kind: str = "zscore"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NumericBasis":
-        return cls(**data)
+    kind: NumericKind = "zscore"
 
 
-def fit_numeric(cells, kind: str) -> NumericBasis:
-    if kind not in NUMERIC_KINDS:
-        raise ValueError(f"unknown numeric kind: {kind!r}")
+def fit_numeric(cells, kind: NumericKind) -> NumericBasis:
     values, missing = column_as_floats(cells)
     present = values[~missing]
     if len(present) == 0:
@@ -104,9 +94,9 @@ class CategoricBasis:
     ``missing_code`` is the extra code len(vocabulary)+1.
     """
 
-    vocabulary: list = field(default_factory=list)
-    frequencies: list = field(default_factory=list)
-    encoding: str = "ordinal"
+    vocabulary: list[str | float] = field(default_factory=list)
+    frequencies: list[int] = field(default_factory=list)
+    encoding: CategoricEncoding = "ordinal"
     missing_code: int | None = None
 
     @property
@@ -130,22 +120,8 @@ class CategoricBasis:
     def __post_init__(self):
         self._index = {value: i for i, value in enumerate(self.vocabulary)}
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CategoricBasis":
-        return cls(
-            vocabulary=list(data["vocabulary"]),
-            frequencies=list(data["frequencies"]),
-            encoding=data["encoding"],
-            missing_code=data["missing_code"],
-        )
-
-
-def fit_categoric(cells, encoding: str = "ordinal") -> CategoricBasis:
-    if encoding not in CATEGORIC_ENCODINGS:
-        raise ValueError(f"unknown categoric encoding: {encoding!r}")
+def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBasis:
     counts: dict = {}
     saw_missing = False
     for cell in cells_of(cells):

@@ -21,15 +21,14 @@ secant step on the post-scaling mean measured by Monte Carlo on the training
 distribution.
 """
 
-from __future__ import annotations
-
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Literal, TypedDict, Union, get_args
 
 import numpy as np
 
 from .errors import ConfigError
-from .rng import NOISE_DISTRIBUTIONS
+from .rng import NOISE_DISTRIBUTIONS, NoiseDistribution
 
 CALIBRATION_DRAWS = 100_000
 
@@ -49,8 +48,8 @@ class NoiseSpec:
     test_sigma: float = 0.03
     mu: float = 0.0
     test_mu: float = 0.0
-    noisedistribution: str = "normal"
-    test_noisedistribution: str = "normal"
+    noisedistribution: NoiseDistribution = "normal"
+    test_noisedistribution: NoiseDistribution = "normal"
     weighted: bool = True
     test_weighted: bool = True
     rescale_sigmas: bool = True
@@ -72,25 +71,44 @@ class NoiseSpec:
             raise ConfigError("sigma must be nonnegative")
 
     def phase_params(self, phase: str) -> dict:
-        """Effective (fires, flip_prob, mu, sigma, distribution, weighted) for a phase."""
-        if phase == "train":
-            return {
-                "fires": self.trainnoise,
-                "flip_prob": self.flip_prob,
-                "mu": self.mu,
-                "sigma": self.sigma,
-                "distribution": self.noisedistribution,
-                "weighted": self.weighted,
-            }
-        flip = self.test_flip_prob if self.test_flip_prob is not None else self.flip_prob
-        return {
-            "fires": self.testnoise,
-            "flip_prob": flip,
-            "mu": self.test_mu,
-            "sigma": self.test_sigma,
-            "distribution": self.test_noisedistribution,
-            "weighted": self.test_weighted,
-        }
+        """Effective fires, flip_prob, mu, sigma, noisedistribution and weighted for a phase."""
+        prefix = "" if phase == "train" else "test_"
+        pp = {name: getattr(self, prefix + name) for name in _PHASE_FIELDS}
+        pp["fires"] = getattr(self, f"{phase}noise")
+        if pp["flip_prob"] is None:  # an unset test_flip_prob matches flip_prob
+            pp["flip_prob"] = self.flip_prob
+        return pp
+
+
+# NoiseSpec fields with a test_ variant, which phase_params reads by phase
+_PHASE_FIELDS = ("flip_prob", "mu", "sigma", "noisedistribution", "weighted")
+# flags are never randomized: a list or a mapping is not resolved for them
+NOISE_FLAG_FIELDS = ("trainnoise", "testnoise", "retain_basis", "protected_feature",
+                     "rescale_sigmas", "noise_scaling_bias_offset", "direct_flip", "swap_noise")
+
+
+class ParamDraw(TypedDict("_Draw", {"distribution": Literal["normal", "laplace", "uniform"]}),
+                total=False):
+    """A parameter randomized by one draw from a distribution (see resolve_param)."""
+
+    mu: float
+    sigma: float
+    low: float
+    high: float
+
+
+def _param_hint(name: str, hint):
+    """A parameter as configured: fixed, or unless a flag, candidates or for a number a draw."""
+    if name in NOISE_FLAG_FIELDS:
+        return hint
+    draw = (ParamDraw,) if float in (get_args(hint) or (hint,)) else ()
+    return Union[(hint, list[hint], *draw)]
+
+
+_SPEC_HINTS = {f.name: f.type for f in fields(NoiseSpec)}
+PARAM_HINTS = {name: _param_hint(name, hint) for name, hint in _SPEC_HINTS.items()}
+ResolvedParams = TypedDict("ResolvedParams", _SPEC_HINTS, total=False)
+RawParams = TypedDict("RawParams", PARAM_HINTS, total=False)
 
 
 def sample_bernoulli_mask(sampler, n: int, p: float, missing_mask=None) -> np.ndarray:
@@ -113,6 +131,7 @@ def sample_noise(sampler, distribution: str, mu: float, sigma: float, count: int
 
 
 def inject_numeric(scaled: np.ndarray, mask: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """A copy of ``scaled`` with ``noise`` added to the activated entries, in order."""
     active = np.flatnonzero(mask)
     if len(active) != len(noise):
         raise ValueError(
@@ -288,23 +307,12 @@ class ProtectedBasis:
     aggregate frequency table).
     """
 
-    ratios: dict = field(default_factory=dict)
-    segment_frequencies: dict = field(default_factory=dict)
-    flagged_segments: list = field(default_factory=list)
+    ratios: dict[str, float] = field(default_factory=dict)
+    segment_frequencies: dict[str, list[float]] = field(default_factory=dict)
+    flagged_segments: list[str] = field(default_factory=list)
 
     def ratio_for(self, segment_key: str) -> float:
         return self.ratios.get(segment_key, 1.0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProtectedBasis":
-        return cls(
-            ratios=dict(data["ratios"]),
-            segment_frequencies={k: list(v) for k, v in data["segment_frequencies"].items()},
-            flagged_segments=list(data["flagged_segments"]),
-        )
 
 
 def _segment_key(cell) -> str:

@@ -23,18 +23,18 @@ with each transform's train/test flags decides where noise fires:
     test_no_noise   none (encodings identical to test mode)
 """
 
-from __future__ import annotations
-
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from typing import Literal, TypedDict
 
 import numpy as np
 
 from .encoders import (
     GRID_CODECS,
     CategoricBasis,
+    CategoricEncoding,
     NumericBasis,
     apply_categoric,
     apply_numeric,
@@ -45,12 +45,16 @@ from .encoders import (
 )
 from .errors import BasisFormatError, ConfigError, SchemaError
 from .noise import (
+    NOISE_FLAG_FIELDS,
     NoiseSpec,
     ProtectedBasis,
+    RawParams,
+    ResolvedParams,
     adjust_noise_mean,
     fit_protected_categoric,
     fit_protected_numeric,
     flip_boolean_direct,
+    inject_numeric,
     is_randomized_param,
     mask_noise,
     protected_ratio_vector,
@@ -64,6 +68,7 @@ from .noise import (
     weighted_flip,
 )
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
+from .schema import prepare, typed
 from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
 from .trees import (
     KIND_PARAMS,
@@ -84,10 +89,7 @@ _POWERTRANSFORM_STEMS = {
     "1": {"numeric": "nb", "boolean_categoric": "bn", "categoric": "10"},
     "2": {"numeric": "rt", "boolean_categoric": "bn", "categoric": "od"},
 }
-
-_NOISE_FLAG_FIELDS = ("trainnoise", "testnoise", "retain_basis", "protected_feature",
-                      "rescale_sigmas", "noise_scaling_bias_offset", "direct_flip",
-                      "swap_noise")
+PowerTransform = Literal["DP1", "DP2", "DT1", "DT2", "DB1", "DB2"]
 
 
 @dataclass
@@ -122,52 +124,26 @@ class AugmentSpec:
 class FitConfig:
     labels_column: str | None = None
     validation_ratio: float = 0.0
-    powertransform: str | None = None
+    powertransform: PowerTransform | None = None
     shuffletrain: bool = True
     orig_headers: bool = False
-    assigncat: dict = field(default_factory=dict)
-    assignparam: dict = field(default_factory=dict)
-    transformdict: dict = field(default_factory=dict)
-    processdict: dict = field(default_factory=dict)
-    noise_augment: float | int = 0
+    assigncat: dict[str, str | list[str]] = field(default_factory=dict)
+    # checked entry by entry when fit reads them (see trees)
+    assignparam: dict[str, dict] = field(default_factory=dict)
+    transformdict: dict[str, dict] = field(default_factory=dict)
+    processdict: dict[str, dict] = field(default_factory=dict)
+    noise_augment: float = 0
 
     @classmethod
     def from_dict(cls, config: dict | None) -> "FitConfig":
-        config = dict(config or {})
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(config) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in (key for key in config if types[key] == "bool"):
-            if not isinstance(config[key], bool):
-                raise ConfigError(f"{key} must be true or false")
-        for key in (key for key in config if types[key] == "dict"):
-            if not isinstance(config[key], dict):
-                raise ConfigError(f"{key} must be a JSON object")
-            for name, entry in config[key].items():
-                if key == "assigncat":
-                    names = entry if isinstance(entry, list) else [entry]
-                    valid, want = all(isinstance(c, str) for c in names), "a column name or a list"
-                elif key == "assignparam" and name != "global_assignparam":
-                    valid = isinstance(entry, dict) and all(isinstance(v, dict)
-                                                            for v in entry.values())
-                    want = "a JSON object of objects"
-                else:
-                    valid, want = isinstance(entry, dict), "a JSON object"
-                if not valid:
-                    raise ConfigError(f"{key} entry {name!r} must be {want}")
-        cfg = cls(**config)
-        ratio = cfg.validation_ratio
-        if not isinstance(ratio, (int, float)) or not 0.0 <= ratio < 1.0:
-            raise ConfigError("validation_ratio must be a number in [0, 1)")
+        # keys the config leaves out take their defaults
+        cfg = typed(cls, {**asdict(cls()), **(config or {})}, "config", ConfigError)
+        if not 0.0 <= cfg.validation_ratio < 1.0:
+            raise ConfigError("config.validation_ratio: must be in [0, 1)")
         try:
             AugmentSpec.from_literal(str(cfg.noise_augment))
         except ConfigError as exc:
-            raise ConfigError(f"noise_augment: {exc}") from None
-        if cfg.powertransform is not None:
-            prefix, digit = str(cfg.powertransform)[:2], str(cfg.powertransform)[2:]
-            if prefix not in ("DP", "DT", "DB") or digit not in _POWERTRANSFORM_STEMS:
-                raise ConfigError(f"unknown powertransform mode: {cfg.powertransform!r}")
+            raise ConfigError(f"config.noise_augment: {exc}") from None
         return cfg
 
 
@@ -177,19 +153,8 @@ class AppliedStep:
     kind: str
     input_base: str
     output_base: str
-    output_columns: list
-    payload: dict
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AppliedStep":
-        return cls(
-            category=data["category"],
-            kind=data["kind"],
-            input_base=data["input_base"],
-            output_base=data["output_base"],
-            output_columns=list(data["output_columns"]),
-            payload=data["payload"],
-        )
+    output_columns: list[str]
+    payload: dict  # as the kind declares it in _TRANSFORMS
 
 
 @dataclass
@@ -197,18 +162,8 @@ class ColumnPlan:
     input_column: str
     root: str
     kind: str  # feature kind
-    steps: list = field(default_factory=list)
-    output_columns: list = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ColumnPlan":
-        return cls(
-            input_column=data["input_column"],
-            root=data["root"],
-            kind=data["kind"],
-            steps=[AppliedStep.from_dict(s) for s in data["steps"]],
-            output_columns=list(data["output_columns"]),
-        )
+    steps: list[AppliedStep] = field(default_factory=list)
+    output_columns: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -216,15 +171,15 @@ class TransformBasis:
     """Everything fitted: schema, per-column plans, resolved params, seed report."""
 
     format_version: str = BASIS_FORMAT_VERSION
-    input_columns: list = field(default_factory=list)
+    input_columns: list[str] = field(default_factory=list)
     label_column: str | None = None
-    column_plans: dict = field(default_factory=dict)
+    column_plans: dict[str, ColumnPlan] = field(default_factory=dict)
     seed_report: SeedReport = field(default_factory=SeedReport)
     shuffletrain: bool = True
     validation_ratio: float = 0.0
-    validation_row_index: list = field(default_factory=list)
-    transformdict: dict = field(default_factory=dict)
-    processdict: dict = field(default_factory=dict)
+    validation_row_index: list[int] = field(default_factory=list)
+    transformdict: dict[str, dict] = field(default_factory=dict)  # as the config wrote them
+    processdict: dict[str, dict] = field(default_factory=dict)
 
     def plan_for(self, column: str) -> ColumnPlan:
         return self.column_plans[column]
@@ -246,32 +201,6 @@ class TransformBasis:
                 if step.kind in NOISE_KINDS:
                     keys.append(_transform_key(column, idx))
         return keys
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransformBasis":
-        version = data.get("format_version")
-        if version != BASIS_FORMAT_VERSION:
-            raise BasisFormatError(
-                f"basis version {version!r} is not supported (expected {BASIS_FORMAT_VERSION!r})"
-            )
-        try:
-            return cls(
-                format_version=version,
-                input_columns=list(data["input_columns"]),
-                label_column=data["label_column"],
-                column_plans={c: ColumnPlan.from_dict(p) for c, p in data["column_plans"].items()},
-                seed_report=SeedReport.from_dict(data["seed_report"]),
-                shuffletrain=data["shuffletrain"],
-                validation_ratio=data["validation_ratio"],
-                validation_row_index=list(data["validation_row_index"]),
-                transformdict=data.get("transformdict", {}),
-                processdict=data.get("processdict", {}),
-            )
-        except KeyError as exc:
-            raise BasisFormatError(f"basis is missing the key {exc.args[0]!r}") from None
 
 
 @dataclass
@@ -394,15 +323,11 @@ def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
     resolved = {}
     randomized = []
     for name, value in raw.items():
-        if name not in _NOISE_FLAG_FIELDS and is_randomized_param(value):
+        if name not in NOISE_FLAG_FIELDS and is_randomized_param(value):
             randomized.append(name)
             value = resolve_param(value, ctx.sampler(tkey, "resolve"))
         resolved[name] = value
     return {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
-
-
-def _spec_from(resolved: dict) -> NoiseSpec:
-    return NoiseSpec(**{k: v for k, v in resolved.items() if k in _NOISE_FIELD_ORDER})
 
 
 # The draw each noise kind makes over a mask's activations; noise_flip picks its own.
@@ -427,7 +352,7 @@ def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) ->
       ``swap``, or for flip noise ``flip`` (weighted), ``swap``, or none for
       ``direct_flip``, which skips the draw only on a boolean encoding.
     """
-    spec = _spec_from(payload["resolved"])
+    spec = NoiseSpec(**payload["resolved"])
     resolves = [("resolve", 1, False)] * len(payload.get("randomized_fields", []))
     ops = []
     if fitting:
@@ -462,7 +387,7 @@ def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
         for name in payload["randomized_fields"]:
             effective[name] = resolve_param(payload["params_raw"][name],
                                             ctx.sampler(tkey, "resolve"))
-    spec = _spec_from(effective)
+    spec = NoiseSpec(**effective)
     pp = spec.phase_params(ctx.phase)
     mask = sample_bernoulli_mask(ctx.sampler(tkey, "mask"), len(missing), pp["flip_prob"],
                                  missing)
@@ -495,13 +420,12 @@ def _moments(values: np.ndarray, missing: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_numeric(kind, ctx, group, params, tkey):
-    return {"numeric_basis": fit_numeric(_group_cells(group), kind).to_dict()}
+    return {"numeric_basis": fit_numeric(_group_cells(group), kind)}
 
 
 def _apply_numeric(ctx, payload, group, out_base, tkey):
-    basis = NumericBasis.from_dict(payload["numeric_basis"])
-    values, missing = apply_numeric(basis, _group_cells(group))
-    return _single(out_base, values, missing, {"numeric_basis": payload["numeric_basis"]})
+    values, missing = apply_numeric(payload["numeric_basis"], _group_cells(group))
+    return _single(out_base, values, missing)
 
 
 def _fit_categoric(encoding, ctx, group, params, tkey):
@@ -511,15 +435,15 @@ def _fit_categoric(encoding, ctx, group, params, tkey):
             f"column {group.base!r} has {len(basis.vocabulary)} distinct training values; "
             "a boolean encoding takes at most 2"
         )
-    return {"categoric_basis": basis.to_dict()}
+    return {"categoric_basis": basis}
 
 
 def _apply_categoric(ctx, payload, group, out_base, tkey):
-    basis = CategoricBasis.from_dict(payload["categoric_basis"])
+    basis = payload["categoric_basis"]
     cells = _group_cells(group)
     arrays = apply_categoric(basis, cells)
     missing = missing_of(cells)
-    meta = {"categoric_basis": payload["categoric_basis"], "encoding": basis.encoding}
+    meta = {"categoric_basis": basis, "encoding": basis.encoding}
     columns = list(zip(_output_names(out_base, len(arrays)), arrays))
     return _Group(out_base, columns, missing, meta)
 
@@ -568,8 +492,7 @@ def _apply_missing_marker(ctx, payload, group, out_base, tkey):
 def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.ndarray) -> dict:
     protected = payload["resolved"].get("protected_feature")
     if protected:
-        basis = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
-        payload["protected"] = basis.to_dict()
+        payload["protected"] = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
     return payload
 
 
@@ -582,7 +505,7 @@ def _fit_noise_numeric(ctx, group, params, tkey):
 
 def _fit_noise_scaled(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
-    spec = _spec_from(payload["resolved"])
+    spec = NoiseSpec(**payload["resolved"])
     flip_randomized = {"flip_prob", "test_flip_prob"} & set(payload["randomized_fields"])
     values, missing = _group_floats(group)
     panel = values[~missing]
@@ -595,7 +518,7 @@ def _fit_noise_scaled(ctx, group, params, tkey):
             if not pp["fires"] or not (flip_randomized or pp["flip_prob"] > 0.0):
                 continue
             mu_adj, degenerate = adjust_noise_mean(
-                panel, pp["mu"], pp["sigma"], pp["distribution"],
+                panel, pp["mu"], pp["sigma"], pp["noisedistribution"],
                 lambda p=phase: ctx.sampler(tkey, f"calibrate:{p}"),
             )
             payload[f"mu_adjusted_{phase}"] = mu_adj
@@ -611,8 +534,7 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
     draws around the calibrated noise mean and shrinks the noise so values
     stay in [0, 1]. Protected segment ratios scale the noise first.
     """
-    values, missing = _group_floats(group)
-    out = values.copy()
+    out, missing = _group_floats(group)
     drawn = _draw_mask(ctx, payload, missing, tkey)
     if drawn is not None:
         spec, pp, mask = drawn
@@ -623,15 +545,14 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
         elif spec.rescale_sigmas:
             sigma = rescale_sigma_passthrough(sigma, payload["train_std"])
         active = np.flatnonzero(mask)
-        noise = sample_noise(ctx.sampler(tkey, "noise"), pp["distribution"], mu, sigma,
+        noise = sample_noise(ctx.sampler(tkey, "noise"), pp["noisedistribution"], mu, sigma,
                              len(active))
-        if payload.get("protected"):
-            basis = ProtectedBasis.from_dict(payload["protected"])
-            cells = _protected_cells(ctx, payload["resolved"], len(values))
-            noise = noise * protected_ratio_vector(basis, cells, active)
+        if "protected" in payload:
+            cells = _protected_cells(ctx, payload["resolved"], len(out))
+            noise = noise * protected_ratio_vector(payload["protected"], cells, active)
         if scaled:
-            noise = scale_noise_minmax(noise, values[active])
-        out[active] += noise
+            noise = scale_noise_minmax(noise, out[active])
+        out = inject_numeric(out, mask, noise)
     return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
 
 
@@ -667,27 +588,24 @@ def _emit_codes(group: _Group, basis: CategoricBasis, encoding: str, codes: np.n
 
 def _fit_noise_flip(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
-    basis_dict = group.meta.get("categoric_basis")
-    if basis_dict is None:
+    basis = group.meta.get("categoric_basis")
+    if basis is None:
         raise ConfigError(
             "flip noise requires an upstream categoric encoding with a fitted vocabulary"
         )
     encoding = group.meta.get("encoding", "ordinal")
-    payload.update(categoric_basis=basis_dict, encoding=encoding)
+    payload.update(categoric_basis=basis, encoding=encoding)
     protected = payload["resolved"].get("protected_feature")
     if protected:
-        basis = CategoricBasis.from_dict(basis_dict)
         codes = _codes_from_group(group, basis, encoding)
-        pbasis = fit_protected_categoric(
+        payload["protected"] = fit_protected_categoric(
             codes, len(basis.vocabulary), ctx.aligned_cells(protected)
         )
-        payload["protected"] = pbasis.to_dict()
     return payload
 
 
 def _apply_noise_flip(ctx, payload, group, out_base, tkey):
-    basis = CategoricBasis.from_dict(payload["categoric_basis"])
-    encoding = payload["encoding"]
+    basis, encoding = payload["categoric_basis"], payload["encoding"]
     codes = _codes_from_group(group, basis, encoding)
     out_names = _output_names(out_base, len(group.columns))
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
@@ -707,10 +625,9 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
         else:
             weights = np.ones(vocab_size, dtype=np.float64)
         segment_weights = None
-        if payload.get("protected") and pp["weighted"]:
-            pbasis = ProtectedBasis.from_dict(payload["protected"])
+        if "protected" in payload and pp["weighted"]:
             cells = _protected_cells(ctx, payload["resolved"], n)
-            segment_weights = protected_weight_matrix(pbasis, weights, cells, n)
+            segment_weights = protected_weight_matrix(payload["protected"], weights, cells, n)
         new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler,
                                   segment_weights)
     else:  # a direct flip, which only a boolean encoding declares
@@ -733,25 +650,58 @@ def _apply_noise_rows(ctx, payload, group, out_base, tkey):
     return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
 
 
+# -- payloads: the keys each kind's fit returns, as basis.json holds them ------
+
+_Empty = TypedDict("_Empty", {})
+_Numeric = TypedDict("_Numeric", {"numeric_basis": NumericBasis})
+_Categoric = TypedDict("_Categoric", {"categoric_basis": CategoricBasis})
+_Stdbins = TypedDict("_Stdbins", {"mean": float, "std": float, "bincount": int})
+_NoiseFields = TypedDict("_NoiseFields", {"resolved": ResolvedParams, "params_raw": RawParams,
+                                          "randomized_fields": list[str]})
+
+
+class _Noise(_NoiseFields, total=False):
+    protected: ProtectedBasis  # only for a protected_feature
+
+
+class _NoiseNumeric(_Noise):
+    train_std: float
+
+
+class _NoiseScaled(_Noise):
+    mu_adjusted_train: float | None
+    mu_adjusted_test: float | None
+    adjust_degenerate_train: bool
+    adjust_degenerate_test: bool
+
+
+class _NoiseFlip(_Noise):
+    categoric_basis: CategoricBasis
+    encoding: CategoricEncoding
+
+
+# kind -> (fit, apply, payload)
 _TRANSFORMS = {
-    "zscore": (partial(_fit_numeric, "zscore"), _apply_numeric),
-    "minmax": (partial(_fit_numeric, "minmax"), _apply_numeric),
-    "retain": (partial(_fit_numeric, "retain"), _apply_numeric),
-    "boolean": (partial(_fit_categoric, "boolean"), _apply_categoric),
-    "ordinal": (partial(_fit_categoric, "ordinal"), _apply_categoric),
-    "onehot": (partial(_fit_categoric, "onehot"), _apply_categoric),
-    "binarized": (partial(_fit_categoric, "binarized"), _apply_categoric),
-    "passthrough": (_no_payload, _apply_passthrough),
-    "passthrough_float": (_no_payload, _apply_passthrough_float),
-    "passthrough_vocab": (partial(_fit_categoric, "passthrough"), _apply_passthrough),
-    "stdbins": (_fit_stdbins, _apply_stdbins),
-    "missing_marker": (_no_payload, _apply_missing_marker),
-    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False)),
-    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True)),
-    "noise_flip": (_fit_noise_flip, _apply_noise_flip),
-    "noise_swap": (_noise_payload, _apply_noise_rows),
-    "noise_mask": (_noise_payload, _apply_noise_rows),
+    "zscore": (partial(_fit_numeric, "zscore"), _apply_numeric, _Numeric),
+    "minmax": (partial(_fit_numeric, "minmax"), _apply_numeric, _Numeric),
+    "retain": (partial(_fit_numeric, "retain"), _apply_numeric, _Numeric),
+    "boolean": (partial(_fit_categoric, "boolean"), _apply_categoric, _Categoric),
+    "ordinal": (partial(_fit_categoric, "ordinal"), _apply_categoric, _Categoric),
+    "onehot": (partial(_fit_categoric, "onehot"), _apply_categoric, _Categoric),
+    "binarized": (partial(_fit_categoric, "binarized"), _apply_categoric, _Categoric),
+    "passthrough": (_no_payload, _apply_passthrough, _Empty),
+    "passthrough_float": (_no_payload, _apply_passthrough_float, _Empty),
+    "passthrough_vocab": (partial(_fit_categoric, "passthrough"), _apply_passthrough, _Categoric),
+    "stdbins": (_fit_stdbins, _apply_stdbins, _Stdbins),
+    "missing_marker": (_no_payload, _apply_missing_marker, _Empty),
+    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False), _NoiseNumeric),
+    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True), _NoiseScaled),
+    "noise_flip": (_fit_noise_flip, _apply_noise_flip, _NoiseFlip),
+    "noise_swap": (_noise_payload, _apply_noise_rows, _Noise),
+    "noise_mask": (_noise_payload, _apply_noise_rows, _Noise),
 }
+# the schema is fixed: compile it with the module, as a regular expression would be
+prepare(FitConfig, TransformBasis, *(payload for _, _, payload in _TRANSFORMS.values()))
 
 
 # -- one executor for fit and apply --------------------------------------------
@@ -801,7 +751,7 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
     params, surviving = fitting or (None, None)
     groups = {plan.input_column: _raw_group(plan.input_column, column)}
     for idx, step in enumerate(plan.steps):
-        fit_fn, apply_fn = _TRANSFORMS[step.kind]
+        fit_fn, apply_fn, _ = _TRANSFORMS[step.kind]
         tkey = _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
         noise = step.kind in NOISE_KINDS
@@ -811,8 +761,12 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
         if noise:
             ctx.declared = [op for op, _, _ in _noise_ops(step.kind, step.payload, ctx.mode,
                                                           ctx.fitting, len(column))]
-        groups[step.output_base] = apply_fn(ctx, step.payload, in_group, step.output_base, tkey)
+        out = groups[step.output_base] = apply_fn(ctx, step.payload, in_group, step.output_base,
+                                                  tkey)
         ctx.check(tkey, done=True)
+        if params is None and [name for name, _ in out.columns] != step.output_columns:
+            raise BasisFormatError(f"transform {tkey} does not make the output columns the "
+                                   f"basis lists, {step.output_columns}")
     if surviving is not None:
         for step in plan.steps:
             step.output_columns = [name for name, _ in groups[step.output_base].columns]
@@ -1045,7 +999,7 @@ def _stacked(parts: list) -> np.ndarray:
 
 
 def save_basis(basis: TransformBasis, path) -> None:
-    payload = json.dumps(basis.to_dict(), sort_keys=True, ensure_ascii=False,
+    payload = json.dumps(asdict(basis), sort_keys=True, ensure_ascii=False,
                          separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)
@@ -1053,14 +1007,56 @@ def save_basis(basis: TransformBasis, path) -> None:
 
 
 def load_basis(path) -> TransformBasis:
+    """The basis a file holds, every value checked; a malformed one raises
+    ``BasisFormatError`` naming its JSON path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise BasisFormatError(f"{path}: not a valid basis file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise BasisFormatError(f"{path}: not a valid basis file")
-    return TransformBasis.from_dict(data)
+    version = data.get("format_version") if isinstance(data, dict) else BASIS_FORMAT_VERSION
+    if version != BASIS_FORMAT_VERSION:
+        raise BasisFormatError(
+            f"basis version {version!r} is not supported (expected {BASIS_FORMAT_VERSION!r})"
+        )
+    basis = typed(TransformBasis, data, "basis", BasisFormatError)
+    if not basis.column_plans.keys() >= set(basis.input_columns):
+        raise BasisFormatError("basis.column_plans: not every input column has a plan")
+    for column, plan in basis.column_plans.items():
+        _check_steps(f"basis.column_plans.{column}", plan)
+    return basis
+
+
+def _check_steps(where: str, plan: ColumnPlan) -> None:
+    """Build each step's payload as its kind declares it, and check that each step
+    reads the input column or an earlier step's output, that a flip step keeps its
+    input's vocabulary, and that the plan's output columns are ones its steps list."""
+    made, listed = {plan.input_column}, {plan.input_column}
+    vocabularies = {}  # step output -> the categoric basis it is encoded on
+    for idx, step in enumerate(plan.steps):
+        at = f"{where}.steps[{idx}]"
+        if step.kind not in _TRANSFORMS:
+            raise BasisFormatError(f"{at}.kind: unknown transform kind {step.kind!r}")
+        if step.input_base not in made:
+            raise BasisFormatError(f"{at}.input_base: {step.input_base!r} is neither the input "
+                                   "column nor an earlier step's output")
+        made.add(step.output_base)
+        listed.update(step.output_columns)
+        payload = step.payload = typed(_TRANSFORMS[step.kind][2], step.payload, f"{at}.payload",
+                                       BasisFormatError)
+        unknown = set(payload.get("randomized_fields", ())) - payload.get("params_raw", {}).keys()
+        if unknown:
+            raise BasisFormatError(f"{at}.payload.randomized_fields: {sorted(unknown)} are not "
+                                   "in params_raw")
+        upstream = vocabularies.get(step.input_base)
+        basis = vocabularies[step.output_base] = payload.get("categoric_basis", upstream)
+        if basis is not None and len(basis.frequencies) != len(basis.vocabulary):
+            raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
+        if step.kind == "noise_flip" and basis != upstream:
+            raise BasisFormatError(f"{at}.payload.categoric_basis: differs from its input's")
+    if not listed.issuperset(plan.output_columns):
+        raise BasisFormatError(f"{where}.output_columns: {plan.output_columns} are not all "
+                               "listed by the steps")
 
 
 def orig_headers_mode(prepared: DataTable, basis: TransformBasis) -> DataTable:

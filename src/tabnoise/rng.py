@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -319,7 +319,8 @@ class ExternalWordStream:
         return out
 
 
-GENERATOR_KINDS = ("default_pcg", "mersenne", "external")
+GeneratorKind = Literal["default_pcg", "mersenne", "external"]
+GENERATOR_KINDS = get_args(GeneratorKind)
 
 
 def make_stream(kind: str, initstate: int, initseq: int, external=None):
@@ -334,7 +335,7 @@ def make_stream(kind: str, initstate: int, initseq: int, external=None):
     raise ValueError(f"unknown generator kind: {kind!r}")
 
 
-NOISE_DISTRIBUTIONS = (
+NoiseDistribution = Literal[
     "normal",
     "laplace",
     "uniform",
@@ -344,7 +345,8 @@ NOISE_DISTRIBUTIONS = (
     "negabs_normal",
     "negabs_laplace",
     "negabs_uniform",
-)
+]
+NOISE_DISTRIBUTIONS = get_args(NoiseDistribution)
 
 
 def _words_to_uniforms(words: np.ndarray) -> np.ndarray:

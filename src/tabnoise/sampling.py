@@ -20,28 +20,29 @@ verified exactly. When the bank runs dry, replacement seeds come from the
 extra seed generator; with that generator off, exhaustion is a hard error.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import ConfigError, SeedExhaustedError
 from .rng import (
     BulkSampler,
-    GENERATOR_KINDS,
+    GeneratorKind,
     PackedSeeds,
     StreamSampler,
     make_stream,
     mix_seed,
 )
+from .schema import typed
 
-SAMPLING_TYPES = ("default", "bulk_seeds", "sampling_seed", "transform_seed")
-SEEDING_TYPES = ("supplemental_seeds", "primary_seeds")
+SamplingType = Literal["default", "bulk_seeds", "sampling_seed", "transform_seed"]
+SeedingType = Literal["supplemental_seeds", "primary_seeds"]
+SAMPLING_TYPES = get_args(SamplingType)
+SEEDING_TYPES = get_args(SeedingType)
 
 MAX_SUGGESTED_SEED = 2**31 - 1
 
@@ -58,12 +59,11 @@ GENERATOR_NAMES = {
 class GeneratorSpec:
     """Which word-stream generator backs sampling; external sources drop in."""
 
-    kind: str = "default_pcg"
+    kind: GeneratorKind = "default_pcg"
     external: object = None
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind: {self.kind!r}")
+        typed(GeneratorKind, self.kind, "kind", ConfigError)
         if self.kind == "external" and self.external is None:
             raise ConfigError("external generator requires a word source")
 
@@ -74,13 +74,14 @@ def _generator_spec(key: str, value) -> GeneratorSpec:
         return value
     if isinstance(value, str) and value in GENERATOR_NAMES:
         return GeneratorSpec(kind=GENERATOR_NAMES[value])
-    raise ConfigError(f"unknown {key}: {value!r} (accepted: {', '.join(GENERATOR_NAMES)})")
+    raise ConfigError(f"{key}: unknown generator {value!r} "
+                      f"(accepted: {', '.join(GENERATOR_NAMES)})")
 
 
 @dataclass
 class SamplingPlan:
-    sampling_type: str = "default"
-    seeding_type: str | None = None
+    sampling_type: SamplingType = "default"
+    seeding_type: SeedingType | None = None
     # any sequence of int-like seeds; held as PackedSeeds once the plan is built
     entropy_seeds: Sequence[int] | PackedSeeds = field(default_factory=list)
     stochastic_count_safety_factor: float = 0.15
@@ -90,17 +91,15 @@ class SamplingPlan:
     os_material: bytes | None = None  # injectable for reproducible tests
 
     def __post_init__(self):
-        if self.sampling_type not in SAMPLING_TYPES:
-            raise ConfigError(f"unknown sampling_type: {self.sampling_type!r}")
+        typed(SamplingType, self.sampling_type, "sampling_type", ConfigError)
         if self.seeding_type is None:
             self.seeding_type = (
                 "primary_seeds" if self.sampling_type == "bulk_seeds" else "supplemental_seeds"
             )
-        if self.seeding_type not in SEEDING_TYPES:
-            raise ConfigError(f"unknown seeding_type: {self.seeding_type!r}")
+        typed(SeedingType, self.seeding_type, "seeding_type", ConfigError)
         factor = self.stochastic_count_safety_factor
-        if not isinstance(factor, (int, float)) or not 0.0 <= factor <= 1.0:
-            raise ConfigError("stochastic_count_safety_factor must be a number in [0, 1]")
+        if not 0.0 <= typed(float, factor, "stochastic_count_safety_factor", ConfigError) <= 1.0:
+            raise ConfigError("stochastic_count_safety_factor: must be in [0, 1]")
         self.sampling_generator = _generator_spec("sampling_generator", self.sampling_generator)
         if self.extra_seed_generator == "off":
             self.extra_seed_generator = None
@@ -130,13 +129,6 @@ class SeedReport:
     sampling_seed_total_test: int = 0
     transform_seed_total: int = 0
     stochastic_count_safety_factor: float = 0.15
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SeedReport":
-        return cls(**{k: data[k] for k in cls().to_dict() if k in data})
 
 
 def rescale_budget(total: int, rowcount_basis: int, rowcount_new: int) -> int:
@@ -357,5 +349,5 @@ def read_seed_file(path) -> PackedSeeds:
 
 def write_seed_report(report: SeedReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(asdict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -36,7 +36,6 @@ class FeatureKind(str, Enum):
     NUMERIC = "numeric"
     BOOLEAN_CATEGORIC = "boolean_categoric"
     CATEGORIC = "categoric"
-    PASSTHROUGH = "passthrough"
 
 
 def parse_cell(text: str, missing_sentinels: Sequence[str] = DEFAULT_MISSING_SENTINELS) -> Cell:

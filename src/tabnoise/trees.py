@@ -27,8 +27,11 @@ precedence of the five-level parameter assignment scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import TypedDict
 
 from .errors import ConfigError
+from .noise import PARAM_HINTS
+from .schema import typed
 
 UPSTREAM_PRIMITIVES = (
     ("parents", True, True),
@@ -71,14 +74,26 @@ class FamilyTree:
             setattr(self, f.name, tuple(getattr(self, f.name)))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FamilyTree":
-        unknown = set(data) - set(PRIMITIVE_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown family tree primitives: {sorted(unknown)}")
-        for name, value in data.items():
-            if not isinstance(value, (list, tuple)) or not all(isinstance(c, str) for c in value):
-                raise ConfigError(f"{name} must be a list of category names")
-        return cls(**{k: tuple(v) for k, v in data.items()})
+    def from_dict(cls, data: dict, where: str = "family tree primitives") -> "FamilyTree":
+        return cls(**typed(TreeSpec, data, where, ConfigError))
+
+
+# a family tree as a config's transformdict entry writes it
+TreeSpec = TypedDict("TreeSpec", {name: list[str] for name in PRIMITIVE_NAMES}, total=False)
+
+# each parameter's configured value; the parameters of NoiseSpec plus bincount
+_PARAM_TYPES = {**PARAM_HINTS, "bincount": int}
+
+
+def _checked_params(params, where: str) -> dict:
+    """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``.
+
+    Names it does not list are kept: ``resolve_params`` decides on them.
+    """
+    for name, value in typed(dict, params, where, ConfigError).items():
+        if name in _PARAM_TYPES:
+            typed(_PARAM_TYPES[name], value, f"{where}.{name}", ConfigError)
+    return dict(params)
 
 
 @dataclass
@@ -195,24 +210,15 @@ class TransformCatalog:
         library embedders via :meth:`register_category`.
         """
         for category, spec in (processdict or {}).items():
-            pointer = spec.get("functionpointer")
-            if not isinstance(pointer, str):
-                raise ConfigError(
-                    f"processdict entry {category!r} must name a functionpointer"
-                )
-            params = spec.get("defaultparams", {})
-            if not isinstance(params, dict):
-                raise ConfigError(
-                    f"processdict entry {category!r}: defaultparams must be a JSON object"
-                )
+            where = f"config.processdict.{category}"
+            pointer = typed(dict, spec, where, ConfigError).get("functionpointer")
+            typed(str, pointer, f"{where}.functionpointer", ConfigError)
+            params = _checked_params(spec.get("defaultparams", {}), f"{where}.defaultparams")
             self.register_entry(ProcessEntry(category, functionpointer=pointer,
-                                             defaultparams=dict(params)))
+                                             defaultparams=params))
         for category, spec in (transformdict or {}).items():
-            try:
-                tree = FamilyTree.from_dict(spec)
-            except ConfigError as exc:
-                raise ConfigError(f"transformdict entry {category!r}: {exc}") from None
-            self.register_tree(category, tree)
+            self.register_tree(category,
+                               FamilyTree.from_dict(spec, f"config.transformdict.{category}"))
 
 
 def apply_root_category(catalog: TransformCatalog, root: str, input_ref, executor):
@@ -260,15 +266,19 @@ class ParamAssignments:
 
     @classmethod
     def from_config(cls, assignparam: dict | None) -> "ParamAssignments":
-        assignparam = assignparam or {}
+        """The parsed config section, each value type-checked (see ``_checked_params``)."""
         out = cls()
-        for key, value in assignparam.items():
+        for key, value in (assignparam or {}).items():
+            where = f"config.assignparam.{key}"
             if key == "global_assignparam":
-                out.global_assignparam = dict(value)
-            elif key == "default_assignparam":
-                out.default_assignparam = {cat: dict(v) for cat, v in value.items()}
+                out.global_assignparam = _checked_params(value, where)
+                continue
+            entries = {name: _checked_params(params, f"{where}.{name}")
+                       for name, params in typed(dict, value, where, ConfigError).items()}
+            if key == "default_assignparam":
+                out.default_assignparam = entries
             else:
-                out.per_category[key] = {col: dict(v) for col, v in value.items()}
+                out.per_category[key] = entries
         return out
 
 

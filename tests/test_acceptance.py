@@ -475,15 +475,15 @@ def test_criterion_13_no_leakage():
             mean = float(np.mean(kept_num))
             std = float(np.sqrt(np.mean((np.array(kept_num) - mean) ** 2)))
             payload = fitted.basis.column_plans["num"].steps[0].payload["numeric_basis"]
-            assert payload["mean"] == mean
-            assert payload["std"] == std
-            assert payload["min"] == min(kept_num)
-            assert payload["max"] == max(kept_num)
+            assert payload.mean == mean
+            assert payload.std == std
+            assert payload.min == min(kept_num)
+            assert payload.max == max(kept_num)
 
             counts: dict = {}
             for i in kept_rows:
                 value = table.column("cat")[i]
                 counts[value] = counts.get(value, 0) + 1
             cat_payload = fitted.basis.column_plans["cat"].steps[0].payload["categoric_basis"]
-            stored = dict(zip(cat_payload["vocabulary"], cat_payload["frequencies"]))
+            stored = dict(zip(cat_payload.vocabulary, cat_payload.frequencies))
             assert stored == counts

@@ -344,6 +344,13 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("delimiter", ";;"), ("delimiter", 5),
     ("missing_sentinels", "NA"), ("missing_sentinels", 5),
     ("shuffletrain", "no"), ("orig_headers", "yes"),
+    ("delimiter", '"'), ("delimiter", "\r"), ("delimiter", "\n"),
+    ("assignparam", {"DPnb": {"num": {"sigma": "x"}}}),
+    ("assignparam", {"DPbn": {"cat": {"flip_prob": "0.5"}}}),
+    ("assignparam", {"DPbn": {"cat": {"weighted": "no"}}}),
+    ("assignparam", {"DPnb": {"num": {"sigma": [0.1, "x"]}}}),
+    ("assignparam", {"bsor": {"num": {"bincount": "x"}}}),
+    ("processdict", {"DPnb": {"functionpointer": "bsor", "defaultparams": {"bincount": "x"}}}),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})

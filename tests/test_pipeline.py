@@ -106,8 +106,8 @@ def test_validation_split_and_train_basis():
     mean = float(np.mean(kept))
     std = float(np.sqrt(np.mean((np.array(kept) - mean) ** 2)))
     step = res.basis.column_plans["num"].steps[0]
-    assert step.payload["numeric_basis"]["mean"] == mean
-    assert step.payload["numeric_basis"]["std"] == std
+    assert step.payload["numeric_basis"].mean == mean
+    assert step.payload["numeric_basis"].std == std
 
     # validation prepared on the train basis: values use train statistics
     val_values = res.validation.column("num_nmbr")

@@ -222,7 +222,7 @@ def test_all_missing_column_never_noised():
     res = fit(table, {"powertransform": "DP1", "shuffletrain": False}, _plan())
     assert res.basis.column_plans["void"].kind == "categoric"
     step = res.basis.column_plans["void"].steps[0]
-    assert step.payload["categoric_basis"]["vocabulary"] == []
+    assert step.payload["categoric_basis"].vocabulary == []
     narw = res.train.column("void_NArw")
     assert all(v == 1.0 for v in narw)
 

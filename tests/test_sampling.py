@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 from functools import partial
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabnoise.errors import ConfigError, SeedExhaustedError
+from tabnoise.errors import BasisFormatError, ConfigError, SeedExhaustedError
 from tabnoise.pipeline import _noise_ops, apply, apply_with_stats, fit
 from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
@@ -19,6 +21,7 @@ from tabnoise.sampling import (
     read_seed_file,
     rescale_budget,
 )
+from tabnoise.schema import typed
 from tabnoise.table import DataTable
 from tabnoise.trees import KIND_PARAMS, NOISE_KINDS, builtin_catalog
 
@@ -208,7 +211,8 @@ def test_calibration_ops_excluded_from_bulk():
 def test_report_round_trip():
     report = SeedReport(bulk_seeds_total_train=12, rowcount_basis_train=5,
                         transform_seed_total=2)
-    assert SeedReport.from_dict(report.to_dict()) == report
+    data = json.loads(json.dumps(asdict(report)))
+    assert typed(SeedReport, data, "seed_report", BasisFormatError) == report
 
 
 def _assert_packs(got, seeds):
