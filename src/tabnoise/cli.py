@@ -23,7 +23,6 @@ from typing import TypedDict
 import numpy as np
 
 from .errors import ConfigError, TabnoiseError
-from .harness import SweepSpec, SyntheticTask, emit_curves, run_sweep
 from .pipeline import (
     TRAINDATA_MODES,
     AugmentSpec,
@@ -203,6 +202,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # the harness loads only for this command, not at every start-up
+    from .harness import SweepSpec, SyntheticTask, emit_curves, run_sweep
+
     task = SyntheticTask(
         seed=args.task_seed,
         n_rows=args.rows,

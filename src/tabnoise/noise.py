@@ -18,7 +18,9 @@ renormalized after excluding the current code. Range-preserving injection
 for unit-interval scalings caps noise at +/-0.5 and shrinks it toward the
 nearest boundary so the result stays inside [0, 1]; its mean correction is a
 secant step on the post-scaling mean measured by Monte Carlo on the training
-distribution.
+distribution. The calibration shrinks its draws in place, in cache-sized
+blocks, and takes the mean once over the whole round, so its value is that of
+one pass over whole arrays.
 """
 
 import warnings
@@ -28,7 +30,8 @@ from typing import Literal, TypedDict, Union, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .rng import NOISE_DISTRIBUTIONS, NoiseDistribution
+from .rng import BLOCK_ENTRIES, NOISE_DISTRIBUTIONS, NoiseDistribution
+from .table import format_cell
 
 CALIBRATION_DRAWS = 100_000
 
@@ -148,10 +151,12 @@ def _shrink_terms(minmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, np.where(low, minmax, 1.0 - minmax)
 
 
-def _shrink(noise, low: np.ndarray, numer: np.ndarray) -> np.ndarray:
-    noise = np.clip(np.asarray(noise, dtype=np.float64), -0.5, 0.5)
+def _shrink(noise: np.ndarray, low: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    """The float64 array ``noise``, shrunk in place (see :func:`scale_noise_minmax`)."""
+    np.clip(noise, -0.5, 0.5, out=noise)
     # negative noise shrinks below 0.5, nonnegative noise at or above it
-    return np.where(low == (noise < 0.0), noise * numer / 0.5, noise)
+    np.copyto(noise, noise * numer / 0.5, where=low == (noise < 0.0))
+    return noise
 
 
 def scale_noise_minmax(noise: np.ndarray, minmax: np.ndarray) -> np.ndarray:
@@ -162,6 +167,7 @@ def scale_noise_minmax(noise: np.ndarray, minmax: np.ndarray) -> np.ndarray:
     (1-entry)/0.5, and the other two quadrants pass through unscaled. The
     injected value entry+scaled is then guaranteed to stay in [0, 1].
     """
+    noise = np.array(noise, dtype=np.float64)  # a copy, shrunk in place
     return _shrink(noise, *_shrink_terms(np.asarray(minmax, dtype=np.float64)))
 
 
@@ -186,13 +192,17 @@ def adjust_noise_mean(
     if len(minmax_train) == 0:
         raise ValueError("minmax_train must be nonempty")
     reps = int(np.ceil(draws / len(minmax_train)))
-    low, numer = _shrink_terms(np.tile(minmax_train, reps)[:draws])
+    low, numer = (np.tile(term, reps)[:draws] for term in _shrink_terms(minmax_train))
     provide = sampler if callable(sampler) else (lambda: sampler)
 
     def post_scaling_mean(mu: float) -> float:
         # a helper, so each round's noise is freed before the next is drawn
         noise = sample_noise(provide(), distribution, mu, sigma, draws)
-        return float(np.mean(_shrink(noise, low, numer)))
+        for start in range(0, draws, BLOCK_ENTRIES):
+            block = slice(start, start + BLOCK_ENTRIES)
+            _shrink(noise[block], low[block], numer[block])
+        # one mean over the whole array: numpy's pairwise sum depends on the length
+        return float(np.mean(noise))
 
     mu1 = post_scaling_mean(mu0)
     mu2 = post_scaling_mean(mu1)
@@ -315,10 +325,17 @@ class ProtectedBasis:
         return self.ratios.get(segment_key, 1.0)
 
 
-def _segment_key(cell) -> str:
-    from .table import format_cell
-
-    return format_cell(cell)
+def _segments(cells) -> tuple[list[str], np.ndarray]:
+    """The sorted segment keys of ``cells``, each formatted once per distinct cell, and
+    each cell's position among them. The type is part of a cell, since equal cells of
+    two types (True, 1) format to two keys."""
+    distinct: dict = {}
+    index = np.array([distinct.setdefault((type(cell), cell), len(distinct)) for cell in cells],
+                     dtype=np.intp)
+    keys = [format_cell(cell) for _, cell in distinct]
+    ordered = sorted(set(keys))
+    position = {key: j for j, key in enumerate(ordered)}
+    return ordered, np.array([position[key] for key in keys], dtype=np.intp)[index]
 
 
 def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protected_cells) -> ProtectedBasis:
@@ -328,10 +345,9 @@ def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protec
     overall = target[present]
     aggregate_std = float(np.sqrt(np.mean((overall - overall.mean()) ** 2))) if len(overall) else 0.0
     basis = ProtectedBasis()
-    keys = np.array([_segment_key(c) for c in protected_cells])
-    for key in sorted(set(keys)):
-        rows = (keys == key) & present
-        segment = target[rows]
+    keys, segment_of = _segments(protected_cells)
+    for j, key in enumerate(keys):
+        segment = target[(segment_of == j) & present]
         if len(segment) < 2 or aggregate_std <= 0.0:
             basis.ratios[key] = 1.0
             basis.flagged_segments.append(key)
@@ -345,38 +361,33 @@ def fit_protected_categoric(codes: np.ndarray, vocab_size: int, protected_cells)
     """Per-segment vocabulary frequency tables for weighted replacement."""
     codes = np.asarray(codes, dtype=np.int64)
     basis = ProtectedBasis()
-    keys = np.array([_segment_key(c) for c in protected_cells])
-    for key in sorted(set(keys)):
-        rows = keys == key
-        counts = np.zeros(vocab_size, dtype=np.float64)
-        for code in codes[rows]:
-            if 1 <= code <= vocab_size:
-                counts[code - 1] += 1
-        if counts.sum() < 2:
+    keys, segment_of = _segments(protected_cells)
+    known = (codes >= 1) & (codes <= vocab_size)
+    # one count per (segment, code) pair, segment-major
+    pairs = segment_of[known] * vocab_size + codes[known] - 1
+    counts = np.bincount(pairs, minlength=len(keys) * vocab_size).astype(np.float64)
+    for key, table in zip(keys, counts.reshape(len(keys), vocab_size)):
+        if table.sum() < 2:
             basis.flagged_segments.append(key)
-        basis.segment_frequencies[key] = counts.tolist()
+        basis.segment_frequencies[key] = table.tolist()
     return basis
 
 
 def protected_ratio_vector(basis: ProtectedBasis, protected_cells, rows: np.ndarray) -> np.ndarray:
-    keys = [_segment_key(protected_cells[r]) for r in rows]
-    return np.array([basis.ratio_for(k) for k in keys], dtype=np.float64)
+    keys, segment_of = _segments(protected_cells[r] for r in np.asarray(rows).tolist())
+    return np.array([basis.ratio_for(key) for key in keys], dtype=np.float64)[segment_of]
 
 
 def protected_weight_matrix(
     basis: ProtectedBasis, aggregate_weights: np.ndarray, protected_cells, n_rows: int
 ) -> np.ndarray:
     """(rows x vocab) weight table; unseen segments use the aggregate weights."""
-    # one table row per distinct protected cell; the key holds the type, since
-    # equal cells of different types (True, 1) format to different segment keys
-    segments: dict = {}
-    index = [segments.setdefault((type(cell), cell), len(segments))
-             for cell in protected_cells[:n_rows]]
-    tables = np.empty((len(segments), len(aggregate_weights)), dtype=np.float64)
-    for (_, cell), j in segments.items():
-        table = basis.segment_frequencies.get(_segment_key(cell))
+    keys, segment_of = _segments(protected_cells[:n_rows])
+    tables = np.empty((len(keys), len(aggregate_weights)), dtype=np.float64)
+    for j, key in enumerate(keys):
+        table = basis.segment_frequencies.get(key)
         tables[j] = aggregate_weights if table is None or sum(table) <= 0 else table
-    return tables[np.asarray(index, dtype=np.int64)]
+    return tables[segment_of]
 
 
 def resolve_param(value, sampler):

@@ -81,6 +81,9 @@ from .trees import (
 
 BASIS_FORMAT_VERSION = "tabnoise-basis/1"
 
+# bins of a stdbins step: out to +/-2,048 standard deviations, a 32 KB edge array
+MAX_BINCOUNT = 4096
+
 TRAINDATA_MODES = ("test", "train", "train_no_noise", "test_no_noise")
 
 # Root categories applied under automation, by feature kind.
@@ -461,10 +464,14 @@ def _apply_passthrough_float(ctx, payload, group, out_base, tkey):
     return _single(out_base, values, missing, preserve=True)
 
 
+def _checked_bincount(bincount: int, error=ConfigError, at: str = "bincount") -> int:
+    if not 2 <= bincount <= MAX_BINCOUNT:
+        raise error(f"{at}: {bincount} is not between 2 and {MAX_BINCOUNT}")
+    return bincount
+
+
 def _fit_stdbins(ctx, group, params, tkey):
-    bincount = int(params.get("bincount", 6))
-    if bincount < 2:
-        raise ConfigError("bincount must be at least 2")
+    bincount = _checked_bincount(int(params.get("bincount", 6)))
     mean, std = _moments(*_group_floats(group))
     return {"mean": mean, "std": std, "bincount": bincount}
 
@@ -473,12 +480,10 @@ def _apply_stdbins(ctx, payload, group, out_base, tkey):
     values, missing = _group_floats(group)
     mean, std, bincount = payload["mean"], payload["std"], payload["bincount"]
     if std > 0.0:
-        if bincount % 2:
-            offsets = [k + 0.5 for k in range(-(bincount // 2), bincount // 2)]
-        else:
-            offsets = list(range(-(bincount // 2 - 1), bincount // 2))
-        edges = np.array([mean + std * k for k in offsets])
-        codes = np.digitize(values, edges)
+        half = bincount // 2
+        # one edge between each pair of bins; an odd count centres a bin on the mean
+        offsets = np.arange(-half, half) + 0.5 if bincount % 2 else np.arange(1 - half, half)
+        codes = np.digitize(values, mean + std * offsets)
     else:
         codes = np.full(len(values), bincount // 2, dtype=np.int64)
     return _single(out_base, codes.astype(np.int64), missing)
@@ -680,18 +685,19 @@ class _NoiseFlip(_Noise):
     encoding: CategoricEncoding
 
 
+# categoric kind -> the encoding of the basis its fit makes
+_KIND_ENCODINGS = {"boolean": "boolean", "ordinal": "ordinal", "onehot": "onehot",
+                   "binarized": "binarized", "passthrough_vocab": "passthrough"}
 # kind -> (fit, apply, payload)
 _TRANSFORMS = {
     "zscore": (partial(_fit_numeric, "zscore"), _apply_numeric, _Numeric),
     "minmax": (partial(_fit_numeric, "minmax"), _apply_numeric, _Numeric),
     "retain": (partial(_fit_numeric, "retain"), _apply_numeric, _Numeric),
-    "boolean": (partial(_fit_categoric, "boolean"), _apply_categoric, _Categoric),
-    "ordinal": (partial(_fit_categoric, "ordinal"), _apply_categoric, _Categoric),
-    "onehot": (partial(_fit_categoric, "onehot"), _apply_categoric, _Categoric),
-    "binarized": (partial(_fit_categoric, "binarized"), _apply_categoric, _Categoric),
+    **{kind: (partial(_fit_categoric, encoding),
+              _apply_passthrough if encoding == "passthrough" else _apply_categoric, _Categoric)
+       for kind, encoding in _KIND_ENCODINGS.items()},
     "passthrough": (_no_payload, _apply_passthrough, _Empty),
     "passthrough_float": (_no_payload, _apply_passthrough_float, _Empty),
-    "passthrough_vocab": (partial(_fit_categoric, "passthrough"), _apply_passthrough, _Categoric),
     "stdbins": (_fit_stdbins, _apply_stdbins, _Stdbins),
     "missing_marker": (_no_payload, _apply_missing_marker, _Empty),
     "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False), _NoiseNumeric),
@@ -1030,7 +1036,8 @@ def load_basis(path) -> TransformBasis:
 def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
     reads the input column or an earlier step's output, that a flip step keeps its
-    input's vocabulary, and that the plan's output columns are ones its steps list."""
+    input's vocabulary, that a categoric basis holds its step's encoding, that a
+    bincount is in range, and that the plan's output columns are ones its steps list."""
     made, listed = {plan.input_column}, {plan.input_column}
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
@@ -1054,6 +1061,13 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
             raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
         if step.kind == "noise_flip" and basis != upstream:
             raise BasisFormatError(f"{at}.payload.categoric_basis: differs from its input's")
+        # a categoric kind's own encoding, or the one a flip step reads its codes in
+        encoding = _KIND_ENCODINGS.get(step.kind, payload.get("encoding"))
+        if encoding is not None and basis.encoding != encoding:
+            raise BasisFormatError(f"{at}.payload.categoric_basis.encoding: {basis.encoding!r} "
+                                   f"is not the step's {encoding!r}")
+        if step.kind == "stdbins":
+            _checked_bincount(payload["bincount"], BasisFormatError, f"{at}.payload.bincount")
     if not listed.issuperset(plan.output_columns):
         raise BasisFormatError(f"{where}.output_columns: {plan.output_columns} are not all "
                                "listed by the steps")

@@ -11,9 +11,9 @@ alternates. The words of both generators come from numpy's ``PCG64`` and
 algorithms; seeding and shaping are the package's own.
 
 Shaping is built directly on the word stream: uniform doubles take the top
-53 bits of a word, normals use the Marsaglia polar method, Laplace uses the
-inverse CDF, and bounded integers use threshold rejection. All accumulation
-is in 64-bit floats.
+53 bits of a word, normals use the Marsaglia polar method (in cache-sized
+blocks of words), Laplace uses the inverse CDF, and bounded integers use
+threshold rejection. All accumulation is in 64-bit floats.
 
 Seed material enters through :func:`mix_seed`, a hash-based construction
 that expands external seeds below 2**128 (plus optional OS entropy bytes)
@@ -353,21 +353,31 @@ def _words_to_uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 
-def _polar_fill(u: np.ndarray, out: np.ndarray) -> int:
-    """Marsaglia polar normals from the pairs of ``u``, written to the head of
-    ``out``; returns how many were written. The round's temporaries die here."""
-    x = 2.0 * u[0::2] - 1.0
-    y = 2.0 * u[1::2] - 1.0
-    s = x * x + y * y
-    ok = (s > 0.0) & (s < 1.0)
-    x, y, s = x[ok], y[ok], s[ok]
-    factor = np.sqrt(-2.0 * np.log(s) / s)
-    z = np.empty(2 * len(s), dtype=np.float64)
-    z[0::2] = x * factor
-    z[1::2] = y * factor
-    take = min(len(z), len(out))
-    out[:take] = z[:take]
-    return take
+# float64 entries per block of elementwise array work: 64 KB, which stays in cache
+BLOCK_ENTRIES = 1 << 13
+
+
+def _polar_fill(words: np.ndarray, out: np.ndarray) -> int:
+    """Marsaglia polar normals from the word pairs of ``words``, written to the head of
+    ``out``; returns how many were written. The method is elementwise, so its blocks of
+    ``BLOCK_ENTRIES`` words give the normals of one pass over all words, bit for bit."""
+    have = 0
+    for start in range(0, len(words), BLOCK_ENTRIES):
+        if have == len(out):
+            break
+        u = 2.0 * _words_to_uniforms(words[start : start + BLOCK_ENTRIES]) - 1.0
+        x, y = u[0::2], u[1::2]
+        s = x * x + y * y
+        ok = (s > 0.0) & (s < 1.0)
+        x, y, s = x[ok], y[ok], s[ok]
+        factor = np.sqrt(-2.0 * np.log(s) / s)
+        z = np.empty(2 * len(s), dtype=np.float64)
+        z[0::2] = x * factor
+        z[1::2] = y * factor
+        take = min(len(z), len(out) - have)
+        out[have : have + take] = z[:take]
+        have += take
+    return have
 
 
 def _laplace_from_uniforms(u: np.ndarray, mu: float, scale: float) -> np.ndarray:
@@ -398,8 +408,10 @@ class StreamSampler:
         while have < n:
             # Polar method yields two normals per accepted pair (~78.5% accept).
             pairs = max(4, int((n - have) * 0.7) + 4)
-            have += _polar_fill(self.uniforms(2 * pairs), out[have:])
-        return mu + sigma * out
+            have += _polar_fill(self.stream.words(2 * pairs), out[have:])
+        out *= sigma
+        out += mu
+        return out
 
     def laplaces(self, n: int, mu: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return _laplace_from_uniforms(self.uniforms(n), mu, scale)

@@ -10,6 +10,7 @@ import pytest
 import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
+from tabnoise.pipeline import MAX_BINCOUNT
 from tabnoise.table import load_csv
 
 
@@ -302,6 +303,65 @@ def test_transform_basis_missing_key_exit_2(workdir):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("steps, edit, path", [
+    # the boolean step and its flip both claim a passthrough vocabulary
+    ([0, 1], ("categoric_basis", "encoding", "passthrough"),
+     "cat.steps[0].payload.categoric_basis.encoding"),
+    # the flip reads boolean columns as ordinal codes
+    ([1], ("encoding", None, "ordinal"), "cat.steps[1].payload.categoric_basis.encoding"),
+])
+def test_transform_basis_encoding_not_its_steps_exit_2(workdir, steps, edit, path):
+    assert _fit(workdir) == 0
+    basis = json.loads((workdir / "out" / "basis.json").read_text())
+    plan = basis["column_plans"]["cat"]
+    assert [plan["steps"][i]["kind"] for i in (0, 1)] == ["boolean", "noise_flip"]
+    key, sub, value = edit
+    for i in steps:
+        if sub is None:
+            plan["steps"][i]["payload"][key] = value
+        else:
+            plan["steps"][i]["payload"][key][sub] = value
+    (workdir / "bad.json").write_text(json.dumps(basis))
+    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
+                         "--out", str(workdir / "x.csv"))
+    assert code == 2
+    assert path in err
+    assert "Traceback" not in err
+
+
+def _bsor_config(workdir, bincount):
+    config = json.loads((workdir / "config.json").read_text())
+    config.update(assigncat={"bsor": ["num"]},
+                  assignparam={"bsor": {"num": {"bincount": bincount}}})
+    (workdir / "config.json").write_text(json.dumps(config))
+
+
+def test_fit_bincount_above_bound_exit_2(workdir):
+    _bsor_config(workdir, MAX_BINCOUNT + 1)
+    code, err = _run_cli("fit", str(workdir / "train.csv"),
+                         "--config", str(workdir / "config.json"),
+                         "--out-dir", str(workdir / "out"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert str(MAX_BINCOUNT) in err
+    assert "Traceback" not in err
+
+
+def test_transform_basis_bincount_above_bound_exit_2(workdir):
+    _bsor_config(workdir, MAX_BINCOUNT)
+    assert _fit(workdir) == 0
+    basis = json.loads((workdir / "out" / "basis.json").read_text())
+    step = basis["column_plans"]["num"]["steps"][0]
+    assert step["kind"] == "stdbins"
+    step["payload"]["bincount"] = 10**9
+    (workdir / "bad.json").write_text(json.dumps(basis))
+    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
+                         "--out", str(workdir / "x.csv"))
+    assert code == 2
+    assert "num.steps[0].payload.bincount" in err
+    assert "Traceback" not in err
+
+
 def test_augment_non_numeric_count_exit_2(workdir):
     assert _fit(workdir) == 0
     code, err = _run_cli("augment", str(workdir / "out" / "basis.json"),
@@ -405,3 +465,12 @@ def test_import_leaves_numpy_random_unloaded():
     if numpy_loads == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert loaded == "False"
+
+
+def test_import_leaves_harness_unloaded():
+    # only the sweep command needs the synthetic-task harness
+    env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))
+    probe = "import sys, tabnoise.cli; print('tabnoise.harness' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["False"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise import noise
+from tabnoise import rng as rng_module
 from tabnoise.errors import ConfigError
 from tabnoise.noise import (
     NoiseSpec,
@@ -29,6 +30,7 @@ from tabnoise.noise import (
     weighted_flip,
 )
 from tabnoise.rng import Pcg64Stream, StreamSampler, mix_seed
+from tabnoise.table import format_cell
 
 
 def _sampler(seed: int = 1) -> StreamSampler:
@@ -183,12 +185,19 @@ def _oracle_adjust_noise_mean(minmax_train, mu0, sigma, distribution, sampler, d
     (np.random.default_rng(23).beta(2, 8, size=5000), 0.0, 0.03, 100_000),
     (np.array([0.0, 1.0, 0.5, 0.25, 0.75, -0.0]), 0.02, 0.4, 7_001),
     (np.full(13, 0.5), 0.0, 0.0, 999),
+    # three blocks and a partial one; the panel does not divide the draws
+    (np.random.default_rng(25).uniform(size=997), -0.01, 0.2, 3 * rng_module.BLOCK_ENTRIES + 5),
 ])
 def test_adjust_noise_mean_matches_oracle_bit_for_bit(distribution, feature, mu0, sigma,
                                                       draws):
     seed = 31 + draws
-    got = adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
     want = _oracle_adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
+    got = adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
+    assert got[1] == want[1] and float(got[0]).hex() == float(want[0]).hex()
+    # a small block splits both the polar method and the shrink into many blocks
+    with mock.patch.object(rng_module, "BLOCK_ENTRIES", 16), \
+            mock.patch.object(noise, "BLOCK_ENTRIES", 16):
+        got = adjust_noise_mean(feature, mu0, sigma, distribution, _sampler(seed), draws)
     assert got[1] == want[1] and float(got[0]).hex() == float(want[0]).hex()
 
 
@@ -487,6 +496,57 @@ def test_protected_categoric_per_segment_tables():
     basis = fit_protected_categoric(codes, 2, segments)
     assert basis.segment_frequencies["a"] == [2.0, 1.0]
     assert basis.segment_frequencies["b"] == [1.0, 2.0]
+
+
+# equal values of different types, a missing cell, and bool/int twins
+_MIXED_CELLS = [1.0, "1", None, "a", True, 1, 2.5, "a", None, 1.0, False, 0.0, "", "b"]
+
+
+def test_protected_fits_match_per_cell_oracle():
+    n = 60
+    cells = [_MIXED_CELLS[i % len(_MIXED_CELLS)] for i in range(n)]
+    keys = np.array([format_cell(cell) for cell in cells], dtype=object)
+    target = np.random.default_rng(26).normal(size=n)
+    missing = np.zeros(n, dtype=bool)
+    missing[::7] = True
+    numeric = fit_protected_numeric(target, missing, cells)
+    overall = target[~missing]
+    aggregate = float(np.sqrt(np.mean((overall - overall.mean()) ** 2)))
+    assert list(numeric.ratios) == sorted(set(keys))
+    for key in sorted(set(keys)):
+        segment = target[(keys == key) & ~missing]
+        if len(segment) < 2:
+            assert numeric.ratios[key] == 1.0 and key in numeric.flagged_segments
+        else:
+            want = float(np.sqrt(np.mean((segment - segment.mean()) ** 2))) / aggregate
+            assert numeric.ratios[key] == want
+
+    codes = np.random.default_rng(27).integers(0, 6, size=n)  # 0 and 5 are not in 1..4
+    categoric = fit_protected_categoric(codes, 4, cells)
+    assert list(categoric.segment_frequencies) == sorted(set(keys))
+    for key in sorted(set(keys)):
+        counts = [0.0] * 4
+        for code in codes[keys == key]:
+            if 1 <= code <= 4:
+                counts[code - 1] += 1
+        assert categoric.segment_frequencies[key] == counts
+        assert (key in categoric.flagged_segments) == (sum(counts) < 2)
+
+
+def test_protected_applies_match_per_cell_oracle():
+    basis = ProtectedBasis(ratios={"1": 0.5, "": 2.0, "a": 3.0},
+                           segment_frequencies={"1": [1.0, 0.0], "": [0.0, 4.0],
+                                                "a": [0.0, 0.0]})
+    cells = _MIXED_CELLS + ["unseen"]
+    rows = np.array([3, 0, 1, 2, 14, 5, 4, 3, 12])
+    got = protected_ratio_vector(basis, cells, rows)
+    assert got.tolist() == [basis.ratio_for(format_cell(cells[r])) for r in rows]
+    aggregate = np.array([5.0, 7.0])
+    want = []
+    for cell in cells:
+        table = basis.segment_frequencies.get(format_cell(cell))
+        want.append(aggregate.tolist() if table is None or sum(table) <= 0 else table)
+    assert protected_weight_matrix(basis, aggregate, cells, len(cells)).tolist() == want
 
 
 def test_protected_ratio_vector_fallback():

@@ -249,6 +249,24 @@ def test_bincount_parameter_reaches_stdbins():
     assert center == 3.0
 
 
+@pytest.mark.parametrize("bincount", [2, 3, 6, 7, 40, 41])
+def test_stdbins_codes_match_list_edges(bincount):
+    values = np.random.default_rng(28).normal(0.3, 1.7, size=400)
+    table = DataTable({"column": list(values)})
+    config = {"shuffletrain": False, "assigncat": {"bsor": ["column"]},
+              "assignparam": {"bsor": {"column": {"bincount": bincount}}}}
+    res = fit(table, config, _plan())
+    payload = res.basis.column_plans["column"].steps[0].payload
+    mean, std = payload["mean"], payload["std"]
+    # the edges as a list of Python floats, one per pair of neighbouring bins
+    if bincount % 2:
+        offsets = [k + 0.5 for k in range(-(bincount // 2), bincount // 2)]
+    else:
+        offsets = list(range(-(bincount // 2 - 1), bincount // 2))
+    want = np.digitize(values, np.array([mean + std * k for k in offsets]))
+    assert res.train.column("column_bsor") == [float(code) for code in want]
+
+
 def test_composed_noise_profiles():
     # two gated injections with different scales stacked on one normalization
     table = _numeric_table(n=200, seed=9)

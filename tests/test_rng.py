@@ -2,12 +2,14 @@ import hashlib
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tabnoise import rng as rng_module
 from tabnoise.errors import SeedExhaustedError
 from tabnoise.rng import (
     _PCG_MULT_LIMBS,
@@ -19,6 +21,7 @@ from tabnoise.rng import (
     Pcg64Stream,
     StreamSampler,
     _laplace_from_uniforms,
+    _words_to_uniforms,
     _lcg,
     _limbs,
     _PcgLanes,
@@ -164,6 +167,55 @@ def test_normal_ks_against_standard_normal():
     grid = np.arange(1, n + 1) / n
     stat = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / n - cdf))))
     assert stat < 0.002
+
+
+def _whole_round_normals(stream, n: int, mu: float, sigma: float) -> np.ndarray:
+    """Normals with the polar method run over each round's words at once: the
+    oracle of the blocked ``_polar_fill``."""
+    out = np.empty(n, dtype=np.float64)
+    have = 0
+    while have < n:
+        pairs = max(4, int((n - have) * 0.7) + 4)
+        u = _words_to_uniforms(stream.words(2 * pairs))
+        x = 2.0 * u[0::2] - 1.0
+        y = 2.0 * u[1::2] - 1.0
+        s = x * x + y * y
+        ok = (s > 0.0) & (s < 1.0)
+        x, y, s = x[ok], y[ok], s[ok]
+        factor = np.sqrt(-2.0 * np.log(s) / s)
+        z = np.empty(2 * len(s), dtype=np.float64)
+        z[0::2] = x * factor
+        z[1::2] = y * factor
+        take = min(len(z), n - have)
+        out[have : have + take] = z[:take]
+        have += take
+    return mu + sigma * out
+
+
+def _external_words(seed: int):
+    feed = iter(np.random.default_rng(seed).integers(0, 2**64, size=50_000,
+                                                     dtype=np.uint64).tolist())
+    return ExternalWordStream(lambda: next(feed))
+
+
+_NORMAL_STREAMS = {
+    "pcg": lambda: Pcg64Stream(*mix_seed(None, [41])),
+    "mersenne": lambda: Mt19937Stream(*mix_seed(None, [42])),
+    "external": lambda: _external_words(43),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NORMAL_STREAMS))
+@pytest.mark.parametrize("block, sizes", [
+    (16, [0, 1, 2, 7, 15, 16, 17, 201]),
+    (rng_module.BLOCK_ENTRIES, [rng_module.BLOCK_ENTRIES - 1, 2 * rng_module.BLOCK_ENTRIES + 1]),
+])
+def test_blocked_normals_match_whole_round_oracle(kind, block, sizes):
+    for n in sizes:
+        want = _whole_round_normals(_NORMAL_STREAMS[kind](), n, 0.25, 1.5)
+        with mock.patch.object(rng_module, "BLOCK_ENTRIES", block):
+            got = StreamSampler(_NORMAL_STREAMS[kind]()).normals(n, 0.25, 1.5)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
 
 
 def test_laplace_moments():
