@@ -7,11 +7,11 @@ the prepared training set with train-phase noise. The returned basis holds
 everything needed to prepare later data with no access to the training set:
 fitted statistics, resolved parameters, applied steps, and the seed report.
 
-Every transform kind is a ``(fit, apply)`` pair: ``fit`` learns a step's
-payload from the training rows, and ``apply`` computes the step's output from
-that payload alone. Fitting and every later preparation run a column's steps
-through one executor, which, when fitting, fits each payload just before
-applying it.
+Every transform kind is declared once, in ``_TRANSFORMS``: ``fit`` learns a
+step's payload from the training rows, ``apply`` computes the step's output
+from that payload alone, and the kind lists the parameters it accepts.
+Fitting and every later preparation run a column's steps through one
+executor, which, when fitting, fits each payload just before applying it.
 
 ``apply`` replays the recorded steps on new data. The traindata mode crossed
 with each transform's train/test flags decides where noise fires:
@@ -70,14 +70,7 @@ from .noise import (
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
 from .schema import prepare, typed
 from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
-from .trees import (
-    KIND_PARAMS,
-    NOISE_KINDS,
-    ParamAssignments,
-    apply_root_category,
-    builtin_catalog,
-    resolve_params,
-)
+from .trees import ParamAssignments, apply_root_category, builtin_catalog, resolve_params
 
 BASIS_FORMAT_VERSION = "tabnoise-basis/1"
 
@@ -688,26 +681,36 @@ class _NoiseFlip(_Noise):
 # categoric kind -> the encoding of the basis its fit makes
 _KIND_ENCODINGS = {"boolean": "boolean", "ordinal": "ordinal", "onehot": "onehot",
                    "binarized": "binarized", "passthrough_vocab": "passthrough"}
-# kind -> (fit, apply, payload)
+# parameters every noise kind accepts, and the noise shape the numeric kinds add
+_NOISE_PARAMS = ("trainnoise", "testnoise", "flip_prob", "test_flip_prob", "retain_basis")
+_SHAPE_PARAMS = ("sigma", "test_sigma", "mu", "test_mu", "noisedistribution",
+                 "test_noisedistribution", "rescale_sigmas", "protected_feature")
+# kind -> (fit, apply, payload, accepted parameters); a category-specific
+# assignment of any other parameter is a configuration error
 _TRANSFORMS = {
-    "zscore": (partial(_fit_numeric, "zscore"), _apply_numeric, _Numeric),
-    "minmax": (partial(_fit_numeric, "minmax"), _apply_numeric, _Numeric),
-    "retain": (partial(_fit_numeric, "retain"), _apply_numeric, _Numeric),
+    **{kind: (partial(_fit_numeric, kind), _apply_numeric, _Numeric, ())
+       for kind in ("zscore", "minmax", "retain")},
     **{kind: (partial(_fit_categoric, encoding),
-              _apply_passthrough if encoding == "passthrough" else _apply_categoric, _Categoric)
-       for kind, encoding in _KIND_ENCODINGS.items()},
-    "passthrough": (_no_payload, _apply_passthrough, _Empty),
-    "passthrough_float": (_no_payload, _apply_passthrough_float, _Empty),
-    "stdbins": (_fit_stdbins, _apply_stdbins, _Stdbins),
-    "missing_marker": (_no_payload, _apply_missing_marker, _Empty),
-    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False), _NoiseNumeric),
-    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True), _NoiseScaled),
-    "noise_flip": (_fit_noise_flip, _apply_noise_flip, _NoiseFlip),
-    "noise_swap": (_noise_payload, _apply_noise_rows, _Noise),
-    "noise_mask": (_noise_payload, _apply_noise_rows, _Noise),
+              _apply_passthrough if encoding == "passthrough" else _apply_categoric, _Categoric,
+              ()) for kind, encoding in _KIND_ENCODINGS.items()},
+    "passthrough": (_no_payload, _apply_passthrough, _Empty, ()),
+    "passthrough_float": (_no_payload, _apply_passthrough_float, _Empty, ()),
+    "stdbins": (_fit_stdbins, _apply_stdbins, _Stdbins, ("bincount",)),
+    "missing_marker": (_no_payload, _apply_missing_marker, _Empty, ()),
+    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False), _NoiseNumeric,
+                      _NOISE_PARAMS + _SHAPE_PARAMS),
+    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True), _NoiseScaled,
+                     _NOISE_PARAMS + _SHAPE_PARAMS + ("noise_scaling_bias_offset",)),
+    "noise_flip": (_fit_noise_flip, _apply_noise_flip, _NoiseFlip, _NOISE_PARAMS + (
+        "weighted", "test_weighted", "direct_flip", "swap_noise", "protected_feature")),
+    "noise_swap": (_noise_payload, _apply_noise_rows, _Noise, _NOISE_PARAMS),
+    "noise_mask": (_noise_payload, _apply_noise_rows, _Noise, _NOISE_PARAMS + ("mask_value",)),
 }
+KIND_PARAMS = {kind: accepted for kind, (*_, accepted) in _TRANSFORMS.items()}
+# noise steps: the kinds that take the noise flags
+NOISE_KINDS = tuple(kind for kind, accepted in KIND_PARAMS.items() if "trainnoise" in accepted)
 # the schema is fixed: compile it with the module, as a regular expression would be
-prepare(FitConfig, TransformBasis, *(payload for _, _, payload in _TRANSFORMS.values()))
+prepare(FitConfig, TransformBasis, *(payload for _, _, payload, _ in _TRANSFORMS.values()))
 
 
 # -- one executor for fit and apply --------------------------------------------
@@ -736,8 +739,8 @@ def _structure(catalog, assignments, column, root, kind, used_names):
 
     def executor(category, in_base):
         tkind, defaults = catalog.resolve_entry(category)
-        accepted = KIND_PARAMS[tkind]
-        params.append(resolve_params(category, column, in_base, assignments, defaults, accepted))
+        params.append(resolve_params(category, column, in_base, assignments, defaults,
+                                     KIND_PARAMS[tkind]))
         out_base = suffixed_name(in_base, category, used_names)
         used_names.add(out_base)
         plan.steps.append(AppliedStep(category, tkind, in_base, out_base, [], {}))
@@ -757,7 +760,7 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
     params, surviving = fitting or (None, None)
     groups = {plan.input_column: _raw_group(plan.input_column, column)}
     for idx, step in enumerate(plan.steps):
-        fit_fn, apply_fn, _ = _TRANSFORMS[step.kind]
+        fit_fn, apply_fn, _, _ = _TRANSFORMS[step.kind]
         tkey = _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
         noise = step.kind in NOISE_KINDS

@@ -235,15 +235,11 @@ class StreamManager:
 
     # -- stream construction -------------------------------------------------
 
-    def _make(self, initstate: int, initseq: int):
+    def _sampler(self, tag: bytes, seeds) -> StreamSampler:
+        """A sampling-generator stream seeded from OS material, ``tag`` and ``seeds``."""
         gen = self.plan.sampling_generator
-        return make_stream(gen.kind, initstate, initseq, gen.external)
-
-    def _root_sampler(self) -> StreamSampler:
-        if self._root is None:
-            state, seq = mix_seed(self._os_material + b"root", [])
-            self._root = StreamSampler(self._make(state, seq))
-        return self._root
+        return StreamSampler(make_stream(gen.kind, *mix_seed(self._os_material + tag, seeds),
+                                         gen.external))
 
     def op_sampler(self, transform_key: str):
         """Sampler for one sampling operation of the given transform."""
@@ -253,26 +249,20 @@ class StreamManager:
             gen = self.plan.sampling_generator
             return BulkSampler(self.seed_blocks, self._os_material, gen.kind, gen.external)
         if mode == "sampling_seed":
-            seed = self.next_seed()
-            state, seq = mix_seed(self._os_material, [seed])
-            return StreamSampler(self._make(state, seq))
+            return self._sampler(b"", [self.next_seed()])
         if mode == "transform_seed":
             return self._transform_sampler(transform_key)
         # default: shuffle the common bank, mix with a per-call nonce
-        root = self._root_sampler()
-        nonce = root.stream.next_word()
-        shuffled = self._bank.take(root.shuffled(range(len(self._bank))))
-        state, seq = mix_seed(self._os_material + nonce.to_bytes(8, "little"), shuffled)
-        return StreamSampler(self._make(state, seq))
+        if self._root is None:
+            self._root = self._sampler(b"root", [])
+        nonce = self._root.stream.next_word()
+        shuffled = self._bank.take(self._root.shuffled(range(len(self._bank))))
+        return self._sampler(nonce.to_bytes(8, "little"), shuffled)
 
     def _transform_sampler(self, transform_key: str) -> StreamSampler:
-        sampler = self._transform_streams.get(transform_key)
-        if sampler is None:
-            seed = self.next_seed()
-            state, seq = mix_seed(self._os_material, [seed])
-            sampler = StreamSampler(self._make(state, seq))
-            self._transform_streams[transform_key] = sampler
-        return sampler
+        if transform_key not in self._transform_streams:
+            self._transform_streams[transform_key] = self._sampler(b"", [self.next_seed()])
+        return self._transform_streams[transform_key]
 
     def register_transform(self, transform_key: str) -> None:
         """Pre-assign a transform's seed under ``transform_seed``.
@@ -297,15 +287,12 @@ class StreamManager:
             counter_key = f"{transform_key}:{phase}"
             count = self._calibration_counts.get(counter_key, 0)
             self._calibration_counts[counter_key] = count + 1
-            tag = f"calibration:{counter_key}:{count}".encode()
-            state, seq = mix_seed(self._os_material + tag, self._bank)
-            return StreamSampler(self._make(state, seq))
+            return self._sampler(f"calibration:{counter_key}:{count}".encode(), self._bank)
         return self.op_sampler(transform_key)
 
     def utility_sampler(self, tag: str) -> StreamSampler:
         """Non-bank stream for plumbing draws (row shuffles, validation splits)."""
-        state, seq = mix_seed(self._os_material + b"utility:" + tag.encode(), self._bank)
-        return StreamSampler(self._make(state, seq))
+        return self._sampler(b"utility:" + tag.encode(), self._bank)
 
 
 _INT64_MAX = 2**63 - 1

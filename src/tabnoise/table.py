@@ -225,7 +225,6 @@ def _typed_column(fields: Sequence[str], sentinels) -> np.ndarray:
 def load_csv(
     path,
     delimiter: str = ",",
-    header: bool = True,
     missing_sentinels: Sequence[str] = DEFAULT_MISSING_SENTINELS,
 ) -> DataTable:
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -233,17 +232,12 @@ def load_csv(
         rows = list(reader)
     if not rows:
         raise TableError(f"{path}: empty file (no header row)")
-    if header:
-        names = rows[0]
-        body = rows[1:]
-    else:
-        names = [f"c{i}" for i in range(len(rows[0]))]
-        body = rows
+    names, body = rows[0], rows[1:]
     dupes = sorted(name for name, count in Counter(names).items() if count > 1)
     if dupes:
         raise TableError(f"{path}: duplicate headers: {', '.join(dupes)}")
     width = len(names)
-    for number, row in enumerate(body, start=2 if header else 1):
+    for number, row in enumerate(body, start=2):
         if len(row) != width:
             raise TableError(
                 f"{path}: row {number} has {len(row)} fields, expected {width}"

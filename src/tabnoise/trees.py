@@ -19,9 +19,10 @@ An output survives into the returned column set unless a replace-action
 primitive was applied to it. Entries within one primitive list execute left
 to right; recursion is capped to guard against cyclic definitions.
 
-Process entries bind categories to transform functions, directly or through
-``functionpointer`` inheritance, with ``defaultparams`` at the lowest
-precedence of the five-level parameter assignment scheme.
+Process entries bind categories to transform kinds, which ``pipeline``
+declares, directly or through ``functionpointer`` inheritance, with
+``defaultparams`` at the lowest precedence of the five-level parameter
+assignment scheme.
 """
 
 from __future__ import annotations
@@ -104,38 +105,6 @@ class ProcessEntry:
     defaultparams: dict = field(default_factory=dict)
 
 
-# Parameters each transform kind accepts. Category-specific assignments of
-# anything else are configuration errors; global assignments are ignored.
-_NOISE_COMMON = ("trainnoise", "testnoise", "flip_prob", "test_flip_prob", "retain_basis")
-KIND_PARAMS = {
-    "zscore": (),
-    "minmax": (),
-    "retain": (),
-    "boolean": (),
-    "ordinal": (),
-    "onehot": (),
-    "binarized": (),
-    "passthrough": (),
-    "passthrough_float": (),
-    "passthrough_vocab": (),
-    "stdbins": ("bincount",),
-    "missing_marker": (),
-    "noise_numeric": _NOISE_COMMON
-    + ("sigma", "test_sigma", "mu", "test_mu", "noisedistribution",
-       "test_noisedistribution", "rescale_sigmas", "protected_feature"),
-    "noise_scaled": _NOISE_COMMON
-    + ("sigma", "test_sigma", "mu", "test_mu", "noisedistribution",
-       "test_noisedistribution", "rescale_sigmas", "noise_scaling_bias_offset",
-       "protected_feature"),
-    "noise_flip": _NOISE_COMMON
-    + ("weighted", "test_weighted", "direct_flip", "swap_noise", "protected_feature"),
-    "noise_swap": _NOISE_COMMON,
-    "noise_mask": _NOISE_COMMON + ("mask_value",),
-}
-
-NOISE_KINDS = ("noise_numeric", "noise_scaled", "noise_flip", "noise_swap", "noise_mask")
-
-
 class TransformCatalog:
     """Category definitions: family trees plus process entries."""
 
@@ -148,23 +117,6 @@ class TransformCatalog:
 
     def register_entry(self, entry: ProcessEntry) -> None:
         self._process[entry.category] = entry
-
-    def register_category(
-        self,
-        category: str,
-        transform: str | None = None,
-        functionpointer: str | None = None,
-        defaultparams: dict | None = None,
-        tree: dict | None = None,
-    ) -> None:
-        """Library-embedder registration hook for custom categories."""
-        if transform is not None and transform not in KIND_PARAMS:
-            raise ConfigError(f"unknown transform kind: {transform!r}")
-        self.register_entry(
-            ProcessEntry(category, transform, functionpointer, dict(defaultparams or {}))
-        )
-        if tree is not None:
-            self.register_tree(category, FamilyTree.from_dict(tree))
 
     def has_root(self, category: str) -> bool:
         return category in self._trees
@@ -206,8 +158,7 @@ class TransformCatalog:
         """Apply user ``transformdict``/``processdict`` sections.
 
         Config-declared categories inherit an existing transform through
-        ``functionpointer``; arbitrary transform code is only available to
-        library embedders via :meth:`register_category`.
+        ``functionpointer``.
         """
         for category, spec in (processdict or {}).items():
             where = f"config.processdict.{category}"

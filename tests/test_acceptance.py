@@ -19,6 +19,7 @@ from tabnoise.noise import (
     weighted_flip,
 )
 from tabnoise.pipeline import (
+    KIND_PARAMS,
     AugmentSpec,
     apply,
     apply_with_stats,
@@ -29,7 +30,7 @@ from tabnoise.pipeline import (
 from tabnoise.rng import NOISE_DISTRIBUTIONS, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import SamplingPlan, rescale_budget
 from tabnoise.table import DataTable, write_csv
-from tabnoise.trees import KIND_PARAMS, ParamAssignments, builtin_catalog, resolve_params
+from tabnoise.trees import ParamAssignments, builtin_catalog, resolve_params
 
 
 @contextlib.contextmanager

@@ -3,10 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabnoise.encoders import column_as_floats
 from tabnoise.errors import BasisFormatError, ConfigError, SchemaError
 from tabnoise.pipeline import (
+    NOISE_KINDS,
+    _TRANSFORMS,
     AugmentSpec,
+    _Group,
+    _group_cells,
+    _group_floats,
     apply,
     apply_with_stats,
     augment,
@@ -17,6 +25,7 @@ from tabnoise.pipeline import (
 )
 from tabnoise.sampling import SamplingPlan
 from tabnoise.table import DataTable
+from tabnoise.trees import _PARAM_TYPES, builtin_catalog
 
 
 def _plan(seeds=None, **kwargs):
@@ -531,3 +540,66 @@ def test_unknown_traindata_mode_rejected():
     res = fit(_numeric_table(), {"assigncat": {"excl": ["num"]}}, _plan())
     with pytest.raises(ConfigError, match="mode"):
         apply(res.basis, _numeric_table(), "validation", _plan())
+
+
+def test_builtin_categories_resolve_to_every_declared_kind():
+    catalog = builtin_catalog()
+    kinds = {catalog.resolve_entry(category)[0] for category in catalog._process}
+    assert kinds == _TRANSFORMS.keys()
+
+
+def test_accepted_parameters_are_config_parameters():
+    for kind, (*_, accepted) in _TRANSFORMS.items():
+        assert set(accepted) <= _PARAM_TYPES.keys(), kind
+
+
+def test_noise_kinds_are_the_kinds_with_resolved_parameters():
+    resolved = {kind for kind, (_, _, payload, _) in _TRANSFORMS.items()
+                if "resolved" in payload.__annotations__}
+    assert set(NOISE_KINDS) == resolved
+
+
+@st.composite
+def _groups(draw):
+    n = draw(st.integers(0, 12))
+    cells = st.one_of(
+        st.lists(st.floats(), min_size=n, max_size=n).map(
+            lambda values: np.array(values, dtype=np.float64)),
+        st.lists(st.integers(-3, 9), min_size=n, max_size=n).map(
+            lambda codes: np.array(codes, dtype=np.int64)),
+        st.lists(st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.none()),
+                 min_size=n, max_size=n).map(lambda cells: np.array(cells, dtype=object)),
+    )
+    missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return _Group("g", [("g", draw(cells))], missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_groups())
+def test_group_floats_agree_with_group_cells_outside_missing_rows(group):
+    """Both readings mask the same rows and agree on every other row; in a row
+    only ``missing`` marks, ``_group_floats`` keeps a derived number (a code)."""
+    values, missing = _group_floats(group)
+    cell_values, cell_missing = column_as_floats(_group_cells(group))
+    assert np.array_equal(missing, cell_missing)
+    assert np.array_equal(values[~missing], cell_values[~missing])
+    assert not cell_values[cell_missing].any()
+    _, data = group.columns[0]
+    if data.dtype != object:
+        kept = group.missing & ~np.isnan(data.astype(np.float64))
+        assert np.array_equal(values[kept], data[kept].astype(np.float64))
+
+
+def test_stdbins_after_ordinal_bins_the_missing_code():
+    """A missing row of an ordinal column holds the missing code (4 here), and
+    stdbins bins that code; reading the codes as cells would bin 0.0 instead."""
+    table = DataTable({"c": ["a", "b", None, "c", "a", None]})
+    config = {
+        "shuffletrain": False,
+        "processdict": {"myord": {"functionpointer": "ord3"},
+                        "mybins": {"functionpointer": "bsor"}},
+        "transformdict": {"myroot": {"parents": ["myord"]}, "myord": {"coworkers": ["mybins"]}},
+        "assigncat": {"myroot": ["c"]},
+    }
+    res = fit(table, config, _plan())
+    assert res.train.column("c_myord_mybins") == [2.0, 3.0, 5.0, 4.0, 2.0, 5.0]

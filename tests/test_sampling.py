@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise.errors import BasisFormatError, ConfigError, SeedExhaustedError
-from tabnoise.pipeline import _noise_ops, apply, apply_with_stats, fit
+from tabnoise.pipeline import KIND_PARAMS, NOISE_KINDS, _noise_ops, apply, apply_with_stats, fit
 from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
@@ -23,7 +23,7 @@ from tabnoise.sampling import (
 )
 from tabnoise.schema import typed
 from tabnoise.table import DataTable
-from tabnoise.trees import KIND_PARAMS, NOISE_KINDS, builtin_catalog
+from tabnoise.trees import builtin_catalog
 
 
 def test_bulk_seeds_defaults_to_primary():

@@ -1,9 +1,9 @@
 import pytest
 
 from tabnoise.errors import ConfigError
+from tabnoise.pipeline import KIND_PARAMS
 from tabnoise.trees import (
     FamilyTree,
-    KIND_PARAMS,
     ParamAssignments,
     ProcessEntry,
     ROOT_PREFIX_POLICY,
