@@ -63,7 +63,7 @@ def _load_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise TabnoiseError(f"{path}: invalid JSON config: {exc}") from exc
     own = {k: v for k, v in typed(dict, config, "config", ConfigError).items() if k not in _FIT_KEYS}
     typed(_CliConfig, own, "config", ConfigError)

@@ -20,8 +20,8 @@ that expands external seeds below 2**128 (plus optional OS entropy bytes)
 into the 128-bit state and 64-bit sequence selector of a stream. The same
 inputs always produce the same stream. Under bulk seeding every sampled entry
 has a stream of its own: :class:`BulkSampler` hashes an operation's seeds in
-one pass and steps all of its PCG streams at once, on 32-bit limbs of numpy
-arrays.
+one pass and steps all of its PCG streams at once, each 128-bit state held
+as the low and high halves of two uint64 arrays.
 """
 
 from __future__ import annotations
@@ -179,70 +179,65 @@ class Pcg64Stream:
 
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
-_PCG_MULT_LIMBS = tuple((_PCG_MULT >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32))
+_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO_0, _MULT_LO_1 = _MULT_LO & _M32, _MULT_LO >> _S32
 
 
-def _limbs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """128-bit values from uint64 halves, as a (4, n) array of 32-bit limbs."""
-    return np.stack([low & _M32, low >> _S32, high & _M32, high >> _S32])
+def _add(lo, hi, b_lo, b_hi):
+    """``(a + b) mod 2**128`` on uint64 halves: the low words carry exactly when
+    their wrapped sum is below ``lo``."""
+    out_lo = lo + b_lo
+    return out_lo, hi + b_hi + (out_lo < lo)
 
 
-def _lcg(state: np.ndarray, mult: tuple, inc: np.ndarray) -> np.ndarray:
-    """``(state * mult + inc) mod 2**128`` on 32-bit limbs, lowest first.
+def _step(lo, hi, inc_lo, inc_hi):
+    """One LCG step ``(state * _PCG_MULT + inc) mod 2**128`` on uint64 halves.
 
-    A limb product is below 2**64 and a column sums at most eight 32-bit
-    halves, so no uint64 sum wraps before the carries are propagated.
+    numpy's uint64 products wrap, so they give the low word of ``lo * M_lo`` and the
+    ``lo * M_hi`` and ``hi * M_lo`` terms of the high word as they are. Only the high
+    word of ``lo * M_lo`` is built from 32-bit halves: four partial products, whose
+    middle column sums three values below 2**32 and so cannot wrap.
     """
-    acc = inc.copy()
-    for a in range(4):
-        for b in range(4 - a):
-            if mult[b]:
-                product = state[a] * np.uint64(mult[b])
-                acc[a + b] += product & _M32
-                if a + b < 3:
-                    acc[a + b + 1] += product >> _S32
-    for k in range(3):
-        acc[k + 1] += acc[k] >> _S32
-        acc[k] &= _M32
-    acc[3] &= _M32
-    return acc
+    a0, a1 = lo & _M32, lo >> _S32
+    p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    mid = ((a0 * _MULT_LO_0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    high = a1 * _MULT_LO_1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return _add(lo * _MULT_LO, high + lo * _MULT_HI + hi * _MULT_LO, inc_lo, inc_hi)
 
 
-def _xsl_rr(state: np.ndarray) -> np.ndarray:
+def _xsl_rr(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """PCG's XSL-RR output of each 128-bit state: the halves xored, rotated right
     by the state's top six bits."""
-    xored = ((state[3] << _S32) | state[2]) ^ ((state[1] << _S32) | state[0])
-    rot = state[3] >> np.uint64(26)
+    xored = hi ^ lo
+    rot = hi >> np.uint64(58)
     return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
 class _PcgLanes:
     """One :class:`Pcg64Stream` per entry, all stepped at once as uint64 arrays.
 
-    Built from ``(initstate, initseq)`` like the stream, its words equal those
-    of ``Pcg64Stream(initstate, initseq).next_word()`` for each entry.
+    Each entry's 128-bit state is held as two uint64 arrays of low and high halves,
+    and so is its increment. Built from ``(initstate, initseq)`` like the stream, its
+    words equal those of ``Pcg64Stream(initstate, initseq).next_word()`` for each entry.
     """
 
     independent = True
 
     def __init__(self, state_low: np.ndarray, state_high: np.ndarray, initseq: np.ndarray):
-        self._inc = np.stack([
-            ((initseq << np.uint64(1)) | np.uint64(1)) & _M32,
-            (initseq >> np.uint64(31)) & _M32,
-            initseq >> np.uint64(63),
-            np.zeros_like(initseq),
-        ])
-        state = _lcg(_limbs(state_low, state_high), (1, 0, 0, 0), self._inc)
-        self._state = _lcg(state, _PCG_MULT_LIMBS, self._inc)  # the constructor's word
+        self._inc_lo = (initseq << np.uint64(1)) | np.uint64(1)
+        self._inc_hi = initseq >> np.uint64(63)
+        state = _add(state_low, state_high, self._inc_lo, self._inc_hi)
+        self._lo, self._hi = _step(*state, self._inc_lo, self._inc_hi)  # the constructor's word
 
     def next(self, idx: np.ndarray | None = None) -> np.ndarray:
         """The next word of each entry in ``idx`` (every entry when None)."""
         if idx is None:
-            self._state = _lcg(self._state, _PCG_MULT_LIMBS, self._inc)
-            return _xsl_rr(self._state)
-        state = _lcg(self._state[:, idx], _PCG_MULT_LIMBS, self._inc[:, idx])
-        self._state[:, idx] = state
-        return _xsl_rr(state)
+            self._lo, self._hi = _step(self._lo, self._hi, self._inc_lo, self._inc_hi)
+            return _xsl_rr(self._lo, self._hi)
+        lo, hi = _step(self._lo[idx], self._hi[idx], self._inc_lo[idx], self._inc_hi[idx])
+        self._lo[idx], self._hi[idx] = lo, hi
+        return _xsl_rr(lo, hi)
 
 
 class _StreamLanes:

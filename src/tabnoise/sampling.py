@@ -305,8 +305,8 @@ def read_seed_file(path) -> PackedSeeds:
     packed in one numpy pass. Any other file, or one with a seed that may not
     fit in int64, takes the line-by-line path, which accepts whatever
     ``int()`` accepts on a stripped line and names the first line that is not
-    a seed. A seed that is negative or at least ``2**128`` raises
-    ``ConfigError`` too.
+    a seed. A seed that is negative or at least ``2**128``, or a file that
+    is not UTF-8, raises ``ConfigError`` too.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -319,15 +319,18 @@ def read_seed_file(path) -> PackedSeeds:
         if len(seeds) == count and (not count or seeds.max() < _INT64_MAX):
             return PackedSeeds(seeds)
     seeds = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                seeds.append(int(line))
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno} is not an integer seed")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    seeds.append(int(line))
+                except ValueError:
+                    raise ConfigError(f"{path}: line {lineno} is not an integer seed")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return PackedSeeds(seeds)
     except ValueError as exc:

@@ -229,7 +229,12 @@ def load_csv(
 ) -> DataTable:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise TableError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise TableError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise TableError(f"{path}: empty file (no header row)")
     names, body = rows[0], rows[1:]

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -452,6 +453,32 @@ def test_boolean_root_on_three_values_exit_2(workdir):
     assert code == 2
     assert "'cat'" in err and "boolean" in err
     assert "Traceback" not in err
+
+
+def _fit_cli(workdir):
+    return _run_cli("fit", str(workdir / "train.csv"),
+                    "--config", str(workdir / "config.json"),
+                    "--out-dir", str(workdir / "out"),
+                    "--entropy-seeds", str(workdir / "seeds.txt"))
+
+
+@pytest.mark.parametrize("name", ["config.json", "train.csv", "seeds.txt"])
+def test_fit_non_utf8_input_exit_2(workdir, name):
+    path = workdir / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    code, err = _fit_cli(workdir)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and str(path) in err
+
+
+def test_fit_csv_field_over_size_limit_exit_2(workdir):
+    path = workdir / "train.csv"
+    path.write_text("num,cat,label\n1,a,0\n2," + "b" * (csv.field_size_limit() + 1) + ",1\n")
+    code, err = _fit_cli(workdir)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and f"{path}: line 3: field larger" in err
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tabnoise import rng as rng_module
 from tabnoise.errors import SeedExhaustedError
 from tabnoise.rng import (
-    _PCG_MULT_LIMBS,
     NOISE_DISTRIBUTIONS,
     BulkSampler,
     ExternalWordStream,
@@ -22,9 +21,8 @@ from tabnoise.rng import (
     StreamSampler,
     _laplace_from_uniforms,
     _words_to_uniforms,
-    _lcg,
-    _limbs,
     _PcgLanes,
+    _step,
     _xsl_rr,
     make_stream,
     mix_seed,
@@ -558,14 +556,15 @@ def test_bulk_exhaustion_mid_batch_matches_per_entry_oracle(extra):
         assert manager.seeds_consumed == 45
 
 
-_MULT_INVERSE = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_INVERSE = pow(_MULT, -1, 2**128)
 
 
-def _limb_array(values):
+def _halves(values):
     values = [int(v) for v in values]
     low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
     high = np.array([v >> 64 for v in values], dtype=np.uint64)
-    return _limbs(low, high)
+    return low, high
 
 
 @settings(max_examples=200, deadline=None)
@@ -575,7 +574,10 @@ def _limb_array(values):
 @example(stepped=(2**122 - 1), seq=5)  # rotation 0
 @example(stepped=(1 << 122) | 0xDEADBEEF, seq=2**63)  # rotation 1
 @example(stepped=2**128 - 2**122, seq=1)  # rotation 63
-def test_limb_pcg_step_matches_pcg64_stream(stepped, seq):
+@example(stepped=(7 << 64) | 3, seq=2**62)  # + inc carries out of the low word
+# from a state of low word 2**64 - 2**32 - 1, the middle column of lo * M_lo carries 2
+@example(stepped=((2**64 - 2**32 - 1) * _MULT + 1) % 2**128, seq=0)
+def test_pcg_step_matches_pcg64_stream(stepped, seq):
     # pick the state before the step so the stepped state (and its rotation) is chosen
     inc = (seq << 1) | 1
     state = ((stepped - inc) * _MULT_INVERSE) % 2**128
@@ -585,11 +587,10 @@ def test_limb_pcg_step_matches_pcg64_stream(stepped, seq):
     stream._bitgen.state = bitgen_state
     want = stream.next_word()
     assert stream._bitgen.state["state"]["state"] == stepped
-    limbs = _limb_array([state])
-    inc_limbs = _limb_array([inc])
-    got_state = _lcg(limbs, _PCG_MULT_LIMBS, inc_limbs)
-    assert np.array_equal(got_state, _limb_array([stepped]))
-    assert int(_xsl_rr(got_state)[0]) == want
+    got_lo, got_hi = _step(*_halves([state]), *_halves([inc]))
+    want_lo, want_hi = _halves([stepped])
+    assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
+    assert int(_xsl_rr(got_lo, got_hi)[0]) == want
 
 
 @settings(max_examples=50, deadline=None)
