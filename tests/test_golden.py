@@ -12,7 +12,12 @@ entry a mersenne stream from a 50-seed bank that runs dry inside an
 operation, so the rest of each run's seeds come from the PCG64 extra seed
 generator, with the training rows shuffled. ``noise_augment_validation``
 has ``fit`` write its training duplicates from the rows left after the
-validation split. A digest change means a change in output bytes: a bug,
+validation split. ``categoric_codecs`` runs flip noise at probability 0.5
+after every categoric encoding: a passthrough vocabulary on a numeric
+column with blank cells and on a text column with a protected feature,
+ordinal on a numeric column with blanks and a protected feature, binarized
+on text with blanks, onehot with ``swap_noise`` and boolean with
+``direct_flip``. A digest change means a change in output bytes: a bug,
 or a format change that needs a new basis version.
 """
 
@@ -99,12 +104,35 @@ CONFIGS = {
         "sampling_dict": {"sampling_type": "default", "seeding_type": "primary_seeds",
                           "sampling_generator": "mersenne"},
     },
+    "categoric_codecs": {
+        "labels_column": "label",
+        "assigncat": {"DBpc": ["n1"], "DBod": ["n3"], "DB10": ["c1"], "DBoh": ["c2"],
+                      "DBbn": ["b1"], "DTpc": ["c3"]},
+        "assignparam": {
+            "DBpc": {"n1": {"flip_prob": 0.5, "test_flip_prob": 0.5}},
+            "DBod": {"n3": {"flip_prob": 0.5, "test_flip_prob": 0.5, "protected_feature": "b1"}},
+            "DB10": {"c1": {"flip_prob": 0.5, "test_flip_prob": 0.5}},
+            "DBoh": {"c2": {"flip_prob": 0.5, "test_flip_prob": 0.5, "swap_noise": True}},
+            "DBbn": {"b1": {"flip_prob": 0.5, "test_flip_prob": 0.5, "direct_flip": True}},
+            "DTpc": {"c3": {"flip_prob": 0.5, "test_flip_prob": 0.5, "protected_feature": "c2"}},
+        },
+        "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
+    },
 }
 
-BANK_SIZES = {"sampling_seed": 400, "transform_seed": 64, "bulk_seeds": 4000,
+BANK_SIZES = {"categoric_codecs": 400, "sampling_seed": 400, "transform_seed": 64, "bulk_seeds": 4000,
               "bulk_seeds_dry": 50, "noise_augment_validation": 400, "default_mersenne": 16}
 
 GOLDEN = {
+    "categoric_codecs": {
+        "aug.csv": "d1b1c67ae526d191f9b1e2bd983c717a6e8a4e069cf8c7021196bb317320f9f7",
+        "basis.json": "436a661141d81596eda41ac8693109abb643b5972a09a98c948d17e2e35bded6",
+        "seed_report.json": "d036352682f9e3484a844df743fc675290c5443a510695ca68cf8d97bc8becd9",
+        "test.out.csv": "326ac3d7be8f9ea7d583d50b4c15ad58246d9dde8603f10d34e6a8226af42419",
+        "tr_test.csv": "7ed3d86513b6aa2b29873b5f39b648bf00996cea655297db2a1c00f6ab5de591",
+        "tr_train.csv": "15ed92923cdae483924b736e53f0dca5fffb0c55e698b3ceba8e5fce8c78f877",
+        "train.out.csv": "2c056f1ccdbc985189191eba0e0e510a9fa3a89b0389a59635dd0ec5f3cdfbae",
+    },
     "bulk_seeds_dry": {
         "aug.csv": "7a58eff58562ca4950ae308c335afee7e87e33b2361162981ce3028c4a938f53",
         "basis.json": "38f603d158152ec61b090e4479bd3171f4dedfbb551cf9dcb06649c9e9d608fb",
