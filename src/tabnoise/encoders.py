@@ -9,6 +9,7 @@ frequency so it never participates in noise replacement.
 """
 
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .table import Cell, cells_of, sort_cells
 
-NumericKind = Literal["zscore", "minmax", "retain", "passthrough"]
+NumericKind = Literal["zscore", "minmax", "retain"]
 CategoricEncoding = Literal["ordinal", "boolean", "onehot", "binarized", "passthrough"]
 
 UNKNOWN_CODE = 0  # reserved ordinal slot for values unseen in training
@@ -40,13 +41,20 @@ class NumericBasis:
     kind: NumericKind = "zscore"
 
 
+def moments(present: np.ndarray) -> tuple[float, float]:
+    """Mean and population standard deviation (0, 0 when there are no values)."""
+    if not len(present):
+        return 0.0, 0.0
+    mean = float(np.mean(present))
+    return mean, float(np.sqrt(np.mean((present - mean) ** 2)))
+
+
 def fit_numeric(cells, kind: NumericKind) -> NumericBasis:
     values, missing = column_as_floats(cells)
     present = values[~missing]
     if len(present) == 0:
         return NumericBasis(kind=kind)
-    mean = float(np.mean(present))
-    std = float(np.sqrt(np.mean((present - mean) ** 2)))
+    mean, std = moments(present)
     return NumericBasis(
         mean=mean,
         std=std,
@@ -69,16 +77,12 @@ def apply_numeric(basis: NumericBasis, cells) -> tuple[np.ndarray, np.ndarray]:
             out = (values - basis.mean) / basis.std
         else:
             out = np.zeros_like(values)
-    elif basis.kind in ("minmax", "retain"):
+    else:
         span = basis.max - basis.min
         if span > 0.0:
             out = np.clip((values - basis.min) / span, 0.0, 1.0)
         else:
             out = np.full_like(values, 0.5)
-    elif basis.kind == "passthrough":
-        out = values.copy()
-    else:
-        raise ValueError(f"unknown numeric kind: {basis.kind!r}")
     out[missing] = 0.0
     return out, missing
 
@@ -122,13 +126,8 @@ class CategoricBasis:
 
 
 def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBasis:
-    counts: dict = {}
-    saw_missing = False
-    for cell in cells_of(cells):
-        if cell is None:
-            saw_missing = True
-            continue
-        counts[cell] = counts.get(cell, 0) + 1
+    counts = Counter(cells_of(cells))
+    saw_missing = counts.pop(None, 0) > 0
     vocabulary = sort_cells(counts)
     frequencies = [counts[v] for v in vocabulary]
     missing_code = len(vocabulary) + 1 if saw_missing else None
@@ -177,32 +176,42 @@ def onehot_to_codes(basis: CategoricBasis, columns: np.ndarray) -> np.ndarray:
     return codes
 
 
-# multi-column encodings: (codes -> grid, grid -> codes)
-GRID_CODECS = {"onehot": (codes_to_onehot, onehot_to_codes),
-               "binarized": (codes_to_bits, bits_to_codes)}
-
-
 def boolean_codes(basis: CategoricBasis, cells) -> np.ndarray:
     """Single 0/1 column for a two-value vocabulary.
 
     Missing and unseen values map to the more frequent training value's code
     (ties to code 0) since a boolean column has no spare slot.
     """
-    if len(basis.vocabulary) > 2:
-        raise ValueError("boolean encoding requires at most 2 training values")
     fallback = int(len(basis.frequencies) == 2 and basis.frequencies[1] > basis.frequencies[0])
     codes = ordinal_codes(basis, cells)
     seen = (codes >= 1) & (codes <= len(basis.vocabulary))
     return np.where(seen, codes - 1, fallback)
 
 
+# Each encoding's output columns from codes, (basis, codes) -> [column], and its
+# codes from those columns, (basis, [column]) -> codes. A boolean column holds
+# code - 1, and a passthrough column the vocabulary's values.
+Codec = namedtuple("Codec", "encode decode")
+CODECS = {
+    "ordinal": Codec(lambda basis, codes: [codes],
+                     lambda basis, columns: columns[0].astype(np.int64)),
+    "boolean": Codec(lambda basis, codes: [codes - 1],
+                     lambda basis, columns: columns[0].astype(np.int64) + 1),
+    "onehot": Codec(lambda basis, codes: list(codes_to_onehot(basis, codes).T.copy()),
+                    lambda basis, columns: onehot_to_codes(basis, np.column_stack(columns))),
+    "binarized": Codec(lambda basis, codes: list(codes_to_bits(basis, codes).T.copy()),
+                       lambda basis, columns: bits_to_codes(basis, np.column_stack(columns))),
+    "passthrough": Codec(
+        lambda basis, codes: [np.array([basis.value_of(c) for c in codes.tolist()],
+                                       dtype=object)],
+        lambda basis, columns: ordinal_codes(basis, columns[0])),
+}
+
+
 def apply_categoric(basis: CategoricBasis, cells) -> list[np.ndarray]:
     """Encode a column on the fitted basis; returns one array per output column."""
     if basis.encoding == "boolean":
-        return [boolean_codes(basis, cells)]
-    codes = ordinal_codes(basis, cells)
-    if basis.encoding == "ordinal":
-        return [codes]
-    if basis.encoding in GRID_CODECS:
-        return list(GRID_CODECS[basis.encoding][0](basis, codes).T.copy())
-    raise ValueError(f"unsupported encoding: {basis.encoding!r}")
+        codes = boolean_codes(basis, cells) + 1
+    else:
+        codes = ordinal_codes(basis, cells)
+    return CODECS[basis.encoding].encode(basis, codes)

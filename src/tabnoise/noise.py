@@ -29,6 +29,7 @@ from typing import Literal, TypedDict, Union, get_args
 
 import numpy as np
 
+from .encoders import moments
 from .errors import ConfigError
 from .rng import BLOCK_ENTRIES, NOISE_DISTRIBUTIONS, NoiseDistribution
 from .table import format_cell
@@ -342,8 +343,7 @@ def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protec
     """Segment std ratios of the (encoded) noise target, keyed by protected value."""
     target = np.asarray(target, dtype=np.float64)
     present = ~np.asarray(target_missing, dtype=bool)
-    overall = target[present]
-    aggregate_std = float(np.sqrt(np.mean((overall - overall.mean()) ** 2))) if len(overall) else 0.0
+    aggregate_std = moments(target[present])[1]
     basis = ProtectedBasis()
     keys, segment_of = _segments(protected_cells)
     for j, key in enumerate(keys):
@@ -352,8 +352,7 @@ def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protec
             basis.ratios[key] = 1.0
             basis.flagged_segments.append(key)
             continue
-        seg_std = float(np.sqrt(np.mean((segment - segment.mean()) ** 2)))
-        basis.ratios[key] = seg_std / aggregate_std
+        basis.ratios[key] = moments(segment)[1] / aggregate_std
     return basis
 
 

@@ -32,7 +32,7 @@ from typing import Literal, TypedDict
 import numpy as np
 
 from .encoders import (
-    GRID_CODECS,
+    CODECS,
     CategoricBasis,
     CategoricEncoding,
     NumericBasis,
@@ -41,7 +41,7 @@ from .encoders import (
     column_as_floats,
     fit_categoric,
     fit_numeric,
-    ordinal_codes,
+    moments,
 )
 from .errors import BasisFormatError, ConfigError, SchemaError
 from .noise import (
@@ -224,7 +224,7 @@ class _Group:
     base: str
     columns: list  # [(name, np.ndarray)]
     missing: np.ndarray  # bool mask: source cell missing or not usable
-    meta: dict = field(default_factory=dict)
+    basis: CategoricBasis | None = None  # the vocabulary the columns encode, if any
     preserve_missing: bool = False
 
 
@@ -251,9 +251,8 @@ def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     return values, group.missing | nan
 
 
-def _single(name: str, data, missing, meta=None, preserve=False) -> _Group:
-    return _Group(name, [(name, data)], np.asarray(missing, dtype=bool),
-                  meta or {}, preserve)
+def _single(name: str, data, missing, basis=None, preserve=False) -> _Group:
+    return _Group(name, [(name, data)], np.asarray(missing, dtype=bool), basis, preserve)
 
 
 def _output_names(out_base: str, count: int) -> list:
@@ -406,15 +405,6 @@ def _no_payload(ctx, group, params, tkey):
     return {}
 
 
-def _moments(values: np.ndarray, missing: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation of the present values (0, 0 if none)."""
-    present = values[~missing]
-    if not len(present):
-        return 0.0, 0.0
-    mean = float(np.mean(present))
-    return mean, float(np.sqrt(np.mean((present - mean) ** 2)))
-
-
 def _fit_numeric(kind, ctx, group, params, tkey):
     return {"numeric_basis": fit_numeric(_group_cells(group), kind)}
 
@@ -438,18 +428,15 @@ def _apply_categoric(ctx, payload, group, out_base, tkey):
     basis = payload["categoric_basis"]
     cells = _group_cells(group)
     arrays = apply_categoric(basis, cells)
-    missing = missing_of(cells)
-    meta = {"categoric_basis": basis, "encoding": basis.encoding}
     columns = list(zip(_output_names(out_base, len(arrays)), arrays))
-    return _Group(out_base, columns, missing, meta)
+    return _Group(out_base, columns, missing_of(cells), basis)
 
 
 def _apply_passthrough(ctx, payload, group, out_base, tkey):
     """Cells unchanged; a fitted vocabulary (passthrough_vocab) rides along for flip noise."""
     cells = _group_cells(group)
-    missing = missing_of(cells)
-    meta = {**payload, "encoding": "passthrough"} if payload else {}
-    return _single(out_base, cells, missing, meta, preserve=True)
+    return _single(out_base, cells, missing_of(cells), payload.get("categoric_basis"),
+                   preserve=True)
 
 
 def _apply_passthrough_float(ctx, payload, group, out_base, tkey):
@@ -465,7 +452,8 @@ def _checked_bincount(bincount: int, error=ConfigError, at: str = "bincount") ->
 
 def _fit_stdbins(ctx, group, params, tkey):
     bincount = _checked_bincount(int(params.get("bincount", 6)))
-    mean, std = _moments(*_group_floats(group))
+    values, missing = _group_floats(group)
+    mean, std = moments(values[~missing])
     return {"mean": mean, "std": std, "bincount": bincount}
 
 
@@ -497,7 +485,7 @@ def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.nd
 def _fit_noise_numeric(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
     values, missing = _group_floats(group)
-    payload["train_std"] = _moments(values, missing)[1]
+    payload["train_std"] = moments(values[~missing])[1]
     return _with_protected(ctx, payload, values, missing)
 
 
@@ -551,87 +539,66 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
         if scaled:
             noise = scale_noise_minmax(noise, out[active])
         out = inject_numeric(out, mask, noise)
-    return _single(out_base, out, missing, dict(group.meta), preserve=group.preserve_missing)
+    return _single(out_base, out, missing, group.basis, preserve=group.preserve_missing)
 
 
-def _codes_from_group(group: _Group, basis: CategoricBasis, encoding: str) -> np.ndarray:
-    if encoding in ("ordinal", "boolean"):  # a boolean column holds code - 1
-        return group.columns[0][1].astype(np.int64) + (encoding == "boolean")
-    if encoding in GRID_CODECS:
-        grid = np.column_stack([data for _, data in group.columns])
-        return GRID_CODECS[encoding][1](basis, grid)
-    if encoding == "passthrough":
-        return ordinal_codes(basis, _group_cells(group))
-    raise ConfigError(f"flip noise cannot follow encoding {encoding!r}")
-
-
-def _emit_codes(group: _Group, basis: CategoricBasis, encoding: str, codes: np.ndarray,
-                out_names: list, out_base: str, flipped: np.ndarray) -> _Group:
-    meta = dict(group.meta)
-    if encoding in ("ordinal", "boolean"):
-        return _Group(out_base, [(out_names[0], codes - (encoding == "boolean"))],
-                      group.missing, meta)
-    if encoding in GRID_CODECS:
-        grid = GRID_CODECS[encoding][0](basis, codes)
-        return _Group(out_base, list(zip(out_names, grid.T.copy())), group.missing, meta)
-    # passthrough: only flipped entries change, decoded through the vocabulary
-    cells = _group_cells(group)
-    if len(flipped):
-        cells = np.array(cells_of(cells), dtype=object)
-        for row in flipped.tolist():
-            cells[row] = basis.value_of(int(codes[row]))
-    return _Group(out_base, [(out_names[0], cells)], group.missing, meta,
-                  preserve_missing=True)
+def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
+    return CODECS[basis.encoding].decode(basis, [data for _, data in group.columns])
 
 
 def _fit_noise_flip(ctx, group, params, tkey):
     payload = _noise_payload(ctx, group, params, tkey)
-    basis = group.meta.get("categoric_basis")
+    basis = group.basis
     if basis is None:
         raise ConfigError(
             "flip noise requires an upstream categoric encoding with a fitted vocabulary"
         )
-    encoding = group.meta.get("encoding", "ordinal")
-    payload.update(categoric_basis=basis, encoding=encoding)
+    payload.update(categoric_basis=basis, encoding=basis.encoding)
     protected = payload["resolved"].get("protected_feature")
     if protected:
-        codes = _codes_from_group(group, basis, encoding)
         payload["protected"] = fit_protected_categoric(
-            codes, len(basis.vocabulary), ctx.aligned_cells(protected)
+            _decode(group, basis), len(basis.vocabulary), ctx.aligned_cells(protected)
         )
     return payload
 
 
 def _apply_noise_flip(ctx, payload, group, out_base, tkey):
-    basis, encoding = payload["categoric_basis"], payload["encoding"]
-    codes = _codes_from_group(group, basis, encoding)
-    out_names = _output_names(out_base, len(group.columns))
+    """Flip noise on the masked rows' codes; only the rows whose code changed are
+    encoded anew, so the others keep their cells."""
+    basis = payload["categoric_basis"]
+    codes = new_codes = _decode(group, basis)
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
-    if drawn is None:
-        return _emit_codes(group, basis, encoding, codes, out_names, out_base,
-                           np.array([], dtype=np.int64))
-    _, pp, mask = drawn
-    n = len(codes)
-    active = np.flatnonzero(mask)
-    if "swap" in ctx.declared:
-        new_codes = swap_noise(codes, mask, ctx.sampler(tkey, "swap"))
-    elif "flip" in ctx.declared:
-        sampler = ctx.sampler(tkey, "flip")
-        vocab_size = len(basis.vocabulary)
-        if pp["weighted"]:
-            weights = np.asarray(basis.frequencies, dtype=np.float64)
-        else:
-            weights = np.ones(vocab_size, dtype=np.float64)
-        segment_weights = None
-        if "protected" in payload and pp["weighted"]:
-            cells = _protected_cells(ctx, payload["resolved"], n)
-            segment_weights = protected_weight_matrix(payload["protected"], weights, cells, n)
-        new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler,
-                                  segment_weights)
-    else:  # a direct flip, which only a boolean encoding declares
-        new_codes = flip_boolean_direct(codes - 1, mask) + 1
-    flipped = active[new_codes[active] != codes[active]] if len(active) else active
-    return _emit_codes(group, basis, encoding, new_codes, out_names, out_base, flipped)
+    if drawn is not None:
+        _, pp, mask = drawn
+        n = len(codes)
+        if "swap" in ctx.declared:
+            new_codes = swap_noise(codes, mask, ctx.sampler(tkey, "swap"))
+        elif "flip" in ctx.declared:
+            sampler = ctx.sampler(tkey, "flip")
+            vocab_size = len(basis.vocabulary)
+            if pp["weighted"]:
+                weights = np.asarray(basis.frequencies, dtype=np.float64)
+            else:
+                weights = np.ones(vocab_size, dtype=np.float64)
+            segment_weights = None
+            if "protected" in payload and pp["weighted"]:
+                cells = _protected_cells(ctx, payload["resolved"], n)
+                segment_weights = protected_weight_matrix(payload["protected"], weights, cells, n)
+            new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler, segment_weights)
+        else:  # a direct flip, which only a boolean encoding declares
+            new_codes = flip_boolean_direct(codes - 1, mask) + 1
+    columns = [data for _, data in group.columns]
+    flipped = np.flatnonzero(new_codes != codes)
+    if len(flipped):
+        encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
+        # vocabulary cells go into an object copy: a passthrough column may be floats
+        columns = [np.array(cells_of(data), dtype=object) if new.dtype == object else data.copy()
+                   for data, new in zip(columns, encoded)]
+        for data, new in zip(columns, encoded):
+            data[flipped] = new
+    names = _output_names(out_base, len(columns))
+    return _Group(out_base, list(zip(names, columns)), group.missing, basis,
+                  group.preserve_missing)
 
 
 def _apply_noise_rows(ctx, payload, group, out_base, tkey):
@@ -645,7 +612,7 @@ def _apply_noise_rows(ctx, payload, group, out_base, tkey):
             out = swap_noise(out, mask, ctx.sampler(tkey, "swap"))
         else:
             out = mask_noise(out, mask, spec.mask_value)
-    return _single(out_base, out, group.missing, dict(group.meta), preserve=group.preserve_missing)
+    return _single(out_base, out, group.missing, group.basis, preserve=group.preserve_missing)
 
 
 # -- payloads: the keys each kind's fit returns, as basis.json holds them ------
@@ -1039,8 +1006,10 @@ def load_basis(path) -> TransformBasis:
 def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
     reads the input column or an earlier step's output, that a flip step keeps its
-    input's vocabulary, that a categoric basis holds its step's encoding, that a
-    bincount is in range, and that the plan's output columns are ones its steps list."""
+    input's vocabulary, that a categoric basis holds its step's encoding (and a
+    boolean one at most two values), that a numeric basis holds its step's kind,
+    that a bincount is in range, and that the plan's output columns are ones its
+    steps list."""
     made, listed = {plan.input_column}, {plan.input_column}
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
@@ -1069,6 +1038,13 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         if encoding is not None and basis.encoding != encoding:
             raise BasisFormatError(f"{at}.payload.categoric_basis.encoding: {basis.encoding!r} "
                                    f"is not the step's {encoding!r}")
+        if encoding == "boolean" and len(basis.vocabulary) > 2:
+            raise BasisFormatError(f"{at}.payload.categoric_basis.vocabulary: a boolean "
+                                   "encoding takes at most 2 values")
+        numeric = payload.get("numeric_basis")
+        if numeric is not None and numeric.kind != step.kind:
+            raise BasisFormatError(f"{at}.payload.numeric_basis.kind: {numeric.kind!r} is not "
+                                   f"the step's {step.kind!r}")
         if step.kind == "stdbins":
             _checked_bincount(payload["bincount"], BasisFormatError, f"{at}.payload.bincount")
     if not listed.issuperset(plan.output_columns):

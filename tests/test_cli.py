@@ -330,6 +330,29 @@ def test_transform_basis_encoding_not_its_steps_exit_2(workdir, steps, edit, pat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("column, steps, key, edit, path", [
+    # a boolean basis, in the step and in its flip, with a third value
+    ("cat", [0, 1], "categoric_basis",
+     {"vocabulary": ["blue", "green", "red"], "frequencies": [7, 1, 13]},
+     "cat.steps[0].payload.categoric_basis.vocabulary"),
+    # a zscore step whose basis claims min-max scaling
+    ("num", [0], "numeric_basis", {"kind": "minmax"}, "num.steps[0].payload.numeric_basis.kind"),
+])
+def test_transform_basis_not_its_kind_exit_2(workdir, column, steps, key, edit, path):
+    assert _fit(workdir) == 0
+    basis = json.loads((workdir / "out" / "basis.json").read_text())
+    plan = basis["column_plans"][column]
+    assert plan["steps"][0]["kind"] == {"cat": "boolean", "num": "zscore"}[column]
+    for i in steps:
+        plan["steps"][i]["payload"][key].update(edit)
+    (workdir / "bad.json").write_text(json.dumps(basis))
+    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
+                         "--out", str(workdir / "x.csv"))
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and path in err
+
+
 def _bsor_config(workdir, bincount):
     config = json.loads((workdir / "config.json").read_text())
     config.update(assigncat={"bsor": ["num"]},

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise.encoders import (
+    CODECS,
     apply_categoric,
     apply_numeric,
     binarized_width,
@@ -162,6 +164,24 @@ def test_boolean_codes():
     codes = boolean_codes(basis, ["n", "y", None])
     assert list(codes[:2]) == [0, 1]
     assert codes[2] == 1  # missing falls back to the more frequent value
+
+
+# codes each encoding's columns can hold: a boolean column has no slot for
+# unknown or missing cells, and a passthrough column reads unknown as missing
+_CODE_RANGES = {"boolean": (1, 2), "passthrough": (1, 3)}
+
+
+@pytest.mark.parametrize("encoding", sorted(CODECS))
+def test_codecs_decode_what_they_encode(encoding):
+    basis = fit_categoric(["a", None, "b", "a"], encoding)  # codes 1-2, missing code 3
+    first, last = _CODE_RANGES.get(encoding, (0, 3))
+    codes = np.arange(first, last + 1)
+    codec = CODECS[encoding]
+    assert codec.decode(basis, codec.encode(basis, codes)).tolist() == codes.tolist()
+    # an encoded column, unseen and missing cells too, is re-encoded as it was
+    columns = apply_categoric(basis, ["b", "zzz", None, "a"])
+    again = codec.encode(basis, codec.decode(basis, columns))
+    assert [c.tolist() for c in again] == [c.tolist() for c in columns]
 
 
 def test_numeric_vocabulary_sorts_before_text():
