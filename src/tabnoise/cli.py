@@ -20,8 +20,6 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TypedDict
 
-import numpy as np
-
 from .errors import ConfigError, TabnoiseError
 from .pipeline import (
     TRAINDATA_MODES,
@@ -125,15 +123,7 @@ def cmd_fit(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared_train = result.train
-    if cfg.noise_augment:
-        spec = AugmentSpec.from_literal(str(cfg.noise_augment))
-        if spec.count:
-            log.info("noise_augment: preparing %d duplicates", spec.count)
-            # the duplicates come from the rows left after the validation split
-            kept = np.flatnonzero(~np.isin(train.index, result.basis.validation_row_index))
-            prepared_train = augment(result.basis, train.take(kept), spec, plan)
-    outputs = (("train.out.csv", prepared_train), ("val.out.csv", result.validation),
+    outputs = (("train.out.csv", result.train), ("val.out.csv", result.validation),
                ("test.out.csv", result.test))
     for name, prepared in outputs:
         if prepared is not None:

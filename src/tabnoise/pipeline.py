@@ -3,7 +3,8 @@
 ``fit`` resolves a root category per input column (explicit assignment wins
 over automation), removes validation rows before any statistic is computed,
 fits every column's transform tree on the remaining training rows, and emits
-the prepared training set with train-phase noise. The returned basis holds
+the prepared training set with train-phase noise (with ``noise_augment``, its
+duplicates, as ``augment`` makes them). The returned basis holds
 everything needed to prepare later data with no access to the training set:
 fitted statistics, resolved parameters, applied steps, and the seed report.
 
@@ -267,10 +268,10 @@ def _phase(mode: str) -> str:
 
 
 class _Ctx:
-    def __init__(self, manager: StreamManager, mode: str, cells_lookup, fitting: bool):
+    def __init__(self, manager: StreamManager, mode: str, cells, fitting: bool):
         self.manager = manager
         self.mode = mode
-        self._cells_lookup = cells_lookup
+        self.cells = cells  # a column of the table being prepared, by name
         self.fitting = fitting
         # the step's declared operation names (None while its payload is fitted), and those taken
         self.declared: list | None = []
@@ -295,12 +296,6 @@ class _Ctx:
                                      or done and len(taken) != len(declared)):
             raise RuntimeError(f"transform {tkey} took sampling operations {taken}, "
                                f"but declares {declared}")
-
-    def aligned_cells(self, column: str) -> list:
-        cells = self._cells_lookup(column)
-        if cells is None:
-            raise SchemaError(f"column {column!r} required by a fitted transform is absent")
-        return cells
 
 
 # -- noise parameter plumbing ------------------------------------------------
@@ -389,14 +384,6 @@ def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
     return spec, pp, mask
 
 
-def _protected_cells(ctx: _Ctx, resolved: dict, n_rows: int) -> list:
-    protected = resolved.get("protected_feature")
-    cells = ctx.aligned_cells(protected)
-    if len(cells) != n_rows:
-        raise SchemaError(f"protected column {protected!r} is not row-aligned")
-    return cells
-
-
 # -- transforms: fit(ctx, group, params, tkey) -> payload and ------------------
 # -- apply(ctx, payload, group, out_base, tkey) -> output group ----------------
 
@@ -478,7 +465,7 @@ def _apply_missing_marker(ctx, payload, group, out_base, tkey):
 def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.ndarray) -> dict:
     protected = payload["resolved"].get("protected_feature")
     if protected:
-        payload["protected"] = fit_protected_numeric(values, missing, ctx.aligned_cells(protected))
+        payload["protected"] = fit_protected_numeric(values, missing, ctx.cells(protected))
     return payload
 
 
@@ -534,7 +521,7 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
         noise = sample_noise(ctx.sampler(tkey, "noise"), pp["noisedistribution"], mu, sigma,
                              len(active))
         if "protected" in payload:
-            cells = _protected_cells(ctx, payload["resolved"], len(out))
+            cells = ctx.cells(payload["resolved"]["protected_feature"])
             noise = noise * protected_ratio_vector(payload["protected"], cells, active)
         if scaled:
             noise = scale_noise_minmax(noise, out[active])
@@ -557,23 +544,26 @@ def _fit_noise_flip(ctx, group, params, tkey):
     protected = payload["resolved"].get("protected_feature")
     if protected:
         payload["protected"] = fit_protected_categoric(
-            _decode(group, basis), len(basis.vocabulary), ctx.aligned_cells(protected)
+            _decode(group, basis), len(basis.vocabulary), ctx.cells(protected)
         )
     return payload
 
 
 def _apply_noise_flip(ctx, payload, group, out_base, tkey):
-    """Flip noise on the masked rows' codes; only the rows whose code changed are
-    encoded anew, so the others keep their cells."""
+    """Flip noise on the masked rows. A swap trades the rows of the encoded columns,
+    so a cell the vocabulary lacks moves as it is; a flip draws new codes, and only
+    the rows whose code changed are encoded anew, so the others keep their cells."""
     basis = payload["categoric_basis"]
-    codes = new_codes = _decode(group, basis)
+    columns = [data for _, data in group.columns]
     drawn = _draw_mask(ctx, payload, group.missing, tkey)
-    if drawn is not None:
+    if drawn is not None and "swap" in ctx.declared:
+        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler(tkey, "swap"))
+        columns = list(swapped.T)
+    elif drawn is not None:
         _, pp, mask = drawn
+        codes = _decode(group, basis)
         n = len(codes)
-        if "swap" in ctx.declared:
-            new_codes = swap_noise(codes, mask, ctx.sampler(tkey, "swap"))
-        elif "flip" in ctx.declared:
+        if "flip" in ctx.declared:
             sampler = ctx.sampler(tkey, "flip")
             vocab_size = len(basis.vocabulary)
             if pp["weighted"]:
@@ -582,20 +572,19 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
                 weights = np.ones(vocab_size, dtype=np.float64)
             segment_weights = None
             if "protected" in payload and pp["weighted"]:
-                cells = _protected_cells(ctx, payload["resolved"], n)
+                cells = ctx.cells(payload["resolved"]["protected_feature"])
                 segment_weights = protected_weight_matrix(payload["protected"], weights, cells, n)
             new_codes = weighted_flip(codes, vocab_size, weights, mask, sampler, segment_weights)
         else:  # a direct flip, which only a boolean encoding declares
             new_codes = flip_boolean_direct(codes - 1, mask) + 1
-    columns = [data for _, data in group.columns]
-    flipped = np.flatnonzero(new_codes != codes)
-    if len(flipped):
-        encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
-        # vocabulary cells go into an object copy: a passthrough column may be floats
-        columns = [np.array(cells_of(data), dtype=object) if new.dtype == object else data.copy()
-                   for data, new in zip(columns, encoded)]
-        for data, new in zip(columns, encoded):
-            data[flipped] = new
+        flipped = np.flatnonzero(new_codes != codes)
+        if len(flipped):
+            encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
+            # vocabulary cells go into an object copy: a passthrough column may be floats
+            columns = [np.array(cells_of(data), dtype=object) if new.dtype == object
+                       else data.copy() for data, new in zip(columns, encoded)]
+            for data, new in zip(columns, encoded):
+                data[flipped] = new
     names = _output_names(out_base, len(columns))
     return _Group(out_base, list(zip(names, columns)), group.missing, basis,
                   group.preserve_missing)
@@ -768,9 +757,23 @@ def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
 
 def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
              fitting: dict | None = None) -> DataTable:
-    """Prepare a table on the basis; ``fitting`` maps each column to its structural pass."""
-    ctx = _Ctx(manager, mode, lambda c: table.column(c) if table.has_column(c) else None,
-               fitting=fitting is not None)
+    """Prepare a table on the basis; ``fitting`` maps each column to its structural pass.
+
+    Outside of fit, the table must hold every column the basis requires; the
+    columns it does not know are ignored with a warning.
+    """
+    if mode not in TRAINDATA_MODES:
+        raise ConfigError(f"unknown traindata mode: {mode!r}")
+    if fitting is None:
+        required = basis.required_columns()
+        missing = sorted(c for c in required if not table.has_column(c))
+        if missing:
+            raise SchemaError(f"data is missing fitted schema columns: {', '.join(missing)}")
+        known = set(basis.input_columns) | set(required)
+        extra = [c for c in table.column_names if c not in known]
+        if extra:
+            warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
+    ctx = _Ctx(manager, mode, table.column, fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
     columns: dict[str, np.ndarray] = {}
@@ -851,6 +854,10 @@ def fit(
         else:
             root = assigned_roots.get(col) or _automation_root(kind, cfg.powertransform)
         plans[col], fitting[col] = _structure(catalog, assignments, col, root, kind, used_names)
+        for params in fitting[col][0]:
+            protected = params.get("protected_feature")
+            if protected and not train.has_column(protected):
+                raise SchemaError(f"column {protected!r} required by a fitted transform is absent")
 
     basis = TransformBasis(
         input_columns=list(train.column_names),
@@ -885,6 +892,9 @@ def fit(
     prepared_test = None
     if test is not None:
         prepared_test = _prepare(basis, test, "test", manager)
+    spec = AugmentSpec.from_literal(str(cfg.noise_augment))
+    if spec.count:  # the duplicates come from the rows left after the validation split
+        prepared_train = augment(basis, train_sub, spec, plan)
 
     return FitResult(
         train=prepared_train,
@@ -915,18 +925,7 @@ def apply_with_stats(
     mode: str = "test",
     plan: SamplingPlan | None = None,
 ) -> tuple[DataTable, dict]:
-    if mode not in TRAINDATA_MODES:
-        raise ConfigError(f"unknown traindata mode: {mode!r}")
-    plan = plan or SamplingPlan()
-    required = basis.required_columns()
-    missing = [c for c in required if not table.has_column(c)]
-    if missing:
-        raise SchemaError(f"data is missing fitted schema columns: {', '.join(sorted(missing))}")
-    known = set(basis.input_columns) | set(required)
-    extra = [c for c in table.column_names if c not in known]
-    if extra:
-        warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
-    manager = _register_noise_steps(StreamManager(plan), basis)
+    manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
     prepared = _prepare(basis, table, mode, manager)
     stats = {"ops_executed": manager.ops_executed, "seeds_consumed": manager.seeds_consumed}
     return prepared, stats
@@ -1005,11 +1004,11 @@ def load_basis(path) -> TransformBasis:
 
 def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
-    reads the input column or an earlier step's output, that a flip step keeps its
-    input's vocabulary, that a categoric basis holds its step's encoding (and a
-    boolean one at most two values), that a numeric basis holds its step's kind,
-    that a bincount is in range, and that the plan's output columns are ones its
-    steps list."""
+    reads the input column or an earlier step's output, that a protected payload
+    names its column, that a flip step keeps its input's vocabulary, that a
+    categoric basis holds its step's encoding (and a boolean one at most two
+    values), that a numeric basis holds its step's kind, that a bincount is in
+    range, and that the plan's output columns are ones its steps list."""
     made, listed = {plan.input_column}, {plan.input_column}
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
@@ -1027,6 +1026,9 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         if unknown:
             raise BasisFormatError(f"{at}.payload.randomized_fields: {sorted(unknown)} are not "
                                    "in params_raw")
+        if "protected" in payload and not payload["resolved"].get("protected_feature"):
+            raise BasisFormatError(f"{at}.payload.resolved.protected_feature: a protected "
+                                   "payload names no column")
         upstream = vocabularies.get(step.input_base)
         basis = vocabularies[step.output_base] = payload.get("categoric_basis", upstream)
         if basis is not None and len(basis.frequencies) != len(basis.vocabulary):

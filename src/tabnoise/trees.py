@@ -250,29 +250,16 @@ def resolve_params(
     the category-specific levels.
     """
     merged = dict(defaults)
-    for key, value in assignments.global_assignparam.items():
-        if key in accepted:
-            merged[key] = value
-    for key, value in assignments.default_assignparam.get(category, {}).items():
-        if key not in accepted:
-            raise ConfigError(
-                f"parameter {key!r} is not accepted by category {category!r}"
-            )
-        merged[key] = value
+    merged.update((k, v) for k, v in assignments.global_assignparam.items() if k in accepted)
     per_column = assignments.per_category.get(category, {})
-    column_keys = [input_column]
-    if derived_column != input_column:
-        column_keys.append(derived_column)
-    for column_key in column_keys:
-        spec = per_column.get(column_key)
-        if not spec:
-            continue
-        for key, value in spec.items():
+    levels = [(assignments.default_assignparam.get(category, {}), "")]
+    levels += [(per_column.get(column) or {}, f" (column {column!r})")
+               for column in dict.fromkeys((input_column, derived_column))]
+    for params, where in levels:
+        for key, value in params.items():
             if key not in accepted:
-                raise ConfigError(
-                    f"parameter {key!r} is not accepted by category {category!r} "
-                    f"(column {column_key!r})"
-                )
+                raise ConfigError(f"parameter {key!r} is not accepted by category "
+                                  f"{category!r}{where}")
             merged[key] = value
     return merged
 

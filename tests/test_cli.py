@@ -11,8 +11,9 @@ import pytest
 import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
-from tabnoise.pipeline import MAX_BINCOUNT
-from tabnoise.table import load_csv
+from tabnoise.pipeline import MAX_BINCOUNT, fit
+from tabnoise.sampling import SamplingPlan
+from tabnoise.table import load_csv, write_csv
 
 
 @pytest.fixture()
@@ -81,6 +82,17 @@ def test_noise_augment_leaves_validation_rows_out(workdir):
     train_ids = load_csv(out / "train.out.csv").column("row_index")
     assert len(train_ids) == 2 * len(kept)
     assert {i % stride for i in train_ids} == kept
+
+
+def test_library_fit_writes_the_noise_augment_rows_fit_writes(workdir):
+    _with_config(workdir, validation_ratio=0.25, noise_augment=2)
+    assert _fit(workdir) == 0
+    config = json.loads((workdir / "config.json").read_text())
+    plan = SamplingPlan(entropy_seeds=list(range(500)), **config.pop("sampling_dict"))
+    result = fit(load_csv(workdir / "train.csv"), config, plan)
+    assert result.train.n_rows == 3 * (20 - 5)
+    write_csv(result.train, workdir / "library.csv", include_row_index=True)
+    assert (workdir / "library.csv").read_bytes() == (workdir / "out" / "train.out.csv").read_bytes()
 
 
 def test_fit_reads_seed_file_once(workdir):
@@ -353,6 +365,22 @@ def test_transform_basis_not_its_kind_exit_2(workdir, column, steps, key, edit, 
     assert len(err.splitlines()) == 1 and path in err
 
 
+def test_transform_basis_protected_payload_naming_no_column_exit_2(workdir):
+    _with_config(workdir, assignparam={"DPnb": {"num": {"protected_feature": "cat"}}})
+    assert _fit(workdir) == 0
+    basis = json.loads((workdir / "out" / "basis.json").read_text())
+    step = basis["column_plans"]["num"]["steps"][1]
+    assert step["kind"] == "noise_numeric" and "protected" in step["payload"]
+    step["payload"]["resolved"]["protected_feature"] = None
+    (workdir / "bad.json").write_text(json.dumps(basis))
+    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
+                         "--out", str(workdir / "x.csv"))
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert "num.steps[1].payload.resolved.protected_feature" in err
+
+
 def _bsor_config(workdir, bincount):
     config = json.loads((workdir / "config.json").read_text())
     config.update(assigncat={"bsor": ["num"]},
@@ -384,6 +412,21 @@ def test_transform_basis_bincount_above_bound_exit_2(workdir):
     assert code == 2
     assert "num.steps[0].payload.bincount" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "augment"])
+def test_table_missing_a_fitted_column_exit_2(workdir, command):
+    assert _fit(workdir) == 0
+    short = workdir / "short.csv"
+    short.write_text("num,label\n1.0,0\n2.0,1\n")
+    args = {"fit": ["fit", str(workdir / "train.csv"), "--test", str(short),
+                    "--config", str(workdir / "config.json"), "--out-dir", str(workdir / "o")],
+            "augment": ["augment", str(workdir / "out" / "basis.json"), str(short),
+                        "--count", "1", "--out", str(workdir / "aug.csv")]}[command]
+    code, err = _run_cli(*args, "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "data is missing fitted schema columns: cat" in err
 
 
 def test_augment_non_numeric_count_exit_2(workdir):

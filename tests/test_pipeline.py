@@ -124,11 +124,17 @@ def test_validation_split_and_train_basis():
     assert val_values == pytest.approx(expected)
 
 
-def test_apply_missing_column_listed():
-    res = fit(_mixed_table(), {"powertransform": "DP1", "labels_column": "label"}, _plan())
+@pytest.mark.parametrize("prepare", [
+    lambda config, basis, short: apply(basis, short, "test", _plan()),
+    lambda config, basis, short: fit(_mixed_table(), config, _plan(), test=short),
+    lambda config, basis, short: augment(basis, short, AugmentSpec(1), _plan()),
+], ids=["apply", "fit_test", "augment"])
+def test_apply_missing_column_listed(prepare):
+    config = {"powertransform": "DP1", "labels_column": "label"}
+    res = fit(_mixed_table(), config, _plan())
     short = DataTable({"num": [1.0]})
-    with pytest.raises(SchemaError, match="cat"):
-        apply(res.basis, short, "test", _plan())
+    with pytest.raises(SchemaError, match="^data is missing fitted schema columns: cat, flag$"):
+        prepare(config, res.basis, short)
 
 
 def test_apply_label_column_optional():
@@ -345,6 +351,38 @@ def test_missing_cells_never_perturbed():
             assert value == 0.0  # imputed, untouched by noise
 
 
+_NUMERIC_STEMS = ("nb", "mm", "rt", "ne")
+_FLIP_STEMS = ("bn", "od", "oh", "10", "pc")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stem=st.sampled_from(_NUMERIC_STEMS + _FLIP_STEMS + ("se", "sk")),
+       prefix=st.sampled_from(["DP", "DT", "DB"]), swap=st.booleans(),
+       blanks=st.lists(st.booleans(), min_size=10, max_size=30), seed=st.integers(0, 2**16))
+def test_missing_cells_never_perturbed_by_any_noise_stem(stem, prefix, swap, blanks, seed):
+    rng = np.random.default_rng(seed)
+    if stem in _NUMERIC_STEMS:
+        values = [float(v) for v in rng.normal(0, 1, size=len(blanks))]
+    else:
+        vocabulary = "ab" if stem == "bn" else "abc"
+        values = [vocabulary[v] for v in rng.integers(0, len(vocabulary), size=len(blanks))]
+    blanks[:2] = [False, False]  # at least two training values
+    table = DataTable({"x": [None if blank else v for v, blank in zip(values, blanks)]})
+    params = {"flip_prob": 0.9, "test_flip_prob": 0.9}
+    if swap and stem in _FLIP_STEMS:
+        params["swap_noise"] = True
+    config = {"shuffletrain": False, "assigncat": {prefix + stem: ["x"]},
+              "assignparam": {prefix + stem: {"x": params}}}
+    basis = fit(table, config, _plan()).basis
+    for mode in ("train", "test"):
+        noisy = apply(basis, table, mode, _plan())
+        clean = apply(basis, table, f"{mode}_no_noise", _plan())
+        assert noisy.column_names == clean.column_names
+        for name in noisy.column_names:
+            pairs = zip(noisy.column(name), clean.column(name), blanks)
+            assert [(a, b) for a, b, blank in pairs if blank and a != b] == [], (mode, name)
+
+
 def test_save_load_round_trip(tmp_path):
     table = _mixed_table()
     res = fit(table, {"powertransform": "DP1", "labels_column": "label",
@@ -534,6 +572,16 @@ def test_protected_feature_through_pipeline():
     ratio = std_a / std_b
     expected = float(np.std(values[: n // 2])) / float(np.std(values[n // 2:]))
     assert abs(ratio - expected) / expected < 0.1
+
+
+@pytest.mark.parametrize("root", ["DPne", "DPod"])
+def test_protected_feature_naming_no_training_column_rejected_at_fit(root):
+    table = DataTable({"x": [1.0, 2.0, 3.0, 4.0], "grp": ["a", "b", "a", "b"]})
+    config = {"assigncat": {root: ["x"]},
+              "assignparam": {root: {"x": {"protected_feature": "nope"}}}}
+    with pytest.raises(SchemaError, match="^column 'nope' required by a fitted transform is "
+                                          "absent$"):
+        fit(table, config, _plan())
 
 
 def test_unknown_traindata_mode_rejected():

@@ -287,6 +287,20 @@ def test_swap_noise_flag_on_binarized_encoding():
     assert set(codes) <= {1, 2, 3}  # swapped codes come from rows of the batch
 
 
+def test_swap_noise_on_passthrough_vocabulary_moves_unseen_values():
+    # a swap trades cells, so a row drawing one the vocabulary lacks takes it as it is
+    config = {
+        "shuffletrain": False,
+        "assigncat": {"DPpc": ["cat"]},
+        "assignparam": {"default_assignparam": {"DPpc": {"flip_prob": 1.0,
+                                                          "swap_noise": True}}},
+    }
+    res = fit(DataTable({"cat": ["a", "b", "a", "b"]}), config, _plan(list(range(50))))
+    table = DataTable({"cat": ["zz", "a", "b", "zz", "a", "b", "a", "b"]})
+    out = apply(res.basis, table, "train", _plan(list(range(50)))).column("cat_DPpce_DPpc")
+    assert set(out) <= {"a", "b", "zz"}, out
+
+
 def test_db_scaled_root_matches_dt_under_bulk_seeding():
     # phase-keyed calibration: a DB-scaled root's test output matches the DT
     # twin cell-exact under bulk primary seeding

@@ -211,6 +211,21 @@ def test_per_column_unknown_parameter_rejected():
         resolve_params("DPnb", "c", "c_e", assignments, {}, KIND_PARAMS["noise_numeric"])
 
 
+def test_each_strict_level_names_itself_in_its_message():
+    assignments = ParamAssignments.from_config({
+        "default_assignparam": {"DPnb": {"wat": 1}},
+        "DPmm": {"c": {"wat": 1}},
+        "DPrt": {"c_e": {"wat": 1}},
+    })
+    cases = [("DPnb", "parameter 'wat' is not accepted by category 'DPnb'"),
+             ("DPmm", "parameter 'wat' is not accepted by category 'DPmm' (column 'c')"),
+             ("DPrt", "parameter 'wat' is not accepted by category 'DPrt' (column 'c_e')")]
+    for category, message in cases:
+        with pytest.raises(ConfigError) as caught:
+            resolve_params(category, "c", "c_e", assignments, {}, KIND_PARAMS["noise_scaled"])
+        assert str(caught.value) == message
+
+
 # -- builtin catalog -------------------------------------------------------------------
 
 
