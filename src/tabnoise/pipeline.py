@@ -756,15 +756,16 @@ def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
 
 
 def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
-             fitting: dict | None = None) -> DataTable:
+             fitting: dict | None = None, checked: bool = False) -> DataTable:
     """Prepare a table on the basis; ``fitting`` maps each column to its structural pass.
 
     Outside of fit, the table must hold every column the basis requires; the
-    columns it does not know are ignored with a warning.
+    columns it does not know are ignored with a warning. ``checked`` says an
+    earlier preparation of the same table has made that check.
     """
     if mode not in TRAINDATA_MODES:
         raise ConfigError(f"unknown traindata mode: {mode!r}")
-    if fitting is None:
+    if fitting is None and not checked:
         required = basis.required_columns()
         missing = sorted(c for c in required if not table.has_column(c))
         if missing:
@@ -950,7 +951,7 @@ def augment(
     row_index: list[np.ndarray] = []
     for copy_idx in range(spec.count + 1):
         mode = "train_no_noise" if copy_idx == 1 and not spec.all_noisy else "train"
-        prepared = _prepare(basis, table, mode, manager)
+        prepared = _prepare(basis, table, mode, manager, checked=copy_idx > 0)
         for name in prepared.column_names:
             copies.setdefault(name, []).append(prepared.array(name))
         row_index.append(prepared.index + copy_idx * stride)

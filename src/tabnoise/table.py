@@ -253,7 +253,7 @@ def load_csv(
     return DataTable._trusted(columns, np.arange(len(body), dtype=np.int64))
 
 
-# cells formatted and joined per block of rows, so the text never holds the whole table
+# cells per frame of rows, so the text never holds the whole table
 _WRITE_BLOCK_CELLS = 1 << 14
 
 
@@ -265,63 +265,61 @@ def _field(text: str, delimiter: str) -> str:
     return text
 
 
-# the characters of an integer's or a finite float's text
-_NUMBER_CHARS = frozenset("0123456789.-+e")
+def _text_part(column: np.ndarray, delimiter: str, empty: str):
+    """(width, rows of a block of cells) for an object column: each distinct cell formatted
+    as ``format_cell`` does and quoted once, as UTF-8 padded with ``0xFF`` to the longest."""
+    from . import numtext
 
-
-def _distinct_fields(column: np.ndarray, delimiter: str, empty: str):
-    """(field of each distinct cell, each cell's position among them) for one column.
-
-    Every distinct cell is formatted as ``format_cell`` formats it and quoted once.
-    Equal floats format the same (``-0.0`` and ``0.0`` both as ``0``), so merging them
-    is safe.
-    """
-    if column.dtype == object:
-        cells = column.tolist()
-        distinct = list(dict.fromkeys(cells))
-        codes = {cell: code for code, cell in enumerate(distinct)}
-        inverse = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
-        texts = np.array([_field(format_cell(cell), delimiter) or empty for cell in distinct],
-                         dtype=object)
-    else:
-        values, inverse = np.unique(column, return_inverse=True)
-        texts = np.full(len(values), empty, dtype=object)  # NaN, the one missing value
-        whole = (np.abs(values) < 1e16) & (values == np.trunc(values))
-        other = ~whole & ~np.isnan(values)
-        texts[whole] = np.fromiter(map(str, values[whole].astype(np.int64).tolist()), object)
-        texts[other] = np.fromiter(map(repr, values[other].tolist()), object)
-        if set(delimiter) <= _NUMBER_CHARS:
-            numbers = whole | other
-            texts[numbers] = np.fromiter((_field(text, delimiter) for text in texts[numbers]),
-                                         object)
+    cells = column.tolist()
+    codes = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
     # the positions are held for the whole write, so in the narrowest type that fits
-    return texts, inverse.astype(np.min_scalar_type(len(texts)))
+    inverse = np.fromiter(map(codes.__getitem__, cells), np.min_scalar_type(len(codes)), len(cells))
+    rows = numtext.padded([(_field(format_cell(cell), delimiter) or empty).encode()
+                           for cell in codes])
+    return numtext.gathered(rows, inverse)
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:
     """Write RFC-4180-style CSV: CRLF line ends, fields quoted only when they must be,
-    numbers as ``format_cell`` writes them, and missing cells as empty fields."""
+    numbers as ``format_cell`` writes them, and missing cells as empty fields.
+
+    The ``delimiter`` is one character. The row identifiers go first, under
+    ``row_index``, or under ``suffixed_name("row", "index", ...)`` when a column
+    already has that name.
+    """
+    from . import numtext
+
     names = table.column_names
-    header = ["row_index"] + names if include_row_index else names
+    header = [suffixed_name("row", "index", names)] + names if include_row_index else names
     # csv.writer writes a row of one empty field as "", so it does not read as a blank line
     empty = '""' if len(header) == 1 else ""
-    columns = [_distinct_fields(table.array(name), delimiter, empty) for name in names]
-    # row identifiers are distinct, and their text needs quoting only under a digit or '-'
-    # delimiter
-    quote_index = delimiter in "-0123456789"
-    step = max(1, _WRITE_BLOCK_CELLS // max(1, len(header)))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(delimiter.join(_field(name, delimiter) or empty for name in header)
-                     + "\r\n")
+    arrays = [table.array(name) for name in names]
+    numbers = iter(numtext.column_rows([a for a in arrays if a.dtype != object], delimiter,
+                                       len(header) == 1))
+    # each column as (width, its rows for a block of cells)
+    columns = [_text_part(a, delimiter, empty) if a.dtype == object else next(numbers)
+               for a in arrays]
+    if include_row_index:
+        index = numtext.trimmed(numtext.text_rows(table.index, delimiter))
+        columns.insert(0, (index.shape[1], index.__getitem__))
+    # a frame row: each column's text with a delimiter after it, and the line end after the
+    # last; every block reuses the frame's delimiters and line ends
+    sep = delimiter.encode()
+    template = sep.join(b"\xff" * width for width, _ in columns) + b"\r\n"
+    starts = np.cumsum([0] + [width + len(sep) for width, _ in columns]).tolist()
+    # at most _WRITE_BLOCK_CELLS cells a frame, counting a cell as up to 32 bytes
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, len(header), len(template) // 32))
+    frame = np.empty((min(step, table.n_rows), len(template)), dtype=np.uint8)
+    frame[:] = np.frombuffer(template, dtype=np.uint8)
+    with open(path, "wb") as handle:
+        handle.write((delimiter.join(_field(name, delimiter) or empty for name in header)
+                      + "\r\n").encode())
         for start in range(0, table.n_rows, step):
             block = slice(start, start + step)
-            texts = [fields[inverse[block]].tolist() for fields, inverse in columns]
-            if include_row_index:
-                index = list(map(str, table.index[block].tolist()))
-                if quote_index:
-                    index = [_field(text, delimiter) for text in index]
-                texts.insert(0, index)
-            handle.write("\r\n".join(map(delimiter.join, zip(*texts))) + "\r\n")
+            lines = frame[: len(table.index[block])]
+            for at, (width, rows_of) in zip(starts, columns):
+                lines[:, at : at + width] = rows_of(block)
+            handle.write(lines.tobytes().translate(None, bytes([numtext.PAD])))
 
 
 def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:

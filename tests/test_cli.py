@@ -567,3 +567,64 @@ def test_import_leaves_harness_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.split() == ["False"]
+
+
+def test_import_leaves_numtext_unloaded():
+    # the CSV number writer loads with the first write_csv call, not at CLI start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))
+    probe = "import sys, tabnoise.cli; print('tabnoise.numtext' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
+def test_index_header_skips_a_row_index_column(workdir):
+    (workdir / "ids.csv").write_text(
+        "row_index,x,label\n" + "".join(f"{9 - i},{i * 0.25},{i % 2}\n" for i in range(10)))
+    (workdir / "ids.json").write_text(json.dumps({
+        "labels_column": "label", "orig_headers": True, "shuffletrain": False,
+        "assigncat": {"excl": ["row_index", "x"]}}))
+    out = workdir / "ids"
+    assert main(["fit", str(workdir / "ids.csv"), "--config", str(workdir / "ids.json"),
+                 "--out-dir", str(out), "--entropy-seeds", str(workdir / "seeds.txt")]) == 0
+    lines = (out / "train.out.csv").read_text().splitlines()
+    assert lines[:2] == ["row_index_1,row_index,x,label", "0,9,0,0"]
+    # the written file reads back as a later batch of the same schema
+    with pytest.warns(UserWarning, match="^ignoring columns not in fitted schema: row_index_1$"):
+        code = main(["transform", str(out / "basis.json"), str(out / "train.out.csv"),
+                     "--config", str(workdir / "ids.json"), "--out", str(workdir / "again.csv")])
+    assert code == 0
+    again = (workdir / "again.csv").read_text().splitlines()
+    assert again[0] == "row_index_1,row_index,x,label" and again[1:] == lines[1:]
+
+
+# A table whose floats come from fixed bit patterns, so it is the same under every SIMD
+# dispatch; it is written once per dispatch and the bytes compared.
+_DISPATCH_PROBE = """
+import hashlib, sys
+import numpy as np
+from tabnoise.table import DataTable, write_csv
+probe = np.log(np.arange(1, 4097) / 4097.0)
+bits = (np.arange(1, 20001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(2)
+values = bits.view(np.float64)
+values = values[np.isfinite(values)]
+table = DataTable({"a": values, "b": -values[::-1] / 7.0, "c": np.round(values * 0) + 3.0})
+write_csv(table, sys.argv[1], include_row_index=True)
+print(hashlib.sha256(probe.tobytes()).hexdigest())
+"""
+
+
+def test_written_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(tabnoise.__file__).resolve().parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for name, disabled in (("default", None), ("avx2", "X86_V4 AVX512_ICL AVX512_SPR")):
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        path = tmp_path / f"{name}.csv"
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, str(path)],
+                              capture_output=True, text=True, env=env, check=True)
+        runs.append((proc.stdout.strip(), path.read_bytes()))
+    if runs[0][0] == runs[1][0]:
+        pytest.skip("disabling AVX-512 did not change numpy's log kernel on this CPU")
+    assert runs[0][1] == runs[1][1]

@@ -156,6 +156,16 @@ def test_apply_extra_columns_warn_and_ignored():
     assert "bonus" not in out.column_names
 
 
+def test_augment_checks_the_schema_once():
+    res = fit(_numeric_table(), {"assigncat": {"nmbr": ["num"]}}, _plan())
+    table = DataTable({"num": [1.0, 2.0], "bonus": [2.0, 3.0]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = augment(res.basis, table, AugmentSpec.from_literal("2"), _plan())
+    assert [str(w.message) for w in caught] == ["ignoring columns not in fitted schema: bonus"]
+    assert out.n_rows == 6 and "bonus" not in out.column_names
+
+
 def test_traindata_mode_semantics_dp():
     table = _numeric_table(n=40, seed=5)
     config = {

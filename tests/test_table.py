@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabnoise import numtext, rng
 from tabnoise import table as table_module
 from tabnoise.errors import TableError
 from tabnoise.table import (
@@ -236,7 +237,8 @@ def _write_rows_reference(table, path, include_row_index, delimiter=","):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         names = table.column_names
-        writer.writerow(["row_index"] + names if include_row_index else names)
+        index_name = suffixed_name("row", "index", names)
+        writer.writerow([index_name] + names if include_row_index else names)
         cols = [table.column(n) for n in names]
         for i in range(table.n_rows):
             row = [format_cell(col[i]) for col in cols]
@@ -285,7 +287,9 @@ _CELLS = {
     "zeros": st.sampled_from([-0.0, 0.0]),
     "repeated": _repeated_cell,
 }
-_header_name = st.sampled_from(["{}", "{},x", "{};y", "{}\tz", "{}.w", '{}"q', "{}\nn", "{}\r"])
+# "row_index" and "row_index_1" push the written index column's name along
+_header_name = st.sampled_from(["{}", "{},x", "{};y", "{}\tz", "{}.w", '{}"q', "{}\nn", "{}\r",
+                                "row_index", "row_index_1"])
 
 
 @st.composite
@@ -349,18 +353,53 @@ _FLOAT_EDGES = [-0.0, 0.0, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
                 -5e-324, 1.5, -2.0, 1e300, 0.1 + 0.2, float("nan")]
 
 
+def _texts(rows):
+    return [row.tobytes().translate(None, b"\xff").decode() for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.one_of(st.sampled_from(_FLOAT_EDGES),
                                  st.floats(allow_nan=False, allow_infinity=False),
                                  st.integers(-10**17, 10**17).map(float)), max_size=30),
        delimiter=st.sampled_from([",", ".", "e", "-", "5", "+", ";"]),
-       lone=st.booleans())
-def test_float_fields_match_format_cell(values, delimiter, lone):
-    # the vectorized float formatting of write_csv against format_cell, one cell at a time
+       lone=st.booleans(), block=st.sampled_from([1, 3, rng.BLOCK_ENTRIES]))
+def test_float_fields_match_format_cell(values, delimiter, lone, block):
+    # the vectorized float formatting of write_csv against format_cell, one cell at a time;
+    # two columns, formatted in blocks of `block` distinct values filled across them
     column = np.array(values + _FLOAT_EDGES, dtype=np.float64)
+    columns = [column, -np.nextafter(column[::-1], 0.0)]
     empty = '""' if lone else ""
-    texts, inverse = table_module._distinct_fields(column, delimiter, empty)
-    want = [table_module._field(format_cell(None if np.isnan(v) else v), delimiter) or empty
-            for v in column.tolist()]
-    assert texts[inverse].tolist() == want
-    assert all(type(text) is str for text in texts)
+    with mock.patch.object(rng, "BLOCK_ENTRIES", block):
+        formatted = numtext.column_rows(columns, delimiter, lone)
+    for column, (width, rows_of) in zip(columns, formatted):
+        rows = rows_of(slice(None))
+        assert rows.dtype == np.uint8 and rows.shape == (len(column), width)
+        want = [table_module._field(format_cell(None if np.isnan(v) else v), delimiter)
+                or empty for v in column.tolist()]
+        assert _texts(rows) == want
+
+
+_REPR_EDGES = [5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-4, 1e-5, 2e23,
+               2.0**53 + 1, 9999999999999998.0, 0.1, 0.30000000000000004, 1e22, 1e23,
+               123456789012345.67, 0.00012345678901234567, 5e-5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_rows_match_repr_on_raw_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], _REPR_EDGES,
+                             np.ldexp(1.0, np.arange(-1074, 1024, 97))])
+    # format_cell is repr for every float but the whole ones below 1e16
+    want = [format_cell(v) for v in values.tolist()]
+    assert _texts(numtext.text_rows(values, ",")) == want
+    assert all(text == repr(v) for text, v in zip(want, values.tolist())
+               if not (v.is_integer() and abs(v) < 1e16))
+
+
+def test_integer_rows_cover_int64():
+    values = np.array([0, 7, -7, 10, -10, 2**63 - 1, -2**63, 10**18, -10**18], dtype=np.int64)
+    assert _texts(numtext.text_rows(values, ",")) == [str(v) for v in values.tolist()]
+    assert _texts(numtext.text_rows(values, "-")) == [
+        f'"{v}"' if v < 0 else str(v) for v in values.tolist()]
