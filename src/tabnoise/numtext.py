@@ -8,6 +8,7 @@ below 1e16 and int64 values are written as integers.
 
 Each value becomes one fixed-width uint8 row whose unused places hold ``PAD``, a byte
 UTF-8 never produces, so ``bytes.translate(None, b"\\xff")`` of a frame of rows is text.
+``write_lines`` lays the rows of number and text columns side by side in such frames.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import functools
 import numpy as np
 
 from . import rng
+from .rng import _M32, _S32, _mulhi
 
 PAD = 0xFF
 _U64 = np.uint64
-_M32, _S32, _M63 = _U64(0xFFFFFFFF), _U64(32), _U64((1 << 63) - 1)
+_M63 = _U64((1 << 63) - 1)
 _C_MIN = 1 << 52  # the hidden bit of a normal double's significand
 _K_MIN = -324  # the smallest decimal exponent Schubfach meets
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
@@ -30,16 +32,11 @@ _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 _WIDTH = 54
 
 
-def padded(texts: list) -> np.ndarray:
+def _padded(texts: list) -> np.ndarray:
     """One row per byte string, all as wide as the longest, padded with ``PAD``."""
     width = max(map(len, texts), default=0)
     return np.frombuffer(b"".join(t.ljust(width, b"\xff") for t in texts),
                          np.uint8).reshape(len(texts), width)
-
-
-def trimmed(rows: np.ndarray) -> np.ndarray:
-    """``rows`` without the places that are ``PAD`` in every row."""
-    return rows[:, rows.min(axis=0, initial=PAD) != PAD]
 
 
 # _FOUR[g]: the four ASCII digits of 0 <= g < 10**4 as one uint32. _ENDS[j, g]: the
@@ -53,8 +50,8 @@ _ENDS = (np.arange(0, 20, 4, dtype=np.uint8)[:, None] + _ENDS) * (_G > 0)
 _SHOWN = np.where((np.arange(21)[:, None, None] <= np.arange(20))
                   & (np.arange(20) < np.arange(21)[:, None]), 0, PAD
                   ).astype(np.uint8).reshape(21 * 21, 20)
-_PREFIXES = padded([b"", b"0.", b"0.0", b"0.00", b"0.000"])
-_EXPONENTS = padded([b""] + [b"e%+03d" % x for x in range(-324, 309)])
+_PREFIXES = _padded([b"", b"0.", b"0.0", b"0.00", b"0.000"])
+_EXPONENTS = _padded([b""] + [b"e%+03d" % x for x in range(-324, 309)])
 
 
 @functools.cache
@@ -64,14 +61,6 @@ def _g(k: int) -> tuple[int, int]:
     r = (-k * 913124641741 >> 38) - 125  # floor(-k log2 10) - 125
     g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
     return g >> 63, g & ((1 << 63) - 1)
-
-
-def _mulhi(a0, a1, b):
-    """The high word of each ``(a1 * 2**32 + a0) * b``, from 32-bit halves (as ``rng._step``)."""
-    b0, b1 = b & _M32, b >> _S32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _S32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
 
 
 def _rop(g1, g0, cp):
@@ -182,20 +171,85 @@ def text_rows(values: np.ndarray, delimiter: str, lone: bool = False) -> np.ndar
     return rows
 
 
+class _Pieces:
+    """A column's rows for a block of cells. A cell is a run of rows of ``pieces``, a table
+    of ``PAD``-filled pieces, from ``first[cell]`` on, ``counts[first]`` long (or one, when
+    ``counts`` is None). A block's rows are as many pieces wide as its longest run; a
+    shorter run goes on with the table's last piece, all ``PAD``. The places that are
+    ``PAD`` in every piece are dropped."""
+
+    def __init__(self, pieces: np.ndarray, first: np.ndarray, counts: np.ndarray | None = None):
+        self.pieces = np.compress(pieces.min(axis=0, initial=PAD) != PAD, pieces, axis=1)
+        self.first, self.counts = first, counts
+
+    def width(self, block: slice) -> int:
+        runs = 1 if self.counts is None else np.take(self.counts, self.first[block]).max(initial=1)
+        return self.pieces.shape[1] * int(runs)
+
+    def rows(self, block: slice) -> np.ndarray:
+        first = self.first[block]
+        if self.counts is not None:
+            places = np.arange(self.width(block) // self.pieces.shape[1])
+            first = np.where(places < np.take(self.counts, first)[:, None],
+                             first[:, None] + places, len(self.pieces) - 1)
+        return np.take(self.pieces, first, axis=0).reshape(len(first), -1)
+
+
+def _texts(texts: list, inverse: np.ndarray) -> _Pieces:
+    """The rows of the UTF-8 ``texts`` that ``inverse`` picks, in pieces of up to 32 bytes,
+    so one long text widens only the blocks it is in; texts no longer than that are one
+    piece each, a table of them padded to the longest."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    size = int(np.clip(lengths.max(initial=0), 1, 32))
+    counts = np.maximum(-(-lengths // size), 1)
+    pieces = np.frombuffer(b"".join(t.ljust(n * size, b"\xff") for t, n in zip(
+        texts, counts.tolist())) + b"\xff" * size, np.uint8).reshape(-1, size)
+    first, runs = np.cumsum(counts) - counts, np.zeros(len(pieces), np.intp)
+    runs[first] = counts
+    return _Pieces(pieces, first[inverse].astype(np.min_scalar_type(len(pieces))),
+                   runs if counts.max(initial=1) > 1 else None)
+
+
 def column_rows(columns: list, delimiter: str, lone: bool) -> list:
-    """(width, rows of a block of cells) for each float64 column, the rows as ``text_rows``
-    makes them. Equal floats format the same (``-0.0`` and ``0.0`` both as ``0``), so each
-    column's distinct values are formatted once, and a block of cells gathers their rows."""
+    """The rows of each float64 column, made as ``text_rows`` makes them. Equal floats
+    format the same (``-0.0`` and ``0.0`` both as ``0``), so each column's distinct values
+    are formatted once, and a block of cells gathers their rows."""
     # the positions are held for the whole write, so in the narrowest type that fits
     distinct = [(values, inverse.astype(np.min_scalar_type(len(values)))) for values, inverse
                 in (np.unique(column, return_inverse=True) for column in columns)]
     rows = text_rows(np.concatenate([values for values, _ in distinct] + [np.empty(0)]),
                      delimiter, lone)
     ends = np.cumsum([len(values) for values, _ in distinct], dtype=np.intp)
-    return [gathered(trimmed(part), inverse)
+    return [_Pieces(part, inverse)
             for part, (_, inverse) in zip(np.split(rows, ends[:-1]), distinct)]
 
 
-def gathered(rows: np.ndarray, inverse: np.ndarray):
-    """(width, rows of a block of cells) of the cells whose rows ``inverse`` picks."""
-    return rows.shape[1], lambda block: np.take(rows, inverse[block], axis=0)
+def write_lines(handle, columns: list, n_rows: int, delimiter: str, lone: bool,
+                cells: int, index: np.ndarray | None = None) -> None:
+    """Write ``n_rows`` CSV lines to the binary ``handle``: the fields of ``index`` when
+    given, then of each column (a float64 array, or distinct UTF-8 field texts and each
+    cell's position among them), with ``delimiter`` between and CRLF after.
+
+    Numbers are written as ``text_rows`` makes them. A block of lines is one frame of rows,
+    of at most ``cells`` cells counting a cell as up to 32 bytes (or of one line), whose
+    ``PAD`` places ``bytes.translate`` drops."""
+    numbers = iter(column_rows([c for c in columns if isinstance(c, np.ndarray)], delimiter, lone))
+    columns = [next(numbers) if isinstance(c, np.ndarray) else _texts(*c) for c in columns]
+    if index is not None:
+        order = np.arange(n_rows, dtype=np.min_scalar_type(n_rows))
+        columns.insert(0, _Pieces(text_rows(index, delimiter), order))
+    sep = delimiter.encode()
+    step, start = max(1, cells // max(1, len(columns))), 0
+    while start < n_rows:
+        stop = min(start + step, n_rows)
+        # halved while its frame is over the budget, so a long text widens few lines
+        while ((stop - start) * sum(widths := [c.width(slice(start, stop)) for c in columns])
+               > 32 * cells and stop - start > 1):
+            stop = (start + stop) // 2
+        template = sep.join(b"\xff" * width for width in widths) + b"\r\n"
+        frame = np.tile(np.frombuffer(template, np.uint8), (stop - start, 1))
+        starts = np.cumsum([0] + [width + len(sep) for width in widths]).tolist()
+        for at, width, column in zip(starts, widths, columns):
+            frame[:, at : at + width] = column.rows(slice(start, stop))
+        handle.write(frame.tobytes().translate(None, b"\xff"))
+        start = stop

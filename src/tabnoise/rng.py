@@ -181,7 +181,6 @@ _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO_0, _MULT_LO_1 = _MULT_LO & _M32, _MULT_LO >> _S32
 
 
 def _add(lo, hi, b_lo, b_hi):
@@ -191,18 +190,23 @@ def _add(lo, hi, b_lo, b_hi):
     return out_lo, hi + b_hi + (out_lo < lo)
 
 
+def _mulhi(a0, a1, b):
+    """The high word of each ``(a1 * 2**32 + a0) * b``, from 32-bit halves: four partial
+    products, whose middle column sums three values below 2**32 and so cannot wrap."""
+    b0, b1 = b & _M32, b >> _S32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
 def _step(lo, hi, inc_lo, inc_hi):
     """One LCG step ``(state * _PCG_MULT + inc) mod 2**128`` on uint64 halves.
 
     numpy's uint64 products wrap, so they give the low word of ``lo * M_lo`` and the
-    ``lo * M_hi`` and ``hi * M_lo`` terms of the high word as they are. Only the high
-    word of ``lo * M_lo`` is built from 32-bit halves: four partial products, whose
-    middle column sums three values below 2**32 and so cannot wrap.
+    ``lo * M_hi`` and ``hi * M_lo`` terms of the high word as they are; ``_mulhi``
+    gives the high word of ``lo * M_lo``.
     """
-    a0, a1 = lo & _M32, lo >> _S32
-    p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
-    mid = ((a0 * _MULT_LO_0) >> _S32) + (p01 & _M32) + (p10 & _M32)
-    high = a1 * _MULT_LO_1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    high = _mulhi(lo & _M32, lo >> _S32, _MULT_LO)
     return _add(lo * _MULT_LO, high + lo * _MULT_HI + hi * _MULT_LO, inc_lo, inc_hi)
 
 

@@ -265,18 +265,14 @@ def _field(text: str, delimiter: str) -> str:
     return text
 
 
-def _text_part(column: np.ndarray, delimiter: str, empty: str):
-    """(width, rows of a block of cells) for an object column: each distinct cell formatted
-    as ``format_cell`` does and quoted once, as UTF-8 padded with ``0xFF`` to the longest."""
-    from . import numtext
-
+def _distinct_texts(column: np.ndarray, delimiter: str, empty: str) -> tuple:
+    """Each distinct cell of an object column formatted as ``format_cell`` does and quoted,
+    once, as UTF-8; and each cell's position among them."""
     cells = column.tolist()
     codes = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
     # the positions are held for the whole write, so in the narrowest type that fits
     inverse = np.fromiter(map(codes.__getitem__, cells), np.min_scalar_type(len(codes)), len(cells))
-    rows = numtext.padded([(_field(format_cell(cell), delimiter) or empty).encode()
-                           for cell in codes])
-    return numtext.gathered(rows, inverse)
+    return [(_field(format_cell(cell), delimiter) or empty).encode() for cell in codes], inverse
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:
@@ -293,33 +289,13 @@ def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: b
     header = [suffixed_name("row", "index", names)] + names if include_row_index else names
     # csv.writer writes a row of one empty field as "", so it does not read as a blank line
     empty = '""' if len(header) == 1 else ""
-    arrays = [table.array(name) for name in names]
-    numbers = iter(numtext.column_rows([a for a in arrays if a.dtype != object], delimiter,
-                                       len(header) == 1))
-    # each column as (width, its rows for a block of cells)
-    columns = [_text_part(a, delimiter, empty) if a.dtype == object else next(numbers)
-               for a in arrays]
-    if include_row_index:
-        index = numtext.trimmed(numtext.text_rows(table.index, delimiter))
-        columns.insert(0, (index.shape[1], index.__getitem__))
-    # a frame row: each column's text with a delimiter after it, and the line end after the
-    # last; every block reuses the frame's delimiters and line ends
-    sep = delimiter.encode()
-    template = sep.join(b"\xff" * width for width, _ in columns) + b"\r\n"
-    starts = np.cumsum([0] + [width + len(sep) for width, _ in columns]).tolist()
-    # at most _WRITE_BLOCK_CELLS cells a frame, counting a cell as up to 32 bytes
-    step = max(1, _WRITE_BLOCK_CELLS // max(1, len(header), len(template) // 32))
-    frame = np.empty((min(step, table.n_rows), len(template)), dtype=np.uint8)
-    frame[:] = np.frombuffer(template, dtype=np.uint8)
+    columns = [_distinct_texts(a, delimiter, empty) if a.dtype == object else a
+               for a in map(table.array, names)]
     with open(path, "wb") as handle:
         handle.write((delimiter.join(_field(name, delimiter) or empty for name in header)
                       + "\r\n").encode())
-        for start in range(0, table.n_rows, step):
-            block = slice(start, start + step)
-            lines = frame[: len(table.index[block])]
-            for at, (width, rows_of) in zip(starts, columns):
-                lines[:, at : at + width] = rows_of(block)
-            handle.write(lines.tobytes().translate(None, bytes([numtext.PAD])))
+        numtext.write_lines(handle, columns, table.n_rows, delimiter, len(header) == 1,
+                            _WRITE_BLOCK_CELLS, table.index if include_row_index else None)
 
 
 def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:

@@ -1,5 +1,6 @@
 import csv
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,9 @@ _text_cell = st.one_of(
                      "1.5", "cr\r"]),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
+    # longer than a 32-byte piece of the writer's text table
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            min_size=20, max_size=70),
 )
 # few values, so the same cells recur across write blocks; sentinels among the text
 _repeated_cell = st.sampled_from([-0.0, 0.0, 1.5, 1e16, "0", "NA", "a.b", 'q"', "x", ""])
@@ -349,6 +353,25 @@ def test_signed_zeros_and_lone_empty_fields_written_as_csv_writer_does(tmp_path)
     assert (tmp_path / "out0.csv").read_bytes() == b"z\r\n0\r\n0\r\n\"\"\r\n0\r\n0\r\n"
 
 
+def test_a_long_text_widens_only_the_lines_near_it(tmp_path):
+    # each text is held once, in 32-byte pieces, and a frame is only as wide as its own
+    # lines, so the peak stays a few frames; padding every distinct text to the column's
+    # longest would hold 2,000 x 20,000 bytes
+    texts = [f"t{i}" for i in range(2000)] + ["x" * 20000] + ["\u00e9" * 40, "yy"]
+    table = DataTable({"a": texts, "b": np.arange(len(texts), dtype=np.float64) / 7})
+    expected, path = tmp_path / "reference.csv", tmp_path / "columnar.csv"
+    _write_rows_reference(table, expected, include_row_index=True)
+    write_csv(table, path, include_row_index=True)
+    tracemalloc.start()
+    try:
+        write_csv(table, path, include_row_index=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == expected.read_bytes()
+    assert peak < 2 * 2**20
+
+
 _FLOAT_EDGES = [-0.0, 0.0, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0, 5e-324,
                 -5e-324, 1.5, -2.0, 1e300, 0.1 + 0.2, float("nan")]
 
@@ -371,9 +394,9 @@ def test_float_fields_match_format_cell(values, delimiter, lone, block):
     empty = '""' if lone else ""
     with mock.patch.object(rng, "BLOCK_ENTRIES", block):
         formatted = numtext.column_rows(columns, delimiter, lone)
-    for column, (width, rows_of) in zip(columns, formatted):
-        rows = rows_of(slice(None))
-        assert rows.dtype == np.uint8 and rows.shape == (len(column), width)
+    for column, part in zip(columns, formatted):
+        rows = part.rows(slice(None))
+        assert rows.dtype == np.uint8 and rows.shape == (len(column), part.width(slice(None)))
         want = [table_module._field(format_cell(None if np.isnan(v) else v), delimiter)
                 or empty for v in column.tolist()]
         assert _texts(rows) == want
