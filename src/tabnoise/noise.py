@@ -406,10 +406,8 @@ def resolve_param(value, sampler):
         return value[pick]
     spec = dict(value)
     name = spec.pop("distribution")
-    if name == "normal":
-        return float(sampler.normals(1, spec.get("mu", 0.0), spec.get("sigma", 1.0))[0])
-    if name == "laplace":
-        return float(sampler.laplaces(1, spec.get("mu", 0.0), spec.get("sigma", 1.0))[0])
+    if name in ("normal", "laplace"):
+        return float(sampler.shaped(name, spec.get("mu", 0.0), spec.get("sigma", 1.0), 1)[0])
     if name == "uniform":
         low = spec.get("low", 0.0)
         high = spec.get("high", 1.0)

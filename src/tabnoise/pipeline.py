@@ -12,7 +12,8 @@ Every transform kind is declared once, in ``_TRANSFORMS``: ``fit`` learns a
 step's payload from the training rows, ``apply`` computes the step's output
 from that payload alone, and the kind lists the parameters it accepts.
 Fitting and every later preparation run a column's steps through one
-executor, which, when fitting, fits each payload just before applying it.
+executor, which names each step's outputs and, when fitting, fits each
+payload just before applying it.
 
 ``apply`` replays the recorded steps on new data. The traindata mode crossed
 with each transform's train/test flags decides where noise fires:
@@ -219,23 +220,18 @@ def _transform_key(column: str, step_index: int) -> str:
 
 @dataclass
 class _Group:
-    """A step's output columns: (name, array) pairs of cells as a table stores
-    them, or of derived floats or codes whose missing rows only ``missing`` marks."""
+    """A step's output arrays, unnamed: cells as a table stores them, or derived
+    floats or codes whose missing rows only ``missing`` marks."""
 
-    base: str
-    columns: list  # [(name, np.ndarray)]
+    columns: list  # [np.ndarray]
     missing: np.ndarray  # bool mask: source cell missing or not usable
     basis: CategoricBasis | None = None  # the vocabulary the columns encode, if any
     preserve_missing: bool = False
 
 
-def _raw_group(name: str, column: np.ndarray) -> _Group:
-    return _Group(name, [(name, column)], missing_of(column))
-
-
 def _group_cells(group: _Group) -> np.ndarray:
     """The first column as cells: object cells as they are, numbers with NaN for missing."""
-    _, data = group.columns[0]
+    data = group.columns[0]
     if data.dtype == object:
         return data
     return np.where(group.missing, np.nan, data.astype(np.float64))
@@ -243,7 +239,7 @@ def _group_cells(group: _Group) -> np.ndarray:
 
 def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of the first column; text and missing cells are masked and 0-filled."""
-    _, data = group.columns[0]
+    data = group.columns[0]
     if data.dtype == object:
         return column_as_floats(data)
     values = data.astype(np.float64)
@@ -252,12 +248,12 @@ def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     return values, group.missing | nan
 
 
-def _single(name: str, data, missing, basis=None, preserve=False) -> _Group:
-    return _Group(name, [(name, data)], np.asarray(missing, dtype=bool), basis, preserve)
+def _single(data, missing, basis=None, preserve=False) -> _Group:
+    return _Group([data], np.asarray(missing, dtype=bool), basis, preserve)
 
 
-def _output_names(out_base: str, count: int) -> list:
-    return [out_base] if count == 1 else [f"{out_base}_{j}" for j in range(count)]
+def _output_names(base: str, count: int) -> list:
+    return [base] if count == 1 else [f"{base}_{j}" for j in range(count)]
 
 
 # -- execution context -------------------------------------------------------
@@ -273,6 +269,7 @@ class _Ctx:
         self.mode = mode
         self.cells = cells  # a column of the table being prepared, by name
         self.fitting = fitting
+        self.step, self.key = None, ""  # the running AppliedStep and its key, column#step
         # the step's declared operation names (None while its payload is fitted), and those taken
         self.declared: list | None = []
         self.taken: list = []
@@ -281,20 +278,20 @@ class _Ctx:
     def phase(self) -> str:
         return _phase(self.mode)
 
-    def sampler(self, tkey: str, op: str):
+    def sampler(self, op: str):
         """The sampler for the step's next operation, ``op`` as ``_noise_ops`` names it."""
         self.taken.append(op)
-        self.check(tkey)
+        self.check()
         if op.startswith("calibrate:"):
-            return self.manager.calibration_sampler(tkey, op.partition(":")[2])
-        return self.manager.op_sampler(tkey)
+            return self.manager.calibration_sampler(self.key, op.partition(":")[2])
+        return self.manager.op_sampler(self.key)
 
-    def check(self, tkey: str, done: bool = False) -> None:
+    def check(self, done: bool = False) -> None:
         """Raise unless the operations taken start (or, when ``done``, are) the declared ones."""
         taken, declared = self.taken, self.declared
         if declared is not None and (taken != declared[:len(taken)]
                                      or done and len(taken) != len(declared)):
-            raise RuntimeError(f"transform {tkey} took sampling operations {taken}, "
+            raise RuntimeError(f"transform {self.key} took sampling operations {taken}, "
                                f"but declares {declared}")
 
 
@@ -303,7 +300,7 @@ class _Ctx:
 _NOISE_FIELD_ORDER = tuple(f.name for f in fields(NoiseSpec))
 
 
-def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
+def _noise_payload(ctx: _Ctx, group: _Group, params: dict) -> dict:
     """Fit of the payload every noise kind shares.
 
     Randomized parameters are resolved once (one operation each); their raw
@@ -315,7 +312,7 @@ def _noise_payload(ctx: _Ctx, group: _Group, params: dict, tkey: str) -> dict:
     for name, value in raw.items():
         if name not in NOISE_FLAG_FIELDS and is_randomized_param(value):
             randomized.append(name)
-            value = resolve_param(value, ctx.sampler(tkey, "resolve"))
+            value = resolve_param(value, ctx.sampler("resolve"))
         resolved[name] = value
     return {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
 
@@ -364,7 +361,7 @@ def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) ->
     return ops
 
 
-def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
+def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray):
     """(spec, phase params, Bernoulli mask) when the step declares a mask, else None.
 
     Outside of fit, the randomized parameters the step declares are first
@@ -375,60 +372,53 @@ def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray, tkey: str):
     effective = dict(payload["resolved"])
     if not ctx.fitting and "resolve" in ctx.declared:
         for name in payload["randomized_fields"]:
-            effective[name] = resolve_param(payload["params_raw"][name],
-                                            ctx.sampler(tkey, "resolve"))
+            effective[name] = resolve_param(payload["params_raw"][name], ctx.sampler("resolve"))
     spec = NoiseSpec(**effective)
     pp = spec.phase_params(ctx.phase)
-    mask = sample_bernoulli_mask(ctx.sampler(tkey, "mask"), len(missing), pp["flip_prob"],
-                                 missing)
+    mask = sample_bernoulli_mask(ctx.sampler("mask"), len(missing), pp["flip_prob"], missing)
     return spec, pp, mask
 
 
-# -- transforms: fit(ctx, group, params, tkey) -> payload and ------------------
-# -- apply(ctx, payload, group, out_base, tkey) -> output group ----------------
+# -- transforms: fit(ctx, group, params) -> payload and -------------------------
+# -- apply(ctx, payload, group) -> output group, whose arrays the executor names -
 
 
-def _no_payload(ctx, group, params, tkey):
+def _no_payload(ctx, group, params):
     return {}
 
 
-def _fit_numeric(kind, ctx, group, params, tkey):
+def _fit_numeric(kind, ctx, group, params):
     return {"numeric_basis": fit_numeric(_group_cells(group), kind)}
 
 
-def _apply_numeric(ctx, payload, group, out_base, tkey):
+def _apply_numeric(ctx, payload, group):
     values, missing = apply_numeric(payload["numeric_basis"], _group_cells(group))
-    return _single(out_base, values, missing)
+    return _single(values, missing)
 
 
-def _fit_categoric(encoding, ctx, group, params, tkey):
+def _fit_categoric(encoding, ctx, group, params):
     basis = fit_categoric(_group_cells(group), encoding)
     if encoding == "boolean" and len(basis.vocabulary) > 2:
-        raise ConfigError(
-            f"column {group.base!r} has {len(basis.vocabulary)} distinct training values; "
-            "a boolean encoding takes at most 2"
-        )
+        raise ConfigError(f"column {ctx.step.input_base!r} has {len(basis.vocabulary)} distinct "
+                          "training values; a boolean encoding takes at most 2")
     return {"categoric_basis": basis}
 
 
-def _apply_categoric(ctx, payload, group, out_base, tkey):
+def _apply_categoric(ctx, payload, group):
     basis = payload["categoric_basis"]
     cells = _group_cells(group)
-    arrays = apply_categoric(basis, cells)
-    columns = list(zip(_output_names(out_base, len(arrays)), arrays))
-    return _Group(out_base, columns, missing_of(cells), basis)
+    return _Group(apply_categoric(basis, cells), missing_of(cells), basis)
 
 
-def _apply_passthrough(ctx, payload, group, out_base, tkey):
+def _apply_passthrough(ctx, payload, group):
     """Cells unchanged; a fitted vocabulary (passthrough_vocab) rides along for flip noise."""
     cells = _group_cells(group)
-    return _single(out_base, cells, missing_of(cells), payload.get("categoric_basis"),
-                   preserve=True)
+    return _single(cells, missing_of(cells), payload.get("categoric_basis"), preserve=True)
 
 
-def _apply_passthrough_float(ctx, payload, group, out_base, tkey):
+def _apply_passthrough_float(ctx, payload, group):
     values, missing = _group_floats(group)
-    return _single(out_base, values, missing, preserve=True)
+    return _single(values, missing, preserve=True)
 
 
 def _checked_bincount(bincount: int, error=ConfigError, at: str = "bincount") -> int:
@@ -437,14 +427,14 @@ def _checked_bincount(bincount: int, error=ConfigError, at: str = "bincount") ->
     return bincount
 
 
-def _fit_stdbins(ctx, group, params, tkey):
+def _fit_stdbins(ctx, group, params):
     bincount = _checked_bincount(int(params.get("bincount", 6)))
     values, missing = _group_floats(group)
     mean, std = moments(values[~missing])
     return {"mean": mean, "std": std, "bincount": bincount}
 
 
-def _apply_stdbins(ctx, payload, group, out_base, tkey):
+def _apply_stdbins(ctx, payload, group):
     values, missing = _group_floats(group)
     mean, std, bincount = payload["mean"], payload["std"], payload["bincount"]
     if std > 0.0:
@@ -454,12 +444,12 @@ def _apply_stdbins(ctx, payload, group, out_base, tkey):
         codes = np.digitize(values, mean + std * offsets)
     else:
         codes = np.full(len(values), bincount // 2, dtype=np.int64)
-    return _single(out_base, codes.astype(np.int64), missing)
+    return _single(codes.astype(np.int64), missing)
 
 
-def _apply_missing_marker(ctx, payload, group, out_base, tkey):
+def _apply_missing_marker(ctx, payload, group):
     marker = group.missing.astype(np.int64)
-    return _single(out_base, marker, np.zeros(len(marker), dtype=bool))
+    return _single(marker, np.zeros(len(marker), dtype=bool))
 
 
 def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.ndarray) -> dict:
@@ -469,15 +459,15 @@ def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.nd
     return payload
 
 
-def _fit_noise_numeric(ctx, group, params, tkey):
-    payload = _noise_payload(ctx, group, params, tkey)
+def _fit_noise_numeric(ctx, group, params):
+    payload = _noise_payload(ctx, group, params)
     values, missing = _group_floats(group)
     payload["train_std"] = moments(values[~missing])[1]
     return _with_protected(ctx, payload, values, missing)
 
 
-def _fit_noise_scaled(ctx, group, params, tkey):
-    payload = _noise_payload(ctx, group, params, tkey)
+def _fit_noise_scaled(ctx, group, params):
+    payload = _noise_payload(ctx, group, params)
     spec = NoiseSpec(**payload["resolved"])
     flip_randomized = {"flip_prob", "test_flip_prob"} & set(payload["randomized_fields"])
     values, missing = _group_floats(group)
@@ -492,14 +482,14 @@ def _fit_noise_scaled(ctx, group, params, tkey):
                 continue
             mu_adj, degenerate = adjust_noise_mean(
                 panel, pp["mu"], pp["sigma"], pp["noisedistribution"],
-                lambda p=phase: ctx.sampler(tkey, f"calibrate:{p}"),
+                lambda p=phase: ctx.sampler(f"calibrate:{p}"),
             )
             payload[f"mu_adjusted_{phase}"] = mu_adj
             payload[f"adjust_degenerate_{phase}"] = degenerate
     return _with_protected(ctx, payload, values, missing)
 
 
-def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
+def _apply_noise_numeric(scaled: bool, ctx, payload, group):
     """Numeric noise on the masked rows.
 
     ``noise_numeric`` adds the drawn noise, its sigma rescaled by the training
@@ -508,7 +498,7 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
     stay in [0, 1]. Protected segment ratios scale the noise first.
     """
     out, missing = _group_floats(group)
-    drawn = _draw_mask(ctx, payload, missing, tkey)
+    drawn = _draw_mask(ctx, payload, missing)
     if drawn is not None:
         spec, pp, mask = drawn
         mu, sigma = pp["mu"], pp["sigma"]
@@ -518,23 +508,22 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group, out_base, tkey):
         elif spec.rescale_sigmas:
             sigma = rescale_sigma_passthrough(sigma, payload["train_std"])
         active = np.flatnonzero(mask)
-        noise = sample_noise(ctx.sampler(tkey, "noise"), pp["noisedistribution"], mu, sigma,
-                             len(active))
+        noise = sample_noise(ctx.sampler("noise"), pp["noisedistribution"], mu, sigma, len(active))
         if "protected" in payload:
             cells = ctx.cells(payload["resolved"]["protected_feature"])
             noise = noise * protected_ratio_vector(payload["protected"], cells, active)
         if scaled:
             noise = scale_noise_minmax(noise, out[active])
         out = inject_numeric(out, mask, noise)
-    return _single(out_base, out, missing, group.basis, preserve=group.preserve_missing)
+    return _single(out, missing, group.basis, preserve=group.preserve_missing)
 
 
 def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
-    return CODECS[basis.encoding].decode(basis, [data for _, data in group.columns])
+    return CODECS[basis.encoding].decode(basis, group.columns)
 
 
-def _fit_noise_flip(ctx, group, params, tkey):
-    payload = _noise_payload(ctx, group, params, tkey)
+def _fit_noise_flip(ctx, group, params):
+    payload = _noise_payload(ctx, group, params)
     basis = group.basis
     if basis is None:
         raise ConfigError(
@@ -549,22 +538,22 @@ def _fit_noise_flip(ctx, group, params, tkey):
     return payload
 
 
-def _apply_noise_flip(ctx, payload, group, out_base, tkey):
+def _apply_noise_flip(ctx, payload, group):
     """Flip noise on the masked rows. A swap trades the rows of the encoded columns,
     so a cell the vocabulary lacks moves as it is; a flip draws new codes, and only
     the rows whose code changed are encoded anew, so the others keep their cells."""
     basis = payload["categoric_basis"]
-    columns = [data for _, data in group.columns]
-    drawn = _draw_mask(ctx, payload, group.missing, tkey)
+    columns = group.columns
+    drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
-        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler(tkey, "swap"))
+        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler("swap"))
         columns = list(swapped.T)
     elif drawn is not None:
         _, pp, mask = drawn
         codes = _decode(group, basis)
         n = len(codes)
         if "flip" in ctx.declared:
-            sampler = ctx.sampler(tkey, "flip")
+            sampler = ctx.sampler("flip")
             vocab_size = len(basis.vocabulary)
             if pp["weighted"]:
                 weights = np.asarray(basis.frequencies, dtype=np.float64)
@@ -585,23 +574,21 @@ def _apply_noise_flip(ctx, payload, group, out_base, tkey):
                        else data.copy() for data, new in zip(columns, encoded)]
             for data, new in zip(columns, encoded):
                 data[flipped] = new
-    names = _output_names(out_base, len(columns))
-    return _Group(out_base, list(zip(names, columns)), group.missing, basis,
-                  group.preserve_missing)
+    return _Group(columns, group.missing, basis, group.preserve_missing)
 
 
-def _apply_noise_rows(ctx, payload, group, out_base, tkey):
+def _apply_noise_rows(ctx, payload, group):
     """Swap noise (masked rows trade values) or, when no swap is declared, mask
     noise (masked rows take ``mask_value``)."""
-    _, out = group.columns[0]
-    drawn = _draw_mask(ctx, payload, group.missing, tkey)
+    out = group.columns[0]
+    drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None:
         spec, _, mask = drawn
         if "swap" in ctx.declared:
-            out = swap_noise(out, mask, ctx.sampler(tkey, "swap"))
+            out = swap_noise(out, mask, ctx.sampler("swap"))
         else:
             out = mask_noise(out, mask, spec.mask_value)
-    return _single(out_base, out, group.missing, group.basis, preserve=group.preserve_missing)
+    return _single(out, group.missing, group.basis, preserve=group.preserve_missing)
 
 
 # -- payloads: the keys each kind's fit returns, as basis.json holds them ------
@@ -709,50 +696,41 @@ def _structure(catalog, assignments, column, root, kind, used_names):
 def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -> list:
     """Run a column's steps in order; returns its output columns as (name, array).
 
-    With ``fitting`` (the structural pass's params and surviving bases), each
-    step's payload is fitted just before the step is applied, and the plan
-    records its output column names.
+    The executor names each step's outputs, checks them against the basis and
+    keeps them as the step finishes. With ``fitting`` (the structural pass's
+    params and surviving bases), each step's payload is fitted just before the
+    step is applied, and the plan records its output column names.
     """
     params, surviving = fitting or (None, None)
-    groups = {plan.input_column: _raw_group(plan.input_column, column)}
+    groups = {plan.input_column: _Group([column], missing_of(column))}
+    written = {plan.input_column: column}
     for idx, step in enumerate(plan.steps):
         fit_fn, apply_fn, _, _ = _TRANSFORMS[step.kind]
-        tkey = _transform_key(plan.input_column, idx)
+        ctx.step, ctx.key = step, _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
         noise = step.kind in NOISE_KINDS
         ctx.taken, ctx.declared = [], None if noise and params is not None else []
         if params is not None:
-            step.payload = fit_fn(ctx, in_group, params[idx], tkey)
+            step.payload = fit_fn(ctx, in_group, params[idx])
         if noise:
             ctx.declared = [op for op, _, _ in _noise_ops(step.kind, step.payload, ctx.mode,
                                                           ctx.fitting, len(column))]
-        out = groups[step.output_base] = apply_fn(ctx, step.payload, in_group, step.output_base,
-                                                  tkey)
-        ctx.check(tkey, done=True)
-        if params is None and [name for name, _ in out.columns] != step.output_columns:
-            raise BasisFormatError(f"transform {tkey} does not make the output columns the "
+        out = groups[step.output_base] = apply_fn(ctx, step.payload, in_group)
+        ctx.check(done=True)
+        names = _output_names(step.output_base, len(out.columns))
+        if params is not None:
+            step.output_columns = names
+        elif names != step.output_columns:
+            raise BasisFormatError(f"transform {ctx.key} does not make the output columns the "
                                    f"basis lists, {step.output_columns}")
+        for name, data in zip(names, out.columns):
+            # a derived number in a missing row is kept unless the group preserves missing cells
+            restore = out.preserve_missing and data.dtype != object
+            written[name] = np.where(out.missing, np.nan, data) if restore else data
     if surviving is not None:
-        for step in plan.steps:
-            step.output_columns = [name for name, _ in groups[step.output_base].columns]
-        plan.output_columns = [name for base in surviving for name, _ in groups[base].columns]
-    return _collect_columns(plan, groups)
-
-
-def _collect_columns(plan: ColumnPlan, groups: dict) -> list:
-    """(name, array) for the plan's surviving output columns, in order; a derived
-    number in a missing row is kept unless its group preserves missing cells."""
-    by_name = {}
-    for group in groups.values():
-        for name, data in group.columns:
-            by_name[name] = (data, group.missing, group.preserve_missing)
-    out = []
-    for name in plan.output_columns:
-        data, missing, preserve = by_name[name]
-        if preserve and data.dtype != object:
-            data = np.where(missing, np.nan, data)
-        out.append((name, data))
-    return out
+        outputs = {step.output_base: step.output_columns for step in plan.steps}
+        plan.output_columns = [name for base in surviving for name in outputs.get(base, [base])]
+    return [(name, written[name]) for name in plan.output_columns]
 
 
 def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
@@ -872,7 +850,9 @@ def fit(
     )
     _register_noise_steps(manager, basis)
     prepared_train = _prepare(basis, train_sub, "train", manager, fitting)
-    if cfg.shuffletrain and prepared_train.n_rows > 1:
+    spec = AugmentSpec.from_literal(str(cfg.noise_augment))
+    # with noise_augment, augment's rows replace these, shuffled by augment itself
+    if cfg.shuffletrain and prepared_train.n_rows > 1 and not spec.count:
         order = manager.utility_sampler("shuffle").shuffled(range(prepared_train.n_rows))
         prepared_train = prepared_train.take(order)
 
@@ -893,7 +873,6 @@ def fit(
     prepared_test = None
     if test is not None:
         prepared_test = _prepare(basis, test, "test", manager)
-    spec = AugmentSpec.from_literal(str(cfg.noise_augment))
     if spec.count:  # the duplicates come from the rows left after the validation split
         prepared_train = augment(basis, train_sub, spec, plan)
 

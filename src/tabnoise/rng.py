@@ -319,7 +319,6 @@ class ExternalWordStream:
 
 
 GeneratorKind = Literal["default_pcg", "mersenne", "external"]
-GENERATOR_KINDS = get_args(GeneratorKind)
 
 
 def make_stream(kind: str, initstate: int, initseq: int, external=None):
@@ -385,6 +384,29 @@ def _laplace_from_uniforms(u: np.ndarray, mu: float, scale: float) -> np.ndarray
     return mu - scale * np.sign(q) * np.log(inner)
 
 
+def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -> np.ndarray:
+    """Dispatch on the distribution name, with abs_/negabs_ sign folding."""
+    name = distribution
+    sign = 0
+    if name.startswith("abs_"):
+        sign, name = 1, name[4:]
+    elif name.startswith("negabs_"):
+        sign, name = -1, name[7:]
+    if name == "normal":
+        values = sampler.normals(n, mu, sigma)
+    elif name == "laplace":
+        values = sampler.laplaces(n, mu, sigma)
+    elif name == "uniform":
+        values = sampler.uniform_interval(n, mu, sigma)
+    else:
+        raise ValueError(f"unknown noise distribution: {distribution!r}")
+    if sign > 0:
+        return np.abs(values)
+    if sign < 0:
+        return -np.abs(values)
+    return values
+
+
 class StreamSampler:
     """Shaped sampling over a single word stream.
 
@@ -418,8 +440,7 @@ class StreamSampler:
     def uniform_interval(self, n: int, mu: float = 0.0, half_width: float = 1.0) -> np.ndarray:
         return mu + half_width * (2.0 * self.uniforms(n) - 1.0)
 
-    def shaped(self, distribution: str, mu: float, sigma: float, n: int) -> np.ndarray:
-        return shaped_sample(self, distribution, mu, sigma, n)
+    shaped = shaped_sample
 
     def bounded_ints(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on [0, bound) by scaled-integer rejection."""
@@ -523,14 +544,10 @@ class BulkSampler:
 
         return mu + sigma * self._until_accepted(n, attempt, np.float64)
 
-    def laplaces(self, n: int, mu: float = 0.0, scale: float = 1.0) -> np.ndarray:
-        return _laplace_from_uniforms(self.uniforms(n), mu, scale)
-
-    def uniform_interval(self, n: int, mu: float = 0.0, half_width: float = 1.0) -> np.ndarray:
-        return mu + half_width * (2.0 * self.uniforms(n) - 1.0)
-
-    def shaped(self, distribution: str, mu: float, sigma: float, n: int) -> np.ndarray:
-        return shaped_sample(self, distribution, mu, sigma, n)
+    # the shapes StreamSampler draws from its uniforms, bound as this class's own methods
+    laplaces = StreamSampler.laplaces
+    uniform_interval = StreamSampler.uniform_interval
+    shaped = shaped_sample
 
     def bounded_ints(self, n: int, bound: int) -> np.ndarray:
         if bound <= 0:
@@ -546,26 +563,3 @@ class BulkSampler:
             return accepted, words[accepted] % np.uint64(bound)
 
         return self._until_accepted(n, attempt, np.int64)
-
-
-def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -> np.ndarray:
-    """Dispatch on the distribution name, with abs_/negabs_ sign folding."""
-    name = distribution
-    sign = 0
-    if name.startswith("abs_"):
-        sign, name = 1, name[4:]
-    elif name.startswith("negabs_"):
-        sign, name = -1, name[7:]
-    if name == "normal":
-        values = sampler.normals(n, mu, sigma)
-    elif name == "laplace":
-        values = sampler.laplaces(n, mu, sigma)
-    elif name == "uniform":
-        values = sampler.uniform_interval(n, mu, sigma)
-    else:
-        raise ValueError(f"unknown noise distribution: {distribution!r}")
-    if sign > 0:
-        return np.abs(values)
-    if sign < 0:
-        return -np.abs(values)
-    return values

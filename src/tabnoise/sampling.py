@@ -42,7 +42,6 @@ from .schema import typed
 SamplingType = Literal["default", "bulk_seeds", "sampling_seed", "transform_seed"]
 SeedingType = Literal["supplemental_seeds", "primary_seeds"]
 SAMPLING_TYPES = get_args(SamplingType)
-SEEDING_TYPES = get_args(SeedingType)
 
 MAX_SUGGESTED_SEED = 2**31 - 1
 

@@ -27,6 +27,7 @@ assignment scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import TypedDict
 
@@ -84,17 +85,41 @@ TreeSpec = TypedDict("TreeSpec", {name: list[str] for name in PRIMITIVE_NAMES}, 
 
 # each parameter's configured value; the parameters of NoiseSpec plus bincount
 _PARAM_TYPES = {**PARAM_HINTS, "bincount": int}
+# the range NoiseSpec holds each bounded parameter to, which a randomized one must keep
+_PARAM_RANGES = {"flip_prob": (0.0, 1.0), "test_flip_prob": (0.0, 1.0),
+                 "sigma": (0.0, math.inf), "test_sigma": (0.0, math.inf)}
 
 
 def _checked_params(params, where: str) -> dict:
-    """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``.
+    """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``
+    and, when randomized, every value it can resolve to against ``_PARAM_RANGES``.
 
     Names it does not list are kept: ``resolve_params`` decides on them.
     """
     for name, value in typed(dict, params, where, ConfigError).items():
         if name in _PARAM_TYPES:
             typed(_PARAM_TYPES[name], value, f"{where}.{name}", ConfigError)
+        if name in _PARAM_RANGES:
+            _check_support(value, _PARAM_RANGES[name], f"{where}.{name}")
     return dict(params)
+
+
+def _check_support(value, bounds: tuple, where: str) -> None:
+    """Raise unless each list candidate, or a uniform draw's ``low`` and ``high``, is
+    within ``bounds``; a normal or laplace draw can leave any bounds."""
+    low, high = bounds
+    if isinstance(value, dict):
+        if value["distribution"] != "uniform":
+            raise ConfigError(f"{where}.distribution: a {value['distribution']} draw can leave "
+                              f"[{low:g}, {high:g}]; use a list or a uniform draw")
+        support = [(f"{where}.{end}", value[end]) for end in ("low", "high") if end in value]
+    elif isinstance(value, list):
+        support = [(f"{where}[{i}]", candidate) for i, candidate in enumerate(value)]
+    else:
+        return
+    for at, candidate in support:
+        if candidate is not None and not low <= candidate <= high:
+            raise ConfigError(f"{at}: {candidate!r} is outside [{low:g}, {high:g}]")
 
 
 @dataclass

@@ -478,6 +478,10 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("assignparam", {"DPnb": {"num": {"sigma": [0.1, "x"]}}}),
     ("assignparam", {"bsor": {"num": {"bincount": "x"}}}),
     ("processdict", {"DPnb": {"functionpointer": "bsor", "defaultparams": {"bincount": "x"}}}),
+    ("assignparam", {"DPnb": {"num": {"sigma": [0.1, -0.2]}}}),
+    ("assignparam", {"DPnb": {"num": {"test_sigma": {"distribution": "laplace"}}}}),
+    ("assignparam", {"DPbn": {"cat": {"test_flip_prob": [0.5, 1.5]}}}),
+    ("assignparam", {"DPbn": {"cat": {"flip_prob": {"distribution": "uniform", "high": 2.0}}}}),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})
@@ -519,6 +523,20 @@ def test_boolean_root_on_three_values_exit_2(workdir):
     assert code == 2
     assert "'cat'" in err and "boolean" in err
     assert "Traceback" not in err
+
+
+def test_normal_draw_for_flip_prob_exit_2_before_sampling(workdir, caplog):
+    """A normal draw can leave [0, 1]: the config check rejects it for every seed bank,
+    where a fit or a later preparation used to fail only when a draw left it."""
+    (workdir / "train.csv").write_text(
+        "num,cat,label\n" + "".join(f"{i * 0.25},{'ab'[i % 2]},{i % 2}\n" for i in range(200)))
+    draw = {"distribution": "normal", "mu": 0.5, "sigma": 0.6}
+    _with_config(workdir, assigncat={"DBnb": ["num"]},
+                 assignparam={"DBnb": {"num": {"flip_prob": draw, "retain_basis": False}}})
+    with mock.patch("tabnoise.pipeline.StreamManager", side_effect=AssertionError("sampled")):
+        assert _fit(workdir) == 2
+    assert "config.assignparam.DBnb.num.flip_prob.distribution: a normal draw" in caplog.text
+    assert not (workdir / "out").exists()
 
 
 def _fit_cli(workdir):

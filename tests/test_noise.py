@@ -580,6 +580,12 @@ def test_resolve_param_distribution():
     assert 0.1 <= value < 0.2
 
 
+@pytest.mark.parametrize("name, shape", [("normal", "normals"), ("laplace", "laplaces")])
+def test_resolve_param_draws_the_named_shape(name, shape):
+    value = resolve_param({"distribution": name, "mu": 0.5, "sigma": 0.2}, _sampler(19))
+    assert value == getattr(_sampler(19), shape)(1, 0.5, 0.2)[0]
+
+
 def test_resolve_param_empty_list_rejected():
     with pytest.raises(ConfigError, match="empty"):
         resolve_param([], _sampler())
@@ -602,3 +608,9 @@ def test_noise_spec_defaults_validation():
         NoiseSpec(flip_prob=1.5)
     with pytest.raises(ConfigError):
         NoiseSpec(noisedistribution="bogus")
+
+
+@pytest.mark.parametrize("field", ["sigma", "test_sigma"])
+def test_noise_spec_rejects_a_negative_sigma(field):
+    with pytest.raises(ConfigError, match="sigma must be nonnegative"):
+        NoiseSpec(**{field: -0.01})

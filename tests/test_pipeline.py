@@ -23,7 +23,7 @@ from tabnoise.pipeline import (
     orig_headers_mode,
     save_basis,
 )
-from tabnoise.sampling import SamplingPlan
+from tabnoise.sampling import SamplingPlan, StreamManager
 from tabnoise.table import DataTable
 from tabnoise.trees import _PARAM_TYPES, builtin_catalog
 
@@ -290,6 +290,32 @@ def test_stdbins_codes_match_list_edges(bincount):
         offsets = list(range(-(bincount // 2 - 1), bincount // 2))
     want = np.digitize(values, np.array([mean + std * k for k in offsets]))
     assert res.train.column("column_bsor") == [float(code) for code in want]
+
+
+def test_stdbins_on_a_zero_spread_column_puts_every_row_in_the_middle_bin():
+    config = {"shuffletrain": False, "assigncat": {"bsor": ["column"]},
+              "assignparam": {"bsor": {"column": {"bincount": 7}}}}
+    res = fit(DataTable({"column": [2.5] * 9}), config, _plan())
+    assert res.basis.column_plans["column"].steps[0].payload["std"] == 0.0
+    assert res.train.column("column_bsor") == [3.0] * 9
+    later = apply(res.basis, DataTable({"column": [-40.0, 2.5, 1e6]}))
+    assert later.column("column_bsor") == [3.0] * 3
+
+
+def test_noise_augment_draws_no_shuffle_of_the_rows_it_replaces(monkeypatch):
+    tags = []
+    utility_sampler = StreamManager.utility_sampler
+
+    def recorded(manager, tag):
+        tags.append(tag)
+        return utility_sampler(manager, tag)
+
+    monkeypatch.setattr(StreamManager, "utility_sampler", recorded)
+    fit(_numeric_table(), {"noise_augment": 1}, _plan())
+    assert tags == ["augment_shuffle"]
+    tags.clear()
+    fit(_numeric_table(), {}, _plan())
+    assert tags == ["shuffle"]
 
 
 def test_composed_noise_profiles():
@@ -629,7 +655,7 @@ def _groups(draw):
                  min_size=n, max_size=n).map(lambda cells: np.array(cells, dtype=object)),
     )
     missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    return _Group("g", [("g", draw(cells))], missing)
+    return _Group([draw(cells)], missing)
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,7 +668,7 @@ def test_group_floats_agree_with_group_cells_outside_missing_rows(group):
     assert np.array_equal(missing, cell_missing)
     assert np.array_equal(values[~missing], cell_values[~missing])
     assert not cell_values[cell_missing].any()
-    _, data = group.columns[0]
+    data = group.columns[0]
     if data.dtype != object:
         kept = group.missing & ~np.isnan(data.astype(np.float64))
         assert np.array_equal(values[kept], data[kept].astype(np.float64))

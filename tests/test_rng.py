@@ -292,6 +292,26 @@ def test_external_word_stream_object():
     assert [stream.next_word() for _ in range(3)] == [1, 2, 3]
 
 
+class _BlockSource:
+    """An external source that serves ``words(n)`` in one call, ``short`` words short."""
+
+    def __init__(self, short=0):
+        self.short = short
+
+    def next_word(self):
+        raise AssertionError("words(n) reads the source's own words")
+
+    def words(self, n):
+        return list(range(7, 7 + n - self.short))
+
+
+def test_external_word_stream_reads_a_sources_own_words():
+    got = ExternalWordStream(_BlockSource()).words(3)
+    assert got.dtype == np.uint64 and got.tolist() == [7, 8, 9]
+    with pytest.raises(ValueError, match="wrong shape"):
+        ExternalWordStream(_BlockSource(short=1)).words(3)
+
+
 def _seed_feed(seeds, consumed):
     """A ``seed_blocks`` callable serving ``seeds`` in order and recording them."""
 

@@ -174,6 +174,10 @@ def test_rescale_budget_formula():
     assert rescale_budget(300, 100, 500) == 1500
 
 
+def test_rescale_budget_on_a_0_row_basis_is_0():
+    assert rescale_budget(300, 0, 500) == 0
+
+
 def test_report_zero_plan():
     report = compute_seed_report([], 0, 100, 100)
     assert report.bulk_seeds_total_train == 0

@@ -88,8 +88,8 @@ _PROTECTABLE = ("nb", "mm", "rt", "ne", "bn", "od", "oh", "10", "pc")
 _RANDOMIZED = {
     "flip_prob": st.sampled_from([[0.1, 0.4], {"distribution": "uniform", "low": 0.2,
                                                 "high": 0.6}]),
-    "sigma": st.sampled_from([[0.05, 0.3], {"distribution": "normal", "mu": 0.2,
-                                             "sigma": 0.01}]),
+    "sigma": st.sampled_from([[0.05, 0.3], {"distribution": "uniform", "low": 0.19,
+                                             "high": 0.21}]),
 }
 
 
