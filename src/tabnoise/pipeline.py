@@ -45,7 +45,7 @@ from .encoders import (
     fit_numeric,
     moments,
 )
-from .errors import BasisFormatError, ConfigError, SchemaError
+from .errors import BasisFormatError, ConfigError, SchemaError, TableError
 from .noise import (
     NOISE_FLAG_FIELDS,
     NoiseSpec,
@@ -78,6 +78,8 @@ BASIS_FORMAT_VERSION = "tabnoise-basis/1"
 
 # bins of a stdbins step: out to +/-2,048 standard deviations, a 32 KB edge array
 MAX_BINCOUNT = 4096
+# duplicates one augmentation may make: each is a full preparation of the table
+MAX_AUGMENT_COUNT = 1000
 
 TRAINDATA_MODES = ("test", "train", "train_no_noise", "test_no_noise")
 
@@ -102,8 +104,8 @@ class AugmentSpec:
     all_noisy: bool = False
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError("augment count must be nonnegative")
+        if not 0 <= self.count <= MAX_AUGMENT_COUNT:
+            raise ConfigError(f"augment count must be between 0 and {MAX_AUGMENT_COUNT}")
 
     @classmethod
     def from_literal(cls, text: str) -> "AugmentSpec":
@@ -921,11 +923,16 @@ def augment(
 
     Integer-typed counts make the first duplicate the no-noise copy. The
     concatenation is collectively shuffled when the fitted configuration has
-    shuffling enabled; row identifiers are strided per copy so duplicates
-    stay distinguishable.
+    shuffling enabled. Copy ``k`` adds ``k * (max + 1 - min(min, 0))`` to the
+    row identifiers, so no two copies share one; a ``TableError`` is raised
+    when the last copy's would not fit in 64 bits.
     """
     manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
-    stride = int(table.index.max()) + 1 if table.n_rows else 0
+    low, high = (int(table.index.min()), int(table.index.max())) if table.n_rows else (0, -1)
+    stride = high + 1 - min(low, 0)
+    if max(high, 0) + spec.count * stride > np.iinfo(np.int64).max:
+        raise TableError(f"augment: the row identifiers of copy {spec.count} would not fit "
+                         "in 64 bits")
     copies: dict[str, list] = {}
     row_index: list[np.ndarray] = []
     for copy_idx in range(spec.count + 1):

@@ -28,9 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
+
+from .errors import ConfigError
+from .schema import typed
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -288,49 +292,58 @@ class ExternalWordStream:
 
     Accepts either an object exposing ``next_word()`` (and optionally
     ``words(n)``) or a zero-argument callable returning integers in
-    ``[0, 2**64)``. Seed material is ignored; the source is the stream.
+    ``[0, 2**64)``, whose other attributes are not read. Seed material is
+    ignored; the source is the stream.
     """
 
-    __slots__ = ("_source", "_call")
+    __slots__ = ("_next", "_words")
 
     def __init__(self, source):
         if callable(source) and not hasattr(source, "next_word"):
-            self._source = None
-            self._call = source
+            self._next, self._words = source, None
         else:
-            self._source = source
-            self._call = None
+            self._next, self._words = source.next_word, getattr(source, "words", None)
 
     def next_word(self) -> int:
-        if self._call is not None:
-            return int(self._call()) & _MASK64
-        return int(self._source.next_word()) & _MASK64
+        return int(self._next()) & _MASK64
 
     def words(self, n: int) -> np.ndarray:
-        if self._call is None and hasattr(self._source, "words"):
-            got = np.asarray(self._source.words(n), dtype=np.uint64)
-            if got.shape != (n,):
-                raise ValueError("external word source returned wrong shape")
-            return got
-        out = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            out[i] = self.next_word()
-        return out
+        if self._words is None:
+            return np.array([self.next_word() for _ in range(n)], dtype=np.uint64)
+        got = np.asarray(self._words(n), dtype=np.uint64)
+        if got.shape != (n,):
+            raise ValueError("external word source returned wrong shape")
+        return got
 
 
 GeneratorKind = Literal["default_pcg", "mersenne", "external"]
 
 
-def make_stream(kind: str, initstate: int, initseq: int, external=None):
-    if kind == "default_pcg":
-        return Pcg64Stream(initstate, initseq)
-    if kind == "mersenne":
-        return Mt19937Stream(initstate, initseq)
-    if kind == "external":
-        if external is None:
-            raise ValueError("external generator kind requires a word source")
-        return ExternalWordStream(external)
-    raise ValueError(f"unknown generator kind: {kind!r}")
+@dataclass
+class GeneratorSpec:
+    """Which word-stream generator backs sampling (external sources drop in), and the
+    one place a generator kind becomes streams."""
+
+    kind: GeneratorKind = "default_pcg"
+    external: object = None
+
+    def __post_init__(self):
+        typed(GeneratorKind, self.kind, "kind", ConfigError)
+        if self.kind == "external" and self.external is None:
+            raise ConfigError("external generator requires a word source")
+
+    def stream(self, initstate: int, initseq: int):
+        """The stream seeded with ``(initstate, initseq)``; an external one ignores them."""
+        if self.kind == "external":
+            return ExternalWordStream(self.external)
+        return (Pcg64Stream if self.kind == "default_pcg" else Mt19937Stream)(initstate, initseq)
+
+    def lanes(self, mixed: np.ndarray):
+        """One stream per row of a :func:`_mix_blocks` array; an external kind's share a source."""
+        if self.kind == "default_pcg":
+            return _PcgLanes(mixed[:, 0], mixed[:, 1], mixed[:, 2])
+        streams = [self.stream(low | high << 64, seq) for low, high, seq in mixed.tolist()]
+        return _StreamLanes(streams, independent=self.kind != "external")
 
 
 NoiseDistribution = Literal[
@@ -490,30 +503,22 @@ class BulkSampler:
 
     ``seed_blocks(n)`` returns the seeds of the next ``n`` entries as an
     ``(n, 2)`` uint64 array of 16-byte seed blocks (see :class:`PackedSeeds`).
-    Entry ``i`` draws from ``make_stream(kind, *mix_seed(os_entropy,
-    [seed_i]), external)``. Each call hashes its entries' seeds in one pass
-    and draws their words as arrays; rejection sampling redraws only the
-    entries still pending.
+    Entry ``i`` draws from ``generator.stream(*mix_seed(os_entropy, [seed_i]))``,
+    the default PCG generator when ``generator`` is None. Each call hashes its
+    entries' seeds in one pass and draws their words as arrays; rejection
+    sampling redraws only the entries still pending.
     """
 
-    __slots__ = ("_seed_blocks", "_os_entropy", "_kind", "_external")
+    __slots__ = ("_seed_blocks", "_os_entropy", "_generator")
 
     def __init__(self, seed_blocks, os_entropy: bytes | None = None,
-                 kind: str = "default_pcg", external=None):
+                 generator: GeneratorSpec | None = None):
         self._seed_blocks = seed_blocks
         self._os_entropy = os_entropy
-        self._kind = kind
-        self._external = external
+        self._generator = generator or GeneratorSpec()
 
     def _lanes(self, n: int):
-        mixed = _mix_blocks(self._os_entropy, self._seed_blocks(n))
-        if self._kind == "default_pcg":
-            return _PcgLanes(mixed[:, 0], mixed[:, 1], mixed[:, 2])
-        streams = [
-            make_stream(self._kind, low | high << 64, seq, self._external)
-            for low, high, seq in mixed.tolist()
-        ]
-        return _StreamLanes(streams, independent=self._kind != "external")
+        return self._generator.lanes(_mix_blocks(self._os_entropy, self._seed_blocks(n)))
 
     def _until_accepted(self, n: int, attempt, dtype) -> np.ndarray:
         """Run ``attempt(lanes, idx) -> (accepted, values)`` on the pending

@@ -24,19 +24,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import ConfigError, SeedExhaustedError
-from .rng import (
-    BulkSampler,
-    GeneratorKind,
-    PackedSeeds,
-    StreamSampler,
-    make_stream,
-    mix_seed,
-)
+from .rng import BulkSampler, GeneratorSpec, PackedSeeds, StreamSampler, mix_seed
 from .schema import typed
 
 SamplingType = Literal["default", "bulk_seeds", "sampling_seed", "transform_seed"]
@@ -52,19 +46,6 @@ GENERATOR_NAMES = {
     "MersenneTwister": "mersenne",
     "mersenne": "mersenne",
 }
-
-
-@dataclass
-class GeneratorSpec:
-    """Which word-stream generator backs sampling; external sources drop in."""
-
-    kind: GeneratorKind = "default_pcg"
-    external: object = None
-
-    def __post_init__(self):
-        typed(GeneratorKind, self.kind, "kind", ConfigError)
-        if self.kind == "external" and self.external is None:
-            raise ConfigError("external generator requires a word source")
 
 
 def _generator_spec(key: str, value) -> GeneratorSpec:
@@ -188,22 +169,17 @@ class StreamManager:
         self._root = None
         self._transform_streams: dict[str, StreamSampler] = {}
         self._calibration_counts: dict[str, int] = {}
-        self._extra = None
-        self._extra_built = False
         self.ops_executed = 0
         self.seeds_consumed = 0
 
     # -- seed bank -----------------------------------------------------------
 
-    def _extra_generator(self):
-        if self._extra_built:
-            return self._extra
-        self._extra_built = True
+    @cached_property
+    def _extra(self):
+        """The extra seed generator's stream, or None when it is off."""
         spec = self.plan.extra_seed_generator
         if spec is not None:
-            state, seq = mix_seed(self._os_material + b"extra", self._bank)
-            self._extra = make_stream(spec.kind, state, seq, spec.external)
-        return self._extra
+            return spec.stream(*mix_seed(self._os_material + b"extra", self._bank))
 
     def seed_blocks(self, n: int) -> np.ndarray:
         """The next ``n`` seeds as an ``(n, 2)`` array of 16-byte blocks.
@@ -217,7 +193,7 @@ class StreamManager:
         short = n - len(blocks)
         if not short:
             return blocks
-        extra = self._extra_generator()
+        extra = self._extra
         if extra is None:
             raise SeedExhaustedError(
                 f"entropy seed bank exhausted after {self.seeds_consumed} seeds "
@@ -236,17 +212,15 @@ class StreamManager:
 
     def _sampler(self, tag: bytes, seeds) -> StreamSampler:
         """A sampling-generator stream seeded from OS material, ``tag`` and ``seeds``."""
-        gen = self.plan.sampling_generator
-        return StreamSampler(make_stream(gen.kind, *mix_seed(self._os_material + tag, seeds),
-                                         gen.external))
+        return StreamSampler(self.plan.sampling_generator.stream(
+            *mix_seed(self._os_material + tag, seeds)))
 
     def op_sampler(self, transform_key: str):
         """Sampler for one sampling operation of the given transform."""
         self.ops_executed += 1
         mode = self.plan.sampling_type
         if mode == "bulk_seeds":
-            gen = self.plan.sampling_generator
-            return BulkSampler(self.seed_blocks, self._os_material, gen.kind, gen.external)
+            return BulkSampler(self.seed_blocks, self._os_material, self.plan.sampling_generator)
         if mode == "sampling_seed":
             return self._sampler(b"", [self.next_seed()])
         if mode == "transform_seed":

@@ -85,14 +85,14 @@ TreeSpec = TypedDict("TreeSpec", {name: list[str] for name in PRIMITIVE_NAMES}, 
 
 # each parameter's configured value; the parameters of NoiseSpec plus bincount
 _PARAM_TYPES = {**PARAM_HINTS, "bincount": int}
-# the range NoiseSpec holds each bounded parameter to, which a randomized one must keep
+# the range NoiseSpec holds each bounded parameter to, at every value it can take
 _PARAM_RANGES = {"flip_prob": (0.0, 1.0), "test_flip_prob": (0.0, 1.0),
                  "sigma": (0.0, math.inf), "test_sigma": (0.0, math.inf)}
 
 
 def _checked_params(params, where: str) -> dict:
     """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``
-    and, when randomized, every value it can resolve to against ``_PARAM_RANGES``.
+    and every value it can resolve to against ``_PARAM_RANGES``.
 
     Names it does not list are kept: ``resolve_params`` decides on them.
     """
@@ -105,8 +105,8 @@ def _checked_params(params, where: str) -> dict:
 
 
 def _check_support(value, bounds: tuple, where: str) -> None:
-    """Raise unless each list candidate, or a uniform draw's ``low`` and ``high``, is
-    within ``bounds``; a normal or laplace draw can leave any bounds."""
+    """Raise unless a fixed value, each list candidate, or a uniform draw's ``low`` and
+    ``high`` is within ``bounds``; a normal or laplace draw can leave any bounds."""
     low, high = bounds
     if isinstance(value, dict):
         if value["distribution"] != "uniform":
@@ -116,7 +116,7 @@ def _check_support(value, bounds: tuple, where: str) -> None:
     elif isinstance(value, list):
         support = [(f"{where}[{i}]", candidate) for i, candidate in enumerate(value)]
     else:
-        return
+        support = [(where, value)]
     for at, candidate in support:
         if candidate is not None and not low <= candidate <= high:
             raise ConfigError(f"{at}: {candidate!r} is outside [{low:g}, {high:g}]")

@@ -11,7 +11,7 @@ import pytest
 import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
-from tabnoise.pipeline import MAX_BINCOUNT, fit
+from tabnoise.pipeline import MAX_AUGMENT_COUNT, MAX_BINCOUNT, fit
 from tabnoise.sampling import SamplingPlan
 from tabnoise.table import load_csv, write_csv
 
@@ -440,6 +440,17 @@ def test_augment_non_numeric_count_exit_2(workdir):
     assert "Traceback" not in err
 
 
+def test_augment_count_above_the_maximum_exit_2(workdir):
+    assert _fit(workdir) == 0
+    code, err = _run_cli("augment", str(workdir / "out" / "basis.json"),
+                         str(workdir / "train.csv"), "--count", str(MAX_AUGMENT_COUNT + 1),
+                         "--out", str(workdir / "aug.csv"),
+                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and f"between 0 and {MAX_AUGMENT_COUNT}" in err
+    assert not (workdir / "aug.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["validation_ratio", "noise_augment"])
 def test_fit_non_numeric_config_value_exit_2(workdir, key):
     config = json.loads((workdir / "config.json").read_text())
@@ -482,6 +493,8 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("assignparam", {"DPnb": {"num": {"test_sigma": {"distribution": "laplace"}}}}),
     ("assignparam", {"DPbn": {"cat": {"test_flip_prob": [0.5, 1.5]}}}),
     ("assignparam", {"DPbn": {"cat": {"flip_prob": {"distribution": "uniform", "high": 2.0}}}}),
+    ("assignparam", {"DPbn": {"cat": {"flip_prob": 1.5}}}),
+    ("assignparam", {"DPnb": {"num": {"sigma": -0.2}}}),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise.encoders import column_as_floats
-from tabnoise.errors import BasisFormatError, ConfigError, SchemaError
+from tabnoise.errors import BasisFormatError, ConfigError, SchemaError, TableError
 from tabnoise.pipeline import (
+    MAX_AUGMENT_COUNT,
     NOISE_KINDS,
     _TRANSFORMS,
     AugmentSpec,
@@ -533,6 +535,51 @@ def test_augment_spec_literal_parsing():
         AugmentSpec.from_literal("2.5")
     with pytest.raises(ConfigError):
         AugmentSpec.from_literal("-1")
+
+
+def test_augment_spec_count_is_bounded():
+    assert AugmentSpec(count=MAX_AUGMENT_COUNT).count == MAX_AUGMENT_COUNT
+    for count in (-1, MAX_AUGMENT_COUNT + 1):
+        with pytest.raises(ConfigError, match=f"between 0 and {MAX_AUGMENT_COUNT}"):
+            AugmentSpec(count=count)
+
+
+def _augmented_ids(row_index, count):
+    table = DataTable({"x": [0.5, 1.5, 2.5][: len(row_index)]}, row_index=row_index)
+    res = fit(table, {"shuffletrain": False}, _plan())
+    return augment(res.basis, table, AugmentSpec(count), _plan()).row_index
+
+
+def test_augment_strides_negative_row_ids_apart():
+    # the stride counts from the smallest id, so no copy's ids meet another's
+    assert _augmented_ids([-5, -3, -1], 2) == [-5, -3, -1, 0, 2, 4, 5, 7, 9]
+
+
+@pytest.mark.parametrize("row_index", [[0, 2**61], [0, 2**62]])
+def test_augment_row_ids_past_int64_raise_table_error(row_index):
+    with pytest.raises(TableError, match="^augment: the row identifiers of copy 3 would not fit"):
+        _augmented_ids(row_index, 3)
+    assert max(_augmented_ids([0, 2**61], 2)) == 3 * 2**61 + 2
+
+
+def test_assigncat_string_is_its_one_element_list():
+    table = _mixed_table()
+    string = fit(table, {"shuffletrain": False, "assigncat": {"DPod": "cat"}}, _plan())
+    listed = fit(table, {"shuffletrain": False, "assigncat": {"DPod": ["cat"]}}, _plan())
+    assert string.basis.column_plans["cat"].root == "DPod"
+    assert asdict(string.basis) == asdict(listed.basis)
+    assert string.train.equals(listed.train)
+
+
+def test_orig_headers_skips_a_label_later_data_lacks():
+    table = DataTable({"a": [1.0, 2.0, 3.0], "b": ["x", "y", "x"], "label": [0.0, 1.0, 0.0]})
+    config = {"shuffletrain": False, "labels_column": "label",
+              "assigncat": {"DTne": ["a"], "DTse": ["b"]}}
+    res = fit(table, config, _plan())
+    later = DataTable({"a": [4.0, 5.0], "b": ["y", "x"]})
+    restored = orig_headers_mode(apply(res.basis, later, "test", _plan()), res.basis)
+    assert restored.column_names == ["a", "b"]
+    assert restored.column("b") == ["y", "x"]
 
 
 def test_orig_headers_round_trip():

@@ -24,7 +24,6 @@ from tabnoise.rng import (
     _PcgLanes,
     _step,
     _xsl_rr,
-    make_stream,
     mix_seed,
     shaped_sample,
 )
@@ -279,6 +278,16 @@ def test_external_word_stream_callable():
     assert list(stream.words(3)) == [101, 102, 103]
 
 
+def test_external_word_stream_calls_a_callable_for_each_word():
+    feed = iter(range(100, 200))
+
+    def source():
+        return next(feed)
+
+    source.words = lambda n: [0] * n  # a callable's attributes are not read
+    assert ExternalWordStream(source).words(3).tolist() == [100, 101, 102]
+
+
 def test_external_word_stream_object():
     class Source:
         def __init__(self):
@@ -288,7 +297,7 @@ def test_external_word_stream_object():
             self.n += 1
             return self.n
 
-    stream = make_stream("external", 0, 0, external=Source())
+    stream = GeneratorSpec("external", Source()).stream(0, 0)
     assert [stream.next_word() for _ in range(3)] == [1, 2, 3]
 
 
@@ -392,7 +401,7 @@ class _PerEntryBulkSampler:
 
     def _entry_stream(self):
         initstate, initseq, kind, external = self._seed_source()
-        return make_stream(kind, initstate, initseq, external)
+        return GeneratorSpec(kind, external).stream(initstate, initseq)
 
     def uniforms(self, n):
         out = []
@@ -450,7 +459,7 @@ class _PerEntrySeeds:
         self.bank = list(bank)
         self.extra = None
         if extra_kind is not None:
-            self.extra = make_stream(extra_kind, *mix_seed(os_material + b"extra", self.bank))
+            self.extra = GeneratorSpec(extra_kind).stream(*mix_seed(os_material + b"extra", self.bank))
         self.seeds_consumed = 0
 
     def next_seed(self):
@@ -517,7 +526,7 @@ def test_bulk_sampler_matches_per_entry_oracle(kind):
     old_ext, new_ext = (_SharedSource(), _SharedSource()) if kind == "external" else (None, None)
     old = _PerEntryBulkSampler(_PerEntrySeeds(bank).source(os_entropy, kind, old_ext))
     consumed = []
-    new = BulkSampler(_seed_feed(bank, consumed), os_entropy, kind, new_ext)
+    new = BulkSampler(_seed_feed(bank, consumed), os_entropy, GeneratorSpec(kind, new_ext))
     for (name, args), want, got in zip(_SHAPER_CALLS, _run_shapers(old), _run_shapers(new)):
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), (name, args)

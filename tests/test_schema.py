@@ -21,7 +21,7 @@ import tabnoise
 from tabnoise.cli import main
 from tabnoise.errors import BasisFormatError, ConfigError
 from tabnoise.noise import ParamDraw
-from tabnoise.pipeline import FitConfig, apply, fit, load_basis, save_basis
+from tabnoise.pipeline import MAX_AUGMENT_COUNT, FitConfig, apply, fit, load_basis, save_basis
 from tabnoise.sampling import SamplingPlan
 from tabnoise.schema import typed
 from tabnoise.table import DataTable
@@ -79,6 +79,15 @@ def test_any_json_under_a_config_key_raises_only_config_error(key, value):
         fit(table, {key: value}, plan)
     except ConfigError:
         pass
+
+
+def test_noise_augment_above_the_maximum_raises_before_fitting():
+    table = DataTable({"num": [0.5, 1.5, 2.0, 4.0], "cat": ["a", "b", "a", "c"]})
+    plan = SamplingPlan(sampling_type="sampling_seed", seeding_type="primary_seeds",
+                        entropy_seeds=list(range(100)))
+    with pytest.raises(ConfigError, match=r"^config\.noise_augment: .* between 0 and 1000$"):
+        fit(table, {"noise_augment": 67313210866122}, plan)
+    assert fit(table, {"noise_augment": MAX_AUGMENT_COUNT}, plan).train.n_rows == 4 * 1001
 
 
 # -- saved bases -----------------------------------------------------------------------
