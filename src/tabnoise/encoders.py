@@ -42,11 +42,18 @@ class NumericBasis:
 
 
 def moments(present: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation (0, 0 when there are no values)."""
+    """Mean and population standard deviation (0, 0 when there are no values); where
+    the squares overflow, computed on the values scaled by their largest magnitude."""
     if not len(present):
         return 0.0, 0.0
-    mean = float(np.mean(present))
-    return mean, float(np.sqrt(np.mean((present - mean) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(present))
+        std = float(np.sqrt(np.mean((present - mean) ** 2)))
+    # a scale that is not finite means a value that is not: nothing to rescue
+    if math.isfinite(std) or not math.isfinite(scale := float(np.max(np.abs(present)))):
+        return mean, std
+    mean, std = moments(present / scale)
+    return mean * scale, std * scale
 
 
 def fit_numeric(cells, kind: NumericKind) -> NumericBasis:
@@ -78,9 +85,13 @@ def apply_numeric(basis: NumericBasis, cells) -> tuple[np.ndarray, np.ndarray]:
         else:
             out = np.zeros_like(values)
     else:
-        span = basis.max - basis.min
+        low, high = basis.min, basis.max
+        if not math.isfinite(high - low):  # scaled by the largest magnitude instead
+            scale = max(-low, high)
+            values, low, high = values / scale, low / scale, high / scale
+        span = high - low
         if span > 0.0:
-            out = np.clip((values - basis.min) / span, 0.0, 1.0)
+            out = np.clip((values - low) / span, 0.0, 1.0)
         else:
             out = np.full_like(values, 0.5)
     out[missing] = 0.0

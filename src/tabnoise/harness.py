@@ -59,8 +59,6 @@ class SweepSpec:
     grid: list = field(default_factory=lambda: [0.0, 0.06, 0.3, 1.0])
     scenarios: list = field(default_factory=lambda: ["train", "test", "traintest"])
     reps: int = 20
-    base_flip_prob: float = 0.5
-    base_sigma: float = 1.0
 
     def __post_init__(self):
         if self.axis not in ("sigma", "flip_prob"):
@@ -104,17 +102,16 @@ def generate_task(spec: SyntheticTask) -> tuple[DataTable, DataTable]:
     return slice_table(0, spec.n_rows), slice_table(spec.n_rows, total)
 
 
-def train_logistic(features: np.ndarray, labels: np.ndarray,
-                   learning_rate: float = 0.1, iterations: int = 500) -> np.ndarray:
+def train_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent; deterministic given its inputs."""
     n, _ = features.shape
     design = np.column_stack([np.ones(n), features])
     weights = np.zeros(design.shape[1])
-    for _ in range(iterations):
+    for _ in range(500):
         z = design @ weights
         prob = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
         gradient = design.T @ (prob - labels) / n
-        weights -= learning_rate * gradient
+        weights -= 0.1 * gradient
     return weights
 
 
@@ -151,8 +148,7 @@ def sign_test_p(wins: int, losses: int) -> float:
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0**n
 
 
-def _sweep_config(task: SyntheticTask, scenario: str, axis: str, value: float,
-                  spec: SweepSpec) -> dict:
+def _sweep_config(task: SyntheticTask, scenario: str, axis: str, value: float) -> dict:
     prefix = SCENARIO_PREFIX[scenario]
     numeric_cat = prefix + "nb"
     categoric_cat = prefix + "oh"
@@ -161,13 +157,13 @@ def _sweep_config(task: SyntheticTask, scenario: str, axis: str, value: float,
         assigncat[numeric_cat] = [f"x{j}" for j in range(task.n_numeric)]
     if task.n_categoric:
         assigncat[categoric_cat] = [f"c{k}" for k in range(task.n_categoric)]
+    # the other numeric parameter is held at flip_prob 0.5 or sigma 1.0
     if axis == "sigma":
         numeric_params = {"sigma": value, "test_sigma": value,
-                          "flip_prob": spec.base_flip_prob,
-                          "test_flip_prob": spec.base_flip_prob}
+                          "flip_prob": 0.5, "test_flip_prob": 0.5}
         categoric_params = {"flip_prob": 0.0, "test_flip_prob": 0.0}
     else:
-        numeric_params = {"sigma": spec.base_sigma, "test_sigma": spec.base_sigma,
+        numeric_params = {"sigma": 1.0, "test_sigma": 1.0,
                           "flip_prob": value, "test_flip_prob": value}
         categoric_params = {"flip_prob": value, "test_flip_prob": value}
     default_assignparam = {numeric_cat: numeric_params}
@@ -181,9 +177,9 @@ def _sweep_config(task: SyntheticTask, scenario: str, axis: str, value: float,
     }
 
 
-def _rep_seeds(base_seed: int, rep: int, count: int = 4096) -> np.ndarray:
+def _rep_seeds(base_seed: int, rep: int) -> np.ndarray:
     state, seq = mix_seed(b"sweep-rep", [base_seed, rep])
-    return Pcg64Stream(state, seq).words(count) & np.uint64(2**31 - 1)
+    return Pcg64Stream(state, seq).words(4096) & np.uint64(2**31 - 1)
 
 
 def _features_and_labels(prepared: DataTable, label_column: str):
@@ -218,7 +214,7 @@ def run_sweep(task: SyntheticTask, sweep: SweepSpec) -> list[dict]:
 
         for value in sweep.grid:
             for scenario in sweep.scenarios:
-                config = _sweep_config(rep_task, scenario, sweep.axis, value, sweep)
+                config = _sweep_config(rep_task, scenario, sweep.axis, value)
                 fitted = fit(train_table, config, plan())
                 prepared_test = apply(fitted.basis, test_table, "test", plan())
                 train_x, train_y = _features_and_labels(fitted.train, task.label_column)

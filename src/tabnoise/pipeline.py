@@ -284,9 +284,7 @@ class _Ctx:
         """The sampler for the step's next operation, ``op`` as ``_noise_ops`` names it."""
         self.taken.append(op)
         self.check()
-        if op.startswith("calibrate:"):
-            return self.manager.calibration_sampler(self.key, op.partition(":")[2])
-        return self.manager.op_sampler(self.key)
+        return self.manager.sampler(self.key, op)
 
     def check(self, done: bool = False) -> None:
         """Raise unless the operations taken start (or, when ``done``, are) the declared ones."""
@@ -754,6 +752,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
         extra = [c for c in table.column_names if c not in known]
         if extra:
             warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
+    manager.register(basis.noise_step_keys())
     ctx = _Ctx(manager, mode, table.column, fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
@@ -763,13 +762,6 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
                                    fitting and fitting[col]))
     ordered = [name for col in present for name in basis.plan_for(col).output_columns]
     return DataTable({name: columns[name] for name in ordered}, row_index=table.index)
-
-
-def _register_noise_steps(manager: StreamManager, basis: TransformBasis) -> StreamManager:
-    """Register every noise transform up front (see ``StreamManager.register_transform``)."""
-    for key in basis.noise_step_keys():
-        manager.register_transform(key)
-    return manager
 
 
 # -- fitting -----------------------------------------------------------------
@@ -850,7 +842,6 @@ def fit(
         transformdict=cfg.transformdict,
         processdict=cfg.processdict,
     )
-    _register_noise_steps(manager, basis)
     prepared_train = _prepare(basis, train_sub, "train", manager, fitting)
     spec = AugmentSpec.from_literal(str(cfg.noise_augment))
     # with noise_augment, augment's rows replace these, shuffled by augment itself
@@ -907,7 +898,7 @@ def apply_with_stats(
     mode: str = "test",
     plan: SamplingPlan | None = None,
 ) -> tuple[DataTable, dict]:
-    manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
+    manager = StreamManager(plan or SamplingPlan())
     prepared = _prepare(basis, table, mode, manager)
     stats = {"ops_executed": manager.ops_executed, "seeds_consumed": manager.seeds_consumed}
     return prepared, stats
@@ -927,7 +918,7 @@ def augment(
     row identifiers, so no two copies share one; a ``TableError`` is raised
     when the last copy's would not fit in 64 bits.
     """
-    manager = _register_noise_steps(StreamManager(plan or SamplingPlan()), basis)
+    manager = StreamManager(plan or SamplingPlan())
     low, high = (int(table.index.min()), int(table.index.max())) if table.n_rows else (0, -1)
     stride = high + 1 - min(low, 0)
     if max(high, 0) + spec.count * stride > np.iinfo(np.int64).max:

@@ -291,9 +291,9 @@ class ExternalWordStream:
     """Adapter for external 64-bit word sources.
 
     Accepts either an object exposing ``next_word()`` (and optionally
-    ``words(n)``) or a zero-argument callable returning integers in
-    ``[0, 2**64)``, whose other attributes are not read. Seed material is
-    ignored; the source is the stream.
+    ``words(n)``) or a zero-argument callable returning integers, whose
+    other attributes are not read. Words are taken modulo ``2**64``. Seed
+    material is ignored; the source is the stream.
     """
 
     __slots__ = ("_next", "_words")
@@ -310,7 +310,11 @@ class ExternalWordStream:
     def words(self, n: int) -> np.ndarray:
         if self._words is None:
             return np.array([self.next_word() for _ in range(n)], dtype=np.uint64)
-        got = np.asarray(self._words(n), dtype=np.uint64)
+        got = self._words(n)
+        try:
+            got = np.asarray(got, dtype=np.uint64)
+        except OverflowError:  # a word outside [0, 2**64): masked, as next_word masks it
+            got = np.array([int(word) & _MASK64 for word in got], dtype=np.uint64)
         if got.shape != (n,):
             raise ValueError("external word source returned wrong shape")
         return got

@@ -15,9 +15,12 @@ Seeding type ``primary_seeds`` (the default for ``bulk_seeds``) drops OS
 entropy entirely, making output a pure function of the seed bank.
 ``supplemental_seeds`` mixes the bank with OS material.
 
-The manager counts operations and consumed seeds so reported budgets can be
-verified exactly. When the bank runs dry, replacement seeds come from the
-extra seed generator; with that generator off, exhaustion is a hard error.
+A :class:`StreamManager` serves every operation through one checkout,
+``sampler(transform_key, op)``, and each preparation registers its transform
+seeds once, before its first column. The manager counts operations and
+consumed seeds so reported budgets can be verified exactly. When the bank
+runs dry, replacement seeds come from the extra seed generator; with that
+generator off, exhaustion is a hard error.
 """
 
 import json
@@ -215,53 +218,44 @@ class StreamManager:
         return StreamSampler(self.plan.sampling_generator.stream(
             *mix_seed(self._os_material + tag, seeds)))
 
-    def op_sampler(self, transform_key: str):
-        """Sampler for one sampling operation of the given transform."""
+    def register(self, keys: Sequence[str]) -> None:
+        """Under ``transform_seed``, draw one seed for each key not yet registered, in order.
+
+        A preparation registers its noise transforms before any operation runs,
+        so the seeds drawn do not depend on which phases fire; a transform's
+        checkouts all return the stream its seed started.
+        """
+        if self.plan.sampling_type == "transform_seed":
+            for key in keys:
+                if key not in self._transform_streams:
+                    self._transform_streams[key] = self._sampler(b"", [self.next_seed()])
+
+    def sampler(self, transform_key: str, op: str):
+        """The sampler for the transform's operation ``op``, as ``_noise_ops`` names it.
+
+        Under ``bulk_seeds`` a ``calibrate:<phase>`` operation draws no bank
+        entries: it runs on a substream keyed by transform, phase and round,
+        so equivalent transforms calibrate alike whichever phases fire.
+        """
         self.ops_executed += 1
         mode = self.plan.sampling_type
         if mode == "bulk_seeds":
+            if op.startswith("calibrate:"):
+                counter_key = f"{transform_key}:{op.partition(':')[2]}"
+                count = self._calibration_counts.get(counter_key, 0)
+                self._calibration_counts[counter_key] = count + 1
+                return self._sampler(f"calibration:{counter_key}:{count}".encode(), self._bank)
             return BulkSampler(self.seed_blocks, self._os_material, self.plan.sampling_generator)
         if mode == "sampling_seed":
             return self._sampler(b"", [self.next_seed()])
         if mode == "transform_seed":
-            return self._transform_sampler(transform_key)
+            return self._transform_streams[transform_key]  # drawn by register
         # default: shuffle the common bank, mix with a per-call nonce
         if self._root is None:
             self._root = self._sampler(b"root", [])
         nonce = self._root.stream.next_word()
         shuffled = self._bank.take(self._root.shuffled(range(len(self._bank))))
         return self._sampler(nonce.to_bytes(8, "little"), shuffled)
-
-    def _transform_sampler(self, transform_key: str) -> StreamSampler:
-        if transform_key not in self._transform_streams:
-            self._transform_streams[transform_key] = self._sampler(b"", [self.next_seed()])
-        return self._transform_streams[transform_key]
-
-    def register_transform(self, transform_key: str) -> None:
-        """Pre-assign a transform's seed under ``transform_seed``.
-
-        Called for every noise transform in the plan before any operation
-        runs, so expended seed counts do not depend on which phases fire.
-        """
-        if self.plan.sampling_type == "transform_seed":
-            self._transform_sampler(transform_key)
-
-    def calibration_sampler(self, transform_key: str, phase: str = "train"):
-        """Sampler for fit-time calibration draws.
-
-        Under ``bulk_seeds`` calibration runs on a dedicated substream rather
-        than draining the per-entry bank; the substream is keyed by transform
-        and phase so equivalent transforms calibrate identically regardless
-        of which other phases the plan fires. Under ``sampling_seed`` each
-        calibration sampling counts as a normal operation.
-        """
-        if self.plan.sampling_type == "bulk_seeds":
-            self.ops_executed += 1
-            counter_key = f"{transform_key}:{phase}"
-            count = self._calibration_counts.get(counter_key, 0)
-            self._calibration_counts[counter_key] = count + 1
-            return self._sampler(f"calibration:{counter_key}:{count}".encode(), self._bank)
-        return self.op_sampler(transform_key)
 
     def utility_sampler(self, tag: str) -> StreamSampler:
         """Non-bank stream for plumbing draws (row shuffles, validation splits)."""

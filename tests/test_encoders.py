@@ -15,6 +15,8 @@ from tabnoise.encoders import (
     fit_numeric,
     ordinal_codes,
 )
+from tabnoise.pipeline import fit
+from tabnoise.table import DataTable
 
 
 def test_fit_zscore_population_std():
@@ -90,6 +92,26 @@ def test_test_application_uses_train_statistics_only():
     out, _ = apply_numeric(basis, shifted)
     expected = (np.array(shifted) - basis.mean) / basis.std
     assert np.allclose(out, expected)
+
+
+def _prepared_column(root, cells):
+    fitted = fit(DataTable({"x": cells}), {"shuffletrain": False, "assigncat": {root: ["x"]}})
+    return fitted.basis, fitted.train.array(f"x_{root}")
+
+
+def test_zscore_of_a_spread_past_the_square_overflow_is_finite():
+    # the squared deviations overflow; warnings are errors here, so none is raised
+    basis, out = _prepared_column("nmbr", [1e200, 3e200, 0.5, 2.0])
+    std = basis.plan_for("x").steps[0].payload["numeric_basis"].std
+    assert np.isfinite(std) and std > 0.0
+    assert np.all(np.isfinite(out)) and np.any(out != 0.0)
+
+
+@pytest.mark.parametrize("root", ["mnmx", "retn"])
+def test_minmax_of_a_range_past_the_float_maximum_keeps_every_cell(root):
+    _, out = _prepared_column(root, [1e308, -1e308, 1.0, 2.0])
+    assert not np.any(np.isnan(out))
+    assert out[0] == 1.0 and out[1] == 0.0
 
 
 def test_fit_categoric_counts():

@@ -321,6 +321,19 @@ def test_external_word_stream_reads_a_sources_own_words():
         ExternalWordStream(_BlockSource(short=1)).words(3)
 
 
+def test_external_word_stream_masks_words_from_either_method():
+    class Source:
+        def next_word(self):
+            return -1
+
+        def words(self, n):
+            return [-1] * n
+
+    stream = ExternalWordStream(Source())
+    assert stream.next_word() == 2**64 - 1
+    assert stream.words(2).tolist() == [2**64 - 1] * 2
+
+
 def _seed_feed(seeds, consumed):
     """A ``seed_blocks`` callable serving ``seeds`` in order and recording them."""
 
@@ -550,7 +563,7 @@ def test_bulk_manager_matches_per_entry_oracle(seeding_type, generator):
     manager = StreamManager(plan)
     for name, args in _SHAPER_CALLS * 2:  # the second pass runs on extra-generator seeds
         want = getattr(_PerEntryBulkSampler(seeds.source(os_entropy, generator)), name)(*args)
-        got = getattr(manager.op_sampler("t#1"), name)(*args)
+        got = getattr(manager.sampler("t#1", "noise"), name)(*args)
         assert got.tobytes() == want.tobytes(), (name, args)
         assert manager.seeds_consumed == seeds.seeds_consumed
     assert manager.seeds_consumed > len(bank)
@@ -570,7 +583,7 @@ def test_bulk_exhaustion_mid_batch_matches_per_entry_oracle(extra):
         except SeedExhaustedError as exc:
             want = str(exc)
         try:
-            got = draw(manager.op_sampler("t#1"))
+            got = draw(manager.sampler("t#1", "noise"))
         except SeedExhaustedError as exc:
             got = str(exc)
         outcomes.append((got, want))

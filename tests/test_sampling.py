@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnoise.errors import BasisFormatError, ConfigError, SeedExhaustedError
-from tabnoise.pipeline import KIND_PARAMS, NOISE_KINDS, _noise_ops, apply, apply_with_stats, fit
+from tabnoise.pipeline import (
+    KIND_PARAMS,
+    NOISE_KINDS,
+    AugmentSpec,
+    _noise_ops,
+    apply,
+    apply_with_stats,
+    augment,
+    fit,
+)
 from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
@@ -47,7 +56,7 @@ def test_bulk_determinism_same_seed_list():
     def run():
         plan = SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=list(range(100)))
         manager = StreamManager(plan)
-        sampler = manager.op_sampler("t")
+        sampler = manager.sampler("t", "noise")
         return sampler.normals(40, 0.0, 1.0)
 
     assert np.array_equal(run(), run())
@@ -57,7 +66,7 @@ def test_bulk_seed_flip_changes_output():
     def run(seeds):
         plan = SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=seeds)
         manager = StreamManager(plan)
-        return manager.op_sampler("t").normals(40, 0.0, 1.0)
+        return manager.sampler("t", "noise").normals(40, 0.0, 1.0)
 
     seeds = list(range(100))
     flipped = list(seeds)
@@ -70,7 +79,7 @@ def test_sampling_seed_consumes_one_per_operation():
                         os_material=b"fixed")
     manager = StreamManager(plan)
     for _ in range(7):
-        manager.op_sampler("t").uniforms(100)
+        manager.sampler("t", "noise").uniforms(100)
     assert manager.seeds_consumed == 7
     assert manager.ops_executed == 7
 
@@ -79,20 +88,75 @@ def test_transform_seed_one_per_transform():
     plan = SamplingPlan(sampling_type="transform_seed", entropy_seeds=list(range(50)),
                         os_material=b"fixed")
     manager = StreamManager(plan)
-    for key in ("a#1", "b#1", "c#2"):
-        manager.register_transform(key)
+    manager.register(["a#1", "b#1", "c#2"])
     assert manager.seeds_consumed == 3
     # operations reuse the registered stream without consuming more seeds
-    manager.op_sampler("a#1").uniforms(10)
-    manager.op_sampler("b#1").uniforms(10)
+    manager.sampler("a#1", "noise").uniforms(10)
+    manager.sampler("b#1", "noise").uniforms(10)
     assert manager.seeds_consumed == 3
+
+
+def test_register_draws_one_seed_per_key_once():
+    plan = SamplingPlan(sampling_type="transform_seed", entropy_seeds=list(range(50)),
+                        os_material=b"fixed")
+    manager = StreamManager(plan)
+    keys = ["a#1", "b#1", "c#2"]
+    manager.register(keys)
+    manager.register(keys)
+    assert manager.seeds_consumed == 3
+    # seeds are drawn in the order the keys are given
+    want = StreamSampler(Pcg64Stream(*mix_seed(b"fixed", [1]))).uniforms(4)
+    assert np.array_equal(manager.sampler("b#1", "mask").uniforms(4), want)
+    streams = {key: manager.sampler(key, "mask") for key in keys}
+    assert len({id(stream) for stream in streams.values()}) == 3
+    for key in keys:
+        for op in ("resolve", "calibrate:train", "calibrate:test", "mask", "noise", "flip"):
+            assert manager.sampler(key, op) is streams[key]
+    assert manager.seeds_consumed == 3
+
+
+def test_register_draws_nothing_outside_transform_seed():
+    for sampling_type in ("default", "bulk_seeds", "sampling_seed"):
+        manager = StreamManager(SamplingPlan(sampling_type=sampling_type,
+                                             entropy_seeds=list(range(50))))
+        manager.register(["a#1", "b#1"])
+        assert manager.seeds_consumed == 0
+
+
+def test_bulk_calibration_runs_on_a_substream_per_phase_and_round():
+    bank = list(range(100, 140))
+    manager = StreamManager(SamplingPlan(sampling_type="bulk_seeds", entropy_seeds=bank))
+    for round_ in range(2):
+        for phase in ("train", "test"):
+            tag = f"calibration:t#1:{phase}:{round_}".encode()
+            want = StreamSampler(Pcg64Stream(*mix_seed(tag, bank))).uniforms(3)
+            assert np.array_equal(manager.sampler("t#1", f"calibrate:{phase}").uniforms(3), want)
+    assert manager.seeds_consumed == 0 and manager.ops_executed == 4
+
+
+def test_augment_draws_one_transform_seed_per_noise_step():
+    table = DataTable({"num": [float(i) for i in range(40)],
+                       "cat": ["a", "b", "c", "d"] * 10})
+    config = {"assigncat": {"DPnb": ["num"], "DBod": ["cat"]}}
+    basis = fit(table, config, _seed_plan("transform_seed")).basis
+    managers = []
+    real_init = StreamManager.__init__
+
+    def init(manager, plan):
+        real_init(manager, plan)
+        managers.append(manager)
+
+    with mock.patch.object(StreamManager, "__init__", init):
+        augment(basis, table, AugmentSpec.from_literal("2"), _seed_plan("transform_seed"))
+    assert len(basis.noise_step_keys()) == 2
+    assert [manager.seeds_consumed for manager in managers] == [2]
 
 
 def test_default_mode_consumes_no_bank_seeds():
     plan = SamplingPlan(entropy_seeds=[1, 2, 3], os_material=b"fixed")
     manager = StreamManager(plan)
     for _ in range(5):
-        manager.op_sampler("t").uniforms(10)
+        manager.sampler("t", "noise").uniforms(10)
     assert manager.seeds_consumed == 0
 
 
@@ -100,7 +164,7 @@ def test_default_mode_reproducible_with_fixed_os_material():
     def run():
         plan = SamplingPlan(entropy_seeds=[5, 6, 7], os_material=b"pinned")
         manager = StreamManager(plan)
-        return [manager.op_sampler("t").uniforms(5).tolist() for _ in range(3)]
+        return [manager.sampler("t", "noise").uniforms(5).tolist() for _ in range(3)]
 
     assert run() == run()
 
@@ -108,7 +172,7 @@ def test_default_mode_reproducible_with_fixed_os_material():
 def test_default_mode_without_seeds_valid():
     plan = SamplingPlan(os_material=b"fixed")
     manager = StreamManager(plan)
-    values = manager.op_sampler("t").uniforms(10)
+    values = manager.sampler("t", "noise").uniforms(10)
     assert len(values) == 10
 
 
@@ -116,17 +180,17 @@ def test_exhaustion_hard_error_when_extra_off():
     plan = SamplingPlan(sampling_type="sampling_seed", entropy_seeds=[1],
                         extra_seed_generator="off", os_material=b"fixed")
     manager = StreamManager(plan)
-    manager.op_sampler("t")
+    manager.sampler("t", "noise")
     with pytest.raises(SeedExhaustedError):
-        manager.op_sampler("t")
+        manager.sampler("t", "noise")
 
 
 def test_exhaustion_replenished_by_extra_generator():
     plan = SamplingPlan(sampling_type="sampling_seed", entropy_seeds=[1],
                         extra_seed_generator="PCG64", os_material=b"fixed")
     manager = StreamManager(plan)
-    manager.op_sampler("t")
-    manager.op_sampler("t")  # draws a replacement seed
+    manager.sampler("t", "noise")
+    manager.sampler("t", "noise")  # draws a replacement seed
     assert manager.seeds_consumed == 2
 
 
@@ -135,7 +199,7 @@ def test_primary_seeding_excludes_os_material():
         plan = SamplingPlan(sampling_type="sampling_seed", seeding_type="primary_seeds",
                             entropy_seeds=[11, 12], os_material=material)
         manager = StreamManager(plan)
-        return manager.op_sampler("t").uniforms(5).tolist()
+        return manager.sampler("t", "noise").uniforms(5).tolist()
 
     assert run(b"one") == run(b"two")
 
@@ -145,7 +209,7 @@ def test_supplemental_seeding_mixes_os_material():
         plan = SamplingPlan(sampling_type="sampling_seed", entropy_seeds=[11, 12],
                             os_material=material)
         manager = StreamManager(plan)
-        return manager.op_sampler("t").uniforms(5).tolist()
+        return manager.sampler("t", "noise").uniforms(5).tolist()
 
     assert run(b"one") != run(b"two")
 
@@ -154,7 +218,7 @@ def test_mersenne_generator_backend():
     plan = SamplingPlan(sampling_generator=GeneratorSpec(kind="mersenne"),
                         os_material=b"fixed")
     manager = StreamManager(plan)
-    values = manager.op_sampler("t").uniforms(100)
+    values = manager.sampler("t", "noise").uniforms(100)
     assert np.all((values >= 0) & (values < 1))
 
 
@@ -335,11 +399,11 @@ def test_wide_seeds_keep_their_streams(sampling_type):
     os_entropy = b"w"
     if sampling_type == "bulk_seeds":
         os_entropy = b""  # primary seeding by default
-        got = manager.op_sampler("t").uniforms(4)
+        got = manager.sampler("t", "noise").uniforms(4)
         want = [StreamSampler(Pcg64Stream(*mix_seed(os_entropy, [s]))).uniforms(1)[0]
                 for s in seeds]
     else:
-        got = [manager.op_sampler("t").uniforms(1)[0] for _ in seeds]
+        got = [manager.sampler("t", "noise").uniforms(1)[0] for _ in seeds]
         want = [StreamSampler(Pcg64Stream(*mix_seed(os_entropy, [s]))).uniforms(1)[0]
                 for s in seeds]
     assert list(got) == want
@@ -368,7 +432,7 @@ def test_default_mode_bank_shuffle_matches_per_word_loop():
             shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
         state, seq = mix_seed(b"pinned" + nonce.to_bytes(8, "little"), shuffled)
         want = StreamSampler(Pcg64Stream(state, seq)).uniforms(6)
-        assert np.array_equal(manager.op_sampler("t").uniforms(6), want)
+        assert np.array_equal(manager.sampler("t", "noise").uniforms(6), want)
 
 
 class _ScriptedWords:
@@ -499,31 +563,19 @@ class _Checkouts:
 
     def __init__(self):
         self.names, self.entries = {}, {}
-        self._key, self._calibrating = None, False
-        real_op = StreamManager.op_sampler
-        real_calibration = StreamManager.calibration_sampler
+        self._key = None
+        real_sampler = StreamManager.sampler
         real_blocks = StreamManager.seed_blocks
 
-        def op_sampler(manager, key):
-            if not self._calibrating:
-                self._record(key, "op")
-            return real_op(manager, key)
-
-        def calibration_sampler(manager, key, phase="train"):
-            self._record(key, f"calibrate:{phase}")
-            self._calibrating = True
-            try:
-                return real_calibration(manager, key, phase)
-            finally:
-                self._calibrating = False
+        def sampler(manager, key, op):
+            self._record(key, op)
+            return real_sampler(manager, key, op)
 
         def seed_blocks(manager, n):
             self.entries[self._key] = self.entries.get(self._key, 0) + n
             return real_blocks(manager, n)
 
-        self._patches = [mock.patch.object(StreamManager, "op_sampler", op_sampler),
-                         mock.patch.object(StreamManager, "calibration_sampler",
-                                           calibration_sampler),
+        self._patches = [mock.patch.object(StreamManager, "sampler", sampler),
                          mock.patch.object(StreamManager, "seed_blocks", seed_blocks)]
 
     def _record(self, key, name):
@@ -550,7 +602,7 @@ def _declared(basis, mode, fitting):
             if step.kind not in NOISE_KINDS:
                 continue
             ops = _noise_ops(step.kind, step.payload, mode, fitting, _ROWS)
-            names = [name if name.startswith("calibrate") else "op" for name, _, _ in ops]
+            names = [name for name, _, _ in ops]
             budget = sum(math.ceil(entries * (1.0 + safety) if stochastic else entries)
                          for _, entries, stochastic in ops)
             reresolved = not (fitting or step.payload["resolved"]["retain_basis"]) and {
