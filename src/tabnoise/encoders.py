@@ -76,12 +76,15 @@ def apply_numeric(basis: NumericBasis, cells) -> tuple[np.ndarray, np.ndarray]:
 
     zscore: (x - mean) / std, constant 0 when std is 0. minmax and retain:
     (x - min) / (max - min) clipped to [0, 1], constant 0.5 when degenerate.
-    Missing entries come out as 0 after scaling.
+    Missing entries come out as 0 after scaling. A cell far outside the fitted
+    range overflows without a warning: to a z-score of +-inf, which the executor
+    reports, or to a min-max value that clips to 0 or 1.
     """
     values, missing = column_as_floats(cells)
     if basis.kind == "zscore":
         if basis.std > 0.0:
-            out = (values - basis.mean) / basis.std
+            with np.errstate(over="ignore"):
+                out = (values - basis.mean) / basis.std
         else:
             out = np.zeros_like(values)
     else:
@@ -91,7 +94,8 @@ def apply_numeric(basis: NumericBasis, cells) -> tuple[np.ndarray, np.ndarray]:
             values, low, high = values / scale, low / scale, high / scale
         span = high - low
         if span > 0.0:
-            out = np.clip((values - low) / span, 0.0, 1.0)
+            with np.errstate(over="ignore"):
+                out = np.clip((values - low) / span, 0.0, 1.0)
         else:
             out = np.full_like(values, 0.5)
     out[missing] = 0.0

@@ -156,7 +156,8 @@ def _shrink(noise: np.ndarray, low: np.ndarray, numer: np.ndarray) -> np.ndarray
     """The float64 array ``noise``, shrunk in place (see :func:`scale_noise_minmax`)."""
     np.clip(noise, -0.5, 0.5, out=noise)
     # negative noise shrinks below 0.5, nonnegative noise at or above it
-    np.copyto(noise, noise * numer / 0.5, where=low == (noise < 0.0))
+    picked = np.flatnonzero(low == (noise < 0.0))
+    noise[picked] = noise[picked] * numer[picked] / 0.5
     return noise
 
 

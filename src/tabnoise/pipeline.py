@@ -266,10 +266,11 @@ def _phase(mode: str) -> str:
 
 
 class _Ctx:
-    def __init__(self, manager: StreamManager, mode: str, cells, fitting: bool):
+    def __init__(self, manager: StreamManager, mode: str, table: DataTable, fitting: bool):
         self.manager = manager
         self.mode = mode
-        self.cells = cells  # a column of the table being prepared, by name
+        self.cells = table.column  # a column of the table being prepared, by name
+        self.rows = table.index
         self.fitting = fitting
         self.step, self.key = None, ""  # the running AppliedStep and its key, column#step
         # the step's declared operation names (None while its payload is fitted), and those taken
@@ -697,9 +698,12 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
     """Run a column's steps in order; returns its output columns as (name, array).
 
     The executor names each step's outputs, checks them against the basis and
-    keeps them as the step finishes. With ``fitting`` (the structural pass's
-    params and surviving bases), each step's payload is fitted just before the
-    step is applied, and the plan records its output column names.
+    keeps them as the step finishes. A step that gives an infinity in a present
+    row raises a ``TableError`` that names the step and the row; a NaN is a
+    missing cell, which swap noise may move into a present row. With ``fitting``
+    (the structural pass's params and surviving bases), each step's payload is
+    fitted just before the step is applied, and the plan records its output
+    column names.
     """
     params, surviving = fitting or (None, None)
     groups = {plan.input_column: _Group([column], missing_of(column))}
@@ -724,6 +728,9 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
             raise BasisFormatError(f"transform {ctx.key} does not make the output columns the "
                                    f"basis lists, {step.output_columns}")
         for name, data in zip(names, out.columns):
+            if data.dtype.kind == "f" and len(bad := np.flatnonzero(np.isinf(data) & ~out.missing)):
+                raise TableError(f"transform {ctx.key} gives a non-finite number in column "
+                                 f"{name!r} at row {ctx.rows[bad[0]]}")
             # a derived number in a missing row is kept unless the group preserves missing cells
             restore = out.preserve_missing and data.dtype != object
             written[name] = np.where(out.missing, np.nan, data) if restore else data
@@ -753,7 +760,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
         if extra:
             warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
     manager.register(basis.noise_step_keys())
-    ctx = _Ctx(manager, mode, table.column, fitting=fitting is not None)
+    ctx = _Ctx(manager, mode, table, fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
     columns: dict[str, np.ndarray] = {}

@@ -26,6 +26,7 @@ as the low and high halves of two uint64 arrays.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -153,6 +154,20 @@ def _mix_blocks(os_entropy: bytes | None, blocks: np.ndarray) -> np.ndarray:
     return words[:, :3].astype(np.uint64)
 
 
+@functools.cache
+def _zero_seed():
+    """Seed material for a bit generator whose state is set right after it is built:
+    zeros, without the hash expansion of a ``SeedSequence``. Made on first use, so
+    importing the package does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ZeroSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
+
+
 class Pcg64Stream:
     """PCG with 128-bit LCG state and XSL-RR output of 64-bit words.
 
@@ -165,7 +180,7 @@ class Pcg64Stream:
 
     def __init__(self, initstate: int, initseq: int = 0):
         inc = ((initseq & _MASK64) << 1) | 1
-        self._bitgen = np.random.PCG64(0)
+        self._bitgen = np.random.PCG64(_zero_seed())
         self._bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": (initstate + inc) & _MASK128, "inc": inc},
@@ -274,7 +289,7 @@ class Mt19937Stream:
         key = [
             (initstate >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32)
         ] + [(initseq >> shift) & 0xFFFFFFFF for shift in range(0, 64, 32)]
-        self._bitgen = np.random.MT19937(0)
+        self._bitgen = np.random.MT19937(_zero_seed())
         self._bitgen.state = np.random.RandomState(key).get_state(legacy=False)
 
     def next_word(self) -> int:
@@ -380,18 +395,28 @@ def _polar_fill(words: np.ndarray, out: np.ndarray) -> int:
     for start in range(0, len(words), BLOCK_ENTRIES):
         if have == len(out):
             break
-        u = 2.0 * _words_to_uniforms(words[start : start + BLOCK_ENTRIES]) - 1.0
+        # 2 * uniform - 1, as (w >> 11) * 2**-52 - 1: scalings by powers of two are exact
+        u = (words[start : start + BLOCK_ENTRIES] >> np.uint64(11)).astype(np.float64)
+        u *= 2.0 ** -52
+        u -= 1.0
         x, y = u[0::2], u[1::2]
-        s = x * x + y * y
-        ok = (s > 0.0) & (s < 1.0)
-        x, y, s = x[ok], y[ok], s[ok]
-        factor = np.sqrt(-2.0 * np.log(s) / s)
-        z = np.empty(2 * len(s), dtype=np.float64)
-        z[0::2] = x * factor
-        z[1::2] = y * factor
-        take = min(len(z), len(out) - have)
-        out[have : have + take] = z[:take]
-        have += take
+        s = x * x
+        s += y * y
+        kept = np.flatnonzero((s < 1.0) & (s > 0.0))
+        s = s[kept]
+        factor = np.log(s)  # -2 log(s) / s, in that order
+        factor *= -2.0
+        factor /= s
+        np.sqrt(factor, out=factor)
+        # the pairs' normals go straight into out, unless they overfill it
+        partial = 2 * len(kept) > len(out) - have
+        dest = np.empty(2 * len(kept)) if partial else out[have : have + 2 * len(kept)]
+        np.multiply(x[kept], factor, out=dest[0::2])
+        np.multiply(y[kept], factor, out=dest[1::2])
+        if partial:
+            dest = dest[: len(out) - have]
+            out[have:] = dest
+        have += len(dest)
     return have
 
 

@@ -552,6 +552,32 @@ def test_normal_draw_for_flip_prob_exit_2_before_sampling(workdir, caplog):
     assert not (workdir / "out").exists()
 
 
+def _numeric_fit(workdir, root, train):
+    """Fit one numeric column ``x`` under ``root``."""
+    (workdir / "train.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in train))
+    _with_config(workdir, labels_column=None, assigncat={root: ["x"]})
+    assert _fit(workdir) == 0
+    return workdir / "out" / "basis.json"
+
+
+def test_transform_to_a_non_finite_zscore_exit_2_naming_the_step_and_row(workdir):
+    basis = _numeric_fit(workdir, "nmbr", [1.0, 1.001, 0.999, 1.0])  # std about 7e-4
+    (workdir / "later.csv").write_text("x\n1.0\n1e308\n")
+    code, err = _run_cli("transform", str(basis), str(workdir / "later.csv"),
+                         "--out", str(workdir / "prepared.csv"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "transform x#0" in err and "'x_nmbr'" in err and "row 1" in err
+
+
+def test_transform_far_above_a_minmax_range_clips_to_one_without_a_warning(workdir):
+    basis = _numeric_fit(workdir, "mnmx", [-1e308, 1e300])
+    (workdir / "later.csv").write_text("x\n1.7e308\n")
+    assert main(["transform", str(basis), str(workdir / "later.csv"),
+                 "--out", str(workdir / "prepared.csv")]) == 0
+    assert load_csv(workdir / "prepared.csv").column("x_mnmx") == [1.0]
+
+
 def _fit_cli(workdir):
     return _run_cli("fit", str(workdir / "train.csv"),
                     "--config", str(workdir / "config.json"),

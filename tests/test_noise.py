@@ -164,6 +164,19 @@ def test_scale_noise_matches_four_mask_oracle_bit_for_bit(pairs):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+def test_scale_noise_matches_four_mask_oracle_on_subnormal_products():
+    """Shrunk products that round in the subnormal range, and noise on the cap and on
+    the sign boundary, give the oracle's bits."""
+    noise_values = [0.25, -0.25, 0.5, -0.5, 0.0, -0.0]
+    minmax_values = [1e-310, 3e-323, 0.9999999999999999]
+    noise = np.repeat(noise_values, len(minmax_values))
+    minmax = np.tile(minmax_values, len(noise_values))
+    got = scale_noise_minmax(noise, minmax)
+    want = _four_mask_scale_noise_minmax(noise, minmax)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.count_nonzero(np.abs(got[got != 0.0]) < np.finfo(np.float64).tiny) >= 4
+
+
 def _oracle_adjust_noise_mean(minmax_train, mu0, sigma, distribution, sampler, draws):
     """The former adjust_noise_mean, scaling each round with the four-mask oracle."""
     minmax_train = np.asarray(minmax_train, dtype=np.float64)

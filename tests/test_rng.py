@@ -98,6 +98,12 @@ def test_golden_words_interleaved(cls):
     assert _word_digest(out) == GOLDEN_INTERLEAVED[cls]
 
 
+@pytest.mark.parametrize("cls", [Pcg64Stream, Mt19937Stream], ids=lambda c: c.__name__)
+def test_stream_builds_its_bit_generator_without_a_seed_sequence(cls):
+    # the state is set right after the bit generator is built: expanding a seed is waste
+    assert not isinstance(cls(*mix_seed(None, [5]))._bitgen._seed_seq, np.random.SeedSequence)
+
+
 def test_pcg_words_from_many_threads():
     # streams drawn from in different threads keep their words apart
     seeds = range(6)
@@ -213,6 +219,36 @@ def test_blocked_normals_match_whole_round_oracle(kind, block, sizes):
         with mock.patch.object(rng_module, "BLOCK_ENTRIES", block):
             got = StreamSampler(_NORMAL_STREAMS[kind]()).normals(n, 0.25, 1.5)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
+
+
+# pairs the polar method rejects: s == 0 (both halves 2**52 << 11), s == 2 and s == 1
+_REJECTED_PAIRS = [1 << 63, 1 << 63, 0, 0, 0, 1 << 63, 1 << 63, 0]
+
+
+def _crafted_words() -> list:
+    """Random words with rejected pairs at the head (a round that keeps nothing) and
+    across the first 16-word block boundary."""
+    words = np.random.default_rng(47).integers(0, 2**64, size=600, dtype=np.uint64).tolist()
+    words[0:8] = _REJECTED_PAIRS
+    words[12:20] = _REJECTED_PAIRS
+    return words
+
+
+@pytest.mark.parametrize("block", [16, rng_module.BLOCK_ENTRIES])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 40, 201])
+def test_polar_normals_on_crafted_words_match_whole_round_oracle(block, n):
+    """Rejected pairs and a last block whose kept pairs overfill the output (the partial
+    take) give the oracle's normals, and consume the oracle's words."""
+    def stream():
+        feed = iter(_crafted_words())
+        return ExternalWordStream(lambda: next(feed))
+
+    want_stream, got_stream = stream(), stream()
+    want = _whole_round_normals(want_stream, n, 0.0, 1.0)
+    with mock.patch.object(rng_module, "BLOCK_ENTRIES", block):
+        got = StreamSampler(got_stream).normals(n)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got_stream.next_word() == want_stream.next_word()
 
 
 def test_laplace_moments():
