@@ -26,7 +26,6 @@ as the low and high halves of two uint64 arrays.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -154,20 +153,6 @@ def _mix_blocks(os_entropy: bytes | None, blocks: np.ndarray) -> np.ndarray:
     return words[:, :3].astype(np.uint64)
 
 
-@functools.cache
-def _zero_seed():
-    """Seed material for a bit generator whose state is set right after it is built:
-    zeros, without the hash expansion of a ``SeedSequence``. Made on first use, so
-    importing the package does not load ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class ZeroSeed(ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
-
-    return ZeroSeed()
-
-
 class Pcg64Stream:
     """PCG with 128-bit LCG state and XSL-RR output of 64-bit words.
 
@@ -180,7 +165,7 @@ class Pcg64Stream:
 
     def __init__(self, initstate: int, initseq: int = 0):
         inc = ((initseq & _MASK64) << 1) | 1
-        self._bitgen = np.random.PCG64(_zero_seed())
+        self._bitgen = np.random.PCG64(0)
         self._bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": (initstate + inc) & _MASK128, "inc": inc},
@@ -289,7 +274,7 @@ class Mt19937Stream:
         key = [
             (initstate >> shift) & 0xFFFFFFFF for shift in range(0, 128, 32)
         ] + [(initseq >> shift) & 0xFFFFFFFF for shift in range(0, 64, 32)]
-        self._bitgen = np.random.MT19937(_zero_seed())
+        self._bitgen = np.random.MT19937(0)
         self._bitgen.state = np.random.RandomState(key).get_state(legacy=False)
 
     def next_word(self) -> int:

@@ -98,12 +98,6 @@ def test_golden_words_interleaved(cls):
     assert _word_digest(out) == GOLDEN_INTERLEAVED[cls]
 
 
-@pytest.mark.parametrize("cls", [Pcg64Stream, Mt19937Stream], ids=lambda c: c.__name__)
-def test_stream_builds_its_bit_generator_without_a_seed_sequence(cls):
-    # the state is set right after the bit generator is built: expanding a seed is waste
-    assert not isinstance(cls(*mix_seed(None, [5]))._bitgen._seed_seq, np.random.SeedSequence)
-
-
 def test_pcg_words_from_many_threads():
     # streams drawn from in different threads keep their words apart
     seeds = range(6)
