@@ -17,8 +17,11 @@ after every categoric encoding: a passthrough vocabulary on a numeric
 column with blank cells and on a text column with a protected feature,
 ordinal on a numeric column with blanks and a protected feature, binarized
 on text with blanks, onehot with ``swap_noise`` and boolean with
-``direct_flip``. A digest change means a change in output bytes: a bug,
-or a format change that needs a new basis version.
+``direct_flip``. ``noise_above_encoders`` puts encoders and missing markers
+below noise steps, through ``transformdict`` children and friends, and runs
+``augment --count 3``: a step below a noise step sees each copy's noise, so
+its output is never shared between copies. A digest change means a change
+in output bytes: a bug, or a format change that needs a new basis version.
 """
 
 import hashlib
@@ -118,10 +121,32 @@ CONFIGS = {
         },
         "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
     },
+    "noise_above_encoders": {
+        "labels_column": "label",
+        "validation_ratio": 0.1,
+        "processdict": {"nzenc": {"functionpointer": "nmbr"}, "nzb": {"functionpointer": "DBnb"},
+                        "flenc": {"functionpointer": "ord3"}, "flz": {"functionpointer": "DBod"}},
+        "transformdict": {
+            "nzroot": {"parents": ["nzenc"], "cousins": ["NArw"]},
+            "nzenc": {"children": ["nzb"]},
+            "nzb": {"children": ["bsor"], "friends": ["NArw"]},
+            "flroot": {"parents": ["flenc"]},
+            "flenc": {"children": ["flz"]},
+            "flz": {"children": ["onht"]},
+        },
+        "assigncat": {"nzroot": ["n1", "n3"], "flroot": ["c1"], "DPnb": ["n2"], "DPod": ["c2"]},
+        "assignparam": {"nzb": {"n1": {"flip_prob": 0.5, "test_flip_prob": 0.5},
+                                "n3": {"flip_prob": 0.5, "test_flip_prob": 0.5}},
+                        "flz": {"c1": {"flip_prob": 0.5, "test_flip_prob": 0.5}}},
+        "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
+    },
 }
 
-BANK_SIZES = {"categoric_codecs": 400, "sampling_seed": 400, "transform_seed": 64, "bulk_seeds": 4000,
-              "bulk_seeds_dry": 50, "noise_augment_validation": 400, "default_mersenne": 16}
+BANK_SIZES = {"categoric_codecs": 400, "sampling_seed": 400, "transform_seed": 64,
+              "bulk_seeds": 4000, "bulk_seeds_dry": 50, "noise_augment_validation": 400,
+              "default_mersenne": 16, "noise_above_encoders": 400}
+# augment's duplicate count, where it is not 2
+AUGMENT_COUNTS = {"noise_above_encoders": 3}
 
 GOLDEN = {
     "categoric_codecs": {
@@ -160,6 +185,16 @@ GOLDEN = {
         "tr_test.csv": "fa4b6728772fcaa8e64e6b31245df82cfac00375e5de8f4add8685c9ebf4e36f",
         "tr_train.csv": "a40a716ba3a4017d55757ce3cafe146ab55392617d361bce0b6e35f7bfb440dd",
         "train.out.csv": "08fa39b47648055009141a4733a8cb1db8e78294b26e776e508cb28bb3fedb7b",
+    },
+    "noise_above_encoders": {
+        "aug.csv": "ad86715028a55ff63be62a5cc629255d2e1104575a00734c338ce58e25350cbf",
+        "basis.json": "f9b2ebcc1d1ee634ec8e15e599ff53a1ccdab18d5381bdded9c89dbb718cb56e",
+        "seed_report.json": "e401aa17830d847c7752aa5d99cd0770cd3a35f01a3243cdfaa716f44b4f7c60",
+        "test.out.csv": "c2f93e66d91486957f54e05be063d2be8e797ace9854a77b0f9dcb4e595a745b",
+        "tr_test.csv": "abc41230858fa1a77203b83f6a701f60f67a6fd74bea566614b16bc3fe0c6a0a",
+        "tr_train.csv": "11467eb8dee9fd0006ae556368aa83f0a08cb24a6350fca5dfe9cf1570314917",
+        "train.out.csv": "0d14319b5f63bbc184343e2dea9a8ba630122759eaa74c8dd6f4d0b478ba39fc",
+        "val.out.csv": "22fa53fec0a071158b775692ec83e53a8793d5d8cd5c9ec310f4a585edcafd6e",
     },
     "noise_augment_validation": {
         "aug.csv": "279d61905b310dbf75d6632cae04693a3c8b7030005c8853db2e4e610304260c",
@@ -226,8 +261,8 @@ def _run_config(tmp_path, name: str) -> dict:
          "--traindata", "test", *common],
         ["transform", basis, str(tmp_path / "train.csv"), "--out", str(out / "tr_train.csv"),
          "--traindata", "train", *common],
-        ["augment", basis, str(tmp_path / "train.csv"), "--count", "2",
-         "--out", str(out / "aug.csv"), *common],
+        ["augment", basis, str(tmp_path / "train.csv"),
+         "--count", str(AUGMENT_COUNTS.get(name, 2)), "--out", str(out / "aug.csv"), *common],
     ]
     for argv in commands:
         assert main(argv) == 0, argv
