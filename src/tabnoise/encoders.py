@@ -11,6 +11,7 @@ frequency so it never participates in noise replacement.
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -124,12 +125,7 @@ class CategoricBasis:
         return len(self.vocabulary) + 1 + (1 if self.missing_code is not None else 0)
 
     def code_of(self, cell: Cell) -> int:
-        if cell is None:
-            return self.missing_code if self.missing_code is not None else UNKNOWN_CODE
-        try:
-            return self._index[cell] + 1
-        except KeyError:
-            return UNKNOWN_CODE
+        return self._codes.get(cell, UNKNOWN_CODE)
 
     def value_of(self, code: int) -> Cell:
         if 1 <= code <= len(self.vocabulary):
@@ -137,7 +133,10 @@ class CategoricBasis:
         return None
 
     def __post_init__(self):
-        self._index = {value: i for i, value in enumerate(self.vocabulary)}
+        # the code of each value and of missing; any other cell's is UNKNOWN_CODE
+        self._codes = {value: i + 1 for i, value in enumerate(self.vocabulary)}
+        if self.missing_code is not None:
+            self._codes[None] = self.missing_code
 
 
 def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBasis:
@@ -155,7 +154,9 @@ def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBa
 
 
 def ordinal_codes(basis: CategoricBasis, cells) -> np.ndarray:
-    return np.array([basis.code_of(c) for c in cells_of(cells)], dtype=np.int64)
+    """Each cell's ``code_of``, looked up in one pass."""
+    cells = cells_of(cells)
+    return np.fromiter(map(basis._codes.get, cells, repeat(UNKNOWN_CODE)), np.int64, len(cells))
 
 
 def binarized_width(basis: CategoricBasis) -> int:

@@ -280,19 +280,22 @@ def weighted_flip(
     return out
 
 
-def swap_noise(values, mask: np.ndarray, sampler):
+def swap_noise(values, mask: np.ndarray, sampler, missing=None):
     """Replace activated entries with a uniform choice over rows of the same column.
 
     Sampling is over the set being transformed, so test-time swaps reflect
-    the test batch distribution. A single-row input is returned unchanged
-    with a warning.
+    the test batch distribution. The partner of an activated row that
+    ``missing`` does not mark is one it does not mark either, so a present
+    cell stays present. A single-row input is returned unchanged with a
+    warning.
     """
     out = np.array(values)
     active = np.flatnonzero(mask)
     if len(active) and len(out) < 2:
         warnings.warn("swap noise needs at least two rows; input returned unchanged")
     elif len(active):
-        out[active] = out[sampler.bounded_ints(len(active), len(out))]
+        avoiding = None if missing is None else ~missing[active]
+        out[active] = out[sampler.bounded_ints(len(active), len(out), missing, avoiding)]
     return out
 
 

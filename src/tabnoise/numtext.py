@@ -30,6 +30,8 @@ _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 # (7:27), the point (27), 20 digit places after it (28:48), "e" with the exponent's sign
 # and digits (48:53), quote
 _WIDTH = 54
+# a column of whole numbers less than this far apart finds its distinct values without a sort
+_TABLE_SPAN = 1 << 12
 
 
 def _padded(texts: list) -> np.ndarray:
@@ -210,13 +212,37 @@ def _texts(texts: list, inverse: np.ndarray) -> _Pieces:
                    runs if counts.max(initial=1) > 1 else None)
 
 
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 column's distinct values, ascending with NaN last, and each cell's position
+    among them, as ``np.unique(column, return_inverse=True)`` gives them. When the present
+    values are whole numbers less than ``_TABLE_SPAN`` apart, they are counted in a table of
+    offsets from the least, with no sort; a zero may then come out with the other sign."""
+    low = float(np.fmin.reduce(column, initial=np.inf))
+    high = float(np.fmax.reduce(column, initial=-np.inf))
+    if high - low < _TABLE_SPAN and low.is_integer() and high.is_integer():
+        span = int(high - low)
+        offsets = column - low
+        offsets[np.isnan(column)] = span + 1  # the slot of NaN, after every value's
+        slots = offsets.astype(np.intp)
+        if np.array_equal(slots, offsets):
+            used = np.flatnonzero(np.bincount(slots, minlength=span + 2))
+            values = used + low
+            values[used > span] = np.nan
+            if used[-1] == len(used) - 1:  # no slot below the last is empty
+                return values, slots
+            position = np.zeros(span + 2, dtype=np.intp)
+            position[used] = np.arange(len(used))
+            return values, position[slots]
+    return np.unique(column, return_inverse=True)
+
+
 def column_rows(columns: list, delimiter: str, lone: bool) -> list:
     """The rows of each float64 column, made as ``text_rows`` makes them. Equal floats
     format the same (``-0.0`` and ``0.0`` both as ``0``), so each column's distinct values
     are formatted once, and a block of cells gathers their rows."""
     # the positions are held for the whole write, so in the narrowest type that fits
-    distinct = [(values, inverse.astype(np.min_scalar_type(len(values)))) for values, inverse
-                in (np.unique(column, return_inverse=True) for column in columns)]
+    distinct = [(values, inverse.astype(np.min_scalar_type(len(values)), copy=False))
+                for values, inverse in map(_distinct, columns)]
     rows = text_rows(np.concatenate([values for values, _ in distinct] + [np.empty(0)]),
                      delimiter, lone)
     ends = np.cumsum([len(values) for values, _ in distinct], dtype=np.intp)

@@ -547,7 +547,8 @@ def _apply_noise_flip(ctx, payload, group):
     columns = group.columns
     drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
-        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler("swap"))
+        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler("swap"),
+                             group.missing)
         columns = list(swapped.T)
     elif drawn is not None:
         _, pp, mask = drawn
@@ -586,7 +587,7 @@ def _apply_noise_rows(ctx, payload, group):
     if drawn is not None:
         spec, _, mask = drawn
         if "swap" in ctx.declared:
-            out = swap_noise(out, mask, ctx.sampler("swap"))
+            out = swap_noise(out, mask, ctx.sampler("swap"), group.missing)
         else:
             out = mask_noise(out, mask, spec.mask_value)
     return _single(out, group.missing, group.basis, preserve=group.preserve_missing)
@@ -694,21 +695,31 @@ def _structure(catalog, assignments, column, root, kind, used_names):
     return plan, (params, surviving)
 
 
-def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -> list:
+def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting, shared: dict) -> list:
     """Run a column's steps in order; returns its output columns as (name, array).
 
     The executor names each step's outputs, checks them against the basis and
-    keeps them as the step finishes. A step that gives an infinity in a present
-    row raises a ``TableError`` that names the step and the row; a NaN is a
-    missing cell, which swap noise may move into a present row. With ``fitting``
-    (the structural pass's params and surviving bases), each step's payload is
-    fitted just before the step is applied, and the plan records its output
-    column names.
+    keeps them as the step finishes. A step that gives a NaN or an infinity in
+    a present row of a float column raises a ``TableError`` that names the step
+    and the row. With ``fitting`` (the structural pass's params and surviving
+    bases), each step's payload is fitted just before the step is applied, and
+    the plan records its output column names.
+
+    ``shared`` maps each base that no noise step is upstream of to its group and
+    written columns: the input's missing mask, the encoders and the markers.
+    They draw nothing and give the same arrays in every preparation of one
+    table, so a base already there is taken as it is, and one made here is added.
     """
     params, surviving = fitting or (None, None)
-    groups = {plan.input_column: _Group([column], missing_of(column))}
-    written = {plan.input_column: column}
+    if plan.input_column not in shared:
+        shared[plan.input_column] = (_Group([column], missing_of(column)),
+                                     {plan.input_column: column})
+    groups = {base: group for base, (group, _) in shared.items()}
+    written = {name: data for _, outputs in shared.values() for name, data in outputs.items()}
+    noisy = set()  # the outputs of noise steps and of the steps below them
     for idx, step in enumerate(plan.steps):
+        if step.output_base in groups:
+            continue
         fit_fn, apply_fn, _, _ = _TRANSFORMS[step.kind]
         ctx.step, ctx.key = step, _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
@@ -728,12 +739,17 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
             raise BasisFormatError(f"transform {ctx.key} does not make the output columns the "
                                    f"basis lists, {step.output_columns}")
         for name, data in zip(names, out.columns):
-            if data.dtype.kind == "f" and len(bad := np.flatnonzero(np.isinf(data) & ~out.missing)):
+            if data.dtype.kind == "f" and len(bad := np.flatnonzero(~np.isfinite(data)
+                                                                    & ~out.missing)):
                 raise TableError(f"transform {ctx.key} gives a non-finite number in column "
                                  f"{name!r} at row {ctx.rows[bad[0]]}")
             # a derived number in a missing row is kept unless the group preserves missing cells
             restore = out.preserve_missing and data.dtype != object
             written[name] = np.where(out.missing, np.nan, data) if restore else data
+        if noise or step.input_base in noisy:
+            noisy.add(step.output_base)
+        else:
+            shared[step.output_base] = (out, {name: written[name] for name in names})
     if surviving is not None:
         outputs = {step.output_base: step.output_columns for step in plan.steps}
         plan.output_columns = [name for base in surviving for name in outputs.get(base, [base])]
@@ -741,16 +757,19 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting=None) -
 
 
 def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
-             fitting: dict | None = None, checked: bool = False) -> DataTable:
+             fitting: dict | None = None, shared: dict | None = None) -> DataTable:
     """Prepare a table on the basis; ``fitting`` maps each column to its structural pass.
 
     Outside of fit, the table must hold every column the basis requires; the
-    columns it does not know are ignored with a warning. ``checked`` says an
-    earlier preparation of the same table has made that check.
+    columns it does not know are ignored with a warning. ``shared`` holds, by
+    input column, what an earlier preparation of the same table computed
+    without noise (see ``_run_column``); when it holds anything, that
+    preparation has checked the columns.
     """
     if mode not in TRAINDATA_MODES:
         raise ConfigError(f"unknown traindata mode: {mode!r}")
-    if fitting is None and not checked:
+    shared = {} if shared is None else shared
+    if fitting is None and not shared:
         required = basis.required_columns()
         missing = sorted(c for c in required if not table.has_column(c))
         if missing:
@@ -766,7 +785,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
     columns: dict[str, np.ndarray] = {}
     for col in sorted(present):
         columns.update(_run_column(ctx, basis.plan_for(col), table.array(col),
-                                   fitting and fitting[col]))
+                                   fitting and fitting[col], shared.setdefault(col, {})))
     ordered = [name for col in present for name in basis.plan_for(col).output_columns]
     return DataTable({name: columns[name] for name in ordered}, row_index=table.index)
 
@@ -933,9 +952,10 @@ def augment(
                          "in 64 bits")
     copies: dict[str, list] = {}
     row_index: list[np.ndarray] = []
+    shared: dict = {}  # the steps with no noise upstream run once, for every copy
     for copy_idx in range(spec.count + 1):
         mode = "train_no_noise" if copy_idx == 1 and not spec.all_noisy else "train"
-        prepared = _prepare(basis, table, mode, manager, checked=copy_idx > 0)
+        prepared = _prepare(basis, table, mode, manager, shared=shared)
         for name in prepared.column_names:
             copies.setdefault(name, []).append(prepared.array(name))
         row_index.append(prepared.index + copy_idx * stride)

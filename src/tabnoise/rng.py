@@ -434,6 +434,13 @@ def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -
     return values
 
 
+def _check_bounded(bound: int, excluded, avoiding) -> None:
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    if avoiding is not None and np.any(avoiding) and np.all(excluded[:bound]):
+        raise ValueError("every integer below the bound is excluded")
+
+
 class StreamSampler:
     """Shaped sampling over a single word stream.
 
@@ -469,38 +476,46 @@ class StreamSampler:
 
     shaped = shaped_sample
 
-    def bounded_ints(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform on [0, bound) by scaled-integer rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.bounded_each(np.full(n, bound, dtype=np.uint64))
+    def bounded_ints(self, n: int, bound: int, excluded=None, avoiding=None) -> np.ndarray:
+        """n integers uniform on [0, bound) by scaled-integer rejection; see ``bounded_each``
+        for ``excluded`` and ``avoiding``."""
+        _check_bounded(bound, excluded, avoiding)
+        return self.bounded_each(np.full(n, bound, dtype=np.uint64), excluded, avoiding)
 
-    def bounded_each(self, bounds) -> np.ndarray:
+    def bounded_each(self, bounds, excluded=None, avoiding=None) -> np.ndarray:
         """One integer uniform on ``[0, b)`` for each ``b`` of ``bounds``, in order.
 
-        The words are those of drawing the bounds one at a time: none for a
-        bound of 1, else one, plus one more each time a word falls below its
-        bound's rejection threshold. They come from one ``words()`` call and
-        one more word per rejection.
+        An entry that ``avoiding`` marks takes none of the integers that the bools
+        ``excluded`` mark: it is uniform on the others. The words are those of
+        drawing the bounds one at a time: none for a bound of 1, else one, plus
+        one more each time a word falls below its bound's rejection threshold
+        or gives an avoiding entry an excluded integer. More words are drawn
+        only when every word drawn is spent, as many as entries are left, so
+        no word is drawn that the draws one at a time would not draw.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         out = np.zeros(len(bounds), dtype=np.int64)
         live = np.flatnonzero(bounds > 1)
-        if not len(live):
-            return out
         live_bounds = bounds[live]
         thresholds = (np.uint64(0) - live_bounds) % live_bounds  # 2**64 % bound
-        words = self.stream.words(len(live))
-        done = 0
-        while True:
-            rejected = np.flatnonzero(words < thresholds[done:])
-            stop = int(rejected[0]) if len(rejected) else len(words)
-            out[live[done : done + stop]] = words[:stop] % live_bounds[done : done + stop]
-            if not len(rejected):
-                return out
-            # the rejected word is spent; the words after it move up one bound
-            done += stop
-            words = np.concatenate([words[stop + 1 :], self.stream.words(1)])
+        picky = None if avoiding is None else np.asarray(avoiding, dtype=bool)[live]
+        words, at, done = np.empty(0, dtype=np.uint64), 0, 0  # words[at:] are unspent
+        window = len(live)  # the entries tried at once; narrowed after a rejection
+        while done < len(live):
+            if at == len(words):
+                words, at = self.stream.words(len(live) - done), 0
+            entries = slice(done, done + min(window, len(words) - at))
+            drawn = words[at : at + entries.stop - done]
+            values = drawn % live_bounds[entries]
+            rejected = drawn < thresholds[entries]
+            if picky is not None:
+                rejected |= picky[entries] & excluded[values]
+            first = np.flatnonzero(rejected)
+            stop = int(first[0]) if len(first) else len(drawn)
+            out[live[done : done + stop]] = values[:stop]
+            done, at = done + stop, at + stop + (stop < len(drawn))  # a rejected word is spent
+            window = max(64, 2 * stop) if len(first) else 2 * window
+        return out
 
     def shuffled(self, items: Sequence) -> list:
         """Fisher-Yates permutation of ``items`` driven by this stream."""
@@ -568,9 +583,9 @@ class BulkSampler:
     uniform_interval = StreamSampler.uniform_interval
     shaped = shaped_sample
 
-    def bounded_ints(self, n: int, bound: int) -> np.ndarray:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+    def bounded_ints(self, n: int, bound: int, excluded=None, avoiding=None) -> np.ndarray:
+        """As ``StreamSampler.bounded_ints``; an entry redraws from its own stream."""
+        _check_bounded(bound, excluded, avoiding)
         if bound == 1:
             self._seed_blocks(n)  # each entry still receives (and expends) its own seed
             return np.zeros(n, dtype=np.int64)
@@ -578,7 +593,10 @@ class BulkSampler:
 
         def attempt(lanes, idx):
             words = lanes.next(idx)
+            values = words % np.uint64(bound)
             accepted = words >= threshold
-            return accepted, words[accepted] % np.uint64(bound)
+            if avoiding is not None:
+                accepted &= ~(avoiding[idx] & excluded[values])
+            return accepted, values[accepted]
 
         return self._until_accepted(n, attempt, np.int64)

@@ -4,9 +4,11 @@
 gives it, built to ``hint``: a dataclass from an object with every field, a
 ``TypedDict`` from an object with its required keys and any optional ones,
 and ``list[X]`` and ``dict[str, X]`` item by item (a bare ``list`` or
-``dict`` takes any). ``float`` takes an integer too, and no number takes a
-boolean. A union takes a scalar (null included) that any alternative takes,
-and a list or an object by its alternative of that kind. A mismatch raises
+``dict`` takes any). ``float`` takes an integer too, but not the NaN and
+infinities that ``json.load`` reads from the non-standard ``NaN`` and
+``Infinity`` tokens; no number takes a boolean. A union takes a scalar
+(null included) that any alternative takes, and a list or an object by its
+alternative of that kind. A mismatch raises
 ``error`` naming the JSON path, e.g.
 ``basis.column_plans.num.steps[1].payload.train_std``.
 
@@ -19,6 +21,7 @@ that defines a checked class does not postpone its annotations.
 from __future__ import annotations
 
 import dataclasses
+import math
 import reprlib
 import types
 from functools import lru_cache
@@ -48,6 +51,10 @@ def _alternatives(hint) -> tuple:
     return get_args(hint) if get_origin(hint) in (Union, types.UnionType) else (hint,)
 
 
+def _finite(value) -> bool:
+    return type(value) is not float or math.isfinite(value)
+
+
 @lru_cache(maxsize=None)
 def _scalars(hint) -> tuple[frozenset, frozenset]:
     """(types, Literal values): a scalar fits ``hint`` when its type is one of the
@@ -70,7 +77,7 @@ def _checker(hint):
             walks[dict] = _object_walk(alt)
 
     def check(value, where, error):
-        if type(value) in kinds or type(value) is str and value in values:
+        if type(value) in kinds and _finite(value) or type(value) is str and value in values:
             return value
         walk = walks.get(type(value))
         if walk is None:
@@ -86,7 +93,7 @@ def _list_walk(args: tuple):
     item, item_kinds = _checker(args[0]), _scalars(args[0])[0]
 
     def walk(value, where, error):
-        if item_kinds.issuperset(map(type, value)):
+        if item_kinds.issuperset(map(type, value)) and all(map(_finite, value)):
             return value
         return [item(v, (where, i), error) for i, v in enumerate(value)]
     return walk
@@ -117,8 +124,8 @@ def _object_walk(hint):
             missing = [key for key in hints if key in required and key not in value]
             raise error(f"{_path(where)}: " + (f"unknown keys {unknown}" if unknown
                                                else f"missing keys {missing}"))
-        built = {key: v if type(v) in kinds[key] else items[key](v, (where, key), error)
-                 for key, v in value.items()}
+        built = {key: v if type(v) in kinds[key] and _finite(v)
+                 else items[key](v, (where, key), error) for key, v in value.items()}
         return build(**built) if build else built
     return walk
 

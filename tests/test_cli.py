@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -685,3 +686,20 @@ def test_written_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
     if runs[0][0] == runs[1][0]:
         pytest.skip("disabling AVX-512 did not change numpy's log kernel on this CPU")
     assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("root, param, value", [
+    ("DPnb", "mu", math.nan), ("DPsk", "mask_value", math.nan), ("DPnb", "mu", math.inf),
+])
+def test_fit_non_finite_config_number_exit_2(workdir, root, param, value):
+    """``json.load`` reads the non-standard ``NaN`` and ``Infinity`` tokens as floats. A
+    config number must be finite, so the config check names it before anything is fitted."""
+    (workdir / "train.csv").write_text("x\n1\n2\n3\n4\n")
+    _with_config(workdir, labels_column=None, assigncat={root: ["x"]},
+                 assignparam={root: {"x": {"flip_prob": 1.0, param: value}}})
+    assert ("Infinity" if value == math.inf else "NaN") in (workdir / "config.json").read_text()
+    code, err = _fit_cli(workdir)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"config.assignparam.{root}.x.{param}: expected" in err
+    assert not (workdir / "out").exists()

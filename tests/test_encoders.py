@@ -222,11 +222,20 @@ def _boolean_codes_by_cell(basis, cells):
     return out
 
 
+def _code_by_cell(basis, cell):
+    """The code ``CategoricBasis`` documents: its vocabulary position + 1, the missing code
+    (or 0) for missing, and 0 for a value unseen in training."""
+    if cell is None:
+        return basis.missing_code or 0
+    matches = [i for i, value in enumerate(basis.vocabulary) if value == cell]
+    return matches[0] + 1 if matches else 0
+
+
 def _bits_by_shift(codes, width):
     return [[(int(c) >> (width - 1 - bit)) & 1 for bit in range(width)] for c in codes]
 
 
-_cell = st.sampled_from(["y", "n", "maybe", None, 1.0, 0.0])
+_cell = st.sampled_from(["y", "n", "maybe", None, 1.0, 0.0, -0.0, 2.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,6 +243,12 @@ _cell = st.sampled_from(["y", "n", "maybe", None, 1.0, 0.0])
 def test_vectorized_codes_match_cell_loops(train, cells):
     basis = fit_categoric(train, "binarized")
     codes = ordinal_codes(basis, cells)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [basis.code_of(c) for c in cells] == [_code_by_cell(basis, c)
+                                                                  for c in cells]
+    if all(c is None or isinstance(c, float) for c in cells):  # a float column, NaN missing
+        floats = np.array([np.nan if c is None else c for c in cells], dtype=np.float64)
+        assert ordinal_codes(basis, floats).tolist() == codes.tolist()
     width = binarized_width(basis)
     bits = codes_to_bits(basis, codes)
     assert bits.shape == (len(cells), width)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabnoise import pipeline
 from tabnoise.encoders import column_as_floats
 from tabnoise.errors import BasisFormatError, ConfigError, SchemaError, TableError
 from tabnoise.pipeline import (
@@ -734,3 +735,72 @@ def test_stdbins_after_ordinal_bins_the_missing_code():
     }
     res = fit(table, config, _plan())
     assert res.train.column("c_myord_mybins") == [2.0, 3.0, 5.0, 4.0, 2.0, 5.0]
+
+
+def test_load_basis_with_a_non_finite_number_rejected(tmp_path):
+    # json.load reads the non-standard NaN token as a float: a basis number must be finite
+    res = fit(_numeric_table(), {"assigncat": {"DPnb": ["num"]}}, _plan())
+    path = tmp_path / "basis.json"
+    save_basis(res.basis, path)
+    data = json.loads(path.read_text())
+    steps = data["column_plans"]["num"]["steps"]
+    idx = next(i for i, step in enumerate(steps) if step["kind"] == "noise_numeric")
+    steps[idx]["payload"]["train_std"] = float("nan")
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    with pytest.raises(BasisFormatError, match=rf"^basis\.column_plans\.num\.steps\[{idx}\]"
+                                               r"\.payload\.train_std: expected a number"):
+        load_basis(path)
+
+
+@pytest.mark.parametrize("sampling_type", ["sampling_seed", "bulk_seeds"])
+@pytest.mark.parametrize("root, params", [("DPse", {}), ("DPod", {"swap_noise": True})])
+def test_swap_noise_partners_of_present_rows_are_present(sampling_type, root, params):
+    # every third cell blank and every present row activated: a partner drawn over all
+    # rows would write a third of the present cells blank
+    cells = [None if i % 3 == 0 else float(i % 7) for i in range(30)]
+    config = {"shuffletrain": False, "assigncat": {root: ["x"]},
+              "assignparam": {root: {"x": {"flip_prob": 1.0, **params}}}}
+    res = fit(DataTable({"x": cells}), config, _plan(sampling_type=sampling_type))
+    name = res.basis.plan_for("x").steps[1].output_columns[0]
+    out = res.train.array(name)
+    present = np.array([c is not None for c in cells])
+    if root == "DPse":  # the cells themselves
+        assert not np.isnan(out[present]).any() and np.isnan(out[~present]).all()
+        assert out[present].tolist() != [c for c in cells if c is not None]
+    else:  # ordinal codes: the missing code only in the missing rows
+        basis = res.basis.plan_for("x").steps[0].payload["categoric_basis"]
+        assert (out == basis.missing_code).tolist() == (~present).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 2, 5])
+def test_augment_applies_each_step_above_noise_once(monkeypatch, count):
+    """An encoder with no noise step upstream gives every copy the same arrays, so one
+    augment applies it once; an encoder below a noise step runs for each copy."""
+    rng = np.random.default_rng(5)
+    table = DataTable({
+        "n": [None if i % 5 == 0 else v for i, v in enumerate(rng.normal(size=40).tolist())],
+        "c": [None if i % 7 == 0 else "abc"[i % 3] for i in range(40)],
+        "m": rng.normal(size=40).tolist(),
+    })
+    config = {
+        "shuffletrain": False,
+        "processdict": {"nzenc": {"functionpointer": "nmbr"}, "nzb": {"functionpointer": "DPnb"},
+                        "lvl": {"functionpointer": "ord3"}},
+        "transformdict": {"nzroot": {"parents": ["nzenc"], "cousins": ["NArw"]},
+                          "nzenc": {"children": ["nzb"]}, "nzb": {"children": ["lvl"]}},
+        "assigncat": {"DPnb": ["n"], "DPod": ["c"], "nzroot": ["m"]},
+        "assignparam": {"default_assignparam": {"DPnb": {"flip_prob": 0.5},
+                                                "nzb": {"flip_prob": 0.5}}},
+    }
+    res = fit(table, config, _plan())
+    calls = {"apply_numeric": 0, "apply_categoric": 0}
+    for name in calls:
+        def counted(*args, _apply=getattr(pipeline, name), _name=name):
+            calls[_name] += 1
+            return _apply(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    out = augment(res.basis, table, AugmentSpec(count=count), _plan())
+    assert out.n_rows == 40 * (count + 1)
+    # n's and m's z-scores; c's ordinal codes, and the codes of m's noised values per copy
+    assert calls == {"apply_numeric": 2, "apply_categoric": 1 + (count + 1)}

@@ -475,7 +475,7 @@ class _PerEntryBulkSampler:
     def shaped(self, distribution, mu, sigma, n):
         return shaped_sample(self, distribution, mu, sigma, n)
 
-    def bounded_ints(self, n, bound):
+    def bounded_ints(self, n, bound, excluded=None, avoiding=None):
         out = np.empty(n, dtype=np.int64)
         if bound == 1:
             out[:] = 0
@@ -487,7 +487,8 @@ class _PerEntryBulkSampler:
             stream = self._entry_stream()
             while True:
                 word = stream.next_word()
-                if word >= threshold:
+                if word >= threshold and not (avoiding is not None and avoiding[i]
+                                              and excluded[word % bound]):
                     out[i] = word % bound
                     break
                 self.redraws += 1
@@ -578,6 +579,23 @@ def test_bulk_sampler_matches_per_entry_oracle(kind):
     assert old.redraws > 0  # the redraw loops ran
     if kind == "external":
         assert new_ext.calls == old_ext.calls
+
+
+@pytest.mark.parametrize("kind", ["default_pcg", "mersenne", "external"])
+def test_bulk_bounded_ints_avoiding_matches_per_entry_oracle(kind):
+    # an avoiding entry redraws an excluded integer from its own stream, on its own seed
+    bank = [(i * 2654435761) % 2**31 for i in range(500)]
+    old_ext, new_ext = (_SharedSource(), _SharedSource()) if kind == "external" else (None, None)
+    old = _PerEntryBulkSampler(_PerEntrySeeds(bank).source(b"os", kind, old_ext))
+    consumed = []
+    new = BulkSampler(_seed_feed(bank, consumed), b"os", GeneratorSpec(kind, new_ext))
+    excluded = np.arange(9) % 3 != 1
+    avoiding = np.arange(60) % 5 != 0
+    want = old.bounded_ints(60, 9, excluded, avoiding)
+    got = new.bounded_ints(60, 9, excluded, avoiding)
+    assert got.tolist() == want.tolist()
+    assert not excluded[got[avoiding]].any() and excluded[got[~avoiding]].any()
+    assert len(consumed) == 60 and old.redraws > 0
 
 
 @pytest.mark.parametrize("seeding_type", ["primary_seeds", "supplemental_seeds"])
@@ -737,3 +755,34 @@ def test_bounded_each_matches_per_word_draws():
     got = StreamSampler(ExternalWordStream(new_source)).bounded_each(bounds)
     assert got.tolist() == want
     assert new_source.calls == old_source.calls
+
+
+def _per_word_avoiding(stream, bound, excluded, avoids):
+    threshold = (1 << 64) % bound
+    while True:
+        word = stream.next_word()
+        if word >= threshold and not (avoids and excluded[word % bound]):
+            return word % bound
+
+
+@pytest.mark.parametrize("n, bound, every, zero_at", [
+    (0, 5, 3, ()), (1, 2, 2, ()), (40, 7, 3, ()), (300, 30, 3, (3, 50, 51)),
+    (2000, 50, 10, ()),  # nine in ten integers excluded: redraws outnumber entries
+])
+def test_bounded_ints_avoiding_matches_per_word_draws(n, bound, every, zero_at):
+    excluded = np.arange(bound) % every != 1
+    avoiding = np.arange(n) % 4 != 1
+    old_source, new_source = _ScriptedWords(zero_at), _ScriptedWords(zero_at)
+    old_stream = ExternalWordStream(old_source)
+    want = [_per_word_avoiding(old_stream, bound, excluded, avoids) for avoids in avoiding]
+    got = StreamSampler(ExternalWordStream(new_source)).bounded_ints(n, bound, excluded, avoiding)
+    assert got.tolist() == want
+    assert not excluded[got[avoiding]].any()
+    assert new_source.calls == old_source.calls
+
+
+@pytest.mark.parametrize("sampler", [StreamSampler(Pcg64Stream(1)),
+                                     BulkSampler(lambda n: PackedSeeds(range(n)).blocks)])
+def test_bounded_ints_with_every_integer_excluded_raises(sampler):
+    with pytest.raises(ValueError, match="excluded"):
+        sampler.bounded_ints(3, 2, np.array([True, True]), np.array([False, True, False]))

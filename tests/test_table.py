@@ -297,14 +297,28 @@ _header_name = st.sampled_from(["{}", "{},x", "{};y", "{}\tz", "{}.w", '{}"q', "
 
 
 @st.composite
+def _whole_cells(draw, n_rows):
+    """A column of few whole numbers: less than ``numtext._TABLE_SPAN`` apart, which the
+    writer counts without a sort, or just that far apart; with blanks and -0.0, sometimes
+    with 1e308, -1e308 or 5e-324, which it sorts, and sometimes with only blanks."""
+    low = draw(st.sampled_from([0.0, -0.0, -7.0, 3.0, -2.0**53, 1e15]))
+    span = draw(st.sampled_from([1, 2, numtext._TABLE_SPAN - 1, numtext._TABLE_SPAN]))
+    values = [low, low + 1.0, low + span, -0.0]
+    values += draw(st.lists(st.sampled_from([1e308, -1e308, 5e-324]), max_size=1))
+    cell = st.none() if draw(st.integers(0, 7)) == 0 else st.one_of(st.none(),
+                                                                    st.sampled_from(values))
+    return draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
 def _tables(draw):
     n_rows = draw(st.integers(0, 12))
     n_cols = draw(st.integers(1, 4))
     columns = {}
     for j in range(n_cols):
-        kind = draw(st.sampled_from(sorted(_CELLS)))
-        cells = draw(st.lists(st.one_of(st.none(), _CELLS[kind]), min_size=n_rows,
-                              max_size=n_rows))
+        kind = draw(st.sampled_from(sorted(_CELLS) + ["whole"]))
+        cells = draw(_whole_cells(n_rows) if kind == "whole" else st.lists(
+            st.one_of(st.none(), _CELLS[kind]), min_size=n_rows, max_size=n_rows))
         columns[draw(_header_name).format(f"{kind}{j}")] = cells
     if n_cols == 1 and draw(st.booleans()):
         # a lone column named "": its header row is one empty field
@@ -336,6 +350,27 @@ def test_csv_round_trip_matches_cell_reference(tmp_path_factory, table, include_
         assert _typed(back.column(name)) == _typed(reference[name])
         if not include_row_index:
             assert back.row_index == list(range(table.n_rows))
+
+
+@pytest.mark.parametrize("values, sorted_", [
+    ([], True),
+    ([np.nan, np.nan], True),
+    ([1.0, np.nan, -0.0, 0.0, np.nan, 3.0, 1.0], False),
+    ([0.0, numtext._TABLE_SPAN - 1.0, np.nan], False),
+    ([0.0, float(numtext._TABLE_SPAN)], True),
+    ([-2.0**60, -2.0**60 + 256.0, -2.0**60], False),
+    ([0.0, 2.5, 1.0], True),
+    ([1e308, -1e308, 1e308], True),
+    ([5e-324, 0.0], True),
+])
+def test_distinct_values_match_unique(values, sorted_):
+    column = np.array(values, dtype=np.float64)
+    want_values, want_inverse = np.unique(column, return_inverse=True)
+    with mock.patch.object(numtext.np, "unique", wraps=np.unique) as unique:
+        got_values, got_inverse = numtext._distinct(column.copy())
+    assert unique.called == sorted_
+    assert np.array_equal(got_values, want_values, equal_nan=True)  # -0.0 equals 0.0
+    assert got_inverse.tolist() == want_inverse.tolist()
 
 
 def test_signed_zeros_and_lone_empty_fields_written_as_csv_writer_does(tmp_path):
