@@ -280,22 +280,21 @@ def weighted_flip(
     return out
 
 
-def swap_noise(values, mask: np.ndarray, sampler, missing=None):
-    """Replace activated entries with a uniform choice over rows of the same column.
+def swap_noise(values, mask: np.ndarray, sampler, missing: np.ndarray):
+    """Replace activated entries with a uniform choice over the present rows of
+    the same column.
 
     Sampling is over the set being transformed, so test-time swaps reflect
-    the test batch distribution. The partner of an activated row that
-    ``missing`` does not mark is one it does not mark either, so a present
-    cell stays present. A single-row input is returned unchanged with a
-    warning.
+    the test batch distribution. A partner is a row that ``missing`` does not
+    mark, so a present cell stays present. A single-row input is returned
+    unchanged with a warning.
     """
     out = np.array(values)
     active = np.flatnonzero(mask)
     if len(active) and len(out) < 2:
         warnings.warn("swap noise needs at least two rows; input returned unchanged")
     elif len(active):
-        avoiding = None if missing is None else ~missing[active]
-        out[active] = out[sampler.bounded_ints(len(active), len(out), missing, avoiding)]
+        out[active] = out[sampler.bounded_ints(len(active), len(out), missing)]
     return out
 
 

@@ -434,11 +434,19 @@ def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -
     return values
 
 
-def _check_bounded(bound: int, excluded, avoiding) -> None:
+def _check_bounded(bound: int, excluded):
+    """``excluded`` as bools, once ``bound`` is positive and some integer below it is not
+    excluded."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    if avoiding is not None and np.any(avoiding) and np.all(excluded[:bound]):
+    if excluded is None:
+        return None
+    excluded = np.asarray(excluded, dtype=bool)
+    if excluded.shape != (bound,):
+        raise ValueError("excluded needs one bool per integer below the bound")
+    if excluded.all():
         raise ValueError("every integer below the bound is excluded")
+    return excluded
 
 
 class StreamSampler:
@@ -476,46 +484,59 @@ class StreamSampler:
 
     shaped = shaped_sample
 
-    def bounded_ints(self, n: int, bound: int, excluded=None, avoiding=None) -> np.ndarray:
-        """n integers uniform on [0, bound) by scaled-integer rejection; see ``bounded_each``
-        for ``excluded`` and ``avoiding``."""
-        _check_bounded(bound, excluded, avoiding)
-        return self.bounded_each(np.full(n, bound, dtype=np.uint64), excluded, avoiding)
+    def bounded_ints(self, n: int, bound: int, excluded=None) -> np.ndarray:
+        """n integers uniform on [0, bound) by scaled-integer rejection, none of them one
+        that the bools ``excluded`` mark.
 
-    def bounded_each(self, bounds, excluded=None, avoiding=None) -> np.ndarray:
+        The words are those of drawing the entries one at a time: none for a bound
+        of 1, else one, plus one more each time a word falls below the rejection
+        threshold or gives an excluded integer. A word's fate does not depend on
+        its entry, so each round draws as many words as entries are left, and the
+        accepted ones fill the next entries in order.
+        """
+        excluded = _check_bounded(bound, excluded)
+        out = np.zeros(n, dtype=np.int64)
+        if bound == 1:
+            return out
+        threshold = np.uint64((1 << 64) % bound)
+        done = 0
+        while done < n:
+            words = self.stream.words(n - done)
+            values = words % np.uint64(bound)
+            accepted = words >= threshold
+            if excluded is not None:
+                accepted &= ~excluded[values]
+            values = values[accepted]
+            out[done : done + len(values)] = values
+            done += len(values)
+        return out
+
+    def bounded_each(self, bounds) -> np.ndarray:
         """One integer uniform on ``[0, b)`` for each ``b`` of ``bounds``, in order.
 
-        An entry that ``avoiding`` marks takes none of the integers that the bools
-        ``excluded`` mark: it is uniform on the others. The words are those of
-        drawing the bounds one at a time: none for a bound of 1, else one, plus
-        one more each time a word falls below its bound's rejection threshold
-        or gives an avoiding entry an excluded integer. More words are drawn
-        only when every word drawn is spent, as many as entries are left, so
-        no word is drawn that the draws one at a time would not draw.
+        The words are those of drawing the bounds one at a time: none for a
+        bound of 1, else one, plus one more each time a word falls below its
+        bound's rejection threshold. They come from one ``words()`` call and
+        one more word per rejection.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         out = np.zeros(len(bounds), dtype=np.int64)
         live = np.flatnonzero(bounds > 1)
+        if not len(live):
+            return out
         live_bounds = bounds[live]
         thresholds = (np.uint64(0) - live_bounds) % live_bounds  # 2**64 % bound
-        picky = None if avoiding is None else np.asarray(avoiding, dtype=bool)[live]
-        words, at, done = np.empty(0, dtype=np.uint64), 0, 0  # words[at:] are unspent
-        window = len(live)  # the entries tried at once; narrowed after a rejection
-        while done < len(live):
-            if at == len(words):
-                words, at = self.stream.words(len(live) - done), 0
-            entries = slice(done, done + min(window, len(words) - at))
-            drawn = words[at : at + entries.stop - done]
-            values = drawn % live_bounds[entries]
-            rejected = drawn < thresholds[entries]
-            if picky is not None:
-                rejected |= picky[entries] & excluded[values]
-            first = np.flatnonzero(rejected)
-            stop = int(first[0]) if len(first) else len(drawn)
-            out[live[done : done + stop]] = values[:stop]
-            done, at = done + stop, at + stop + (stop < len(drawn))  # a rejected word is spent
-            window = max(64, 2 * stop) if len(first) else 2 * window
-        return out
+        words = self.stream.words(len(live))
+        done = 0
+        while True:
+            rejected = np.flatnonzero(words < thresholds[done:])
+            stop = int(rejected[0]) if len(rejected) else len(words)
+            out[live[done : done + stop]] = words[:stop] % live_bounds[done : done + stop]
+            if not len(rejected):
+                return out
+            # the rejected word is spent; the words after it move up one bound
+            done += stop
+            words = np.concatenate([words[stop + 1 :], self.stream.words(1)])
 
     def shuffled(self, items: Sequence) -> list:
         """Fisher-Yates permutation of ``items`` driven by this stream."""
@@ -583,9 +604,9 @@ class BulkSampler:
     uniform_interval = StreamSampler.uniform_interval
     shaped = shaped_sample
 
-    def bounded_ints(self, n: int, bound: int, excluded=None, avoiding=None) -> np.ndarray:
+    def bounded_ints(self, n: int, bound: int, excluded=None) -> np.ndarray:
         """As ``StreamSampler.bounded_ints``; an entry redraws from its own stream."""
-        _check_bounded(bound, excluded, avoiding)
+        excluded = _check_bounded(bound, excluded)
         if bound == 1:
             self._seed_blocks(n)  # each entry still receives (and expends) its own seed
             return np.zeros(n, dtype=np.int64)
@@ -595,8 +616,8 @@ class BulkSampler:
             words = lanes.next(idx)
             values = words % np.uint64(bound)
             accepted = words >= threshold
-            if avoiding is not None:
-                accepted &= ~(avoiding[idx] & excluded[values])
+            if excluded is not None:
+                accepted &= ~excluded[values]
             return accepted, values[accepted]
 
         return self._until_accepted(n, attempt, np.int64)

@@ -413,13 +413,13 @@ def test_singleton_vocabulary_no_op_with_warning():
 
 def test_swap_identity_when_mask_zero():
     values = np.array([1.0, 2.0, 3.0])
-    out = swap_noise(values, np.zeros(3, dtype=np.int8), _sampler())
+    out = swap_noise(values, np.zeros(3, dtype=np.int8), _sampler(), np.zeros(3, dtype=bool))
     assert np.array_equal(out, values)
 
 
 def test_swap_constant_column_identity():
     values = np.full(100, 7.0)
-    out = swap_noise(values, np.ones(100, dtype=np.int8), _sampler(14))
+    out = swap_noise(values, np.ones(100, dtype=np.int8), _sampler(14), np.zeros(100, dtype=bool))
     assert np.all(out == 7.0)
 
 
@@ -430,7 +430,7 @@ def test_swap_uniform_over_rows_chi_square():
     counts = np.zeros(1000)
     sampler = _sampler(15)
     for _ in range(100):
-        out = swap_noise(values, np.ones(1000, dtype=np.int8), sampler)
+        out = swap_noise(values, np.ones(1000, dtype=np.int8), sampler, np.zeros(1000, dtype=bool))
         counts += np.bincount(out.astype(int) - 1, minlength=1000)
     _, p = stats.chisquare(counts)
     assert p > 0.001
@@ -439,14 +439,15 @@ def test_swap_uniform_over_rows_chi_square():
 def test_swap_single_row_identity_with_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = swap_noise([5.0], np.ones(1, dtype=np.int8), _sampler())
+        out = swap_noise([5.0], np.ones(1, dtype=np.int8), _sampler(), np.zeros(1, dtype=bool))
     assert out == [5.0]
     assert any("two rows" in str(w.message) for w in caught)
 
 
 def test_swap_works_on_cell_lists():
     values = ["a", "b", "c", "d"]
-    out = swap_noise(values, np.array([0, 1, 0, 1], dtype=np.int8), _sampler(16))
+    out = swap_noise(values, np.array([0, 1, 0, 1], dtype=np.int8), _sampler(16),
+                     np.zeros(4, dtype=bool))
     assert out[0] == "a" and out[2] == "c"
     assert out[1] in values and out[3] in values
 

@@ -475,7 +475,7 @@ class _PerEntryBulkSampler:
     def shaped(self, distribution, mu, sigma, n):
         return shaped_sample(self, distribution, mu, sigma, n)
 
-    def bounded_ints(self, n, bound, excluded=None, avoiding=None):
+    def bounded_ints(self, n, bound, excluded=None):
         out = np.empty(n, dtype=np.int64)
         if bound == 1:
             out[:] = 0
@@ -487,8 +487,7 @@ class _PerEntryBulkSampler:
             stream = self._entry_stream()
             while True:
                 word = stream.next_word()
-                if word >= threshold and not (avoiding is not None and avoiding[i]
-                                              and excluded[word % bound]):
+                if word >= threshold and not (excluded is not None and excluded[word % bound]):
                     out[i] = word % bound
                     break
                 self.redraws += 1
@@ -582,19 +581,18 @@ def test_bulk_sampler_matches_per_entry_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["default_pcg", "mersenne", "external"])
-def test_bulk_bounded_ints_avoiding_matches_per_entry_oracle(kind):
-    # an avoiding entry redraws an excluded integer from its own stream, on its own seed
+def test_bulk_bounded_ints_excluded_matches_per_entry_oracle(kind):
+    # an entry redraws an excluded integer from its own stream, on its own seed
     bank = [(i * 2654435761) % 2**31 for i in range(500)]
     old_ext, new_ext = (_SharedSource(), _SharedSource()) if kind == "external" else (None, None)
     old = _PerEntryBulkSampler(_PerEntrySeeds(bank).source(b"os", kind, old_ext))
     consumed = []
     new = BulkSampler(_seed_feed(bank, consumed), b"os", GeneratorSpec(kind, new_ext))
     excluded = np.arange(9) % 3 != 1
-    avoiding = np.arange(60) % 5 != 0
-    want = old.bounded_ints(60, 9, excluded, avoiding)
-    got = new.bounded_ints(60, 9, excluded, avoiding)
+    want = old.bounded_ints(60, 9, excluded)
+    got = new.bounded_ints(60, 9, excluded)
     assert got.tolist() == want.tolist()
-    assert not excluded[got[avoiding]].any() and excluded[got[~avoiding]].any()
+    assert not excluded[got].any()
     assert len(consumed) == 60 and old.redraws > 0
 
 
@@ -757,32 +755,35 @@ def test_bounded_each_matches_per_word_draws():
     assert new_source.calls == old_source.calls
 
 
-def _per_word_avoiding(stream, bound, excluded, avoids):
+def _per_word_excluded(stream, bound, excluded):
     threshold = (1 << 64) % bound
     while True:
         word = stream.next_word()
-        if word >= threshold and not (avoids and excluded[word % bound]):
+        if word >= threshold and not (excluded is not None and excluded[word % bound]):
             return word % bound
 
 
 @pytest.mark.parametrize("n, bound, every, zero_at", [
     (0, 5, 3, ()), (1, 2, 2, ()), (40, 7, 3, ()), (300, 30, 3, (3, 50, 51)),
+    (300, 30, None, (3, 50, 51)),  # only the zero words are rejected
     (2000, 50, 10, ()),  # nine in ten integers excluded: redraws outnumber entries
 ])
-def test_bounded_ints_avoiding_matches_per_word_draws(n, bound, every, zero_at):
-    excluded = np.arange(bound) % every != 1
-    avoiding = np.arange(n) % 4 != 1
+def test_bounded_ints_excluded_matches_per_word_draws(n, bound, every, zero_at):
+    excluded = None if every is None else np.arange(bound) % every != 1
     old_source, new_source = _ScriptedWords(zero_at), _ScriptedWords(zero_at)
     old_stream = ExternalWordStream(old_source)
-    want = [_per_word_avoiding(old_stream, bound, excluded, avoids) for avoids in avoiding]
-    got = StreamSampler(ExternalWordStream(new_source)).bounded_ints(n, bound, excluded, avoiding)
+    want = [_per_word_excluded(old_stream, bound, excluded) for _ in range(n)]
+    got = StreamSampler(ExternalWordStream(new_source)).bounded_ints(n, bound, excluded)
     assert got.tolist() == want
-    assert not excluded[got[avoiding]].any()
+    if excluded is not None:
+        assert not excluded[got].any()
     assert new_source.calls == old_source.calls
 
 
 @pytest.mark.parametrize("sampler", [StreamSampler(Pcg64Stream(1)),
                                      BulkSampler(lambda n: PackedSeeds(range(n)).blocks)])
-def test_bounded_ints_with_every_integer_excluded_raises(sampler):
-    with pytest.raises(ValueError, match="excluded"):
-        sampler.bounded_ints(3, 2, np.array([True, True]), np.array([False, True, False]))
+@pytest.mark.parametrize("excluded, match", [([True, True], "every integer"),
+                                             ([False], "one bool per integer")])
+def test_bounded_ints_checks_its_excluded_integers(sampler, excluded, match):
+    with pytest.raises(ValueError, match=match):
+        sampler.bounded_ints(3, 2, np.array(excluded))
