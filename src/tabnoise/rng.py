@@ -442,8 +442,6 @@ def _check_bounded(bound: int, excluded):
     if excluded is None:
         return None
     excluded = np.asarray(excluded, dtype=bool)
-    if excluded.shape != (bound,):
-        raise ValueError("excluded needs one bool per integer below the bound")
     if excluded.all():
         raise ValueError("every integer below the bound is excluded")
     return excluded
