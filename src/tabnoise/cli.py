@@ -20,6 +20,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TypedDict
 
+import numpy as np
+
 from .errors import ConfigError, TabnoiseError
 from .pipeline import (
     TRAINDATA_MODES,
@@ -184,6 +186,10 @@ def cmd_augment(args) -> int:
     basis = load_basis(args.basis)
     plan = _sampling_plan(config, args)
     table = _load_table(args.train, config, args)
+    held_out = basis.validation_row_index
+    if held_out and np.isin(held_out, table.index).all():
+        log.warning("augment: the input holds all %d rows that fit held out for validation; "
+                    "they are augmented too", len(held_out))
     spec = AugmentSpec.from_literal(args.count)
     out = augment(basis, table, spec, plan)
     write_csv(out, args.out, include_row_index=True)

@@ -70,7 +70,7 @@ from .noise import (
     weighted_flip,
 )
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
-from .schema import prepare, typed
+from .schema import json_fields, prepare, typed
 from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
 from .trees import ParamAssignments, apply_root_category, builtin_catalog, resolve_params
 
@@ -351,15 +351,37 @@ def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) ->
     pp = spec.phase_params(_phase(mode))
     if mode.endswith("no_noise") or not pp["fires"]:
         return ops
+    flip_prob = pp["flip_prob"]
     if not fitting and not spec.retain_basis:
         ops += resolves
+        flip_prob = _top_flip_prob(spec, payload, _phase(mode))
     ops.append(("mask", rows, False))
     draw = _KIND_DRAWS.get(kind)
     if kind == "noise_flip" and not (spec.direct_flip and payload["encoding"] == "boolean"):
         draw = "swap" if spec.swap_noise else "flip"
     if draw:
-        ops.append((draw, rows * pp["flip_prob"], True))
+        ops.append((draw, rows * flip_prob, True))
     return ops
+
+
+def _top_flip_prob(spec: NoiseSpec, payload: dict, phase: str) -> float:
+    """The largest flip probability that re-resolving the payload can give ``phase``.
+
+    A randomized value can resolve to any candidate of its list, or anywhere
+    between a uniform draw's ``low`` and ``high``; the config check holds both
+    in [0, 1]. An unset ``test_flip_prob`` takes ``flip_prob``.
+    """
+    def support(name):
+        if name not in payload.get("randomized_fields", []):
+            return [getattr(spec, name)]
+        value = payload["params_raw"][name]
+        if isinstance(value, dict):
+            return [value.get("low", 0.0), value.get("high", 1.0)]
+        return list(value)
+
+    own = support("test_flip_prob") if phase == "test" else [None]
+    return max(p for candidate in own
+               for p in (support("flip_prob") if candidate is None else [candidate]))
 
 
 def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray):
@@ -979,8 +1001,8 @@ def _stacked(parts: list) -> np.ndarray:
 
 
 def save_basis(basis: TransformBasis, path) -> None:
-    payload = json.dumps(asdict(basis), sort_keys=True, ensure_ascii=False,
-                         separators=(",", ":"))
+    payload = json.dumps(basis, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                         default=json_fields)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)
         handle.write("\n")

@@ -69,9 +69,13 @@ class PackedSeeds:
     ``int(seed)``; one that is negative, at least ``2**128`` or not a number
     raises ``ValueError``. An integer ndarray is packed without a Python
     object per seed.
+
+    A bank built by :meth:`from_text` holds checked decimal lines and converts
+    them as they are asked for: ``head(k)`` converts the first ``k`` seeds,
+    ``blocks`` all of them, and no seed is converted twice.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_blocks", "_text", "_pos", "_done")
 
     def __init__(self, seeds: Sequence[int]):
         if not hasattr(seeds, "__len__"):
@@ -91,17 +95,61 @@ class PackedSeeds:
             if len(low) and low.min() < 0:
                 raise ValueError(_NOT_A_SEED)
             blocks[:, 0] = low
+        self._converted(blocks)
+
+    def _converted(self, blocks: np.ndarray) -> "PackedSeeds":
         blocks.flags.writeable = False
-        self.blocks = blocks
+        self._blocks, self._text, self._pos, self._done = blocks, b"", 0, len(blocks)
+        return self
+
+    @classmethod
+    def from_text(cls, text: bytes, count: int) -> "PackedSeeds":
+        """The ``count`` seeds of ``text``, converted on demand.
+
+        ``text`` must be ASCII digit lines of at most 18 digits each, so that
+        every seed fits int64, ended by ``\\n`` or ``\\r\\n``, blank lines allowed,
+        holding exactly ``count`` seeds; ``sampling.read_seed_file`` checks
+        that before it builds one.
+        """
+        packed = cls.__new__(cls)
+        packed._blocks = np.zeros((count, 2), dtype="<u8")
+        packed._text, packed._pos, packed._done = text, 0, 0
+        return packed
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self._blocks)
+
+    def head(self, k: int) -> np.ndarray:
+        """The blocks of the first ``k`` seeds (of all, when there are fewer)."""
+        k = min(k, len(self._blocks))
+        text = self._text
+        while self._done < k:
+            # whole lines from where the last conversion stopped, about as many
+            # bytes as the seeds still missing take on average
+            want = self._pos + (k - self._done) * len(text) // len(self._blocks)
+            end = text.find(b"\n", want) + 1 or len(text)
+            chunk = text[self._pos : end]
+            self._pos = end
+            if not chunk.isspace():  # np.fromstring reads blank text as a 0
+                seeds = np.fromstring(chunk, dtype=np.int64, sep="\n")
+                self._blocks[self._done : self._done + len(seeds), 0] = seeds
+                self._done += len(seeds)
+            if end == len(text) and self._done < len(self._blocks):
+                raise ValueError(f"seed text holds {self._done} seeds, not {len(self._blocks)}")
+        if self._done == len(self._blocks):
+            self._text = b""
+        view = self._blocks[:k]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.head(len(self._blocks))
 
     def take(self, order) -> "PackedSeeds":
         """The seeds reordered (or picked) by the positions in ``order``."""
-        packed = PackedSeeds.__new__(PackedSeeds)
-        packed.blocks = self.blocks[np.asarray(order, dtype=np.intp)]
-        return packed
+        return PackedSeeds.__new__(PackedSeeds)._converted(
+            self.blocks[np.asarray(order, dtype=np.intp)])
 
 
 def _seed_prefix(os_entropy: bytes | None):

@@ -26,7 +26,7 @@ generator off, exhaustion is a hard error.
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, Sequence, get_args
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, SeedExhaustedError
 from .rng import BulkSampler, GeneratorSpec, PackedSeeds, StreamSampler, mix_seed
-from .schema import typed
+from .schema import json_fields, typed
 
 SamplingType = Literal["default", "bulk_seeds", "sampling_seed", "transform_seed"]
 SeedingType = Literal["supplemental_seeds", "primary_seeds"]
@@ -190,7 +190,7 @@ class StreamManager:
         The bank comes first; once it is dry, words of the extra seed
         generator (masked to ``MAX_SUGGESTED_SEED``) follow.
         """
-        blocks = self._bank.blocks[self._bank_pos : self._bank_pos + n]
+        blocks = self._bank.head(self._bank_pos + n)[self._bank_pos :]
         self._bank_pos += len(blocks)
         self.seeds_consumed += len(blocks)
         short = n - len(blocks)
@@ -263,27 +263,60 @@ class StreamManager:
 
 
 _INT64_MAX = 2**63 - 1
+# a decimal seed of fewer digits than this fits int64
+_LONG_SEED_DIGITS = 19
+_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _later(words: np.ndarray, k: int) -> np.ndarray:
+    """The bit stream of ``words`` (bit 0 of word 0 first) moved ``k < 64`` places later."""
+    out = words << np.uint64(k)
+    out[1:] |= words[:-1] >> np.uint64(64 - k)
+    return out
+
+
+def _digit_runs(data: bytes) -> tuple[int, bool]:
+    """How many runs of ASCII digits ``data`` holds, and whether one is at least
+    ``_LONG_SEED_DIGITS`` long; both are read from one bit per byte, 64 to a word."""
+    packed = np.packbits(np.frombuffer(data, dtype=np.uint8) >= ord("0"), bitorder="little")
+    words = np.zeros(-(-len(packed) // 8), dtype="<u8")
+    words.view(np.uint8)[: len(packed)] = packed
+    # the popcount of each word's run starts, as a sum of bit pairs, nibbles, bytes
+    x = words & ~_later(words, 1)
+    x -= (x >> np.uint64(1)) & _M1
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    count = int(((x * _H01) >> np.uint64(56)).sum())
+    # a bit stays set where it ends a run of 2, 4, 8, 16, then 19 digits
+    run = words
+    for k in (1, 2, 4, 8, _LONG_SEED_DIGITS - 16):
+        run = run & _later(run, k)
+    return count, bool(run.any())
 
 
 def read_seed_file(path) -> PackedSeeds:
     """Newline-delimited decimal integers, packed; blank lines are skipped.
 
-    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is parsed and
-    packed in one numpy pass. Any other file, or one with a seed that may not
-    fit in int64, takes the line-by-line path, which accepts whatever
-    ``int()`` accepts on a stripped line and names the first line that is not
-    a seed. A seed that is negative or at least ``2**128``, or a file that
-    is not UTF-8, raises ``ConfigError`` too.
+    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is checked
+    whole, then converted as its seeds are drawn (see
+    :meth:`PackedSeeds.from_text`), or at once, in one numpy pass, when a seed
+    has 19 digits or more. Any other file, or one with a seed that may not fit
+    in int64, takes the line-by-line path, which accepts whatever ``int()``
+    accepts on a stripped line and names the first line that is not a seed. A
+    seed that is negative or at least ``2**128``, or a file that is not UTF-8,
+    raises ``ConfigError`` too. Every line is checked before this returns.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     crlf_only = b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
     if crlf_only and not data.translate(None, b"0123456789\r\n"):
-        digits = np.frombuffer(data, dtype=np.uint8) >= ord("0")
-        count = int(np.count_nonzero(digits[1:] & ~digits[:-1])) + int(digits[:1].sum())
+        count, long_seed = _digit_runs(data)
+        if not long_seed:
+            return PackedSeeds.from_text(data, count)
         seeds = np.fromstring(data, dtype=np.int64, sep="\n")
-        # a blank-only file parses as [0], and an overflowing seed as INT64_MAX
-        if len(seeds) == count and (not count or seeds.max() < _INT64_MAX):
+        # an overflowing seed parses as INT64_MAX
+        if len(seeds) == count and seeds.max() < _INT64_MAX:
             return PackedSeeds(seeds)
     seeds = []
     try:
@@ -306,5 +339,5 @@ def read_seed_file(path) -> PackedSeeds:
 
 def write_seed_report(report: SeedReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(asdict(report), handle, indent=2, sort_keys=True)
+        json.dump(report, handle, indent=2, sort_keys=True, default=json_fields)
         handle.write("\n")

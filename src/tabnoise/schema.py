@@ -144,3 +144,9 @@ def _describe(hint) -> str:
     if origin in (Union, types.UnionType):
         return " or ".join(map(_describe, args))
     return _WORDS.get(origin, "an object")
+
+
+def json_fields(obj) -> dict:
+    """A dataclass's fields by name, as ``json.dumps``'s ``default``: the JSON that
+    ``dataclasses.asdict`` gives, without its deep copy of every value."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}

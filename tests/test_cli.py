@@ -236,6 +236,24 @@ def test_augment_counts(workdir):
     assert load_csv(out).n_rows == 60
 
 
+def test_augment_warns_when_given_the_rows_fit_held_out(workdir):
+    _with_config(workdir, validation_ratio=0.25)
+    assert _fit(workdir) == 0
+    held_out = json.loads((workdir / "out" / "basis.json").read_text())["validation_row_index"]
+    assert len(held_out) == 5
+    # the rows before the last held-out one: that one is missing
+    lines = (workdir / "train.csv").read_text().splitlines(keepends=True)
+    (workdir / "fewer.csv").write_text("".join(lines[: max(held_out) + 1]))
+    for name, warned in (("train.csv", True), ("fewer.csv", False)):
+        code, err = _run_cli("augment", str(workdir / "out" / "basis.json"), str(workdir / name),
+                             "--count", "1", "--out", str(workdir / f"aug_{name}"),
+                             "--config", str(workdir / "config.json"),
+                             "--entropy-seeds", str(workdir / "seeds.txt"))
+        assert code == 0
+        assert ("WARNING tabnoise: augment: the input holds all 5 rows that fit held out "
+                "for validation" in err) == warned, err
+
+
 def test_augment_count_zero_passthrough(workdir):
     _fit(workdir)
     out = workdir / "aug0.csv"

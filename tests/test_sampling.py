@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from unittest import mock
@@ -20,6 +22,7 @@ from tabnoise.pipeline import (
     augment,
     fit,
 )
+from tabnoise.noise import NoiseSpec
 from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
@@ -319,6 +322,9 @@ _SEED_LINES = st.one_of(
     st.integers(0, 2**31 - 1).map(str),
     st.integers(0, 10**40).map(str),  # 19 to 40 digits cross int64 and 2**128
     st.integers(10**18, 10**19 + 10**18).map(str),
+    # 18 digits always fit int64 and are converted as drawn; 19 and 39 digits are
+    # converted at read (39 digits cross 2**128)
+    *(st.integers(10**(digits - 1), 10**digits - 1).map(str) for digits in (18, 19, 39)),
     st.integers(0, 999).map(lambda v: f"000{v}"),
     st.sampled_from(["", "0", "9223372036854775807", "9223372036854775808",
                      "18446744073709551616", "+5", " 7 ", "1_000", "\t3", "3\t", "-3",
@@ -326,11 +332,52 @@ _SEED_LINES = st.one_of(
 )
 
 
+@contextmanager
+def _conversions():
+    """Record how many seeds each ``np.fromstring`` call converts, asserting that no
+    call asks for more seeds than its text holds and that each returns exactly the
+    digit runs of its text: past the end it would return uninitialized values, and
+    on blank text a 0."""
+    real, converted = np.fromstring, []
+
+    def fromstring(text, dtype=float, count=-1, sep=""):
+        held = len(re.findall(rb"[0-9]+", text))
+        assert count <= held
+        got = real(text, dtype=dtype, count=count, sep=sep)
+        assert len(got) == (held if count < 0 else count)
+        converted.append(len(got))
+        return got
+
+    with mock.patch.object(np, "fromstring", fromstring):
+        yield converted
+
+
+def _converted_as_drawn(raw: bytes) -> bool:
+    """Whether ``read_seed_file`` reads ``raw`` without converting a seed."""
+    return (re.fullmatch(rb"[0-9\r\n]*", raw) is not None
+            and raw.count(b"\r") == raw.count(b"\r\n")
+            and re.search(rb"[0-9]{19}", raw) is None)
+
+
+def _check_bank(path, want, k):
+    """``read_seed_file(path)`` holds ``want``: its length before any conversion, then
+    its first ``k`` seeds, then all of them."""
+    with _conversions() as converted:
+        bank = read_seed_file(path)
+        if _converted_as_drawn(path.read_bytes()):
+            assert converted == []
+        assert len(bank) == len(want)
+        head = bank.head(k)
+        assert head.tolist() == PackedSeeds(want[:k]).blocks.tolist()
+        assert not head.flags.writeable
+        _assert_packs(bank, want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_SEED_LINES, max_size=12),
        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
-       final_end=st.booleans())
-def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, final_end):
+       final_end=st.booleans(), k=st.integers(0, 13))
+def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, final_end, k):
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and not final_end:
         text = text[: -len(ends[len(lines) - 1])]
@@ -344,7 +391,7 @@ def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, fin
     except ValueError as exc:  # an integer that is not a seed: negative, or 2**128 and up
         message = f"{path}: {exc}"
     else:
-        _assert_packs(read_seed_file(path), want)
+        _check_bank(path, want, k)
         return
     with pytest.raises(ConfigError) as got:
         read_seed_file(path)
@@ -355,12 +402,48 @@ def test_read_seed_file_matches_per_line_loop(tmp_path_factory, lines, ends, fin
     ("", []), ("\n\n", []), ("\r\n", []), ("5", [5]), ("\n5\n\n6", [5, 6]),
     ("1\r\n2\r\n", [1, 2]), ("1\r2\n", [1, 2]), ("007\n", [7]),
     ("9223372036854775807\n", [2**63 - 1]), ("99999999999999999999\n1\n", [10**20 - 1, 1]),
-    (f"{2**128 - 1}\n{2**64}\n", [2**128 - 1, 2**64]),
+    (f"{2**128 - 1}\n{2**64}\n", [2**128 - 1, 2**64]), ("12\n34", [12, 34]),
+    ("9" * 18 + "\n0\n", [10**18 - 1, 0]),
+    pytest.param("1\n2\n" + "\n" * 100 + "3\n", [1, 2, 3], id="blank-stretch"),
 ])
 def test_read_seed_file_edge_cases(tmp_path, text, seeds):
     path = tmp_path / "seeds.txt"
     path.write_bytes(text.encode())
-    _assert_packs(read_seed_file(path), seeds)
+    for k in range(len(seeds) + 2):  # k = 0 and k = len included
+        _check_bank(path, seeds, k)
+
+
+def test_seeds_are_converted_in_steps_as_they_are_drawn(tmp_path):
+    path = tmp_path / "seeds.txt"
+    seeds = [7**i % 10 ** (1 + i % 18) for i in range(1000)]  # lines of 1 to 18 digits
+    path.write_text("\n".join(map(str, seeds)) + "\n\n")
+    with _conversions() as converted:
+        bank = read_seed_file(path)
+        for k in (0, 1, 1, 10, 9, 500, 400, 1000, 2000):
+            assert bank.head(k)[:, 0].tolist() == seeds[:k]
+        # no seed is converted twice, and all of them are once the bank is hashed
+        assert sum(converted) == 1000
+        assert mix_seed(b"os", bank) == mix_seed(b"os", seeds)
+
+
+def test_bulk_apply_converts_about_the_seeds_it_draws(tmp_path):
+    rng = np.random.default_rng(5)
+    table = DataTable({"x": rng.normal(size=2000).tolist()})
+    config = {"assigncat": {"DBnb": ["x"]}, "shuffletrain": False,
+              "assignparam": {"DBnb": {"x": {"flip_prob": 0.5, "test_flip_prob": 0.5}}}}
+    path = tmp_path / "seeds.txt"
+    bank = rng.integers(0, 2**31 - 1, size=100_000)
+    path.write_text("\n".join(map(str, bank.tolist())) + "\n")
+    basis = fit(table, config, SamplingPlan(sampling_type="bulk_seeds",
+                                            entropy_seeds=read_seed_file(path))).basis
+    with _conversions() as converted:
+        prepared, stats = apply_with_stats(basis, table, "test", SamplingPlan(
+            sampling_type="bulk_seeds", entropy_seeds=read_seed_file(path)))
+    assert 2000 < stats["seeds_consumed"] <= sum(converted) <= 2 * stats["seeds_consumed"]
+    eager = apply(basis, table, "test", SamplingPlan(sampling_type="bulk_seeds",
+                                                     entropy_seeds=bank))
+    assert [prepared.array(c).tolist() for c in prepared.column_names] == [
+        eager.array(c).tolist() for c in eager.column_names]
 
 
 @pytest.mark.parametrize("text, match", [
@@ -474,6 +557,33 @@ def test_validation_split_matches_per_word_loop(zero_at):
 def _seed_plan(sampling_type, **kwargs):
     return SamplingPlan(sampling_type=sampling_type, seeding_type="primary_seeds",
                         entropy_seeds=list(range(500)), **kwargs)
+
+
+_UNIFORM = {"distribution": "uniform", "low": 0.2, "high": 0.6}
+
+
+@pytest.mark.parametrize("raw, resolved, train, test", [
+    ({"flip_prob": [0.1, 0.9]}, {"flip_prob": 0.1}, 0.9, 0.9),
+    ({"flip_prob": _UNIFORM}, {"flip_prob": 0.3}, 0.6, 0.6),
+    ({"flip_prob": 0.5, "test_flip_prob": [None, 0.2]}, {"flip_prob": 0.5, "test_flip_prob": 0.2},
+     0.5, 0.5),
+    ({"flip_prob": [0.1, 0.3], "test_flip_prob": [None, 0.7]}, {"flip_prob": 0.1}, 0.3, 0.7),
+    ({"flip_prob": [0.1, 0.3], "test_flip_prob": 0.05},
+     {"flip_prob": 0.1, "test_flip_prob": 0.05}, 0.3, 0.05),
+])
+@pytest.mark.parametrize("retain_basis", [False, True])
+def test_reresolved_flip_prob_is_budgeted_at_its_top(raw, resolved, train, test, retain_basis):
+    payload = {"params_raw": {**raw, "retain_basis": retain_basis},
+               "resolved": {**resolved, "testnoise": True, "retain_basis": retain_basis},
+               "randomized_fields": [name for name, value in raw.items()
+                                     if isinstance(value, (list, dict))]}
+    fitted = NoiseSpec(**payload["resolved"])
+    for mode, top, fitting in (("train", train, False), ("test", test, False),
+                               ("train", None, True)):
+        if retain_basis or fitting:  # the value fit resolved is the one drawn at
+            top = fitted.phase_params(mode)["flip_prob"]
+        assert _noise_ops("noise_numeric", payload, mode, fitting, 100)[-1] == (
+            "noise", 100 * top, True)
 
 
 def test_direct_flip_on_ordinal_encoding_budgets_its_weighted_flip():
@@ -593,8 +703,7 @@ class _Checkouts:
 
 
 def _declared(basis, mode, fitting):
-    """Per transform key, from its declaration: (checkout names, bulk_seeds budget,
-    whether a flip probability is re-resolved)."""
+    """Per transform key, from its declaration: (checkout names, bulk_seeds budget)."""
     safety = basis.seed_report.stochastic_count_safety_factor
     out = {}
     for column, plan in basis.column_plans.items():
@@ -605,9 +714,7 @@ def _declared(basis, mode, fitting):
             names = [name for name, _, _ in ops]
             budget = sum(math.ceil(entries * (1.0 + safety) if stochastic else entries)
                          for _, entries, stochastic in ops)
-            reresolved = not (fitting or step.payload["resolved"]["retain_basis"]) and {
-                "flip_prob", "test_flip_prob"} & set(step.payload["randomized_fields"])
-            out[f"{column}#{idx}"] = (names, budget, reresolved)
+            out[f"{column}#{idx}"] = (names, budget)
     return out
 
 
@@ -633,10 +740,8 @@ def test_each_transform_checks_out_what_it_declares(stem, data, data_seed):
                 _, stats = apply_with_stats(fitted.basis, table, mode, plan())
             runs.append((applying, stats["ops_executed"], _declared(fitted.basis, mode, False)))
         for taken, ops_executed, declared in runs:
-            assert ops_executed == sum(len(names) for names, _, _ in declared.values())
-            for key, (names, budget, reresolved) in declared.items():
+            assert ops_executed == sum(len(names) for names, _ in declared.values())
+            for key, (names, budget) in declared.items():
                 assert taken.names.get(key, []) == names, (sampling_type, key)
-                # the report budgets the flip probability resolved at fit, which a
-                # later preparation's re-resolution can exceed
-                if sampling_type == "bulk_seeds" and not reresolved:
+                if sampling_type == "bulk_seeds":
                     assert taken.entries.get(key, 0) <= budget, (key, budget)
