@@ -95,6 +95,8 @@ def _fit_config(config: dict) -> FitConfig:
 
 
 def _echo_effective(config: dict, args) -> None:
+    if not log.isEnabledFor(logging.INFO):  # the JSON of a large seed bank takes a while
+        return
     effective = dict(config)
     for key in ("traindata", "sampling_type", "entropy_seeds", "count"):
         value = getattr(args, key, None)

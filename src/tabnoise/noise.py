@@ -23,7 +23,9 @@ blocks, and takes the mean once over the whole round, so its value is that of
 one pass over whole arrays.
 """
 
+import itertools
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Literal, TypedDict, Union, get_args
 
@@ -330,12 +332,11 @@ class ProtectedBasis:
 
 
 def _segments(cells) -> tuple[list[str], np.ndarray]:
-    """The sorted segment keys of ``cells``, each formatted once per distinct cell, and
-    each cell's position among them. The type is part of a cell, since equal cells of
-    two types (True, 1) format to two keys."""
-    distinct: dict = {}
-    index = np.array([distinct.setdefault((type(cell), cell), len(distinct)) for cell in cells],
-                     dtype=np.intp)
+    """The sorted segment keys of the sequence ``cells``, each formatted once per
+    distinct cell, and each cell's position among them. The type is part of a cell,
+    since equal cells of two types (True, 1) format to two keys."""
+    distinct = defaultdict(itertools.count().__next__)  # codes in order of first sight
+    index = np.fromiter(map(distinct.__getitem__, zip(map(type, cells), cells)), dtype=np.intp)
     keys = [format_cell(cell) for _, cell in distinct]
     ordered = sorted(set(keys))
     position = {key: j for j, key in enumerate(ordered)}
@@ -376,7 +377,7 @@ def fit_protected_categoric(codes: np.ndarray, vocab_size: int, protected_cells)
 
 
 def protected_ratio_vector(basis: ProtectedBasis, protected_cells, rows: np.ndarray) -> np.ndarray:
-    keys, segment_of = _segments(protected_cells[r] for r in np.asarray(rows).tolist())
+    keys, segment_of = _segments([protected_cells[r] for r in np.asarray(rows).tolist()])
     return np.array([basis.ratio_for(key) for key in keys], dtype=np.float64)[segment_of]
 
 

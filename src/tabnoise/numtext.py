@@ -219,20 +219,21 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     offsets from the least, with no sort; a zero may then come out with the other sign."""
     low = float(np.fmin.reduce(column, initial=np.inf))
     high = float(np.fmax.reduce(column, initial=-np.inf))
-    if high - low < _TABLE_SPAN and low.is_integer() and high.is_integer():
+    # whole numbers, so their offsets are exact: a fraction could round away in one
+    if (high - low < _TABLE_SPAN and low.is_integer() and high.is_integer()
+            and np.array_equal(column, np.trunc(column), equal_nan=True)):
         span = int(high - low)
         offsets = column - low
         offsets[np.isnan(column)] = span + 1  # the slot of NaN, after every value's
         slots = offsets.astype(np.intp)
-        if np.array_equal(slots, offsets):
-            used = np.flatnonzero(np.bincount(slots, minlength=span + 2))
-            values = used + low
-            values[used > span] = np.nan
-            if used[-1] == len(used) - 1:  # no slot below the last is empty
-                return values, slots
-            position = np.zeros(span + 2, dtype=np.intp)
-            position[used] = np.arange(len(used))
-            return values, position[slots]
+        used = np.flatnonzero(np.bincount(slots, minlength=span + 2))
+        values = used + low
+        values[used > span] = np.nan
+        if used[-1] == len(used) - 1:  # no slot below the last is empty
+            return values, slots
+        position = np.zeros(span + 2, dtype=np.intp)
+        position[used] = np.arange(len(used))
+        return values, position[slots]
     return np.unique(column, return_inverse=True)
 
 

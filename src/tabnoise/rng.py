@@ -59,6 +59,38 @@ def _checked_seed(seed) -> int:
     return seed
 
 
+# a decimal seed of fewer digits than this fits int64
+_LONG_SEED_DIGITS = 19
+_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _later(words: np.ndarray, k: int) -> np.ndarray:
+    """The bit stream of ``words`` (bit 0 of word 0 first) moved ``k < 64`` places later."""
+    out = words << np.uint64(k)
+    out[1:] |= words[:-1] >> np.uint64(64 - k)
+    return out
+
+
+def _digit_runs(data: bytes) -> tuple[int, bool]:
+    """How many runs of ASCII digits ``data`` (digits and line ends) holds, and whether one
+    is at least ``_LONG_SEED_DIGITS`` long; both are read from one bit per byte, 64 to a word."""
+    packed = np.packbits(np.frombuffer(data, dtype=np.uint8) >= ord("0"), bitorder="little")
+    words = np.zeros(-(-len(packed) // 8), dtype="<u8")
+    words.view(np.uint8)[: len(packed)] = packed
+    # the popcount of each word's run starts, as a sum of bit pairs, nibbles, bytes
+    x = words & ~_later(words, 1)
+    x -= (x >> np.uint64(1)) & _M1
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    count = int(((x * _H01) >> np.uint64(56)).sum())
+    # a bit stays set where it ends a run of 2, 4, 8, 16, then 19 digits
+    run = words
+    for k in (1, 2, 4, 8, _LONG_SEED_DIGITS - 16):
+        run = run & _later(run, k)
+    return count, bool(run.any())
+
+
 class PackedSeeds:
     """A seed sequence validated and serialized once, as 16-byte blocks.
 
@@ -95,26 +127,32 @@ class PackedSeeds:
             if len(low) and low.min() < 0:
                 raise ValueError(_NOT_A_SEED)
             blocks[:, 0] = low
-        self._converted(blocks)
+        self._hold(blocks)
 
-    def _converted(self, blocks: np.ndarray) -> "PackedSeeds":
-        blocks.flags.writeable = False
-        self._blocks, self._text, self._pos, self._done = blocks, b"", 0, len(blocks)
+    def _hold(self, blocks: np.ndarray, text: bytes = b"") -> "PackedSeeds":
+        """Hold ``blocks``, converted already unless ``text`` still holds their seeds."""
+        blocks.flags.writeable = bool(text)  # written only as the text is converted
+        self._blocks, self._text, self._pos = blocks, text, 0
+        self._done = 0 if text else len(blocks)
         return self
 
     @classmethod
-    def from_text(cls, text: bytes, count: int) -> "PackedSeeds":
-        """The ``count`` seeds of ``text``, converted on demand.
+    def _rows(cls, blocks: np.ndarray) -> "PackedSeeds":
+        """The seeds whose blocks are the rows of ``blocks``, held as they are."""
+        return cls.__new__(cls)._hold(blocks)
 
-        ``text`` must be ASCII digit lines of at most 18 digits each, so that
-        every seed fits int64, ended by ``\\n`` or ``\\r\\n``, blank lines allowed,
-        holding exactly ``count`` seeds; ``sampling.read_seed_file`` checks
-        that before it builds one.
+    @classmethod
+    def from_text(cls, text: bytes) -> "PackedSeeds | None":
+        """The seeds of ``text``, converted on demand; None for any other text than
+        ASCII digit lines of at most 18 digits each, so that every seed fits int64,
+        ended by ``\\n`` or ``\\r\\n``, blank lines allowed. Every byte is checked here.
         """
-        packed = cls.__new__(cls)
-        packed._blocks = np.zeros((count, 2), dtype="<u8")
-        packed._text, packed._pos, packed._done = text, 0, 0
-        return packed
+        # counting CR LF pairs takes ms on a large bank; most banks hold no CR at all
+        if text.translate(None, b"0123456789\r\n") or (
+                b"\r" in text and text.count(b"\r") != text.count(b"\r\n")):
+            return None
+        count, long_seed = _digit_runs(text)
+        return None if long_seed else cls.__new__(cls)._hold(np.zeros((count, 2), "<u8"), text)
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -148,8 +186,7 @@ class PackedSeeds:
 
     def take(self, order) -> "PackedSeeds":
         """The seeds reordered (or picked) by the positions in ``order``."""
-        return PackedSeeds.__new__(PackedSeeds)._converted(
-            self.blocks[np.asarray(order, dtype=np.intp)])
+        return PackedSeeds._rows(self.blocks[np.asarray(order, dtype=np.intp)])
 
 
 def _seed_prefix(os_entropy: bytes | None):
@@ -191,12 +228,13 @@ def _mix_blocks(os_entropy: bytes | None, blocks: np.ndarray) -> np.ndarray:
     ``initstate``, then ``initseq``.
     """
     copy = _seed_prefix(os_entropy).copy
-    raw = memoryview(np.asarray(blocks, dtype="<u8").tobytes())
     digests = []
-    for start in range(0, len(raw), 16):
+    append = digests.append
+    # one 16-byte bytes object per seed
+    for block in np.ascontiguousarray(blocks, "<u8").view("V16").ravel().tolist():
         digest = copy()
-        digest.update(raw[start : start + 16])
-        digests.append(digest.digest())
+        digest.update(block)
+        append(digest.digest())
     words = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 4)
     return words[:, :3].astype(np.uint64)
 

@@ -23,6 +23,7 @@ runs dry, replacement seeds come from the extra seed generator; with that
 generator off, exhaustion is a hard error.
 """
 
+import io
 import json
 import math
 import os
@@ -207,10 +208,6 @@ class StreamManager:
         self.seeds_consumed += short
         return np.concatenate([blocks, fresh])
 
-    def next_seed(self) -> int:
-        low, high = self.seed_blocks(1)[0].tolist()
-        return low | high << 64
-
     # -- stream construction -------------------------------------------------
 
     def _sampler(self, tag: bytes, seeds) -> StreamSampler:
@@ -228,7 +225,8 @@ class StreamManager:
         if self.plan.sampling_type == "transform_seed":
             for key in keys:
                 if key not in self._transform_streams:
-                    self._transform_streams[key] = self._sampler(b"", [self.next_seed()])
+                    self._transform_streams[key] = self._sampler(
+                        b"", PackedSeeds._rows(self.seed_blocks(1)))
 
     def sampler(self, transform_key: str, op: str):
         """The sampler for the transform's operation ``op``, as ``_noise_ops`` names it.
@@ -247,7 +245,7 @@ class StreamManager:
                 return self._sampler(f"calibration:{counter_key}:{count}".encode(), self._bank)
             return BulkSampler(self.seed_blocks, self._os_material, self.plan.sampling_generator)
         if mode == "sampling_seed":
-            return self._sampler(b"", [self.next_seed()])
+            return self._sampler(b"", PackedSeeds._rows(self.seed_blocks(1)))
         if mode == "transform_seed":
             return self._transform_streams[transform_key]  # drawn by register
         # default: shuffle the common bank, mix with a per-call nonce
@@ -262,73 +260,32 @@ class StreamManager:
         return self._sampler(b"utility:" + tag.encode(), self._bank)
 
 
-_INT64_MAX = 2**63 - 1
-# a decimal seed of fewer digits than this fits int64
-_LONG_SEED_DIGITS = 19
-_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
-
-def _later(words: np.ndarray, k: int) -> np.ndarray:
-    """The bit stream of ``words`` (bit 0 of word 0 first) moved ``k < 64`` places later."""
-    out = words << np.uint64(k)
-    out[1:] |= words[:-1] >> np.uint64(64 - k)
-    return out
-
-
-def _digit_runs(data: bytes) -> tuple[int, bool]:
-    """How many runs of ASCII digits ``data`` holds, and whether one is at least
-    ``_LONG_SEED_DIGITS`` long; both are read from one bit per byte, 64 to a word."""
-    packed = np.packbits(np.frombuffer(data, dtype=np.uint8) >= ord("0"), bitorder="little")
-    words = np.zeros(-(-len(packed) // 8), dtype="<u8")
-    words.view(np.uint8)[: len(packed)] = packed
-    # the popcount of each word's run starts, as a sum of bit pairs, nibbles, bytes
-    x = words & ~_later(words, 1)
-    x -= (x >> np.uint64(1)) & _M1
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    count = int(((x * _H01) >> np.uint64(56)).sum())
-    # a bit stays set where it ends a run of 2, 4, 8, 16, then 19 digits
-    run = words
-    for k in (1, 2, 4, 8, _LONG_SEED_DIGITS - 16):
-        run = run & _later(run, k)
-    return count, bool(run.any())
-
-
 def read_seed_file(path) -> PackedSeeds:
     """Newline-delimited decimal integers, packed; blank lines are skipped.
 
-    A file of ASCII digits and ``\\n`` or ``\\r\\n`` line ends is checked
-    whole, then converted as its seeds are drawn (see
-    :meth:`PackedSeeds.from_text`), or at once, in one numpy pass, when a seed
-    has 19 digits or more. Any other file, or one with a seed that may not fit
-    in int64, takes the line-by-line path, which accepts whatever ``int()``
-    accepts on a stripped line and names the first line that is not a seed. A
-    seed that is negative or at least ``2**128``, or a file that is not UTF-8,
-    raises ``ConfigError`` too. Every line is checked before this returns.
+    The file is read once. Plain digit lines of at most 18 digits are checked
+    whole and converted as their seeds are drawn (see :meth:`PackedSeeds.from_text`).
+    Any other file goes line by line, which accepts whatever ``int()`` accepts
+    on a stripped line and names the first line that is not a seed. A seed that
+    is negative or at least ``2**128``, or a file that is not UTF-8, raises
+    ``ConfigError`` too. Every line is checked before this returns.
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    crlf_only = b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
-    if crlf_only and not data.translate(None, b"0123456789\r\n"):
-        count, long_seed = _digit_runs(data)
-        if not long_seed:
-            return PackedSeeds.from_text(data, count)
-        seeds = np.fromstring(data, dtype=np.int64, sep="\n")
-        # an overflowing seed parses as INT64_MAX
-        if len(seeds) == count and seeds.max() < _INT64_MAX:
-            return PackedSeeds(seeds)
+    packed = PackedSeeds.from_text(data)
+    if packed is not None:
+        return packed
     seeds = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    seeds.append(int(line))
-                except ValueError:
-                    raise ConfigError(f"{path}: line {lineno} is not an integer seed")
+        # decoded and split into lines as a text-mode open() of the file would be
+        for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), "utf-8"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                seeds.append(int(line))
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno} is not an integer seed")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:

@@ -103,6 +103,15 @@ def test_fit_reads_seed_file_once(workdir):
     assert read.call_count == 1
 
 
+def test_effective_configuration_logged_only_when_verbose(workdir):
+    argv = ["fit", str(workdir / "train.csv"), "--config", str(workdir / "config.json"),
+            "--out-dir", str(workdir / "out"), "--entropy-seeds", str(workdir / "seeds.txt")]
+    for flags, logged in (([], False), (["-v"], True)):
+        code, err = _run_cli(*flags, *argv)
+        assert code == 0
+        assert ("INFO tabnoise: effective configuration: {" in err) == logged, err
+
+
 def test_fit_bad_assigncat_exit_2(workdir, caplog):
     config = json.loads((workdir / "config.json").read_text())
     config["assigncat"] = {"DPnb": ["missing_column"]}

@@ -26,7 +26,7 @@ from tabnoise.pipeline import (
     orig_headers_mode,
     save_basis,
 )
-from tabnoise.sampling import SamplingPlan, StreamManager
+from tabnoise.sampling import SAMPLING_TYPES, SamplingPlan, StreamManager
 from tabnoise.table import DataTable
 from tabnoise.trees import _PARAM_TYPES, builtin_catalog
 
@@ -394,11 +394,19 @@ _NUMERIC_STEMS = ("nb", "mm", "rt", "ne")
 _FLIP_STEMS = ("bn", "od", "oh", "10", "pc")
 
 
+def _cells(table: DataTable | None) -> list | None:
+    return table and [(name, table.column(name)) for name in table.column_names]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stem=st.sampled_from(_NUMERIC_STEMS + _FLIP_STEMS + ("se", "sk")),
        prefix=st.sampled_from(["DP", "DT", "DB"]), swap=st.booleans(),
-       blanks=st.lists(st.booleans(), min_size=10, max_size=30), seed=st.integers(0, 2**16))
-def test_missing_cells_never_perturbed_by_any_noise_stem(stem, prefix, swap, blanks, seed):
+       blanks=st.lists(st.booleans(), min_size=10, max_size=30), seed=st.integers(0, 2**16),
+       sampling_type=st.sampled_from(SAMPLING_TYPES))
+def test_missing_cells_never_perturbed_by_any_noise_stem(tmp_path_factory, stem, prefix, swap,
+                                                         blanks, seed, sampling_type):
+    """Under every sampling type, noise leaves missing cells alone; fit is deterministic,
+    and a saved and loaded basis applies as the fitted one."""
     rng = np.random.default_rng(seed)
     if stem in _NUMERIC_STEMS:
         values = [float(v) for v in rng.normal(0, 1, size=len(blanks))]
@@ -412,10 +420,22 @@ def test_missing_cells_never_perturbed_by_any_noise_stem(stem, prefix, swap, bla
         params["swap_noise"] = True
     config = {"shuffletrain": False, "assigncat": {prefix + stem: ["x"]},
               "assignparam": {prefix + stem: {"x": params}}}
-    basis = fit(table, config, _plan()).basis
+
+    def plan():  # a bank that bulk_seeds does not run dry
+        return _plan(list(range(2000)), sampling_type=sampling_type)
+
+    fitted, again = fit(table, config, plan()), fit(table, config, plan())
+    assert [_cells(fitted.train), _cells(fitted.validation)] == [
+        _cells(again.train), _cells(again.validation)]
+    paths = [tmp_path_factory.mktemp("basis") / "basis.json" for _ in range(2)]
+    save_basis(fitted.basis, paths[0])
+    save_basis(again.basis, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    basis, loaded = fitted.basis, load_basis(paths[0])
     for mode in ("train", "test"):
-        noisy = apply(basis, table, mode, _plan())
-        clean = apply(basis, table, f"{mode}_no_noise", _plan())
+        noisy = apply(basis, table, mode, plan())
+        assert _cells(apply(loaded, table, mode, plan())) == _cells(noisy)
+        clean = apply(basis, table, f"{mode}_no_noise", plan())
         assert noisy.column_names == clean.column_names
         for name in noisy.column_names:
             pairs = zip(noisy.column(name), clean.column(name), blanks)

@@ -295,8 +295,11 @@ def _assert_packs(got, seeds):
 
 def test_read_seed_file(tmp_path):
     path = tmp_path / "seeds.txt"
-    path.write_text("1\n22\n\n333\n")
-    _assert_packs(read_seed_file(path), [1, 22, 333])
+    for text in ("1\n22\n\n333\n", "+1\n 22\r\n333"):  # checked whole, then line by line
+        path.write_text(text)
+        with mock.patch("builtins.open", wraps=open) as opened:
+            _assert_packs(read_seed_file(path), [1, 22, 333])
+        assert opened.call_count == 1  # the file is read once
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nxyz\n")
     with pytest.raises(ConfigError, match="line 2"):
