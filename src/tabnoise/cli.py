@@ -295,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))  # also under a configured root
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except TabnoiseError as exc:

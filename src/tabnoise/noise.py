@@ -23,9 +23,7 @@ blocks, and takes the mean once over the whole round, so its value is that of
 one pass over whole arrays.
 """
 
-import itertools
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Literal, TypedDict, Union, get_args
 
@@ -332,15 +330,19 @@ class ProtectedBasis:
 
 
 def _segments(cells) -> tuple[list[str], np.ndarray]:
-    """The sorted segment keys of the sequence ``cells``, each formatted once per
-    distinct cell, and each cell's position among them. The type is part of a cell,
-    since equal cells of two types (True, 1) format to two keys."""
-    distinct = defaultdict(itertools.count().__next__)  # codes in order of first sight
-    index = np.fromiter(map(distinct.__getitem__, zip(map(type, cells), cells)), dtype=np.intp)
-    keys = [format_cell(cell) for _, cell in distinct]
+    """The sorted segment keys of the sequence ``cells``, each formatted once per distinct
+    cell, and each cell's position among them. Equal cells of two types (True, 1) format to
+    two keys, so cells are type-tagged when two types besides str and None are present."""
+    tagged = len(set(map(type, cells)) - {str, type(None)}) > 1
+    first: dict = {}  # each distinct cell and where it is first seen, in one C-level pass
+    seen = np.fromiter(map(first.setdefault, zip(map(type, cells), cells) if tagged else cells,
+                           range(len(cells))), dtype=np.intp, count=len(cells))
+    keys = [format_cell(cell[1] if tagged else cell) for cell in first]
     ordered = sorted(set(keys))
     position = {key: j for j, key in enumerate(ordered)}
-    return ordered, np.array([position[key] for key in keys], dtype=np.intp)[index]
+    segment_of = np.zeros(len(cells), dtype=np.intp)
+    segment_of[list(first.values())] = [position[key] for key in keys]
+    return ordered, segment_of[seen]
 
 
 def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protected_cells) -> ProtectedBasis:

@@ -69,6 +69,7 @@ from .noise import (
     swap_noise,
     weighted_flip,
 )
+from .rng import fisher_yates
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
 from .schema import json_fields, prepare, typed
 from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
@@ -849,21 +850,17 @@ def fit(
     # validation rows come out before anything is fitted
     n = train.n_rows
     k_val = int(n * cfg.validation_ratio + 1e-9)
-    positions = np.arange(n)
-    val_positions: list[int] = []
+    val_positions = np.zeros(0, dtype=np.intp)
     if k_val > 0:
         # the first k_val steps of a forward Fisher-Yates over the row positions
         sampler = manager.utility_sampler("validation_split")
-        picks = sampler.bounded_each(np.arange(n, n - k_val, -1)).tolist()
-        pool = list(range(n))
-        for i, j in enumerate(picks):
-            pool[i], pool[i + j] = pool[i + j], pool[i]
-        val_positions = sorted(pool[:k_val])
-        positions = np.delete(positions, val_positions)
+        partners = sampler.bounded_each(np.arange(n, n - k_val, -1)) + np.arange(k_val)
+        val_positions = np.sort(fisher_yates(n, range(k_val), partners)[:k_val])
+    positions = np.delete(np.arange(n), val_positions)
     # statistics are fitted in original row order (keeps recomputation exact);
     # the shuffle permutes the prepared output at the end
     train_sub = train.take(positions)
-    val_sub = train.take(val_positions) if val_positions else None
+    val_sub = train.take(val_positions) if k_val else None
 
     used_names: set = set(train.column_names)
     plans: dict[str, ColumnPlan] = {}
@@ -894,7 +891,7 @@ def fit(
     spec = AugmentSpec.from_literal(str(cfg.noise_augment))
     # with noise_augment, augment's rows replace these, shuffled by augment itself
     if cfg.shuffletrain and prepared_train.n_rows > 1 and not spec.count:
-        order = manager.utility_sampler("shuffle").shuffled(range(prepared_train.n_rows))
+        order = manager.utility_sampler("shuffle").shuffled(prepared_train.n_rows)
         prepared_train = prepared_train.take(order)
 
     n_train_basis = len(positions)
@@ -985,7 +982,7 @@ def augment(
                          row_index=np.concatenate(row_index))
     del copies, row_index  # free the copies before the shuffle
     if basis.shuffletrain and combined.n_rows > 1:
-        order = manager.utility_sampler("augment_shuffle").shuffled(range(combined.n_rows))
+        order = manager.utility_sampler("augment_shuffle").shuffled(combined.n_rows)
         combined = combined.take(order)
     return combined
 

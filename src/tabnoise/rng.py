@@ -184,10 +184,6 @@ class PackedSeeds:
     def blocks(self) -> np.ndarray:
         return self.head(len(self._blocks))
 
-    def take(self, order) -> "PackedSeeds":
-        """The seeds reordered (or picked) by the positions in ``order``."""
-        return PackedSeeds._rows(self.blocks[np.asarray(order, dtype=np.intp)])
-
 
 def _seed_prefix(os_entropy: bytes | None):
     """SHA-256 over the domain tag and the OS material: every seed hash starts here."""
@@ -458,6 +454,28 @@ def _words_to_uniforms(words: np.ndarray) -> np.ndarray:
 BLOCK_ENTRIES = 1 << 13
 
 
+def _signed_uniforms(words: np.ndarray) -> np.ndarray:
+    """``2u - 1`` of each word's uniform, as ``(w >> 11) * 2**-52 - 1``: both scalings are exact."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= 2.0 ** -52
+    u -= 1.0
+    return u
+
+
+def _polar(x: np.ndarray, y: np.ndarray, log) -> tuple[np.ndarray, np.ndarray]:
+    """The Marsaglia polar step: the positions of the pairs ``(x, y)`` with ``0 < s = x*x + y*y
+    < 1``, and the factor ``sqrt(-2 log(s) / s)`` of each, ``log`` giving a new array of logs."""
+    s = x * x
+    s += y * y
+    kept = np.flatnonzero((s < 1.0) & (s > 0.0))
+    s = s[kept]
+    factor = log(s)  # -2 log(s) / s, in that order
+    factor *= -2.0
+    factor /= s
+    np.sqrt(factor, out=factor)
+    return kept, factor
+
+
 def _polar_fill(words: np.ndarray, out: np.ndarray) -> int:
     """Marsaglia polar normals from the word pairs of ``words``, written to the head of
     ``out``; returns how many were written. The method is elementwise, so its blocks of
@@ -466,19 +484,9 @@ def _polar_fill(words: np.ndarray, out: np.ndarray) -> int:
     for start in range(0, len(words), BLOCK_ENTRIES):
         if have == len(out):
             break
-        # 2 * uniform - 1, as (w >> 11) * 2**-52 - 1: scalings by powers of two are exact
-        u = (words[start : start + BLOCK_ENTRIES] >> np.uint64(11)).astype(np.float64)
-        u *= 2.0 ** -52
-        u -= 1.0
+        u = _signed_uniforms(words[start : start + BLOCK_ENTRIES])
         x, y = u[0::2], u[1::2]
-        s = x * x
-        s += y * y
-        kept = np.flatnonzero((s < 1.0) & (s > 0.0))
-        s = s[kept]
-        factor = np.log(s)  # -2 log(s) / s, in that order
-        factor *= -2.0
-        factor /= s
-        np.sqrt(factor, out=factor)
+        kept, factor = _polar(x, y, np.log)
         # the pairs' normals go straight into out, unless they overfill it
         partial = 2 * len(kept) > len(out) - have
         dest = np.empty(2 * len(kept)) if partial else out[have : have + 2 * len(kept)]
@@ -525,12 +533,30 @@ def _check_bounded(bound: int, excluded):
     excluded."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    if excluded is None:
-        return None
-    excluded = np.asarray(excluded, dtype=bool)
-    if excluded.all():
-        raise ValueError("every integer below the bound is excluded")
+    if excluded is not None:
+        excluded = np.asarray(excluded, dtype=bool)
+        if excluded.all():
+            raise ValueError("every integer below the bound is excluded")
     return excluded
+
+
+def _rejection(words: np.ndarray, bounds, excluded=None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled-integer rejection against one bound or one per word: which words are at or above
+    ``2**64 mod bound`` with ``word mod bound`` not marked in ``excluded``, and those integers."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    values = words % bounds
+    accepted = words >= (np.uint64(0) - bounds) % bounds  # 2**64 mod bound, in 64 bits
+    if excluded is not None:
+        accepted &= ~excluded[values]
+    return accepted, values[accepted]
+
+
+def fisher_yates(n: int, steps: range, partners: np.ndarray) -> np.ndarray:
+    """Positions ``0..n-1`` after a Fisher-Yates walk swaps ``steps[t]`` with ``partners[t]``."""
+    order = list(range(n))
+    for i, j in zip(steps, partners.tolist()):
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=np.intp)
 
 
 class StreamSampler:
@@ -545,9 +571,12 @@ class StreamSampler:
     def __init__(self, stream):
         self.stream = stream
 
+    def _words(self, n: int) -> np.ndarray:
+        return self.stream.words(n)
+
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return _words_to_uniforms(self.stream.words(n))
+        return _words_to_uniforms(self._words(n))
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         out = np.empty(n, dtype=np.float64)
@@ -564,7 +593,7 @@ class StreamSampler:
         return _laplace_from_uniforms(self.uniforms(n), mu, scale)
 
     def uniform_interval(self, n: int, mu: float = 0.0, half_width: float = 1.0) -> np.ndarray:
-        return mu + half_width * (2.0 * self.uniforms(n) - 1.0)
+        return mu + half_width * _signed_uniforms(self._words(n))
 
     shaped = shaped_sample
 
@@ -580,17 +609,9 @@ class StreamSampler:
         """
         excluded = _check_bounded(bound, excluded)
         out = np.zeros(n, dtype=np.int64)
-        if bound == 1:
-            return out
-        threshold = np.uint64((1 << 64) % bound)
         done = 0
-        while done < n:
-            words = self.stream.words(n - done)
-            values = words % np.uint64(bound)
-            accepted = words >= threshold
-            if excluded is not None:
-                accepted &= ~excluded[values]
-            values = values[accepted]
+        while done < n and bound > 1:  # a bound of 1 draws no words
+            _, values = _rejection(self.stream.words(n - done), bound, excluded)
             out[done : done + len(values)] = values
             done += len(values)
         return out
@@ -608,28 +629,20 @@ class StreamSampler:
         live = np.flatnonzero(bounds > 1)
         if not len(live):
             return out
-        live_bounds = bounds[live]
-        thresholds = (np.uint64(0) - live_bounds) % live_bounds  # 2**64 % bound
         words = self.stream.words(len(live))
-        done = 0
         while True:
-            rejected = np.flatnonzero(words < thresholds[done:])
-            stop = int(rejected[0]) if len(rejected) else len(words)
-            out[live[done : done + stop]] = words[:stop] % live_bounds[done : done + stop]
-            if not len(rejected):
+            accepted, values = _rejection(words, bounds[live])
+            stop = len(words) if accepted.all() else int(accepted.argmin())
+            out[live[:stop]] = values[:stop]
+            if stop == len(words):
                 return out
             # the rejected word is spent; the words after it move up one bound
-            done += stop
+            live = live[stop:]
             words = np.concatenate([words[stop + 1 :], self.stream.words(1)])
 
-    def shuffled(self, items: Sequence) -> list:
-        """Fisher-Yates permutation of ``items`` driven by this stream."""
-        out = list(items)
-        n = len(out)
-        picks = self.bounded_each(np.arange(n, 1, -1)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), picks):
-            out[i], out[j] = out[j], out[i]
-        return out
+    def shuffled(self, n: int) -> np.ndarray:
+        """Backward Fisher-Yates over ``0..n-1``: each position swaps with one at or before it."""
+        return fisher_yates(n, range(n - 1, 0, -1), self.bounded_each(np.arange(n, 1, -1)))
 
 
 class BulkSampler:
@@ -664,26 +677,24 @@ class BulkSampler:
             while len(pending):
                 accepted, values = attempt(lanes, pending)
                 out[pending[accepted]] = values
-                pending = pending[~accepted]
+                pending = np.delete(pending, accepted)  # accepted: a mask, or positions
         return out
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return _words_to_uniforms(self._lanes(n).next())
+    def _words(self, n: int) -> np.ndarray:
+        return self._lanes(n).next()
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         def attempt(lanes, idx):
-            x = 2.0 * _words_to_uniforms(lanes.next(idx)) - 1.0
-            y = 2.0 * _words_to_uniforms(lanes.next(idx)) - 1.0
-            s = x * x + y * y
-            accepted = (s > 0.0) & (s < 1.0)
-            s = s[accepted]
-            # math.log per accepted entry: numpy's log may round the last bit differently
-            logs = np.array([math.log(v) for v in s.tolist()], dtype=np.float64)
-            return accepted, x[accepted] * np.sqrt(-2.0 * logs / s)
+            x = _signed_uniforms(lanes.next(idx))
+            # math.log per kept entry: numpy's log may round the last bit differently
+            kept, factor = _polar(x, _signed_uniforms(lanes.next(idx)),
+                                  lambda s: np.array([math.log(v) for v in s.tolist()]))
+            return kept, x[kept] * factor
 
         return mu + sigma * self._until_accepted(n, attempt, np.float64)
 
-    # the shapes StreamSampler draws from its uniforms, bound as this class's own methods
+    # the shapes StreamSampler draws from its words, bound as this class's own methods
+    uniforms = StreamSampler.uniforms
     laplaces = StreamSampler.laplaces
     uniform_interval = StreamSampler.uniform_interval
     shaped = shaped_sample
@@ -694,14 +705,5 @@ class BulkSampler:
         if bound == 1:
             self._seed_blocks(n)  # each entry still receives (and expends) its own seed
             return np.zeros(n, dtype=np.int64)
-        threshold = np.uint64((1 << 64) % bound)
-
-        def attempt(lanes, idx):
-            words = lanes.next(idx)
-            values = words % np.uint64(bound)
-            accepted = words >= threshold
-            if excluded is not None:
-                accepted &= ~excluded[values]
-            return accepted, values[accepted]
-
-        return self._until_accepted(n, attempt, np.int64)
+        return self._until_accepted(
+            n, lambda lanes, idx: _rejection(lanes.next(idx), bound, excluded), np.int64)

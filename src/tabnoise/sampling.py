@@ -252,7 +252,7 @@ class StreamManager:
         if self._root is None:
             self._root = self._sampler(b"root", [])
         nonce = self._root.stream.next_word()
-        shuffled = self._bank.take(self._root.shuffled(range(len(self._bank))))
+        shuffled = PackedSeeds._rows(self._bank.blocks[self._root.shuffled(len(self._bank))])
         return self._sampler(nonce.to_bytes(8, "little"), shuffled)
 
     def utility_sampler(self, tag: str) -> StreamSampler:

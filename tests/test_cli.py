@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -110,6 +112,26 @@ def test_effective_configuration_logged_only_when_verbose(workdir):
         code, err = _run_cli(*flags, *argv)
         assert code == 0
         assert ("INFO tabnoise: effective configuration: {" in err) == logged, err
+
+
+def test_verbose_flag_holds_under_a_configured_root_logger(workdir):
+    # basicConfig does nothing once the root logger has a handler, as in a library caller
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    logging.getLogger().addHandler(handler)
+    argv = ["fit", str(workdir / "train.csv"), "--config", str(workdir / "config.json"),
+            "--out-dir", str(workdir / "out"), "--entropy-seeds", str(workdir / "seeds.txt")]
+    try:
+        for flags, logged in (([], False), (["-v"], True), ([], False)):
+            stream.seek(0)
+            stream.truncate()
+            assert main([*flags, *argv]) == 0
+            assert ("effective configuration: {" in stream.getvalue()) == logged
+            assert logging.getLogger("tabnoise").level == (logging.INFO if logged
+                                                           else logging.WARNING)
+    finally:
+        logging.getLogger().removeHandler(handler)
+        logging.getLogger("tabnoise").setLevel(logging.NOTSET)
 
 
 def test_fit_bad_assigncat_exit_2(workdir, caplog):

@@ -11,6 +11,7 @@ from tabnoise import rng as rng_module
 from tabnoise.errors import ConfigError
 from tabnoise.noise import (
     NoiseSpec,
+    _segments,
     adjust_noise_mean,
     fit_protected_categoric,
     fit_protected_numeric,
@@ -561,6 +562,20 @@ def test_protected_applies_match_per_cell_oracle():
         table = basis.segment_frequencies.get(format_cell(cell))
         want.append(aggregate.tolist() if table is None or sum(table) <= 0 else table)
     assert protected_weight_matrix(basis, aggregate, cells, len(cells)).tolist() == want
+
+
+@pytest.mark.parametrize("cells", [
+    [0.5, None, -0.0, 0.0, 0.5, 1e308, None, 5e-324],  # one type and blanks: untagged keys
+    ["b", None, "a", "b", "", None],
+    [True, None, "x", True, False],
+    _MIXED_CELLS,  # equal cells of two types: tagged keys
+])
+def test_segments_match_per_cell_keys(cells):
+    first: dict = {}  # each cell's key is that of the first equal cell of its type
+    want = [first.setdefault((type(cell), cell), format_cell(cell)) for cell in cells]
+    keys, segment_of = _segments(cells)
+    assert keys == sorted(set(want))
+    assert [keys[j] for j in segment_of.tolist()] == want
 
 
 def test_protected_ratio_vector_fallback():

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import asdict
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from tabnoise import pipeline
 from tabnoise.encoders import column_as_floats
-from tabnoise.errors import BasisFormatError, ConfigError, SchemaError, TableError
+from tabnoise.errors import BasisFormatError, ConfigError, SchemaError, TableError, TabnoiseError
 from tabnoise.pipeline import (
+    KIND_PARAMS,
     MAX_AUGMENT_COUNT,
     NOISE_KINDS,
     _TRANSFORMS,
@@ -27,8 +29,8 @@ from tabnoise.pipeline import (
     save_basis,
 )
 from tabnoise.sampling import SAMPLING_TYPES, SamplingPlan, StreamManager
-from tabnoise.table import DataTable
-from tabnoise.trees import _PARAM_TYPES, builtin_catalog
+from tabnoise.table import DataTable, write_csv
+from tabnoise.trees import _NOISE_STEMS, _PARAM_TYPES, ROOT_PREFIX_POLICY, builtin_catalog
 
 
 def _plan(seeds=None, **kwargs):
@@ -440,6 +442,80 @@ def test_missing_cells_never_perturbed_by_any_noise_stem(tmp_path_factory, stem,
         for name in noisy.column_names:
             pairs = zip(noisy.column(name), clean.column(name), blanks)
             assert [(a, b) for a, b, blank in pairs if blank and a != b] == [], (mode, name)
+
+
+# Finite floats at the edges of the format: the largest, the smallest subnormal, a signed
+# zero, and magnitudes whose squares (past 1e154) or spreads overflow.
+_EDGE_FLOATS = [1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0, 1e155, -1e155, 3e200, 1.5, -2.0]
+_FINITE_ROOTS = ("nmbr", "mnmx", "retn", "exclf", "excl", "bsor") + tuple(
+    prefix + stem for prefix in ROOT_PREFIX_POLICY for stem in _NOISE_STEMS)
+_EDGE_COLUMN = "edge_col"
+
+
+def _prepared_csv(table: DataTable, folder) -> bytes:
+    write_csv(table, folder / "out.csv")
+    return (folder / "out.csv").read_bytes()
+
+
+def _named_error(call):
+    """``call()``, or None when it raises a ``TabnoiseError``, which must name the column."""
+    try:
+        return call()
+    except TabnoiseError as exc:
+        assert _EDGE_COLUMN in str(exc), exc
+        return None
+
+
+# a short column warns that flip or swap noise is a no-op; a RuntimeWarning still fails
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(root=st.sampled_from(_FINITE_ROOTS), sampling_type=st.sampled_from(SAMPLING_TYPES),
+       cells=st.lists(st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=1, max_size=24),
+       flip=st.sampled_from([None, 0.5, 1.0]), sigma=st.sampled_from([None, 0.5, 3.0]),
+       swap=st.booleans())
+def test_finite_cells_in_give_finite_cells_out(tmp_path_factory, root, sampling_type, cells,
+                                               flip, sigma, swap):
+    """Every present input cell gives a present, finite cell in each output column, in every
+    mode, or the command raises a TabnoiseError naming the column; fit is deterministic, and
+    a saved and loaded basis applies as the fitted one."""
+    table = DataTable({_EDGE_COLUMN: cells})
+    accepted = KIND_PARAMS[builtin_catalog().resolve_entry(root)[0]]
+    params = {name: value for name, value in (
+        ("flip_prob", flip), ("test_flip_prob", flip), ("sigma", sigma), ("test_sigma", sigma),
+        ("swap_noise", swap)) if name in accepted and value is not None}
+    config = {"shuffletrain": False, "assigncat": {root: [_EDGE_COLUMN]},
+              "assignparam": {root: {_EDGE_COLUMN: params}}}
+
+    def plan():  # a bank that bulk_seeds does not run dry
+        return _plan(list(range(2000)), sampling_type=sampling_type)
+
+    fitted = _named_error(lambda: fit(table, config, plan()))
+    if fitted is None:
+        return
+    present = [cell is not None for cell in cells]
+    outputs = fitted.basis.plan_for(_EDGE_COLUMN).output_columns
+    prepared = {"fit": fitted.train}
+    for mode in pipeline.TRAINDATA_MODES:
+        prepared[mode] = _named_error(lambda: apply(fitted.basis, table, mode, plan()))
+    for mode, out in prepared.items():
+        for name in outputs if out is not None else ():
+            bad = [cell for cell, keep in zip(out.column(name), present)
+                   if keep and not (isinstance(cell, (int, float)) and math.isfinite(cell))]
+            assert bad == [], (mode, name)
+
+    folder = tmp_path_factory.mktemp("finite")
+    again = fit(table, config, plan())
+    assert _prepared_csv(fitted.train, folder) == _prepared_csv(again.train, folder)
+    save_basis(fitted.basis, folder / "a.json")
+    save_basis(again.basis, folder / "b.json")
+    assert (folder / "a.json").read_bytes() == (folder / "b.json").read_bytes()
+    loaded = load_basis(folder / "a.json")
+    for mode, out in prepared.items():
+        if mode != "fit" and out is not None:
+            reloaded = apply(loaded, table, mode, plan())
+            assert _prepared_csv(reloaded, folder) == _prepared_csv(out, folder), mode
 
 
 def test_save_load_round_trip(tmp_path):

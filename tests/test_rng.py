@@ -295,10 +295,9 @@ def test_default_generator_uniformity_chi_square():
 
 
 def test_shuffle_is_permutation():
-    sampler = _sampler(10)
-    items = list(range(100))
-    out = sampler.shuffled(items)
-    assert sorted(out) == items and out != items
+    out = _sampler(10).shuffled(100)
+    assert out.dtype == np.intp
+    assert sorted(out.tolist()) == list(range(100)) and out.tolist() != list(range(100))
 
 
 def test_external_word_stream_callable():
@@ -735,13 +734,13 @@ class _ScriptedWords:
 
 
 @pytest.mark.parametrize("n, zero_at", [(1, ()), (2, ()), (50, ()), (50, (7,)), (50, (0, 1, 47)),
-                                        (1000, (500,))])
+                                        (1000, (500,)), (0, ())])
 def test_shuffled_matches_per_word_fisher_yates(n, zero_at):
     # a zero word is below the rejection threshold of any bound that is not a power of 2
     old_source, new_source = _ScriptedWords(zero_at), _ScriptedWords(zero_at)
     want = _per_word_shuffled(ExternalWordStream(old_source), range(n))
-    got = StreamSampler(ExternalWordStream(new_source)).shuffled(range(n))
-    assert got == want
+    got = StreamSampler(ExternalWordStream(new_source)).shuffled(n)
+    assert got.dtype == np.intp and np.array_equal(got, np.array(want, dtype=np.intp))
     assert new_source.calls == old_source.calls == max(n - 1, 0) + len(zero_at)
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -538,20 +537,21 @@ class _ScriptedWords:
 
 @pytest.mark.parametrize("zero_at", [(), (2,)])
 def test_validation_split_matches_per_word_loop(zero_at):
-    n, ratio = 30, 0.3
+    n = 30
     table = DataTable({"num": [float(i) for i in range(n)],
                        "label": [float(i % 2) for i in range(n)]})
-    source = _ScriptedWords(zero_at)
-    plan = SamplingPlan(sampling_generator=GeneratorSpec(kind="external", external=source),
-                        os_material=b"fixed")
-    res = fit(table, {"labels_column": "label", "validation_ratio": ratio,
-                      "shuffletrain": False}, plan)
-    oracle = ExternalWordStream(_ScriptedWords(zero_at))  # the split is the first draw
-    pool = list(range(n))
-    for i in range(int(n * ratio)):
-        j = i + _per_word_bounded_int(oracle, n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    assert res.basis.validation_row_index == sorted(pool[: int(n * ratio)])
+    for ratio, k in ((0.3, 9), (29 / 30, n - 1)):
+        source = _ScriptedWords(zero_at)
+        plan = SamplingPlan(sampling_generator=GeneratorSpec(kind="external", external=source),
+                            os_material=b"fixed")
+        res = fit(table, {"labels_column": "label", "validation_ratio": ratio,
+                          "shuffletrain": False}, plan)
+        oracle = ExternalWordStream(_ScriptedWords(zero_at))  # the split is the first draw
+        pool = list(range(n))
+        for i in range(k):
+            j = i + _per_word_bounded_int(oracle, n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        assert res.basis.validation_row_index == sorted(pool[:k])
 
 
 # -- the seed report against what the executor checks out --------------------------
@@ -629,8 +629,6 @@ def test_scaled_noise_on_all_missing_column_reports_only_what_runs():
 _STEM_DATA = {"nb": "num", "mm": "num", "rt": "num", "ne": "num", "se": "num", "sk": "num",
               "od": "cat", "oh": "cat", "10": "cat", "pc": "cat", "bn": "bool"}
 _ROWS = 2000
-# At 2000 rows the 15% safety factor is over 6 binomial standard deviations
-# of a mask at these probabilities, so a stochastic budget holds here.
 _FLIPS = st.sampled_from([0.0, 0.5, 1.0])
 
 
@@ -672,7 +670,7 @@ def _column_cells(kind, empty, rng):
 
 
 class _Checkouts:
-    """Records each StreamManager checkout, and bank entries drawn, by transform key."""
+    """Records each StreamManager checkout by transform key, and the bank entries each drew."""
 
     def __init__(self):
         self.names, self.entries = {}, {}
@@ -685,7 +683,7 @@ class _Checkouts:
             return real_sampler(manager, key, op)
 
         def seed_blocks(manager, n):
-            self.entries[self._key] = self.entries.get(self._key, 0) + n
+            self.entries.setdefault(self._key, [0])[-1] += n  # key None: before any checkout
             return real_blocks(manager, n)
 
         self._patches = [mock.patch.object(StreamManager, "sampler", sampler),
@@ -694,6 +692,7 @@ class _Checkouts:
     def _record(self, key, name):
         self._key = key
         self.names.setdefault(key, []).append(name)
+        self.entries.setdefault(key, []).append(0)
 
     def __enter__(self):
         for patch in self._patches:
@@ -706,19 +705,17 @@ class _Checkouts:
 
 
 def _declared(basis, mode, fitting):
-    """Per transform key, from its declaration: (checkout names, bulk_seeds budget)."""
-    safety = basis.seed_report.stochastic_count_safety_factor
-    out = {}
-    for column, plan in basis.column_plans.items():
-        for idx, step in enumerate(plan.steps):
-            if step.kind not in NOISE_KINDS:
-                continue
-            ops = _noise_ops(step.kind, step.payload, mode, fitting, _ROWS)
-            names = [name for name, _, _ in ops]
-            budget = sum(math.ceil(entries * (1.0 + safety) if stochastic else entries)
-                         for _, entries, stochastic in ops)
-            out[f"{column}#{idx}"] = (names, budget)
-    return out
+    """Per transform key, its declared operations: (name, entries, stochastic) each."""
+    return {f"{column}#{idx}": _noise_ops(step.kind, step.payload, mode, fitting, _ROWS)
+            for column, plan in basis.column_plans.items()
+            for idx, step in enumerate(plan.steps) if step.kind in NOISE_KINDS}
+
+
+def _entries_hold(drawn, entries, stochastic):
+    """What the model promises of one operation's bank entries under ``bulk_seeds``: a
+    deterministic one draws exactly its entries; a draw over a mask's activations draws one
+    entry per activation, so at most one per row, and none at a flip probability of 0."""
+    return drawn <= (_ROWS if entries else 0) if stochastic else drawn == entries
 
 
 @pytest.mark.parametrize("stem", sorted(_STEM_DATA))
@@ -743,8 +740,12 @@ def test_each_transform_checks_out_what_it_declares(stem, data, data_seed):
                 _, stats = apply_with_stats(fitted.basis, table, mode, plan())
             runs.append((applying, stats["ops_executed"], _declared(fitted.basis, mode, False)))
         for taken, ops_executed, declared in runs:
-            assert ops_executed == sum(len(names) for names, _ in declared.values())
-            for key, (names, budget) in declared.items():
+            assert ops_executed == sum(len(ops) for ops in declared.values())
+            for key, ops in declared.items():
+                names = [name for name, _, _ in ops]
                 assert taken.names.get(key, []) == names, (sampling_type, key)
                 if sampling_type == "bulk_seeds":
-                    assert taken.entries.get(key, 0) <= budget, (key, budget)
+                    drawn = taken.entries.get(key, [])
+                    assert len(drawn) == len(ops)
+                    for got, (_, entries, stochastic) in zip(drawn, ops):
+                        assert _entries_hold(got, entries, stochastic), (key, drawn, ops)
