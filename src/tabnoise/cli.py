@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))  # also under a configured root
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    saved = log.level  # -v holds under a configured root too, for this call only
+    log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
         return args.func(args)
     except TabnoiseError as exc:
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return 1
+    finally:
+        log.setLevel(saved)
 
 
 if __name__ == "__main__":

@@ -330,14 +330,11 @@ class ProtectedBasis:
 
 
 def _segments(cells) -> tuple[list[str], np.ndarray]:
-    """The sorted segment keys of the sequence ``cells``, each formatted once per distinct
-    cell, and each cell's position among them. Equal cells of two types (True, 1) format to
-    two keys, so cells are type-tagged when two types besides str and None are present."""
-    tagged = len(set(map(type, cells)) - {str, type(None)}) > 1
-    first: dict = {}  # each distinct cell and where it is first seen, in one C-level pass
-    seen = np.fromiter(map(first.setdefault, zip(map(type, cells), cells) if tagged else cells,
-                           range(len(cells))), dtype=np.intp, count=len(cells))
-    keys = [format_cell(cell[1] if tagged else cell) for cell in first]
+    """The sorted segment keys of the sequence ``cells``, one formatted per distinct typed
+    cell (True and 1 format to two keys), and each cell's position among them."""
+    first: dict = {}  # each distinct typed cell and where it is first seen, in one C-level pass
+    seen = np.fromiter(map(first.setdefault, zip(map(type, cells), cells), range(len(cells))), np.intp)
+    keys = [format_cell(cell) for _, cell in first]
     ordered = sorted(set(keys))
     position = {key: j for j, key in enumerate(ordered)}
     segment_of = np.zeros(len(cells), dtype=np.intp)

@@ -119,19 +119,21 @@ def test_verbose_flag_holds_under_a_configured_root_logger(workdir):
     stream = io.StringIO()
     handler = logging.StreamHandler(stream)
     logging.getLogger().addHandler(handler)
+    library = logging.getLogger("tabnoise")
     argv = ["fit", str(workdir / "train.csv"), "--config", str(workdir / "config.json"),
             "--out-dir", str(workdir / "out"), "--entropy-seeds", str(workdir / "seeds.txt")]
     try:
-        for flags, logged in (([], False), (["-v"], True), ([], False)):
-            stream.seek(0)
-            stream.truncate()
-            assert main([*flags, *argv]) == 0
-            assert ("effective configuration: {" in stream.getvalue()) == logged
-            assert logging.getLogger("tabnoise").level == (logging.INFO if logged
-                                                           else logging.WARNING)
+        for caller_level in (logging.NOTSET, logging.DEBUG):
+            library.setLevel(caller_level)
+            for flags, logged in (([], False), (["-v"], True), ([], False)):
+                stream.seek(0)
+                stream.truncate()
+                assert main([*flags, *argv]) == 0
+                assert ("effective configuration: {" in stream.getvalue()) == logged
+                assert library.level == caller_level  # the caller's level comes back
     finally:
         logging.getLogger().removeHandler(handler)
-        logging.getLogger("tabnoise").setLevel(logging.NOTSET)
+        library.setLevel(logging.NOTSET)
 
 
 def test_fit_bad_assigncat_exit_2(workdir, caplog):

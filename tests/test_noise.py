@@ -565,10 +565,10 @@ def test_protected_applies_match_per_cell_oracle():
 
 
 @pytest.mark.parametrize("cells", [
-    [0.5, None, -0.0, 0.0, 0.5, 1e308, None, 5e-324],  # one type and blanks: untagged keys
+    [0.5, None, -0.0, 0.0, 0.5, 1e308, None, 5e-324],  # -0.0 and 0.0 are one cell
     ["b", None, "a", "b", "", None],
     [True, None, "x", True, False],
-    _MIXED_CELLS,  # equal cells of two types: tagged keys
+    _MIXED_CELLS,  # equal cells of two types
 ])
 def test_segments_match_per_cell_keys(cells):
     first: dict = {}  # each cell's key is that of the first equal cell of its type

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabnoise import pipeline
 from tabnoise.errors import BasisFormatError, ConfigError, SeedExhaustedError
 from tabnoise.pipeline import (
     KIND_PARAMS,
@@ -670,13 +671,15 @@ def _column_cells(kind, empty, rng):
 
 
 class _Checkouts:
-    """Records each StreamManager checkout by transform key, and the bank entries each drew."""
+    """Records each StreamManager checkout by transform key, the bank entries each drew,
+    and the activations of each key's Bernoulli mask."""
 
     def __init__(self):
-        self.names, self.entries = {}, {}
+        self.names, self.entries, self.activations = {}, {}, {}
         self._key = None
         real_sampler = StreamManager.sampler
         real_blocks = StreamManager.seed_blocks
+        real_mask = pipeline.sample_bernoulli_mask
 
         def sampler(manager, key, op):
             self._record(key, op)
@@ -686,8 +689,14 @@ class _Checkouts:
             self.entries.setdefault(self._key, [0])[-1] += n  # key None: before any checkout
             return real_blocks(manager, n)
 
+        def bernoulli_mask(*args):
+            mask = real_mask(*args)  # its sampler, so its key, is checked out first
+            self.activations[self._key] = int(mask.sum())
+            return mask
+
         self._patches = [mock.patch.object(StreamManager, "sampler", sampler),
-                         mock.patch.object(StreamManager, "seed_blocks", seed_blocks)]
+                         mock.patch.object(StreamManager, "seed_blocks", seed_blocks),
+                         mock.patch.object(pipeline, "sample_bernoulli_mask", bernoulli_mask)]
 
     def _record(self, key, name):
         self._key = key
@@ -711,11 +720,11 @@ def _declared(basis, mode, fitting):
             for idx, step in enumerate(plan.steps) if step.kind in NOISE_KINDS}
 
 
-def _entries_hold(drawn, entries, stochastic):
+def _entries_hold(drawn, entries, stochastic, activations):
     """What the model promises of one operation's bank entries under ``bulk_seeds``: a
-    deterministic one draws exactly its entries; a draw over a mask's activations draws one
-    entry per activation, so at most one per row, and none at a flip probability of 0."""
-    return drawn <= (_ROWS if entries else 0) if stochastic else drawn == entries
+    deterministic one draws exactly its entries, and a draw over a mask's activations one
+    entry per activation of the mask its key drew before it."""
+    return drawn == (activations if stochastic else entries)
 
 
 @pytest.mark.parametrize("stem", sorted(_STEM_DATA))
@@ -748,4 +757,5 @@ def test_each_transform_checks_out_what_it_declares(stem, data, data_seed):
                     drawn = taken.entries.get(key, [])
                     assert len(drawn) == len(ops)
                     for got, (_, entries, stochastic) in zip(drawn, ops):
-                        assert _entries_hold(got, entries, stochastic), (key, drawn, ops)
+                        assert _entries_hold(got, entries, stochastic, taken.activations.get(key)), (
+                            key, drawn, ops)
