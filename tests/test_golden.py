@@ -20,8 +20,14 @@ on text with blanks, onehot with ``swap_noise`` and boolean with
 ``direct_flip``. ``noise_above_encoders`` puts encoders and missing markers
 below noise steps, through ``transformdict`` children and friends, and runs
 ``augment --count 3``: a step below a noise step sees each copy's noise, so
-its output is never shared between copies. A digest change means a change
-in output bytes: a bug, or a format change that needs a new basis version.
+its output is never shared between copies. ``equal_cells`` runs on its own
+table, whose text column ``t`` holds equal numbers in several spellings
+(``-0``, ``0``, ``0.0``, ``1``, ``1.0``) beside blanks and two text levels: it
+feeds a zscore, a minmax, an ordinal and a passthrough root, the last two with
+flip noise, and is the protected feature of a numeric and a flip step. Which
+zero the vocabulary keeps is the first in row order of the training rows, and
+``basis.json`` writes it. A digest change means a change in output bytes: a
+bug, or a format change that needs a new basis version.
 """
 
 import hashlib
@@ -140,11 +146,25 @@ CONFIGS = {
                         "flz": {"c1": {"flip_prob": 0.5, "test_flip_prob": 0.5}}},
         "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
     },
+    "equal_cells": {
+        "labels_column": "label",
+        "validation_ratio": 0.2,
+        "shuffletrain": True,
+        "transformdict": {"eqroot": {"parents": ["nmbr"], "siblings": ["mnmx", "DBode", "DBpce"]}},
+        "assigncat": {"eqroot": ["t"], "DBnb": ["n"], "DBod": ["c"]},
+        "assignparam": {
+            "DBod": {"t": {"flip_prob": 0.5, "test_flip_prob": 0.5},
+                     "c": {"flip_prob": 0.5, "test_flip_prob": 0.5, "protected_feature": "t"}},
+            "DBpc": {"t": {"flip_prob": 0.5, "test_flip_prob": 0.5}},
+            "DBnb": {"n": {"flip_prob": 0.5, "test_flip_prob": 0.5, "protected_feature": "t"}},
+        },
+        "sampling_dict": {"sampling_type": "sampling_seed", "seeding_type": "primary_seeds"},
+    },
 }
 
 BANK_SIZES = {"categoric_codecs": 400, "sampling_seed": 400, "transform_seed": 64,
               "bulk_seeds": 4000, "bulk_seeds_dry": 50, "noise_augment_validation": 400,
-              "default_mersenne": 16, "noise_above_encoders": 400}
+              "default_mersenne": 16, "noise_above_encoders": 400, "equal_cells": 400}
 # augment's duplicate count, where it is not 2
 AUGMENT_COUNTS = {"noise_above_encoders": 3}
 
@@ -185,6 +205,16 @@ GOLDEN = {
         "tr_test.csv": "fa4b6728772fcaa8e64e6b31245df82cfac00375e5de8f4add8685c9ebf4e36f",
         "tr_train.csv": "a40a716ba3a4017d55757ce3cafe146ab55392617d361bce0b6e35f7bfb440dd",
         "train.out.csv": "08fa39b47648055009141a4733a8cb1db8e78294b26e776e508cb28bb3fedb7b",
+    },
+    "equal_cells": {
+        "aug.csv": "a5b00d0d078447e90e05a30939224ec6784dec6116c5c65dc05da6e128b8911c",
+        "basis.json": "50161b1bf5537c224e8d2ec5061964d01e637fc4bb85f94f491b3099262dcb2f",
+        "seed_report.json": "6f86029a92fbc5c12a470687310c1373baa568c207cb0eae37349001b9599edd",
+        "test.out.csv": "26f123dd12c57774ca2a0df65f74a4fb6ea667f8ac949126d3ba209b1854af0f",
+        "tr_test.csv": "4e0536dd0530e69847a0015d0283cc1c0a93b95d372b2865598fb7cd1fb0374d",
+        "tr_train.csv": "0bf86731593ea94fc648fcb7bdae5ba5387e70807cf027810c2ea09c050e9c59",
+        "train.out.csv": "849f13a5af71bd679d5774321894f7778394a864e885cb1b0b8617e065ddb01c",
+        "val.out.csv": "3dd53952cdcdcf85177aaf12d05cdc459b5a483fbc085e337be8bde51c19bf76",
     },
     "noise_above_encoders": {
         "aug.csv": "ad86715028a55ff63be62a5cc629255d2e1104575a00734c338ce58e25350cbf",
@@ -244,9 +274,27 @@ def _csv(n_rows: int, offset: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# equal numbers in several spellings, blanks and two text levels; the "0" of row 1 is held
+# out for validation, so the training rows see "-0" first
+_EQUAL_CELLS = ("lo", "0", "-0", "1", "", "0.0", "hi", "1.0", "-0", "lo", "0")
+
+
+def _equal_cells_csv(n_rows: int, offset: int) -> str:
+    lines = ["t,n,c,label"]
+    for r in range(offset, offset + n_rows):
+        t = _EQUAL_CELLS[r % len(_EQUAL_CELLS)]
+        lines.append(f"{t},{(r * 37 % 23) * 0.75 - 4:.2f},{'abc'[r * 2 % 3]},{r % 2}")
+    return "\n".join(lines) + "\n"
+
+
+# the table each config runs on, where it is not _csv's
+TABLES = {"equal_cells": _equal_cells_csv}
+
+
 def _run_config(tmp_path, name: str) -> dict:
-    (tmp_path / "train.csv").write_text(_csv(N_TRAIN, 0))
-    (tmp_path / "test.csv").write_text(_csv(N_TEST, 1000))
+    table = TABLES.get(name, _csv)
+    (tmp_path / "train.csv").write_text(table(N_TRAIN, 0))
+    (tmp_path / "test.csv").write_text(table(N_TEST, 1000))
     (tmp_path / "seeds.txt").write_text(
         "".join(f"{(i * 2654435761) % 2**31}\n" for i in range(BANK_SIZES[name])))
     (tmp_path / "config.json").write_text(json.dumps(CONFIGS[name]))
