@@ -465,7 +465,8 @@ def _apply_stdbins(ctx, payload, group):
         half = bincount // 2
         # one edge between each pair of bins; an odd count centres a bin on the mean
         offsets = np.arange(-half, half) + 0.5 if bincount % 2 else np.arange(1 - half, half)
-        codes = np.digitize(values, mean + std * offsets)
+        with np.errstate(over="ignore"):  # an edge past the largest float is above every value
+            codes = np.digitize(values, mean + std * offsets)
     else:
         codes = np.full(len(values), bincount // 2, dtype=np.int64)
     return _single(codes.astype(np.int64), missing)

@@ -518,6 +518,75 @@ def test_finite_cells_in_give_finite_cells_out(tmp_path_factory, root, sampling_
             assert _prepared_csv(reloaded, folder) == _prepared_csv(out, folder), mode
 
 
+# every root the catalog defines, the encoders' own trees included
+_CATALOG_ROOTS = tuple(sorted(builtin_catalog()._trees))
+_FUZZ_CELLS = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(["a", "b", "x y", "0", "-0", "1.5"]),
+                        st.integers(-3, 3), st.booleans())
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A 1-3 column table, one root and its flip, swap and protected_feature per column,
+    and a sampling type."""
+    n = draw(st.integers(1, 12))
+    names = [f"c{j}" for j in range(draw(st.integers(1, 3)))]
+    table = DataTable({name: draw(st.lists(_FUZZ_CELLS, min_size=n, max_size=n))
+                       for name in names})
+    assigncat, assignparam = {}, {}
+    for name in names:
+        root = draw(st.sampled_from(_CATALOG_ROOTS))
+        accepted = KIND_PARAMS[builtin_catalog().resolve_entry(root)[0]]
+        params = {key: draw(values) for key, values in (
+            ("flip_prob", st.sampled_from([0.5, 1.0])), ("swap_noise", st.booleans()),
+            ("protected_feature", st.sampled_from(names))) if key in accepted and draw(st.booleans())}
+        assigncat.setdefault(root, []).append(name)
+        assignparam.setdefault(root, {})[name] = params
+    config = {"shuffletrain": draw(st.booleans()), "validation_ratio": draw(st.sampled_from([0.0, 0.25])),
+              "assigncat": assigncat, "assignparam": assignparam}
+    return table, config, draw(st.sampled_from(SAMPLING_TYPES))
+
+
+def _or_error(call):
+    """``call()``, or None when it raises a ``TabnoiseError``."""
+    try:
+        return call()
+    except TabnoiseError:
+        return None
+
+
+# a short column warns that flip or swap noise is a no-op; a RuntimeWarning still fails
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fuzz_cases())
+def test_random_tables_and_roots_prepare_deterministically(tmp_path_factory, case):
+    """Over random small tables of floats, texts, small ints, bools and blanks, with any root:
+    every call succeeds or raises a TabnoiseError, two fits write the same bytes, a saved and
+    loaded basis applies to the same bytes in every mode, and augment runs."""
+    table, config, sampling_type = case
+
+    def plan():  # a bank that bulk_seeds does not run dry
+        return _plan(list(range(2000)), sampling_type=sampling_type)
+
+    fitted = _or_error(lambda: fit(table, config, plan()))
+    if fitted is None:
+        return
+    folder = tmp_path_factory.mktemp("fuzz")
+    again = fit(table, config, plan())
+    assert _prepared_csv(fitted.train, folder) == _prepared_csv(again.train, folder)
+    save_basis(fitted.basis, folder / "a.json")
+    save_basis(again.basis, folder / "b.json")
+    assert (folder / "a.json").read_bytes() == (folder / "b.json").read_bytes()
+    loaded = load_basis(folder / "a.json")
+    for mode in pipeline.TRAINDATA_MODES:
+        out = _or_error(lambda: apply(fitted.basis, table, mode, plan()))
+        if out is not None:
+            reloaded = apply(loaded, table, mode, plan())
+            assert _prepared_csv(reloaded, folder) == _prepared_csv(out, folder), mode
+    copies = augment(fitted.basis, table, AugmentSpec(1), plan())
+    assert copies.n_rows == 2 * table.n_rows
+
+
 def test_save_load_round_trip(tmp_path):
     table = _mixed_table()
     res = fit(table, {"powertransform": "DP1", "labels_column": "label",
