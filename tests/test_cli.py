@@ -215,6 +215,21 @@ def test_transform_non_boolean_orig_headers_exit_2(workdir, caplog):
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"entropy_seeds": [-1]}, "config.entropy_seeds: entropy seeds must be nonnegative integers"),
+    ({"sampling_dict": {"sampling_type": "bogus"}},
+     "config.sampling_dict.sampling_type: expected one of 'default', 'bulk_seeds', "
+     "'sampling_seed', 'transform_seed', got 'bogus'"),
+    ({"sampling_dict": {"stochastic_count_safety_factor": -1}},
+     "config.sampling_dict.stochastic_count_safety_factor: must be in [0, 1]"),
+])
+def test_bad_seed_bank_or_sampling_dict_exit_2(workdir, caplog, values, message):
+    _with_config(workdir, **values)
+    assert _fit(workdir) == 2
+    assert [r.message for r in caplog.records if r.levelno >= logging.ERROR] == [message]
+    assert not (workdir / "out").exists()
+
+
 def test_transform_repeated_batches_consistent_basis(workdir):
     _fit(workdir)
     outputs = []

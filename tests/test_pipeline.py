@@ -887,6 +887,16 @@ def test_group_floats_agree_with_group_cells_outside_missing_rows(group):
         assert np.array_equal(values[kept], data[kept].astype(np.float64))
 
 
+def test_a_step_taking_an_undeclared_operation_raises(monkeypatch):
+    """The executor checks each sampler checkout against the operations the step
+    declares; here every noise step declares one operation fewer than it takes."""
+    declared = pipeline._noise_ops
+    monkeypatch.setattr(pipeline, "_noise_ops", lambda *args: declared(*args)[:-1])
+    with pytest.raises(RuntimeError, match=r"^transform num#1 took sampling operations "
+                                           r"\['mask', 'noise'\], but declares \['mask'\]$"):
+        fit(_numeric_table(), {"assigncat": {"DPnb": ["num"]}}, _plan())
+
+
 def test_stdbins_after_ordinal_bins_the_missing_code():
     """A missing row of an ordinal column holds the missing code (4 here), and
     stdbins bins that code; reading the codes as cells would bin 0.0 instead."""
