@@ -11,12 +11,11 @@ frequency so it never participates in noise replacement.
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Literal
 
 import numpy as np
 
-from .table import Cell, cells_of, sort_cells
+from .table import Cell, Coded, coded, numbers_of, sort_cells
 
 NumericKind = Literal["zscore", "minmax", "retain"]
 CategoricEncoding = Literal["ordinal", "boolean", "onehot", "binarized", "passthrough"]
@@ -26,11 +25,9 @@ UNKNOWN_CODE = 0  # reserved ordinal slot for values unseen in training
 
 def column_as_floats(cells) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing_mask); text and missing cells are masked, values 0-filled."""
-    if not (isinstance(cells, np.ndarray) and cells.dtype.kind == "f"):
-        cells = np.array([c if isinstance(c, float) else np.nan for c in cells_of(cells)],
-                         dtype=np.float64)
-    missing = np.isnan(cells)
-    return np.where(missing, 0.0, cells), missing
+    values = numbers_of(cells)
+    missing = np.isnan(values)
+    return np.where(missing, 0.0, values), missing
 
 
 @dataclass
@@ -140,10 +137,18 @@ class CategoricBasis:
 
 
 def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBasis:
-    counts = Counter(cells_of(cells))
-    saw_missing = counts.pop(None, 0) > 0
-    vocabulary = sort_cells(counts)
-    frequencies = [counts[v] for v in vocabulary]
+    column = coded(cells)
+    rows = len(column)
+    counts = np.bincount(column.codes, minlength=len(column.cells))
+    first = np.full(len(counts), rows, dtype=np.intp)
+    np.minimum.at(first, column.codes, np.arange(rows))
+    # equal cells (the fields 0 and -0) count as the one the rows hold first
+    folded = Counter()
+    for code in np.argsort(first, kind="stable")[:np.count_nonzero(counts)]:
+        folded[column.cells[code]] += int(counts[code])
+    saw_missing = folded.pop(None, 0) > 0
+    vocabulary = sort_cells(folded)
+    frequencies = [folded[v] for v in vocabulary]
     missing_code = len(vocabulary) + 1 if saw_missing else None
     return CategoricBasis(
         vocabulary=vocabulary,
@@ -154,9 +159,10 @@ def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBa
 
 
 def ordinal_codes(basis: CategoricBasis, cells) -> np.ndarray:
-    """Each cell's ``code_of``, looked up in one pass."""
-    cells = cells_of(cells)
-    return np.fromiter(map(basis._codes.get, cells, repeat(UNKNOWN_CODE)), np.int64, len(cells))
+    """Each cell's ``code_of``, looked up once per distinct cell."""
+    column = coded(cells)
+    return np.array([basis.code_of(cell) for cell in column.cells],
+                    dtype=np.int64)[column.codes]
 
 
 def binarized_width(basis: CategoricBasis) -> int:
@@ -206,7 +212,8 @@ def boolean_codes(basis: CategoricBasis, cells) -> np.ndarray:
 
 # Each encoding's output columns from codes, (basis, codes) -> [column], and its
 # codes from those columns, (basis, [column]) -> codes. A boolean column holds
-# code - 1, and a passthrough column the vocabulary's values.
+# code - 1, and a passthrough column the vocabulary's values, coded by the codes 0 to
+# len(vocabulary) + 1.
 Codec = namedtuple("Codec", "encode decode")
 CODECS = {
     "ordinal": Codec(lambda basis, codes: [codes],
@@ -218,8 +225,8 @@ CODECS = {
     "binarized": Codec(lambda basis, codes: list(codes_to_bits(basis, codes).T.copy()),
                        lambda basis, columns: bits_to_codes(basis, np.column_stack(columns))),
     "passthrough": Codec(
-        lambda basis, codes: [np.array([basis.value_of(c) for c in codes.tolist()],
-                                       dtype=object)],
+        lambda basis, codes: [Coded(codes, np.array([None, *basis.vocabulary, None],
+                                                    dtype=object))],
         lambda basis, columns: ordinal_codes(basis, columns[0])),
 }
 

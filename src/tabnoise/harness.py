@@ -191,8 +191,8 @@ def _features_and_labels(prepared: DataTable, label_column: str):
     if label_name is None:
         raise ConfigError(f"prepared data has no label column for {label_column!r}")
     features = [n for n in prepared.column_names if n != label_name]
-    matrix = np.column_stack([column_as_floats(prepared.array(n))[0] for n in features])
-    labels = column_as_floats(prepared.array(label_name))[0]
+    matrix = np.column_stack([column_as_floats(prepared.data(n))[0] for n in features])
+    labels = column_as_floats(prepared.data(label_name))[0]
     return matrix, labels
 
 

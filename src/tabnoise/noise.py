@@ -25,6 +25,7 @@ one pass over whole arrays.
 
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import Literal, TypedDict, Union, get_args
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .encoders import moments
 from .errors import ConfigError
 from .rng import BLOCK_ENTRIES, NOISE_DISTRIBUTIONS, NoiseDistribution
-from .table import format_cell
+from .table import as_stored, coded, format_cell, put
 
 CALIBRATION_DRAWS = 100_000
 
@@ -298,12 +299,10 @@ def swap_noise(values, mask: np.ndarray, sampler, missing: np.ndarray):
     return out
 
 
-def mask_noise(values: np.ndarray, mask: np.ndarray, mask_value: float) -> np.ndarray:
-    """Activated entries set to ``mask_value``; a column of object cells stays object."""
-    values = np.asarray(values)
-    out = values.astype(object if values.dtype == object else np.float64)
-    out[np.asarray(mask, dtype=bool)] = float(mask_value)
-    return out
+def mask_noise(values, mask: np.ndarray, mask_value: float):
+    """Activated entries set to ``mask_value``; a coded column stays coded."""
+    rows = np.flatnonzero(mask)
+    return put(as_stored(values), rows, np.full(len(rows), float(mask_value)))
 
 
 def rescale_sigma_passthrough(sigma: float, train_std: float) -> float:
@@ -330,16 +329,14 @@ class ProtectedBasis:
 
 
 def _segments(cells) -> tuple[list[str], np.ndarray]:
-    """The sorted segment keys of the sequence ``cells``, one formatted per distinct typed
-    cell (True and 1 format to two keys), and each cell's position among them."""
-    first: dict = {}  # each distinct typed cell and where it is first seen, in one C-level pass
-    seen = np.fromiter(map(first.setdefault, zip(map(type, cells), cells), range(len(cells))), np.intp)
-    keys = [format_cell(cell) for _, cell in first]
-    ordered = sorted(set(keys))
+    """The sorted segment keys of a column, one formatted per distinct cell (True and 1
+    format to two keys), and each row's position among them."""
+    column = coded(cells)
+    keys = [format_cell(cell) for cell in column.cells]
+    used = np.bincount(column.codes, minlength=len(keys)) > 0
+    ordered = sorted(set(compress(keys, used)))
     position = {key: j for j, key in enumerate(ordered)}
-    segment_of = np.zeros(len(cells), dtype=np.intp)
-    segment_of[list(first.values())] = [position[key] for key in keys]
-    return ordered, segment_of[seen]
+    return ordered, np.array([position.get(key, 0) for key in keys], dtype=np.intp)[column.codes]
 
 
 def fit_protected_numeric(target: np.ndarray, target_missing: np.ndarray, protected_cells) -> ProtectedBasis:
@@ -376,7 +373,7 @@ def fit_protected_categoric(codes: np.ndarray, vocab_size: int, protected_cells)
 
 
 def protected_ratio_vector(basis: ProtectedBasis, protected_cells, rows: np.ndarray) -> np.ndarray:
-    keys, segment_of = _segments([protected_cells[r] for r in np.asarray(rows).tolist()])
+    keys, segment_of = _segments(coded(protected_cells)[np.asarray(rows)])
     return np.array([basis.ratio_for(key) for key in keys], dtype=np.float64)[segment_of]
 
 
@@ -384,7 +381,7 @@ def protected_weight_matrix(
     basis: ProtectedBasis, aggregate_weights: np.ndarray, protected_cells, n_rows: int
 ) -> np.ndarray:
     """(rows x vocab) weight table; unseen segments use the aggregate weights."""
-    keys, segment_of = _segments(protected_cells[:n_rows])
+    keys, segment_of = _segments(coded(protected_cells)[:n_rows])
     tables = np.empty((len(keys), len(aggregate_weights)), dtype=np.float64)
     for j, key in enumerate(keys):
         table = basis.segment_frequencies.get(key)

@@ -72,7 +72,7 @@ from .noise import (
 from .rng import fisher_yates
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
 from .schema import json_fields, prepare, typed
-from .table import DataTable, cells_of, infer_feature_kind, missing_of, suffixed_name
+from .table import DataTable, as_stored, infer_feature_kind, missing_of, put, stacked, suffixed_name
 from .trees import ParamAssignments, apply_root_category, builtin_catalog, resolve_params
 
 BASIS_FORMAT_VERSION = "tabnoise-basis/1"
@@ -226,29 +226,21 @@ class _Group:
     """A step's output arrays, unnamed: cells as a table stores them, or derived
     floats or codes whose missing rows only ``missing`` marks."""
 
-    columns: list  # [np.ndarray]
+    columns: list  # [np.ndarray | Coded]
     missing: np.ndarray  # bool mask: source cell missing or not usable
     basis: CategoricBasis | None = None  # the vocabulary the columns encode, if any
     preserve_missing: bool = False
 
 
-def _group_cells(group: _Group) -> np.ndarray:
-    """The first column as cells: object cells as they are, numbers with NaN for missing."""
-    data = group.columns[0]
-    if data.dtype == object:
-        return data
-    return np.where(group.missing, np.nan, data.astype(np.float64))
+def _group_cells(group: _Group):
+    """The first column as a table stores cells, with the rows ``missing`` marks missing."""
+    return as_stored(group.columns[0], group.missing)
 
 
 def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of the first column; text and missing cells are masked and 0-filled."""
-    data = group.columns[0]
-    if data.dtype == object:
-        return column_as_floats(data)
-    values = data.astype(np.float64)
-    nan = np.isnan(values)  # missing cells carried over from a table column
-    values[nan] = 0.0
-    return values, group.missing | nan
+    values, missing = column_as_floats(group.columns[0])
+    return values, group.missing | missing
 
 
 def _single(data, missing, basis=None, preserve=False) -> _Group:
@@ -270,7 +262,7 @@ class _Ctx:
     def __init__(self, manager: StreamManager, mode: str, table: DataTable, fitting: bool):
         self.manager = manager
         self.mode = mode
-        self.cells = table.column  # a column of the table being prepared, by name
+        self.cells = table.data  # a column of the table being prepared, by name
         self.rows = table.index
         self.fitting = fitting
         self.step, self.key = None, ""  # the running AppliedStep and its key, column#step
@@ -571,9 +563,10 @@ def _apply_noise_flip(ctx, payload, group):
     columns = group.columns
     drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
-        swapped = swap_noise(np.column_stack(columns), drawn[2], ctx.sampler("swap"),
-                             group.missing)
-        columns = list(swapped.T)
+        # the rows' positions are swapped, and each column's rows move by them
+        order = swap_noise(np.arange(len(group.missing)), drawn[2], ctx.sampler("swap"),
+                           group.missing)
+        columns = [data[order] for data in columns]
     elif drawn is not None:
         _, pp, mask = drawn
         codes = _decode(group, basis)
@@ -595,11 +588,7 @@ def _apply_noise_flip(ctx, payload, group):
         flipped = np.flatnonzero(new_codes != codes)
         if len(flipped):
             encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
-            # vocabulary cells go into an object copy: a passthrough column may be floats
-            columns = [np.array(cells_of(data), dtype=object) if new.dtype == object
-                       else data.copy() for data, new in zip(columns, encoded)]
-            for data, new in zip(columns, encoded):
-                data[flipped] = new
+            columns = [put(data, flipped, new) for data, new in zip(columns, encoded)]
     return _Group(columns, group.missing, basis, group.preserve_missing)
 
 
@@ -611,7 +600,7 @@ def _apply_noise_rows(ctx, payload, group):
     if drawn is not None:
         spec, _, mask = drawn
         if "swap" in ctx.declared:
-            out = swap_noise(out, mask, ctx.sampler("swap"), group.missing)
+            out = out[swap_noise(np.arange(len(out)), mask, ctx.sampler("swap"), group.missing)]
         else:
             out = mask_noise(out, mask, spec.mask_value)
     return _single(out, group.missing, group.basis, preserve=group.preserve_missing)
@@ -763,13 +752,12 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting, shared
             raise BasisFormatError(f"transform {ctx.key} does not make the output columns the "
                                    f"basis lists, {step.output_columns}")
         for name, data in zip(names, out.columns):
-            if data.dtype.kind == "f" and len(bad := np.flatnonzero(~np.isfinite(data)
-                                                                    & ~out.missing)):
+            if (isinstance(data, np.ndarray) and data.dtype.kind == "f"
+                    and len(bad := np.flatnonzero(~np.isfinite(data) & ~out.missing))):
                 raise TableError(f"transform {ctx.key} gives a non-finite number in column "
                                  f"{name!r} at row {ctx.rows[bad[0]]}")
             # a derived number in a missing row is kept unless the group preserves missing cells
-            restore = out.preserve_missing and data.dtype != object
-            written[name] = np.where(out.missing, np.nan, data) if restore else data
+            written[name] = as_stored(data, out.missing) if out.preserve_missing else data
         if noise or step.input_base in noisy:
             noisy.add(step.output_base)
         else:
@@ -808,7 +796,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
     columns: dict[str, np.ndarray] = {}
     for col in sorted(present):
-        columns.update(_run_column(ctx, basis.plan_for(col), table.array(col),
+        columns.update(_run_column(ctx, basis.plan_for(col), table.data(col),
                                    fitting and fitting[col], shared.setdefault(col, {})))
     ordered = [name for col in present for name in basis.plan_for(col).output_columns]
     return DataTable({name: columns[name] for name in ordered}, row_index=table.index)
@@ -867,7 +855,7 @@ def fit(
     plans: dict[str, ColumnPlan] = {}
     fitting: dict[str, tuple] = {}
     for col in sorted(train.column_names):
-        kind = infer_feature_kind(train_sub.array(col)).value
+        kind = infer_feature_kind(train_sub.data(col)).value
         if col == cfg.labels_column:
             root = _label_root(kind)
         else:
@@ -977,22 +965,15 @@ def augment(
         mode = "train_no_noise" if copy_idx == 1 and not spec.all_noisy else "train"
         prepared = _prepare(basis, table, mode, manager, shared=shared)
         for name in prepared.column_names:
-            copies.setdefault(name, []).append(prepared.array(name))
+            copies.setdefault(name, []).append(prepared.data(name))
         row_index.append(prepared.index + copy_idx * stride)
-    combined = DataTable({name: _stacked(parts) for name, parts in copies.items()},
+    combined = DataTable({name: stacked(parts) for name, parts in copies.items()},
                          row_index=np.concatenate(row_index))
     del copies, row_index  # free the copies before the shuffle
     if basis.shuffletrain and combined.n_rows > 1:
         order = manager.utility_sampler("augment_shuffle").shuffled(combined.n_rows)
         combined = combined.take(order)
     return combined
-
-
-def _stacked(parts: list) -> np.ndarray:
-    """One column from the copies' arrays; noise can leave a copy float and another text."""
-    if len({part.dtype for part in parts}) > 1:
-        parts = [np.array(cells_of(part), dtype=object) for part in parts]
-    return np.concatenate(parts)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -1102,6 +1083,6 @@ def orig_headers_mode(prepared: DataTable, basis: TransformBasis) -> DataTable:
         raise ConfigError(
             f"original headers require a one-to-one plan; unmapped outputs: {extra}"
         )
-    columns = {rename[name]: prepared.array(name) for name in prepared.column_names}
+    columns = {rename[name]: prepared.data(name) for name in prepared.column_names}
     ordered = [c for c in basis.input_columns if c in columns]
     return DataTable({c: columns[c] for c in ordered}, row_index=prepared.index)

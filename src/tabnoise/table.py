@@ -5,14 +5,17 @@ Typing happens at ingestion: a field that parses as a finite float becomes a
 number, empty fields (or configured sentinels) become missing, everything
 else stays text.
 
-Each column is stored as one read-only numpy array. A column whose cells are
-all numbers or missing is a ``float64`` array with ``NaN`` for missing (cells
-are never non-finite, so ``NaN`` is free to mean missing); any other column
-is an ``object`` array of ``float | str | None``. ``row_index`` is an
-``int64`` array. Python cells are made only at the edges: ``column()`` and
-``row_index`` return lists, and ``write_csv`` formats each distinct value of a
-column once. Tables are immutable after construction and safe to share;
-transforms always build new columns.
+A column whose cells are all numbers or missing is stored as a read-only
+``float64`` array with ``NaN`` for missing (cells are never non-finite, so
+``NaN`` is free to mean missing). Any other column is a ``Coded``: a code per
+row into the column's distinct cells, as a dictionary-encoded column store
+holds it. Rows move as codes, and work on cells is done once per distinct cell
+and gathered by the codes. ``_code`` is the one place a cell sequence is coded
+cell by cell; ``load_csv`` codes a text column by its distinct fields.
+``row_index`` is an ``int64`` array. Python cells are made only at the edges:
+``array()`` gives a coded column's cells as an object array, and ``column()``
+and ``row_index`` return lists. Tables are immutable after construction and
+safe to share; transforms always build new columns.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import csv
 import math
 from collections import Counter
 from enum import Enum
+from itertools import count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,51 +81,159 @@ def _normalize_cell(value: Cell) -> Cell:
     raise TableError(f"unsupported cell type: {type(value).__name__}")
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array`` (the array itself when already read-only)."""
-    if array.flags.writeable:
+def _frozen(array):
+    """A read-only view of ``array`` (the array itself when already read-only, or coded)."""
+    if isinstance(array, np.ndarray) and array.flags.writeable:
         array = array.view()
         array.flags.writeable = False
     return array
 
 
-def _column_of_cells(cells: list) -> np.ndarray:
-    """Column array of normalized cells: float64 when every cell is a number or missing."""
-    if all(c is None or isinstance(c, float) for c in cells):
+class Coded:
+    """A column of cells as ``codes``, one integer per row, into ``cells``, an object array:
+    row ``i`` holds ``cells[codes[i]]``. Equal cells may sit under two codes (the fields
+    ``-0`` and ``0`` are two cells), and a cell no row holds may stay among ``cells``.
+    Both arrays are read-only."""
+
+    __slots__ = ("codes", "cells")
+
+    def __init__(self, codes, cells: np.ndarray):
+        self.codes = _frozen(np.asarray(codes, dtype=np.intp))
+        self.cells = _frozen(cells)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> "Coded":
+        """The given rows, moved as codes."""
+        return Coded(self.codes[rows], self.cells)
+
+    def tolist(self) -> list:
+        return self.cells[self.codes].tolist()
+
+
+def _first_seen(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key of the sequence ``keys`` is first seen, in order, and each
+    key's code, the position of its first sighting among those: one pass in C."""
+    first: dict = {}
+    seen = np.fromiter(map(first.setdefault, keys, count()), np.intp)
+    at = np.fromiter(first.values(), np.intp, len(first))
+    code_at = np.empty(len(seen), dtype=np.intp)
+    code_at[at] = np.arange(len(at))
+    return at, code_at[seen]
+
+
+def _code(cells: Sequence) -> Coded:
+    """The cells of a sequence coded one by one, each told apart by its type and its text,
+    so that True, 1 and 1.0 take three codes and -0.0 and 0.0 two."""
+    at, codes = _first_seen(zip(map(type, cells), map(str, cells)))
+    return Coded(codes, np.fromiter(map(cells.__getitem__, at.tolist()), dtype=object,
+                                    count=len(at)))
+
+
+def _numeric(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
+
+
+def _array(column):
+    """A column as it is when it is an array or coded; a sequence of cells as float64 when
+    each cell is a number (not NaN) or missing, or else as an object array."""
+    if isinstance(column, (np.ndarray, Coded)):
+        return column
+    cells = list(column)
+    if all(c is None or isinstance(c, float) and c == c for c in cells):
         return np.array(cells, dtype=np.float64)
-    return np.array(cells, dtype=object)
+    return np.fromiter(cells, dtype=object, count=len(cells))
 
 
-def _as_column(values) -> np.ndarray:
-    """Stored form of one column given as a numeric array or a sequence of cells."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+def coded(column) -> Coded:
+    """A column as codes and distinct cells: a ``Coded`` as it is; a float array by the
+    bits of its values, so -0.0 and 0.0 stay apart and NaN reads as missing; other cells
+    by ``_code``."""
+    column = _array(column)
+    if isinstance(column, Coded):
+        return column
+    if column.dtype.kind == "f":
+        values = column.astype(np.float64, copy=False)
+        distinct, codes = np.unique(np.where(np.isnan(values), np.nan, values).view(np.uint64),
+                                    return_inverse=True)
+        cells = distinct.view(np.float64).astype(object)
+        cells[np.isnan(distinct.view(np.float64))] = None
+        return Coded(codes, cells)
+    return _code(column.tolist())
+
+
+def numbers_of(column) -> np.ndarray:
+    """A column's cells as float64, with NaN for missing and text cells."""
+    column = _array(column)
+    if _numeric(column):
+        return column.astype(np.float64, copy=False)
+    column = coded(column)
+    return np.array([c if isinstance(c, float) else np.nan for c in column.cells],
+                    dtype=np.float64)[column.codes]
+
+
+def as_stored(column, missing: np.ndarray | None = None):
+    """``column`` as a table stores it, with the rows ``missing`` marks as missing cells:
+    numbers as float64 with NaN; other cells coded, unless every cell a row holds is a
+    number or missing."""
+    if _numeric(column):
+        values = column.astype(np.float64, copy=False)
+        return values if missing is None else np.where(missing, np.nan, values)
+    column = coded(column)
+    if missing is not None:
+        column = Coded(np.where(missing, len(column.cells), column.codes),
+                       np.append(column.cells, None))
+    text = np.array([not (c is None or isinstance(c, float)) for c in column.cells], dtype=bool)
+    return column if text[column.codes].any() else numbers_of(column)
+
+
+def _as_column(values):
+    """Stored form of one column given as a numeric array, a ``Coded`` or a sequence of cells."""
+    values = _array(values)
+    if _numeric(values):
         if values.ndim != 1:
             raise TableError("column arrays must be one-dimensional")
         column = values.astype(np.float64, copy=False)
         if np.isinf(column).any():
             raise TableError("non-finite numbers are not valid cells; use missing instead")
         return _frozen(column)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return _frozen(_column_of_cells([_normalize_cell(v) for v in values]))
+    if not isinstance(values, Coded):  # cells a table holds are normalized; others once each
+        values = coded(values)
+        values = Coded(values.codes, np.array([_normalize_cell(c) for c in values.cells],
+                                              dtype=object))
+    return _frozen(as_stored(values))
 
 
 def cells_of(column) -> list:
-    """Python cells of a column array (``NaN`` reads as missing); other sequences as given."""
-    if not isinstance(column, np.ndarray):
-        return column
-    cells = column.tolist()
-    if column.dtype.kind == "f":
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            cells[i] = None
-    return cells
+    """Python cells of a column (``NaN`` reads as missing)."""
+    return coded(column).tolist()
 
 
-def missing_of(column: np.ndarray) -> np.ndarray:
-    """Boolean mask of the missing cells of a column array."""
-    if column.dtype == object:
-        return np.equal(column, None)
+def missing_of(column) -> np.ndarray:
+    """Boolean mask of the missing cells of a stored column."""
+    if isinstance(column, Coded):
+        return np.equal(column.cells, None)[column.codes]
     return np.isnan(column)
+
+
+def put(column, rows: np.ndarray, part):
+    """A copy of ``column`` whose ``rows`` hold the rows of ``part``, in order."""
+    order = np.arange(len(column))
+    order[rows] = len(column) + np.arange(len(part))
+    return stacked([column, part])[order]
+
+
+def stacked(parts: list):
+    """One column of the parts' rows in order: numbers concatenated, or else codes into the
+    parts' cells, with a dictionary that several parts share taken once."""
+    if all(map(_numeric, parts)):
+        return np.concatenate(parts)
+    parts = [coded(part) for part in parts]
+    dictionaries = {id(part.cells): part.cells for part in parts}
+    starts = dict(zip(dictionaries, np.cumsum([0, *map(len, dictionaries.values())]).tolist()))
+    return Coded(np.concatenate([part.codes + starts[id(part.cells)] for part in parts]),
+                 np.concatenate(list(dictionaries.values())))
 
 
 class DataTable:
@@ -172,7 +284,12 @@ class DataTable:
         return self._index.tolist()
 
     def array(self, name: str) -> np.ndarray:
-        """The stored read-only column: float64 with NaN for missing, or object cells."""
+        """The column as a read-only array: float64 with NaN for missing, or object cells."""
+        column = self._columns[name]
+        return _frozen(column.cells[column.codes]) if isinstance(column, Coded) else column
+
+    def data(self, name: str):
+        """The stored column: float64 with NaN for missing, or a ``Coded``."""
         return self._columns[name]
 
     def column(self, name: str) -> list[Cell]:
@@ -184,18 +301,8 @@ class DataTable:
     def take(self, rows: Sequence[int]) -> "DataTable":
         """New table with the given positional rows, preserving row_index values."""
         rows = np.asarray(rows, dtype=np.intp)
-        return DataTable._trusted({name: col[rows] for name, col in self._columns.items()},
-                                self._index[rows])
-
-    @classmethod
-    def _trusted(cls, columns: dict, index: np.ndarray) -> "DataTable":
-        """A table of column arrays already in stored form, of equal length, under unique
-        names: taken as they are, with no normalizing or checks."""
-        table = object.__new__(cls)
-        table.column_names = list(columns)
-        table._columns = {name: _frozen(col) for name, col in columns.items()}
-        table._index = _frozen(index)
-        return table
+        return DataTable({name: col[rows] for name, col in self._columns.items()},
+                         self._index[rows])
 
     def equals(self, other: "DataTable") -> bool:
         return (
@@ -208,7 +315,7 @@ class DataTable:
         return f"DataTable({len(self.column_names)} columns x {self.n_rows} rows)"
 
 
-def _typed_column(fields: Sequence[str], sentinels) -> np.ndarray:
+def _typed_column(fields: Sequence[str], sentinels):
     """One column of CSV fields, typed by ``parse_cell``'s rules."""
     try:
         cells = [None if text in sentinels else float(text) for text in fields]
@@ -217,9 +324,11 @@ def _typed_column(fields: Sequence[str], sentinels) -> np.ndarray:
             return values
     except ValueError:
         pass
-    # text, or 'nan'/'inf' spellings, which parse but stay text: each distinct field once
-    typed = {text: parse_cell(text, sentinels) for text in set(fields)}
-    return _column_of_cells(list(map(typed.__getitem__, fields)))
+    # text, or 'nan'/'inf' spellings, which parse but stay text: coded by field, each
+    # distinct field typed once
+    at, codes = _first_seen(fields)
+    return Coded(codes, np.array([parse_cell(fields[i], sentinels) for i in at.tolist()],
+                                 dtype=object))
 
 
 def load_csv(
@@ -250,7 +359,7 @@ def load_csv(
     fields = zip(*body) if body else ((),) * width
     sentinels = frozenset(missing_sentinels)
     columns = {name: _typed_column(col, sentinels) for name, col in zip(names, fields)}
-    return DataTable._trusted(columns, np.arange(len(body), dtype=np.int64))
+    return DataTable(columns)
 
 
 # cells per frame of rows, so the text never holds the whole table
@@ -265,14 +374,11 @@ def _field(text: str, delimiter: str) -> str:
     return text
 
 
-def _distinct_texts(column: np.ndarray, delimiter: str, empty: str) -> tuple:
-    """Each distinct cell of an object column formatted as ``format_cell`` does and quoted,
-    once, as UTF-8; and each cell's position among them."""
-    cells = column.tolist()
-    codes = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
-    # the positions are held for the whole write, so in the narrowest type that fits
-    inverse = np.fromiter(map(codes.__getitem__, cells), np.min_scalar_type(len(codes)), len(cells))
-    return [(_field(format_cell(cell), delimiter) or empty).encode() for cell in codes], inverse
+def _distinct_texts(column: Coded, delimiter: str, empty: str) -> tuple:
+    """Each distinct cell of a coded column formatted as ``format_cell`` does and quoted,
+    once, as UTF-8; and the column's codes."""
+    return ([(_field(format_cell(cell), delimiter) or empty).encode() for cell in column.cells],
+            column.codes)
 
 
 def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: bool = False) -> None:
@@ -289,8 +395,8 @@ def write_csv(table: DataTable, path, delimiter: str = ",", include_row_index: b
     header = [suffixed_name("row", "index", names)] + names if include_row_index else names
     # csv.writer writes a row of one empty field as "", so it does not read as a blank line
     empty = '""' if len(header) == 1 else ""
-    columns = [_distinct_texts(a, delimiter, empty) if a.dtype == object else a
-               for a in map(table.array, names)]
+    columns = [_distinct_texts(a, delimiter, empty) if isinstance(a, Coded) else a
+               for a in map(table.data, names)]
     with open(path, "wb") as handle:
         handle.write((delimiter.join(_field(name, delimiter) or empty for name in header)
                       + "\r\n").encode())
@@ -309,7 +415,9 @@ def infer_feature_kind(column: Iterable[Cell]) -> FeatureKind:
         if np.isnan(column).all():
             return FeatureKind.CATEGORIC
         return FeatureKind.NUMERIC
-    seen = {value for value in cells_of(column) if value is not None}
+    column = coded(column)
+    used = np.bincount(column.codes, minlength=len(column.cells)) > 0
+    seen = {value for value in column.cells[used] if value is not None}
     if not seen:
         return FeatureKind.CATEGORIC
     if all(isinstance(value, float) for value in seen):

@@ -1,5 +1,6 @@
 import csv
 import random
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -228,6 +229,41 @@ def test_transform_leaves_input_table_unchanged():
     fitted = fit(table, config, plan)
     apply(fitted.basis, table, "train", plan)
     assert {name: table.column(name) for name in table.column_names} == before
+
+
+# -- coded columns ----------------------------------------------------------------
+
+
+def _bits(cells) -> list:
+    """Each cell with its type, a float as its bit pattern, so -0.0 and 0.0 differ."""
+    return [(type(c), struct.pack("<d", c) if isinstance(c, float) else c) for c in cells]
+
+
+_CODED_CELLS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(["a", "b", "0", "-0", ""]), st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_CODED_CELLS, max_size=16),
+       floats=st.lists(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 5e-324]), st.floats(
+           allow_nan=False, allow_infinity=False)), max_size=8), data=st.data())
+def test_coded_cells_gather_back_bit_for_bit(cells, floats, data):
+    """Coding cells and gathering them back gives the same cells, each zero with its sign;
+    take and stacked move codes and give the per-cell results, a float part's too."""
+    column = table_module._code(cells)
+    assert _bits(column.tolist()) == _bits(cells)
+    assert len(set(_bits(column.cells))) == len(column.cells)  # each distinct cell once
+    rows = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=12) if cells
+                     else st.just([]))
+    assert _bits(column[np.array(rows, dtype=np.intp)].tolist()) == _bits([cells[r] for r in rows])
+    table = DataTable({"c": cells})
+    assert _bits(table.take(rows).column("c")) == _bits([cells[r] for r in rows])
+    part = np.array([np.nan if c is None else c for c in floats], dtype=np.float64)
+    for parts, want in (([part, column], floats + cells), ([column, part], cells + floats),
+                        ([column, column[::-1]], cells + cells[::-1]),
+                        ([table.data("c"), part], cells + floats)):
+        assert _bits(table_module.cells_of(table_module.stacked(parts))) == _bits(want)
 
 
 # -- CSV round trip against the cell-by-cell reference ------------------------------
