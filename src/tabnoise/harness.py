@@ -30,11 +30,11 @@ from .errors import ConfigError
 from .pipeline import apply, fit
 from .rng import Pcg64Stream, StreamSampler, mix_seed
 from .sampling import SamplingPlan
-from .table import DataTable
+from .table import Coded, DataTable
 
 SCENARIO_PREFIX = {"train": "DP", "test": "DT", "traintest": "DB"}
 
-_CATEGORY_LEVELS = ("A", "B", "C", "D", "E")
+_CATEGORY_LEVELS = np.array(["A", "B", "C", "D", "E"], dtype=object)
 
 
 @dataclass
@@ -90,7 +90,7 @@ def generate_task(spec: SyntheticTask) -> tuple[DataTable, DataTable]:
     for k in range(spec.n_categoric):
         picks = sampler.bounded_ints(total, len(_CATEGORY_LEVELS))
         logit += effects[k][picks]
-        columns[f"c{k}"] = [_CATEGORY_LEVELS[p] for p in picks]
+        columns[f"c{k}"] = Coded(picks, _CATEGORY_LEVELS)
     noise = sampler.normals(total, 0.0, 0.8)
     labels = (logit + noise > 0.0).astype(np.float64)
     columns[spec.label_column] = labels

@@ -708,7 +708,7 @@ def _structure(catalog, assignments, column, root, kind, used_names):
     return plan, (params, surviving)
 
 
-def _run_column(ctx: _Ctx, plan: ColumnPlan, column: np.ndarray, fitting, shared: dict) -> list:
+def _run_column(ctx: _Ctx, plan: ColumnPlan, column, fitting, shared: dict) -> list:
     """Run a column's steps in order; returns its output columns as (name, array).
 
     The executor names each step's outputs, checks them against the basis and

@@ -10,7 +10,7 @@ A column whose cells are all numbers or missing is stored as a read-only
 ``NaN`` is free to mean missing). Any other column is a ``Coded``: a code per
 row into the column's distinct cells, as a dictionary-encoded column store
 holds it. Rows move as codes, and work on cells is done once per distinct cell
-and gathered by the codes. ``_code`` is the one place a cell sequence is coded
+and gathered by the codes. ``_first_seen`` is the one place a sequence is coded
 cell by cell; ``load_csv`` codes a text column by its distinct fields.
 ``row_index`` is an ``int64`` array. Python cells are made only at the edges:
 ``array()`` gives a coded column's cells as an object array, and ``column()``
@@ -113,22 +113,14 @@ class Coded:
 
 
 def _first_seen(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Where each distinct key of the sequence ``keys`` is first seen, in order, and each
-    key's code, the position of its first sighting among those: one pass in C."""
+    """The one pass that codes a sequence key by key, in C: where each distinct key of
+    ``keys`` is first seen, in order, and each key's code, its position among those."""
     first: dict = {}
     seen = np.fromiter(map(first.setdefault, keys, count()), np.intp)
     at = np.fromiter(first.values(), np.intp, len(first))
     code_at = np.empty(len(seen), dtype=np.intp)
     code_at[at] = np.arange(len(at))
     return at, code_at[seen]
-
-
-def _code(cells: Sequence) -> Coded:
-    """The cells of a sequence coded one by one, each told apart by its type and its text,
-    so that True, 1 and 1.0 take three codes and -0.0 and 0.0 two."""
-    at, codes = _first_seen(zip(map(type, cells), map(str, cells)))
-    return Coded(codes, np.fromiter(map(cells.__getitem__, at.tolist()), dtype=object,
-                                    count=len(at)))
 
 
 def _numeric(column) -> bool:
@@ -149,7 +141,7 @@ def _array(column):
 def coded(column) -> Coded:
     """A column as codes and distinct cells: a ``Coded`` as it is; a float array by the
     bits of its values, so -0.0 and 0.0 stay apart and NaN reads as missing; other cells
-    by ``_code``."""
+    by their type and text, so True, 1 and 1.0 take three codes."""
     column = _array(column)
     if isinstance(column, Coded):
         return column
@@ -160,7 +152,10 @@ def coded(column) -> Coded:
         cells = distinct.view(np.float64).astype(object)
         cells[np.isnan(distinct.view(np.float64))] = None
         return Coded(codes, cells)
-    return _code(column.tolist())
+    cells = column.tolist()
+    at, codes = _first_seen(zip(map(type, cells), map(str, cells)))
+    return Coded(codes, np.fromiter(map(cells.__getitem__, at.tolist()), dtype=object,
+                                    count=len(at)))
 
 
 def numbers_of(column) -> np.ndarray:

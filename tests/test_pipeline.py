@@ -537,12 +537,14 @@ def _fuzz_cases(draw):
     for name in names:
         root = draw(st.sampled_from(_CATALOG_ROOTS))
         accepted = KIND_PARAMS[builtin_catalog().resolve_entry(root)[0]]
-        params = {key: draw(values) for key, values in (
-            ("flip_prob", st.sampled_from([0.5, 1.0])), ("swap_noise", st.booleans()),
-            ("protected_feature", st.sampled_from(names))) if key in accepted and draw(st.booleans())}
+        options = (("flip_prob", st.sampled_from([0.5, 1.0])), ("swap_noise", st.booleans()),
+                   ("protected_feature", st.sampled_from(names)))
+        params = {key: draw(values) for key, values in options
+                  if key in accepted and draw(st.booleans())}
         assigncat.setdefault(root, []).append(name)
         assignparam.setdefault(root, {})[name] = params
-    config = {"shuffletrain": draw(st.booleans()), "validation_ratio": draw(st.sampled_from([0.0, 0.25])),
+    config = {"shuffletrain": draw(st.booleans()),
+              "validation_ratio": draw(st.sampled_from([0.0, 0.25])),
               "assigncat": assigncat, "assignparam": assignparam}
     return table, config, draw(st.sampled_from(SAMPLING_TYPES))
 

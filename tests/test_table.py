@@ -251,7 +251,7 @@ _CODED_CELLS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
 def test_coded_cells_gather_back_bit_for_bit(cells, floats, data):
     """Coding cells and gathering them back gives the same cells, each zero with its sign;
     take and stacked move codes and give the per-cell results, a float part's too."""
-    column = table_module._code(cells)
+    column = table_module.coded(cells)
     assert _bits(column.tolist()) == _bits(cells)
     assert len(set(_bits(column.cells))) == len(column.cells)  # each distinct cell once
     rows = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=12) if cells
