@@ -202,7 +202,12 @@ def _as_column(values):
 
 def cells_of(column) -> list:
     """Python cells of a column (``NaN`` reads as missing)."""
-    return coded(column).tolist()
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
+        return coded(column).tolist()
+    cells = column.tolist()
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = None
+    return cells
 
 
 def missing_of(column) -> np.ndarray:
