@@ -226,14 +226,17 @@ def put(column, rows: np.ndarray, part):
 
 def stacked(parts: list):
     """One column of the parts' rows in order: numbers concatenated, or else codes into the
-    parts' cells, with a dictionary that several parts share taken once."""
+    parts' distinct cells, a dictionary that several parts share taken once."""
     if all(map(_numeric, parts)):
         return np.concatenate(parts)
     parts = [coded(part) for part in parts]
     dictionaries = {id(part.cells): part.cells for part in parts}
     starts = dict(zip(dictionaries, np.cumsum([0, *map(len, dictionaries.values())]).tolist()))
-    return Coded(np.concatenate([part.codes + starts[id(part.cells)] for part in parts]),
-                 np.concatenate(list(dictionaries.values())))
+    codes = np.concatenate([part.codes + starts[id(part.cells)] for part in parts])
+    # each cell object once: the copies augment stacks hold the same cells in new dictionaries
+    cells = np.concatenate(list(dictionaries.values()))
+    at, merged = _first_seen(map(id, cells))
+    return Coded(merged[codes], cells[at])
 
 
 class DataTable:
