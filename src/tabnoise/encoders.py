@@ -11,6 +11,7 @@ frequency so it never participates in noise replacement.
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -161,8 +162,8 @@ def fit_categoric(cells, encoding: CategoricEncoding = "ordinal") -> CategoricBa
 def ordinal_codes(basis: CategoricBasis, cells) -> np.ndarray:
     """Each cell's ``code_of``, looked up once per distinct cell."""
     column = coded(cells)
-    return np.array([basis.code_of(cell) for cell in column.cells],
-                    dtype=np.int64)[column.codes]
+    return np.fromiter(map(basis._codes.get, column.cells, repeat(UNKNOWN_CODE)), np.int64,
+                       len(column.cells))[column.codes]
 
 
 def binarized_width(basis: CategoricBasis) -> int:

@@ -24,7 +24,7 @@ import csv
 import math
 from collections import Counter
 from enum import Enum
-from itertools import count
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,22 +169,20 @@ def numbers_of(column) -> np.ndarray:
 
 
 def as_stored(column, missing: np.ndarray | None = None):
-    """``column`` as a table stores it, with the rows ``missing`` marks as missing cells:
-    numbers as float64 with NaN; other cells coded, unless every cell a row holds is a
-    number or missing."""
+    """``column`` in one of the two forms a table stores, with the rows ``missing`` marks
+    as missing cells: numbers as float64 with NaN, other cells coded."""
     if _numeric(column):
         values = column.astype(np.float64, copy=False)
         return values if missing is None else np.where(missing, np.nan, values)
     column = coded(column)
-    if missing is not None:
-        column = Coded(np.where(missing, len(column.cells), column.codes),
-                       np.append(column.cells, None))
-    text = np.array([not (c is None or isinstance(c, float)) for c in column.cells], dtype=bool)
-    return column if text[column.codes].any() else numbers_of(column)
+    if missing is None:
+        return column
+    return Coded(np.where(missing, len(column.cells), column.codes), np.append(column.cells, None))
 
 
 def _as_column(values):
-    """Stored form of one column given as a numeric array, a ``Coded`` or a sequence of cells."""
+    """Stored form of one column given as a numeric array, a ``Coded`` or a sequence of cells:
+    float64 when every cell a row holds is a number or missing, else coded."""
     values = _array(values)
     if _numeric(values):
         if values.ndim != 1:
@@ -197,7 +195,9 @@ def _as_column(values):
         values = coded(values)
         values = Coded(values.codes, np.array([_normalize_cell(c) for c in values.cells],
                                               dtype=object))
-    return _frozen(as_stored(values))
+    numbers = np.fromiter(map(isinstance, values.cells, repeat((float, type(None)))), bool,
+                          len(values.cells))
+    return _frozen(numbers_of(values)) if numbers[values.codes].all() else values
 
 
 def cells_of(column) -> list:
