@@ -22,7 +22,7 @@ from tabnoise.pipeline import (
     augment,
     fit,
 )
-from tabnoise.noise import NoiseSpec
+from tabnoise.noise import NoiseSpec, resolve_param
 from tabnoise.rng import ExternalWordStream, PackedSeeds, Pcg64Stream, StreamSampler, mix_seed
 from tabnoise.sampling import (
     GeneratorSpec,
@@ -35,7 +35,7 @@ from tabnoise.sampling import (
 )
 from tabnoise.schema import typed
 from tabnoise.table import DataTable
-from tabnoise.trees import builtin_catalog
+from tabnoise.trees import _checked_params, builtin_catalog
 
 
 def test_bulk_seeds_defaults_to_primary():
@@ -588,6 +588,38 @@ def test_reresolved_flip_prob_is_budgeted_at_its_top(raw, resolved, train, test,
             top = fitted.phase_params(mode)["flip_prob"]
         assert _noise_ops("noise_numeric", payload, mode, fitting, 100)[-1] == (
             "noise", 100 * top, True)
+
+
+_PROBS = st.floats(0.0, 1.0)
+_UNIFORM_DRAWS = st.fixed_dictionaries({"distribution": st.just("uniform")},
+                                       optional={"low": _PROBS, "high": _PROBS})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flip=st.one_of(_PROBS, st.lists(_PROBS, min_size=1, max_size=4), _UNIFORM_DRAWS),
+       test_flip=st.one_of(st.none(), _PROBS, _UNIFORM_DRAWS,
+                           st.lists(st.none() | _PROBS, min_size=1, max_size=4)))
+def test_every_resolved_flip_prob_is_within_its_budgeted_top(flip, test_flip):
+    """Whatever a later preparation re-resolves a flip probability to, the budget's
+    top covers it, and the config check accepts the value."""
+    raw = {"flip_prob": flip, "test_flip_prob": test_flip}
+    _checked_params(raw, "config")
+    randomized = [name for name, value in raw.items() if isinstance(value, (list, dict))]
+
+    def resolved(seed):
+        sampler = StreamSampler(Pcg64Stream(*mix_seed(b"flip-top", [seed])))
+        return {**raw, **{name: resolve_param(raw[name], sampler) for name in randomized},
+                "testnoise": True, "retain_basis": False}
+
+    payload = {"params_raw": {**raw, "retain_basis": False}, "resolved": resolved(50),
+               "randomized_fields": randomized}
+    rows = 1024  # a power of two: entries / rows is the top exactly
+    top = {phase: _noise_ops("noise_numeric", payload, phase, False, rows)[-1][1] / rows
+           for phase in ("train", "test")}
+    for seed in range(50):
+        spec = NoiseSpec(**resolved(seed))
+        for phase in ("train", "test"):
+            assert spec.phase_params(phase)["flip_prob"] <= top[phase]
 
 
 def test_direct_flip_on_ordinal_encoding_budgets_its_weighted_flip():

@@ -226,6 +226,21 @@ def test_each_strict_level_names_itself_in_its_message():
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"test_flip_prob": [0.5, 1.5]}, "test_flip_prob[1]: 1.5 is outside [0, 1]"),
+    ({"flip_prob": {"distribution": "uniform", "high": 2.0}},
+     "flip_prob.high: 2.0 is outside [0, 1]"),
+    ({"flip_prob": 1.5}, "flip_prob: 1.5 is outside [0, 1]"),
+    ({"sigma": {"distribution": "uniform", "low": -1.0}}, "sigma.low: -1.0 is outside [0, inf]"),
+    ({"flip_prob": {"distribution": "normal", "mu": 0.5}},
+     "flip_prob.distribution: a normal draw can leave [0, 1]; use a list or a uniform draw"),
+])
+def test_range_check_messages(params, message):
+    with pytest.raises(ConfigError) as caught:
+        ParamAssignments.from_config({"DPbn": {"cat": params}})
+    assert str(caught.value) == f"config.assignparam.DPbn.cat.{message}"
+
+
 # -- builtin catalog -------------------------------------------------------------------
 
 
