@@ -156,6 +156,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_seed_report(args) -> int:
+    for flag, rows in (("--rows-train", args.rows_train), ("--rows-test", args.rows_test)):
+        if rows < 0:
+            raise ConfigError(f"{flag}: must be nonnegative, got {rows}")
     basis = load_basis(args.basis)
     report = basis.seed_report
     budgets = {

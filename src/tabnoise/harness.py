@@ -49,6 +49,9 @@ class SyntheticTask:
     def __post_init__(self):
         if self.n_rows < 1 or self.n_test_rows < 1:
             raise ConfigError("task sizes must be at least 1")
+        for name in ("seed", "n_numeric", "n_categoric"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be nonnegative, got {getattr(self, name)}")
         if self.n_numeric + self.n_categoric < 1:
             raise ConfigError("task needs at least one feature")
 

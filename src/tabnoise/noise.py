@@ -251,16 +251,15 @@ def weighted_flip(
         warnings.warn("vocabulary has no alternate values; flip noise is a no-op")
         return out
     base = np.asarray(weights, dtype=np.float64)
+    # every row's weights; a row of the broadcast sums bit for bit as base does
+    table = (np.broadcast_to(base, (len(codes), len(base))) if segment_weights is None
+             else np.asarray(segment_weights, dtype=np.float64))
     draws = sampler.uniforms(len(active))
     step = max(1, _FLIP_BLOCK // vocab_size)
     for start in range(0, len(active), step):
         rows = active[start : start + step]
-        if segment_weights is None:
-            w = np.tile(base, (len(rows), 1))
-            total = np.full(len(rows), float(np.sum(base)))
-        else:
-            w = np.asarray(segment_weights, dtype=np.float64)[rows]
-            total = np.sum(w, axis=1)
+        w = table[rows]
+        total = np.sum(w, axis=1)
         # exclude the current code: its weight leaves the total and its bucket
         current = codes[rows]
         own = np.flatnonzero((current >= 1) & (current <= vocab_size))
@@ -404,15 +403,26 @@ def resolve_param(value, sampler):
             return value[0]
         pick = int(sampler.bounded_ints(1, len(value))[0])
         return value[pick]
-    spec = dict(value)
-    name = spec.pop("distribution")
+    name = value["distribution"]
     if name in ("normal", "laplace"):
-        return float(sampler.shaped(name, spec.get("mu", 0.0), spec.get("sigma", 1.0), 1)[0])
+        return float(sampler.shaped(name, value.get("mu", 0.0), value.get("sigma", 1.0), 1)[0])
     if name == "uniform":
-        low = spec.get("low", 0.0)
-        high = spec.get("high", 1.0)
+        (_, low), (_, high) = param_support(value)
         return float(low + (high - low) * sampler.uniforms(1)[0])
     raise ConfigError(f"unknown parameter distribution: {name!r}")
+
+
+def param_support(value) -> list | None:
+    """What ``resolve_param`` can resolve ``value`` to, as (JSON path suffix, value) pairs:
+    a fixed value, each list candidate, or a uniform draw's ``low`` and ``high`` (0 and 1
+    when unset) and anything between; None for a normal or laplace draw, which has no bounds."""
+    if isinstance(value, (list, tuple)):
+        return [(f"[{i}]", candidate) for i, candidate in enumerate(value)]
+    if not is_randomized_param(value):
+        return [("", value)]
+    if value["distribution"] != "uniform":
+        return None
+    return [(".low", value.get("low", 0.0)), (".high", value.get("high", 1.0))]
 
 
 def is_randomized_param(value) -> bool:

@@ -59,6 +59,7 @@ from .noise import (
     inject_numeric,
     is_randomized_param,
     mask_noise,
+    param_support,
     protected_ratio_vector,
     protected_weight_matrix,
     resolve_param,
@@ -71,7 +72,7 @@ from .noise import (
 )
 from .rng import fisher_yates
 from .sampling import SamplingPlan, SeedReport, StreamManager, compute_seed_report
-from .schema import json_fields, prepare, typed
+from .schema import json_fields, typed
 from .table import DataTable, as_stored, infer_feature_kind, missing_of, put, stacked, suffixed_name
 from .trees import ParamAssignments, apply_root_category, builtin_catalog, resolve_params
 
@@ -187,21 +188,17 @@ class TransformBasis:
 
     def required_columns(self) -> list:
         required = [c for c in self.input_columns if c != self.label_column]
-        for plan in self.column_plans.values():
-            for step in plan.steps:
-                protected = step.payload.get("resolved", {}).get("protected_feature")
-                if protected and protected not in required:
-                    required.append(protected)
+        for step in self.noise_steps().values():  # only noise payloads name a protected feature
+            protected = step.payload["resolved"].get("protected_feature")
+            if protected and protected not in required:
+                required.append(protected)
         return required
 
-    def noise_step_keys(self) -> list:
-        keys = []
-        for column in sorted(self.column_plans):
-            plan = self.column_plans[column]
-            for idx, step in enumerate(plan.steps):
-                if step.kind in NOISE_KINDS:
-                    keys.append(_transform_key(column, idx))
-        return keys
+    def noise_steps(self) -> dict:
+        """The noise steps by transform key, column#step, in column order."""
+        return {_transform_key(column, idx): step for column in sorted(self.column_plans)
+                for idx, step in enumerate(self.column_plans[column].steps)
+                if step.kind in NOISE_KINDS}
 
 
 @dataclass
@@ -360,17 +357,14 @@ def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) ->
 def _top_flip_prob(spec: NoiseSpec, payload: dict, phase: str) -> float:
     """The largest flip probability that re-resolving the payload can give ``phase``.
 
-    A randomized value can resolve to any candidate of its list, or anywhere
-    between a uniform draw's ``low`` and ``high``; the config check holds both
-    in [0, 1]. An unset ``test_flip_prob`` takes ``flip_prob``.
+    A randomized value can resolve to anything within its ``param_support``,
+    which the config check holds in [0, 1]; a top of 1 stands for a draw with
+    no bounds. An unset ``test_flip_prob`` takes ``flip_prob``.
     """
     def support(name):
-        if name not in payload.get("randomized_fields", []):
-            return [getattr(spec, name)]
-        value = payload["params_raw"][name]
-        if isinstance(value, dict):
-            return [value.get("low", 0.0), value.get("high", 1.0)]
-        return list(value)
+        randomized = name in payload.get("randomized_fields", [])
+        pairs = param_support(payload["params_raw"][name] if randomized else getattr(spec, name))
+        return [1.0] if pairs is None else [value for _, value in pairs]
 
     own = support("test_flip_prob") if phase == "test" else [None]
     return max(p for candidate in own
@@ -469,10 +463,15 @@ def _apply_missing_marker(ctx, payload, group):
     return _single(marker, np.zeros(len(marker), dtype=bool))
 
 
-def _with_protected(ctx: _Ctx, payload: dict, values: np.ndarray, missing: np.ndarray) -> dict:
+def _with_protected(ctx: _Ctx, payload: dict, group: _Group) -> dict:
+    """``payload``, with its protected feature's segments fitted when it names one: the
+    spread of the values per segment, or with a vocabulary, its frequencies."""
     protected = payload["resolved"].get("protected_feature")
     if protected:
-        payload["protected"] = fit_protected_numeric(values, missing, ctx.cells(protected))
+        cells, basis = ctx.cells(protected), payload.get("categoric_basis")
+        payload["protected"] = (
+            fit_protected_numeric(*_group_floats(group), cells) if basis is None
+            else fit_protected_categoric(_decode(group, basis), len(basis.vocabulary), cells))
     return payload
 
 
@@ -480,7 +479,7 @@ def _fit_noise_numeric(ctx, group, params):
     payload = _noise_payload(ctx, group, params)
     values, missing = _group_floats(group)
     payload["train_std"] = moments(values[~missing])[1]
-    return _with_protected(ctx, payload, values, missing)
+    return _with_protected(ctx, payload, group)
 
 
 def _fit_noise_scaled(ctx, group, params):
@@ -503,7 +502,7 @@ def _fit_noise_scaled(ctx, group, params):
             )
             payload[f"mu_adjusted_{phase}"] = mu_adj
             payload[f"adjust_degenerate_{phase}"] = degenerate
-    return _with_protected(ctx, payload, values, missing)
+    return _with_protected(ctx, payload, group)
 
 
 def _apply_noise_numeric(scaled: bool, ctx, payload, group):
@@ -547,12 +546,7 @@ def _fit_noise_flip(ctx, group, params):
             "flip noise requires an upstream categoric encoding with a fitted vocabulary"
         )
     payload.update(categoric_basis=basis, encoding=basis.encoding)
-    protected = payload["resolved"].get("protected_feature")
-    if protected:
-        payload["protected"] = fit_protected_categoric(
-            _decode(group, basis), len(basis.vocabulary), ctx.cells(protected)
-        )
-    return payload
+    return _with_protected(ctx, payload, group)
 
 
 def _apply_noise_flip(ctx, payload, group):
@@ -667,8 +661,6 @@ _TRANSFORMS = {
 KIND_PARAMS = {kind: accepted for kind, (*_, accepted) in _TRANSFORMS.items()}
 # noise steps: the kinds that take the noise flags
 NOISE_KINDS = tuple(kind for kind, accepted in KIND_PARAMS.items() if "trainnoise" in accepted)
-# the schema is fixed: compile it with the module, as a regular expression would be
-prepare(FitConfig, TransformBasis, *(payload for _, _, payload, _ in _TRANSFORMS.values()))
 
 
 # -- one executor for fit and apply --------------------------------------------
@@ -790,7 +782,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
         extra = [c for c in table.column_names if c not in known]
         if extra:
             warnings.warn(f"ignoring columns not in fitted schema: {', '.join(extra)}")
-    manager.register(basis.noise_step_keys())
+    manager.register(basis.noise_steps())
     ctx = _Ctx(manager, mode, table, fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
@@ -886,7 +878,7 @@ def fit(
     n_train_basis = len(positions)
     n_test_basis = test.n_rows if test is not None else n_train_basis
     # the seed report sums each noise step's operations: fitting, then a test preparation
-    steps = [step for p in plans.values() for step in p.steps if step.kind in NOISE_KINDS]
+    steps = basis.noise_steps().values()
     ops = [(phase, entries, stochastic) for step in steps
            for phase, rows in (("train", n_train_basis), ("test", n_test_basis))
            for _, entries, stochastic in _noise_ops(step.kind, step.payload, phase,

@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, Sequence, get_args
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -42,6 +42,7 @@ SeedingType = Literal["supplemental_seeds", "primary_seeds"]
 SAMPLING_TYPES = get_args(SamplingType)
 
 MAX_SUGGESTED_SEED = 2**31 - 1
+STOCHASTIC_COUNT_SAFETY_FACTOR = 0.15
 
 # Generator names accepted in configs, mapped to generator kinds.
 GENERATOR_NAMES = {
@@ -68,7 +69,7 @@ class SamplingPlan:
     seeding_type: SeedingType | None = None
     # any sequence of int-like seeds; held as PackedSeeds once the plan is built
     entropy_seeds: Sequence[int] | PackedSeeds = field(default_factory=list)
-    stochastic_count_safety_factor: float = 0.15
+    stochastic_count_safety_factor: float = STOCHASTIC_COUNT_SAFETY_FACTOR
     # generators: a GeneratorSpec or a name in GENERATOR_NAMES; "off" or None: no extra one
     sampling_generator: GeneratorSpec | str = field(default_factory=GeneratorSpec)
     extra_seed_generator: GeneratorSpec | str | None = None
@@ -112,7 +113,7 @@ class SeedReport:
     sampling_seed_total_train: int = 0
     sampling_seed_total_test: int = 0
     transform_seed_total: int = 0
-    stochastic_count_safety_factor: float = 0.15
+    stochastic_count_safety_factor: float = STOCHASTIC_COUNT_SAFETY_FACTOR
 
 
 def rescale_budget(total: int, rowcount_basis: int, rowcount_new: int) -> int:
@@ -127,7 +128,7 @@ def compute_seed_report(
     transform_count: int,
     rowcount_train: int,
     rowcount_test: int,
-    safety_factor: float = 0.15,
+    safety_factor: float = STOCHASTIC_COUNT_SAFETY_FACTOR,
 ) -> SeedReport:
     """Budgets for a plan's sampling operations, each ``(phase, entries, stochastic)``.
 
@@ -215,7 +216,7 @@ class StreamManager:
         return StreamSampler(self.plan.sampling_generator.stream(
             *mix_seed(self._os_material + tag, seeds)))
 
-    def register(self, keys: Sequence[str]) -> None:
+    def register(self, keys: Iterable[str]) -> None:
         """Under ``transform_seed``, draw one seed for each key not yet registered, in order.
 
         A preparation registers its noise transforms before any operation runs,

@@ -41,12 +41,6 @@ def typed(hint, value, where, error: type[Exception]):
     return _checker(hint)(value, where, error)
 
 
-def prepare(*hints) -> None:
-    """Compile the checkers of ``hints`` now, so that their first use does not."""
-    for hint in hints:
-        _checker(hint)
-
-
 def _alternatives(hint) -> tuple:
     return get_args(hint) if get_origin(hint) in (Union, types.UnionType) else (hint,)
 

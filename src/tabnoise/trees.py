@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import TypedDict
 
 from .errors import ConfigError
-from .noise import PARAM_HINTS
+from .noise import PARAM_HINTS, param_support
 from .schema import typed
 
 UPSTREAM_PRIMITIVES = (
@@ -105,21 +105,16 @@ def _checked_params(params, where: str) -> dict:
 
 
 def _check_support(value, bounds: tuple, where: str) -> None:
-    """Raise unless a fixed value, each list candidate, or a uniform draw's ``low`` and
-    ``high`` is within ``bounds``; a normal or laplace draw can leave any bounds."""
+    """Raise unless every value ``value`` can resolve to (see ``param_support``) is
+    within ``bounds``; a draw with no bounds can leave any."""
     low, high = bounds
-    if isinstance(value, dict):
-        if value["distribution"] != "uniform":
-            raise ConfigError(f"{where}.distribution: a {value['distribution']} draw can leave "
-                              f"[{low:g}, {high:g}]; use a list or a uniform draw")
-        support = [(f"{where}.{end}", value[end]) for end in ("low", "high") if end in value]
-    elif isinstance(value, list):
-        support = [(f"{where}[{i}]", candidate) for i, candidate in enumerate(value)]
-    else:
-        support = [(where, value)]
+    support = param_support(value)
+    if support is None:
+        raise ConfigError(f"{where}.distribution: a {value['distribution']} draw can leave "
+                          f"[{low:g}, {high:g}]; use a list or a uniform draw")
     for at, candidate in support:
         if candidate is not None and not low <= candidate <= high:
-            raise ConfigError(f"{at}: {candidate!r} is outside [{low:g}, {high:g}]")
+            raise ConfigError(f"{where}{at}: {candidate!r} is outside [{low:g}, {high:g}]")
 
 
 @dataclass

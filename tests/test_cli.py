@@ -259,6 +259,30 @@ def test_seed_report_rescaling(workdir, capsys):
     assert "test" not in payload["sampling_type"]["bulk_seeds"]  # omitted at 0 rows
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--rows-train", "-500", "--rows-test", "-100"), "--rows-train: must be nonnegative"),
+    (("--rows-test", "-100"), "--rows-test: must be nonnegative"),
+])
+def test_seed_report_negative_rows_exit_2(workdir, flags, named):
+    _fit(workdir)
+    code, err = _run_cli("seed-report", str(workdir / "out" / "basis.json"), *flags)
+    assert code == 2
+    assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--numeric", "-1", "--categoric", "3"), "n_numeric: must be nonnegative, got -1"),
+    (("--categoric", "-2"), "n_categoric: must be nonnegative, got -2"),
+    (("--task-seed", "-3"), "seed: must be nonnegative, got -3"),
+])
+def test_sweep_negative_count_or_seed_exit_2(workdir, flags, named):
+    code, err = _run_cli("sweep", "--grid", "0", "--reps", "1", "--rows", "20",
+                         "--test-rows", "10", *flags, "--out", str(workdir / "curves.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and named in err
+    assert not (workdir / "curves.csv").exists()
+
+
 def test_seed_report_zero_noise_plan(workdir, tmp_path, capsys):
     config = json.loads((workdir / "config.json").read_text())
     del config["powertransform"]

@@ -151,7 +151,7 @@ def test_augment_draws_one_transform_seed_per_noise_step():
 
     with mock.patch.object(StreamManager, "__init__", init):
         augment(basis, table, AugmentSpec.from_literal("2"), _seed_plan("transform_seed"))
-    assert len(basis.noise_step_keys()) == 2
+    assert len(basis.noise_steps()) == 2
     assert [manager.seeds_consumed for manager in managers] == [2]
 
 
