@@ -23,6 +23,7 @@ from typing import TypedDict
 import numpy as np
 
 from .errors import ConfigError, TabnoiseError
+from .noise import check_param
 from .pipeline import (
     TRAINDATA_MODES,
     AugmentSpec,
@@ -202,6 +203,16 @@ def cmd_augment(args) -> int:
     return 0
 
 
+def _grid_value(item: str, axis: str) -> float:
+    """One ``--grid`` item as a finite number in ``axis``'s range (see ``check_param``)."""
+    try:
+        value = float(item)
+    except ValueError:
+        raise ConfigError(f"--grid: {item!r} is not a number") from None
+    check_param(axis, typed(float, value, "--grid", ConfigError), "--grid", ConfigError)
+    return value
+
+
 def cmd_sweep(args) -> int:
     # the harness loads only for this command, not at every start-up
     from .harness import SweepSpec, SyntheticTask, emit_curves, run_sweep
@@ -215,7 +226,7 @@ def cmd_sweep(args) -> int:
     )
     sweep = SweepSpec(
         axis=args.axis,
-        grid=[float(v) for v in args.grid.split(",")],
+        grid=[_grid_value(item, args.axis) for item in args.grid.split(",")],
         scenarios=args.scenarios.split(","),
         reps=args.reps,
     )

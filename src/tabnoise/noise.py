@@ -31,8 +31,7 @@ from typing import Literal, TypedDict, Union, get_args
 import numpy as np
 
 from .encoders import moments
-from .errors import ConfigError
-from .rng import BLOCK_ENTRIES, NOISE_DISTRIBUTIONS, NoiseDistribution
+from .rng import BLOCK_ENTRIES, NoiseDistribution
 from .table import as_stored, coded, format_cell, put
 
 CALIBRATION_DRAWS = 100_000
@@ -64,16 +63,6 @@ class NoiseSpec:
     noise_scaling_bias_offset: bool = True
     direct_flip: bool = False
     swap_noise: bool = False
-
-    def __post_init__(self):
-        for dist in (self.noisedistribution, self.test_noisedistribution):
-            if dist not in NOISE_DISTRIBUTIONS:
-                raise ConfigError(f"unknown noise distribution: {dist!r}")
-        for prob in (self.flip_prob, self.test_flip_prob):
-            if prob is not None and not 0.0 <= prob <= 1.0:
-                raise ConfigError("flip probabilities must be in [0, 1]")
-        if self.sigma < 0 or self.test_sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
 
     def phase_params(self, phase: str) -> dict:
         """Effective fires, flip_prob, mu, sigma, noisedistribution and weighted for a phase."""
@@ -114,6 +103,9 @@ _SPEC_HINTS = {f.name: f.type for f in fields(NoiseSpec)}
 PARAM_HINTS = {name: _param_hint(name, hint) for name, hint in _SPEC_HINTS.items()}
 ResolvedParams = TypedDict("ResolvedParams", _SPEC_HINTS, total=False)
 RawParams = TypedDict("RawParams", PARAM_HINTS, total=False)
+# the range each bounded parameter holds, at every value it can resolve to
+PARAM_RANGES = {"flip_prob": (0.0, 1.0), "test_flip_prob": (0.0, 1.0),
+                "sigma": (0.0, np.inf), "test_sigma": (0.0, np.inf)}
 
 
 def sample_bernoulli_mask(sampler, n: int, p: float, missing_mask=None) -> np.ndarray:
@@ -122,8 +114,6 @@ def sample_bernoulli_mask(sampler, n: int, p: float, missing_mask=None) -> np.nd
     Always consumes one draw per row so generator use does not depend on the
     missing pattern.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
     mask = (sampler.uniforms(n) < p).astype(np.int8)
     if missing_mask is not None:
         mask[np.asarray(missing_mask, dtype=bool)] = 0
@@ -397,19 +387,15 @@ def resolve_param(value, sampler):
     if not is_randomized_param(value):
         return value
     if isinstance(value, (list, tuple)):
-        if not value:
-            raise ConfigError("candidate list for parameter randomization is empty")
         if len(value) == 1:
             return value[0]
         pick = int(sampler.bounded_ints(1, len(value))[0])
         return value[pick]
     name = value["distribution"]
-    if name in ("normal", "laplace"):
-        return float(sampler.shaped(name, value.get("mu", 0.0), value.get("sigma", 1.0), 1)[0])
     if name == "uniform":
         (_, low), (_, high) = param_support(value)
         return float(low + (high - low) * sampler.uniforms(1)[0])
-    raise ConfigError(f"unknown parameter distribution: {name!r}")
+    return float(sampler.shaped(name, value.get("mu", 0.0), value.get("sigma", 1.0), 1)[0])
 
 
 def param_support(value) -> list | None:
@@ -423,6 +409,24 @@ def param_support(value) -> list | None:
     if value["distribution"] != "uniform":
         return None
     return [(".low", value.get("low", 0.0)), (".high", value.get("high", 1.0))]
+
+
+def check_param(name: str, value, where: str, error: type[Exception]) -> None:
+    """Raise ``error``, naming ``where``, for an empty candidate list, or unless every value
+    ``value`` can resolve to (see ``param_support``) is within ``PARAM_RANGES[name]``, when
+    it lists ``name``; a draw with no bounds can leave any."""
+    if isinstance(value, (list, tuple)) and not value:
+        raise error(f"{where}: candidate list for parameter randomization is empty")
+    if name not in PARAM_RANGES:
+        return
+    low, high = PARAM_RANGES[name]
+    support = param_support(value)
+    if support is None:
+        raise error(f"{where}.distribution: a {value['distribution']} draw can leave "
+                    f"[{low:g}, {high:g}]; use a list or a uniform draw")
+    for at, candidate in support:
+        if candidate is not None and not low <= candidate <= high:
+            raise error(f"{where}{at}: {candidate!r} is outside [{low:g}, {high:g}]")
 
 
 def is_randomized_param(value) -> bool:

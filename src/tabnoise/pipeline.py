@@ -27,7 +27,7 @@ with each transform's train/test flags decides where noise fires:
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Literal, TypedDict
 
@@ -53,6 +53,7 @@ from .noise import (
     RawParams,
     ResolvedParams,
     adjust_noise_mean,
+    check_param,
     fit_protected_categoric,
     fit_protected_numeric,
     flip_boolean_direct,
@@ -355,20 +356,16 @@ def _noise_ops(kind: str, payload: dict, mode: str, fitting: bool, rows: int) ->
 
 
 def _top_flip_prob(spec: NoiseSpec, payload: dict, phase: str) -> float:
-    """The largest flip probability that re-resolving the payload can give ``phase``.
-
-    A randomized value can resolve to anything within its ``param_support``,
-    which the config check holds in [0, 1]; a top of 1 stands for a draw with
-    no bounds. An unset ``test_flip_prob`` takes ``flip_prob``.
-    """
+    """The largest flip probability that re-resolving the payload can give ``phase``:
+    the top over every pair of values ``flip_prob`` and ``test_flip_prob`` can resolve
+    to (see ``param_support``), which ``check_param`` holds in [0, 1]."""
     def support(name):
         randomized = name in payload.get("randomized_fields", [])
-        pairs = param_support(payload["params_raw"][name] if randomized else getattr(spec, name))
-        return [1.0] if pairs is None else [value for _, value in pairs]
+        value = payload["params_raw"][name] if randomized else getattr(spec, name)
+        return [candidate for _, candidate in param_support(value)]
 
-    own = support("test_flip_prob") if phase == "test" else [None]
-    return max(p for candidate in own
-               for p in (support("flip_prob") if candidate is None else [candidate]))
+    return max(replace(spec, flip_prob=f, test_flip_prob=t).phase_params(phase)["flip_prob"]
+               for f in support("flip_prob") for t in support("test_flip_prob"))
 
 
 def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray):
@@ -1002,11 +999,12 @@ def load_basis(path) -> TransformBasis:
 
 def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
-    reads the input column or an earlier step's output, that a protected payload
-    names its column, that a flip step keeps its input's vocabulary, that a
-    categoric basis holds its step's encoding (and a boolean one at most two
-    values), that a numeric basis holds its step's kind, that a bincount is in
-    range, and that the plan's output columns are ones its steps list."""
+    reads the input column or an earlier step's output, that each noise parameter
+    passes ``check_param``, that a protected payload names its column, that a flip
+    step keeps its input's vocabulary, that a categoric basis holds its step's
+    encoding (and a boolean one at most two values), that a numeric basis holds its
+    step's kind, that a bincount is in range, and that the plan's output columns are
+    ones its steps list."""
     made, listed = {plan.input_column}, {plan.input_column}
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
@@ -1024,6 +1022,9 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         if unknown:
             raise BasisFormatError(f"{at}.payload.randomized_fields: {sorted(unknown)} are not "
                                    "in params_raw")
+        for part in ("resolved", "params_raw"):
+            for name, value in payload.get(part, {}).items():
+                check_param(name, value, f"{at}.payload.{part}.{name}", BasisFormatError)
         if "protected" in payload and not payload["resolved"].get("protected_feature"):
             raise BasisFormatError(f"{at}.payload.resolved.protected_feature: a protected "
                                    "payload names no column")

@@ -513,14 +513,15 @@ def shaped_sample(sampler, distribution: str, mu: float, sigma: float, n: int) -
         sign, name = 1, name[4:]
     elif name.startswith("negabs_"):
         sign, name = -1, name[7:]
-    if name == "normal":
-        values = sampler.normals(n, mu, sigma)
-    elif name == "laplace":
-        values = sampler.laplaces(n, mu, sigma)
-    elif name == "uniform":
-        values = sampler.uniform_interval(n, mu, sigma)
-    else:
-        raise ValueError(f"unknown noise distribution: {distribution!r}")
+    with np.errstate(over="ignore"):  # a huge scale overflows to inf; callers report it
+        if name == "normal":
+            values = sampler.normals(n, mu, sigma)
+        elif name == "laplace":
+            values = sampler.laplaces(n, mu, sigma)
+        elif name == "uniform":
+            values = sampler.uniform_interval(n, mu, sigma)
+        else:
+            raise ValueError(f"unknown noise distribution: {distribution!r}")
     if sign > 0:
         return np.abs(values)
     if sign < 0:

@@ -27,12 +27,11 @@ assignment scheme.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import TypedDict
 
 from .errors import ConfigError
-from .noise import PARAM_HINTS, param_support
+from .noise import PARAM_HINTS, check_param
 from .schema import typed
 
 UPSTREAM_PRIMITIVES = (
@@ -85,36 +84,20 @@ TreeSpec = TypedDict("TreeSpec", {name: list[str] for name in PRIMITIVE_NAMES}, 
 
 # each parameter's configured value; the parameters of NoiseSpec plus bincount
 _PARAM_TYPES = {**PARAM_HINTS, "bincount": int}
-# the range NoiseSpec holds each bounded parameter to, at every value it can take
-_PARAM_RANGES = {"flip_prob": (0.0, 1.0), "test_flip_prob": (0.0, 1.0),
-                 "sigma": (0.0, math.inf), "test_sigma": (0.0, math.inf)}
 
 
 def _checked_params(params, where: str) -> dict:
     """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``
-    and every value it can resolve to against ``_PARAM_RANGES``.
+    and each noise parameter's by ``check_param``.
 
     Names it does not list are kept: ``resolve_params`` decides on them.
     """
     for name, value in typed(dict, params, where, ConfigError).items():
         if name in _PARAM_TYPES:
             typed(_PARAM_TYPES[name], value, f"{where}.{name}", ConfigError)
-        if name in _PARAM_RANGES:
-            _check_support(value, _PARAM_RANGES[name], f"{where}.{name}")
+        if name in PARAM_HINTS:
+            check_param(name, value, f"{where}.{name}", ConfigError)
     return dict(params)
-
-
-def _check_support(value, bounds: tuple, where: str) -> None:
-    """Raise unless every value ``value`` can resolve to (see ``param_support``) is
-    within ``bounds``; a draw with no bounds can leave any."""
-    low, high = bounds
-    support = param_support(value)
-    if support is None:
-        raise ConfigError(f"{where}.distribution: a {value['distribution']} draw can leave "
-                          f"[{low:g}, {high:g}]; use a list or a uniform draw")
-    for at, candidate in support:
-        if candidate is not None and not low <= candidate <= high:
-            raise ConfigError(f"{where}{at}: {candidate!r} is outside [{low:g}, {high:g}]")
 
 
 @dataclass

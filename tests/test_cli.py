@@ -14,7 +14,8 @@ import pytest
 import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
-from tabnoise.pipeline import MAX_AUGMENT_COUNT, MAX_BINCOUNT, fit
+from tabnoise.errors import BasisFormatError
+from tabnoise.pipeline import MAX_AUGMENT_COUNT, MAX_BINCOUNT, fit, load_basis
 from tabnoise.sampling import SamplingPlan
 from tabnoise.table import load_csv, write_csv
 
@@ -280,6 +281,22 @@ def test_sweep_negative_count_or_seed_exit_2(workdir, flags, named):
                          "--test-rows", "10", *flags, "--out", str(workdir / "curves.csv"))
     assert code == 2
     assert err.count("\n") == 1 and named in err
+    assert not (workdir / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--grid", "x"), "'x' is not a number"),
+    (("--grid", ","), "'' is not a number"),
+    (("--grid", ""), "'' is not a number"),
+    (("--grid", "nan"), "expected a number, got nan"),
+    (("--grid", "-1"), "-1.0 is outside [0, inf]"),
+    (("--axis", "flip_prob", "--grid", "0.5,1.5"), "1.5 is outside [0, 1]"),
+])
+def test_sweep_bad_grid_exit_2(workdir, flags, message):
+    code, err = _run_cli("sweep", "--reps", "1", "--rows", "20", "--test-rows", "10", *flags,
+                         "--out", str(workdir / "curves.csv"))
+    assert code == 2
+    assert err.splitlines() == [f"ERROR tabnoise: --grid: {message}"]
     assert not (workdir / "curves.csv").exists()
 
 
@@ -641,6 +658,49 @@ def test_normal_draw_for_flip_prob_exit_2_before_sampling(workdir, caplog):
         assert _fit(workdir) == 2
     assert "config.assignparam.DBnb.num.flip_prob.distribution: a normal draw" in caplog.text
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["flip_prob", "mu"])
+def test_fit_empty_candidate_list_exit_2(workdir, name):
+    (workdir / "train.csv").write_text("x\n1\n2\n3\n4\n")
+    _with_config(workdir, labels_column=None, assigncat={"DBnb": ["x"]},
+                 assignparam={"DBnb": {"x": {name: []}}})
+    code, err = _fit_cli(workdir)
+    assert code == 2
+    assert err.splitlines() == [f"ERROR tabnoise: config.assignparam.DBnb.x.{name}: "
+                                "candidate list for parameter randomization is empty"]
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("part, name, value, message", [
+    ("resolved", "flip_prob", 1.5, "resolved.flip_prob: 1.5 is outside [0, 1]"),
+    ("params_raw", "flip_prob", [0.1, 1.7], "params_raw.flip_prob[1]: 1.7 is outside [0, 1]"),
+    ("params_raw", "flip_prob", [],
+     "params_raw.flip_prob: candidate list for parameter randomization is empty"),
+    ("resolved", "sigma", -1, "resolved.sigma: -1 is outside [0, inf]"),
+    ("params_raw", "flip_prob", {"distribution": "normal", "mu": 0.5},
+     "params_raw.flip_prob.distribution: a normal draw can leave [0, 1]; use a list or a "
+     "uniform draw"),
+])
+def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, message):
+    """A noise parameter in a basis keeps its config range: ``load_basis`` names it, so
+    ``transform`` and ``seed-report`` exit 2 with that one line."""
+    basis = _numeric_fit(workdir, "DBnb", [0.5 * i for i in range(12)])
+    data = json.loads(basis.read_text())
+    step = data["column_plans"]["x"]["steps"][1]
+    assert step["kind"] == "noise_numeric"
+    step["payload"][part][name] = value
+    basis.write_text(json.dumps(data))
+    message = f"basis.column_plans.x.steps[1].payload.{message}"
+    with pytest.raises(BasisFormatError) as caught:
+        load_basis(basis)
+    assert str(caught.value) == message
+    for command in (("transform", str(basis), str(workdir / "train.csv"),
+                     "--out", str(workdir / "prepared.csv")), ("seed-report", str(basis))):
+        code, err = _run_cli(*command)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+    assert not (workdir / "prepared.csv").exists()
 
 
 def _numeric_fit(workdir, root, train):

@@ -1,3 +1,5 @@
+import copy
+import json
 import warnings
 from unittest import mock
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from tabnoise import noise
 from tabnoise import rng as rng_module
-from tabnoise.errors import ConfigError
+from tabnoise.errors import BasisFormatError, ConfigError
 from tabnoise.noise import (
     NoiseSpec,
     _segments,
@@ -30,8 +32,11 @@ from tabnoise.noise import (
     swap_noise,
     weighted_flip,
 )
-from tabnoise.rng import Pcg64Stream, StreamSampler, mix_seed
-from tabnoise.table import format_cell
+from tabnoise.pipeline import fit, load_basis, save_basis
+from tabnoise.rng import NOISE_DISTRIBUTIONS, Pcg64Stream, StreamSampler, mix_seed
+from tabnoise.sampling import SamplingPlan
+from tabnoise.table import DataTable, format_cell
+from tabnoise.trees import ParamAssignments, _checked_params
 
 
 def _sampler(seed: int = 1) -> StreamSampler:
@@ -615,9 +620,74 @@ def test_resolve_param_draws_the_named_shape(name, shape):
     assert value == getattr(_sampler(19), shape)(1, 0.5, 0.2)[0]
 
 
-def test_resolve_param_empty_list_rejected():
-    with pytest.raises(ConfigError, match="empty"):
-        resolve_param([], _sampler())
+# -- a noise parameter's range, checked where a config or a basis enters -----------
+
+
+@pytest.fixture(scope="module")
+def basis_file(tmp_path_factory):
+    """(the JSON of a basis fitted with DBnb noise at column_plans.x.steps[1], a path
+    that ``_load_error`` writes edits of it to)."""
+    plan = SamplingPlan(entropy_seeds=list(range(200)), sampling_type="sampling_seed",
+                        seeding_type="primary_seeds")
+    path = tmp_path_factory.mktemp("basis") / "basis.json"
+    save_basis(fit(DataTable({"x": [0.5 * i for i in range(12)]}),
+                   {"assigncat": {"DBnb": ["x"]}}, plan).basis, path)
+    return json.loads(path.read_text()), path
+
+
+_PAYLOAD = "basis.column_plans.x.steps[1].payload"
+
+
+def _load_error(basis_file, part: str, name: str, value) -> str | None:
+    """``load_basis``'s message for the fitted basis with ``value`` at ``name`` in its noise
+    payload's ``part``, or None when it loads."""
+    data, path = basis_file
+    edited = copy.deepcopy(data)
+    edited["column_plans"]["x"]["steps"][1]["payload"][part][name] = value
+    path.write_text(json.dumps(edited))
+    try:
+        load_basis(path)
+    except BasisFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _rejected_alike(basis_file, part: str, name: str, value, message: str) -> None:
+    """The config check and ``load_basis`` reject ``value`` for ``name`` with ``message``,
+    each after its own path."""
+    with pytest.raises(ConfigError) as caught:
+        ParamAssignments.from_config({"DBnb": {"x": {name: value}}})
+    assert str(caught.value) == f"config.assignparam.DBnb.x.{name}{message}"
+    assert _load_error(basis_file, part, name, value) == f"{_PAYLOAD}.{part}.{name}{message}"
+
+
+def test_resolve_param_empty_list_rejected(basis_file):
+    for name in ("flip_prob", "mu"):
+        _rejected_alike(basis_file, "params_raw", name, [],
+                        ": candidate list for parameter randomization is empty")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DRAWS = st.fixed_dictionaries(
+    {"distribution": st.sampled_from(["uniform", "normal", "laplace"])},
+    optional={key: _FINITE for key in ("low", "high", "mu", "sigma")})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["flip_prob", "test_flip_prob", "sigma", "test_sigma"]),
+       value=st.one_of(_FINITE, st.lists(_FINITE, max_size=4), _DRAWS))
+def test_the_config_and_the_basis_reject_a_noise_parameter_alike(basis_file, name, value):
+    """``load_basis`` rejects a value in a payload's ``params_raw`` (and a number in its
+    ``resolved``) exactly when the config check rejects it, with the same message after
+    each one's path."""
+    try:
+        _checked_params({name: value}, "config")
+        expected = None
+    except ConfigError as exc:
+        expected = str(exc).removeprefix("config.")
+    for part in ("params_raw", "resolved") if isinstance(value, float) else ("params_raw",):
+        loaded = _load_error(basis_file, part, name, value)
+        assert loaded == (expected and f"{_PAYLOAD}.{part}.{expected}")
 
 
 def test_is_randomized_param():
@@ -627,19 +697,19 @@ def test_is_randomized_param():
     assert not is_randomized_param("normal")
 
 
-def test_noise_spec_defaults_validation():
+def test_noise_spec_defaults_validation(basis_file):
     spec = NoiseSpec()
     assert spec.flip_prob == 0.03
     assert spec.phase_params("test")["flip_prob"] == 0.03  # matched when unset
     spec2 = NoiseSpec(test_flip_prob=0.01)
     assert spec2.phase_params("test")["flip_prob"] == 0.01
-    with pytest.raises(ConfigError):
-        NoiseSpec(flip_prob=1.5)
-    with pytest.raises(ConfigError):
-        NoiseSpec(noisedistribution="bogus")
+    _rejected_alike(basis_file, "resolved", "flip_prob", 1.5, ": 1.5 is outside [0, 1]")
+    # a bogus distribution fails the type check, which params_raw shares with the config
+    names = ", ".join(map(repr, NOISE_DISTRIBUTIONS))
+    _rejected_alike(basis_file, "params_raw", "noisedistribution", "bogus",
+                    f": expected one of {names} or a list, got 'bogus'")
 
 
 @pytest.mark.parametrize("field", ["sigma", "test_sigma"])
-def test_noise_spec_rejects_a_negative_sigma(field):
-    with pytest.raises(ConfigError, match="sigma must be nonnegative"):
-        NoiseSpec(**{field: -0.01})
+def test_noise_spec_rejects_a_negative_sigma(basis_file, field):
+    _rejected_alike(basis_file, "resolved", field, -0.01, ": -0.01 is outside [0, inf]")

@@ -914,6 +914,23 @@ def test_stdbins_after_ordinal_bins_the_missing_code():
     assert res.train.column("c_myord_mybins") == [2.0, 3.0, 5.0, 4.0, 2.0, 5.0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distribution", ["normal", "laplace", "uniform"])
+@pytest.mark.parametrize("root", ["DPnb", "DPmm", "DBne", "DBrt"])
+def test_a_noise_scale_near_the_largest_float_overflows_without_a_warning(root, distribution):
+    """The config range of sigma, [0, inf], admits 1e308: a draw at that scale overflows
+    to inf without a numpy warning, and the executor's non-finite check reports it."""
+    params = {"sigma": 1e308, "test_sigma": 1e308, "flip_prob": 1.0, "test_flip_prob": 1.0,
+              "noisedistribution": distribution, "test_noisedistribution": distribution}
+    config = {"assigncat": {root: ["num"]}, "assignparam": {root: {"num": params}}}
+    for sampling_type in ("sampling_seed", "bulk_seeds"):
+        plan = _plan(list(range(2000)), sampling_type=sampling_type)
+        try:
+            apply(fit(_numeric_table(), config, plan).basis, _numeric_table(), "test", plan)
+        except TableError as exc:
+            assert "gives a non-finite number" in str(exc)
+
+
 def test_load_basis_with_a_non_finite_number_rejected(tmp_path):
     # json.load reads the non-standard NaN token as a float: a basis number must be finite
     res = fit(_numeric_table(), {"assigncat": {"DPnb": ["num"]}}, _plan())
