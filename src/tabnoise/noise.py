@@ -412,11 +412,18 @@ def param_support(value) -> list | None:
 
 
 def check_param(name: str, value, where: str, error: type[Exception]) -> None:
-    """Raise ``error``, naming ``where``, for an empty candidate list, or unless every value
+    """Raise ``error``, naming ``where``, for an empty candidate list, for a draw with a key
+    its distribution does not read or with a negative ``sigma``, or unless every value
     ``value`` can resolve to (see ``param_support``) is within ``PARAM_RANGES[name]``, when
     it lists ``name``; a draw with no bounds can leave any."""
     if isinstance(value, (list, tuple)) and not value:
         raise error(f"{where}: candidate list for parameter randomization is empty")
+    if isinstance(value, dict):  # a ParamDraw, as typed
+        reads = ("low", "high") if value["distribution"] == "uniform" else ("mu", "sigma")
+        unread = sorted(value.keys() - {"distribution", *reads})
+        if unread:
+            raise error(f"{where}: a {value['distribution']} draw does not read {unread}")
+        check_param("sigma", value.get("sigma", 1.0), f"{where}.sigma", error)
     if name not in PARAM_RANGES:
         return
     low, high = PARAM_RANGES[name]

@@ -292,21 +292,10 @@ class _Ctx:
 _NOISE_FIELD_ORDER = tuple(f.name for f in fields(NoiseSpec))
 
 
-def _noise_payload(ctx: _Ctx, group: _Group, params: dict) -> dict:
-    """Fit of the payload every noise kind shares.
-
-    Randomized parameters are resolved once (one operation each); their raw
-    values are kept so later preparations can re-resolve them.
-    """
-    raw = {k: params[k] for k in _NOISE_FIELD_ORDER if k in params}
-    resolved = {}
-    randomized = []
-    for name, value in raw.items():
-        if name not in NOISE_FLAG_FIELDS and is_randomized_param(value):
-            randomized.append(name)
-            value = resolve_param(value, ctx.sampler("resolve"))
-        resolved[name] = value
-    return {"resolved": resolved, "params_raw": raw, "randomized_fields": randomized}
+def _resolved(ctx: _Ctx, params: dict, raw: dict, names) -> dict:
+    """``params``, with each name in ``names`` resolved from ``raw``, in order, one
+    ``resolve`` operation each."""
+    return {**params, **{name: resolve_param(raw[name], ctx.sampler("resolve")) for name in names}}
 
 
 # The draw each noise kind makes over a mask's activations; noise_flip picks its own.
@@ -376,11 +365,9 @@ def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray):
     """
     if "mask" not in ctx.declared:
         return None
-    effective = dict(payload["resolved"])
-    if not ctx.fitting and "resolve" in ctx.declared:
-        for name in payload["randomized_fields"]:
-            effective[name] = resolve_param(payload["params_raw"][name], ctx.sampler("resolve"))
-    spec = NoiseSpec(**effective)
+    again = not ctx.fitting and "resolve" in ctx.declared
+    spec = NoiseSpec(**_resolved(ctx, payload["resolved"], payload["params_raw"],
+                                 payload["randomized_fields"] if again else ()))
     pp = spec.phase_params(ctx.phase)
     mask = sample_bernoulli_mask(ctx.sampler("mask"), len(missing), pp["flip_prob"], missing)
     return spec, pp, mask
@@ -460,9 +447,17 @@ def _apply_missing_marker(ctx, payload, group):
     return _single(marker, np.zeros(len(marker), dtype=bool))
 
 
-def _with_protected(ctx: _Ctx, payload: dict, group: _Group) -> dict:
-    """``payload``, with its protected feature's segments fitted when it names one: the
-    spread of the values per segment, or with a vocabulary, its frequencies."""
+def _fit_noise(extra, ctx: _Ctx, group: _Group, params: dict) -> dict:
+    """A noise step's payload: the fields every kind shares, the kind's own (``extra``), then
+    its protected feature's segments when it names one (the spread of the values per segment,
+    or with a vocabulary, its frequencies). Randomized parameters are resolved once, one
+    operation each; their raw values are kept so later preparations can re-resolve them."""
+    raw = {k: params[k] for k in _NOISE_FIELD_ORDER if k in params}
+    randomized = [name for name, value in raw.items()
+                  if name not in NOISE_FLAG_FIELDS and is_randomized_param(value)]
+    payload = {"resolved": _resolved(ctx, raw, raw, randomized), "params_raw": raw,
+               "randomized_fields": randomized}
+    payload.update(extra(ctx, group, payload))
     protected = payload["resolved"].get("protected_feature")
     if protected:
         cells, basis = ctx.cells(protected), payload.get("categoric_basis")
@@ -472,21 +467,18 @@ def _with_protected(ctx: _Ctx, payload: dict, group: _Group) -> dict:
     return payload
 
 
-def _fit_noise_numeric(ctx, group, params):
-    payload = _noise_payload(ctx, group, params)
+def _train_std(ctx, group, payload):
     values, missing = _group_floats(group)
-    payload["train_std"] = moments(values[~missing])[1]
-    return _with_protected(ctx, payload, group)
+    return {"train_std": moments(values[~missing])[1]}
 
 
-def _fit_noise_scaled(ctx, group, params):
-    payload = _noise_payload(ctx, group, params)
+def _calibration(ctx, group, payload):
     spec = NoiseSpec(**payload["resolved"])
     flip_randomized = {"flip_prob", "test_flip_prob"} & set(payload["randomized_fields"])
     values, missing = _group_floats(group)
     panel = values[~missing]
-    payload.update(mu_adjusted_train=None, mu_adjusted_test=None,
-                   adjust_degenerate_train=False, adjust_degenerate_test=False)
+    calibrated = dict(mu_adjusted_train=None, mu_adjusted_test=None,
+                      adjust_degenerate_train=False, adjust_degenerate_test=False)
     if spec.noise_scaling_bias_offset and spec.rescale_sigmas and len(panel):
         for phase in ("train", "test"):
             pp = spec.phase_params(phase)
@@ -497,9 +489,18 @@ def _fit_noise_scaled(ctx, group, params):
                 panel, pp["mu"], pp["sigma"], pp["noisedistribution"],
                 lambda p=phase: ctx.sampler(f"calibrate:{p}"),
             )
-            payload[f"mu_adjusted_{phase}"] = mu_adj
-            payload[f"adjust_degenerate_{phase}"] = degenerate
-    return _with_protected(ctx, payload, group)
+            calibrated[f"mu_adjusted_{phase}"] = mu_adj
+            calibrated[f"adjust_degenerate_{phase}"] = degenerate
+    return calibrated
+
+
+def _vocabulary(ctx, group, payload):
+    basis = group.basis
+    if basis is None:
+        raise ConfigError(
+            "flip noise requires an upstream categoric encoding with a fitted vocabulary"
+        )
+    return {"categoric_basis": basis, "encoding": basis.encoding}
 
 
 def _apply_noise_numeric(scaled: bool, ctx, payload, group):
@@ -535,22 +536,11 @@ def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
     return CODECS[basis.encoding].decode(basis, group.columns)
 
 
-def _fit_noise_flip(ctx, group, params):
-    payload = _noise_payload(ctx, group, params)
-    basis = group.basis
-    if basis is None:
-        raise ConfigError(
-            "flip noise requires an upstream categoric encoding with a fitted vocabulary"
-        )
-    payload.update(categoric_basis=basis, encoding=basis.encoding)
-    return _with_protected(ctx, payload, group)
-
-
-def _apply_noise_flip(ctx, payload, group):
-    """Flip noise on the masked rows. A swap trades the rows of the encoded columns,
-    so a cell the vocabulary lacks moves as it is; a flip draws new codes, and only
-    the rows whose code changed are encoded anew, so the others keep their cells."""
-    basis = payload["categoric_basis"]
+def _apply_noise_cells(ctx, payload, group):
+    """Swap, mask or flip noise on the masked rows. A swap trades the rows of the
+    columns, so a cell the vocabulary lacks moves as it is; mask noise sets the rows
+    to ``mask_value``; a flip draws new codes, and only the rows whose code changed
+    are encoded anew, so the others keep their cells."""
     columns = group.columns
     drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
@@ -558,8 +548,11 @@ def _apply_noise_flip(ctx, payload, group):
         order = swap_noise(np.arange(len(group.missing)), drawn[2], ctx.sampler("swap"),
                            group.missing)
         columns = [data[order] for data in columns]
+    elif drawn is not None and ctx.step.kind == "noise_mask":
+        columns = [mask_noise(columns[0], drawn[2], drawn[0].mask_value)]
     elif drawn is not None:
         _, pp, mask = drawn
+        basis = payload["categoric_basis"]
         codes = _decode(group, basis)
         n = len(codes)
         if "flip" in ctx.declared:
@@ -580,21 +573,7 @@ def _apply_noise_flip(ctx, payload, group):
         if len(flipped):
             encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
             columns = [put(data, flipped, new) for data, new in zip(columns, encoded)]
-    return _Group(columns, group.missing, basis, group.preserve_missing)
-
-
-def _apply_noise_rows(ctx, payload, group):
-    """Swap noise (masked rows trade values) or, when no swap is declared, mask
-    noise (masked rows take ``mask_value``)."""
-    out = group.columns[0]
-    drawn = _draw_mask(ctx, payload, group.missing)
-    if drawn is not None:
-        spec, _, mask = drawn
-        if "swap" in ctx.declared:
-            out = out[swap_noise(np.arange(len(out)), mask, ctx.sampler("swap"), group.missing)]
-        else:
-            out = mask_noise(out, mask, spec.mask_value)
-    return _single(out, group.missing, group.basis, preserve=group.preserve_missing)
+    return _Group(columns, group.missing, group.basis, group.preserve_missing)
 
 
 # -- payloads: the keys each kind's fit returns, as basis.json holds them ------
@@ -646,14 +625,16 @@ _TRANSFORMS = {
     "passthrough_float": (_no_payload, _apply_passthrough_float, _Empty, ()),
     "stdbins": (_fit_stdbins, _apply_stdbins, _Stdbins, ("bincount",)),
     "missing_marker": (_no_payload, _apply_missing_marker, _Empty, ()),
-    "noise_numeric": (_fit_noise_numeric, partial(_apply_noise_numeric, False), _NoiseNumeric,
-                      _NOISE_PARAMS + _SHAPE_PARAMS),
-    "noise_scaled": (_fit_noise_scaled, partial(_apply_noise_numeric, True), _NoiseScaled,
-                     _NOISE_PARAMS + _SHAPE_PARAMS + ("noise_scaling_bias_offset",)),
-    "noise_flip": (_fit_noise_flip, _apply_noise_flip, _NoiseFlip, _NOISE_PARAMS + (
-        "weighted", "test_weighted", "direct_flip", "swap_noise", "protected_feature")),
-    "noise_swap": (_noise_payload, _apply_noise_rows, _Noise, _NOISE_PARAMS),
-    "noise_mask": (_noise_payload, _apply_noise_rows, _Noise, _NOISE_PARAMS + ("mask_value",)),
+    "noise_numeric": (partial(_fit_noise, _train_std), partial(_apply_noise_numeric, False),
+                      _NoiseNumeric, _NOISE_PARAMS + _SHAPE_PARAMS),
+    "noise_scaled": (partial(_fit_noise, _calibration), partial(_apply_noise_numeric, True),
+                     _NoiseScaled, _NOISE_PARAMS + _SHAPE_PARAMS + ("noise_scaling_bias_offset",)),
+    "noise_flip": (partial(_fit_noise, _vocabulary), _apply_noise_cells, _NoiseFlip,
+                   _NOISE_PARAMS + ("weighted", "test_weighted", "direct_flip", "swap_noise",
+                                    "protected_feature")),
+    "noise_swap": (partial(_fit_noise, _no_payload), _apply_noise_cells, _Noise, _NOISE_PARAMS),
+    "noise_mask": (partial(_fit_noise, _no_payload), _apply_noise_cells, _Noise,
+                   _NOISE_PARAMS + ("mask_value",)),
 }
 KIND_PARAMS = {kind: accepted for kind, (*_, accepted) in _TRANSFORMS.items()}
 # noise steps: the kinds that take the noise flags
@@ -1001,7 +982,8 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
     reads the input column or an earlier step's output, that each noise parameter
     passes ``check_param``, that a protected payload names its column, that a flip
-    step keeps its input's vocabulary, that a categoric basis holds its step's
+    step keeps its input's vocabulary and holds one frequency per value in each
+    protected segment, that a categoric basis holds its step's
     encoding (and a boolean one at most two values), that a numeric basis holds its
     step's kind, that a bincount is in range, and that the plan's output columns are
     ones its steps list."""
@@ -1034,6 +1016,10 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
             raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
         if step.kind == "noise_flip" and basis != upstream:
             raise BasisFormatError(f"{at}.payload.categoric_basis: differs from its input's")
+        for key, table in getattr(payload.get("protected"), "segment_frequencies", {}).items():
+            if step.kind == "noise_flip" and len(table) != len(basis.vocabulary):
+                raise BasisFormatError(f"{at}.payload.protected.segment_frequencies.{key}: not "
+                                       "one frequency per value")
         # a categoric kind's own encoding, or the one a flip step reads its codes in
         encoding = _KIND_ENCODINGS.get(step.kind, payload.get("encoding"))
         if encoding is not None and basis.encoding != encoding:

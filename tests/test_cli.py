@@ -681,6 +681,10 @@ def test_fit_empty_candidate_list_exit_2(workdir, name):
     ("params_raw", "flip_prob", {"distribution": "normal", "mu": 0.5},
      "params_raw.flip_prob.distribution: a normal draw can leave [0, 1]; use a list or a "
      "uniform draw"),
+    ("params_raw", "flip_prob", {"distribution": "uniform", "mu": 0.9, "sigma": 0.01},
+     "params_raw.flip_prob: a uniform draw does not read ['mu', 'sigma']"),
+    ("params_raw", "mu", {"distribution": "normal", "sigma": -2},
+     "params_raw.mu.sigma: -2 is outside [0, inf]"),
 ])
 def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, message):
     """A noise parameter in a basis keeps its config range: ``load_basis`` names it, so
@@ -697,6 +701,37 @@ def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, m
     assert str(caught.value) == message
     for command in (("transform", str(basis), str(workdir / "train.csv"),
                      "--out", str(workdir / "prepared.csv")), ("seed-report", str(basis))):
+        code, err = _run_cli(*command)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+    assert not (workdir / "prepared.csv").exists()
+
+
+@pytest.mark.parametrize("entries", [1, 2, 4, 5])
+def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdir, entries):
+    """A protected flip step holds one frequency per vocabulary value in each segment's
+    table; a table of another length once broadcast silently (1 entry) or ended in a
+    traceback (2, 4 or 5 entries on 3 values)."""
+    (workdir / "train.csv").write_text(
+        "c,g\n" + "".join(f"{'abc'[i % 3]},{'xy'[i % 2]}\n" for i in range(12)))
+    _with_config(workdir, labels_column=None, assigncat={"DPod": ["c"]},
+                 assignparam={"DPod": {"c": {"protected_feature": "g"}}})
+    assert _fit(workdir) == 0
+    basis = workdir / "out" / "basis.json"
+    data = json.loads(basis.read_text())
+    step = data["column_plans"]["c"]["steps"][1]
+    assert step["kind"] == "noise_flip" and len(step["payload"]["protected"]
+                                                ["segment_frequencies"]["x"]) == 3
+    step["payload"]["protected"]["segment_frequencies"]["x"] = [1.0] * entries
+    basis.write_text(json.dumps(data))
+    message = ("basis.column_plans.c.steps[1].payload.protected.segment_frequencies.x: not one "
+               "frequency per value")
+    seeds = ("--entropy-seeds", str(workdir / "seeds.txt"))
+    for command in (("transform", str(basis), str(workdir / "train.csv"),
+                     "--out", str(workdir / "prepared.csv"), "--traindata", "train", *seeds),
+                    ("augment", str(basis), str(workdir / "train.csv"), "--count", "1",
+                     "--out", str(workdir / "prepared.csv"), *seeds),
+                    ("seed-report", str(basis))):
         code, err = _run_cli(*command)
         assert code == 2
         assert err.splitlines() == [f"ERROR tabnoise: {message}"]

@@ -674,7 +674,7 @@ _DRAWS = st.fixed_dictionaries(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["flip_prob", "test_flip_prob", "sigma", "test_sigma"]),
+@given(name=st.sampled_from(["flip_prob", "test_flip_prob", "sigma", "test_sigma", "mu"]),
        value=st.one_of(_FINITE, st.lists(_FINITE, max_size=4), _DRAWS))
 def test_the_config_and_the_basis_reject_a_noise_parameter_alike(basis_file, name, value):
     """``load_basis`` rejects a value in a payload's ``params_raw`` (and a number in its

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 import tabnoise
 from tabnoise.cli import main
-from tabnoise.errors import BasisFormatError, ConfigError
+from tabnoise.errors import BasisFormatError, ConfigError, TabnoiseError
 from tabnoise.noise import ParamDraw
 from tabnoise.pipeline import MAX_AUGMENT_COUNT, FitConfig, apply, fit, load_basis, save_basis
 from tabnoise.sampling import SamplingPlan
 from tabnoise.schema import typed
-from tabnoise.table import DataTable
+from tabnoise.table import DataTable, load_csv
 
 # -- the walker ------------------------------------------------------------------------
 
@@ -177,12 +177,15 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
+def _at(node, path: tuple):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _mutated(basis: dict, path: tuple, value) -> dict:
     data = copy.deepcopy(basis)
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _at(data, path[:-1])[path[-1]] = value
     return data
 
 
@@ -217,3 +220,68 @@ def test_malformed_basis_no_traceback_on_stderr(fitted_dir):
     assert proc.returncode == 2
     assert "basis.column_plans.n1.steps[1].payload.train_std: expected a number" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _leaves(node):
+    """(path, value) of every node that is not a mapping: numbers, strings, lists, nulls."""
+    for path in _json_paths(node):
+        value = _at(node, path)
+        if not isinstance(value, dict):
+            yield path, value
+
+
+def _leaf_kind(value) -> str:
+    if isinstance(value, list):
+        return "strings" if any(isinstance(item, str) for item in value) else "numbers"
+    return "string" if isinstance(value, str) else "number"
+
+
+@pytest.fixture(scope="module")
+def edit_leaf(fitted_dir):
+    """A function of hypothesis data: the fitted basis with one leaf of a step's payload
+    replaced. The leaves outside the payloads name columns and steps, which the fuzz
+    above covers. Half of the values keep the leaf's kind (a number, a string, or a list
+    of either), so many edits pass the type check; strings come from the basis itself
+    (names, kinds, cells) or are short text."""
+    basis = json.loads((fitted_dir / "out" / "basis.json").read_text())
+    leaves = {}
+    for path, value in _leaves(basis):
+        if "payload" in path:
+            leaves.setdefault(_leaf_kind(value), []).append(path)
+    names = sorted({key for path in _json_paths(basis) for key in path if isinstance(key, str)}
+                   | {value for _, value in _leaves(basis) if isinstance(value, str)})
+    numbers = st.one_of(st.integers(-1, 9), st.floats(-1e3, 1e3))
+    strings = st.one_of(st.sampled_from(names), st.text(max_size=2))
+    values = {"number": numbers, "string": strings, "numbers": st.lists(numbers, max_size=6),
+              "strings": st.lists(strings, max_size=6)}
+
+    def edit(data) -> dict:
+        kind = data.draw(st.sampled_from(sorted(leaves)))
+        path = data.draw(st.sampled_from(leaves[kind]))
+        if data.draw(st.booleans()):
+            kind = data.draw(st.sampled_from(sorted(values)))
+        return _mutated(basis, path, data.draw(values[kind]))
+
+    # a function, so a failing example's report stays short
+    return edit
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the CLI logs these as warnings
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_edited_basis_transforms_or_raises_a_tabnoise_error(fitted_dir, edit_leaf, data):
+    """One leaf of a payload in a basis with protected numeric and flip steps replaced by
+    a number, a list or a string: loading the edited basis and preparing a table on it in
+    train and test mode succeeds or raises a ``TabnoiseError``, the one kind of failure
+    the CLI reports in one line."""
+    target = fitted_dir / "edited.json"
+    target.write_text(json.dumps(edit_leaf(data)))
+    table = load_csv(fitted_dir / "train.csv")
+    try:
+        edited = load_basis(target)
+        for mode in ("train", "test"):
+            apply(edited, table, mode, SamplingPlan(sampling_type="sampling_seed",
+                                                    seeding_type="primary_seeds",
+                                                    entropy_seeds=list(range(3000))))
+    except TabnoiseError:
+        pass

@@ -234,6 +234,11 @@ def test_each_strict_level_names_itself_in_its_message():
     ({"sigma": {"distribution": "uniform", "low": -1.0}}, "sigma.low: -1.0 is outside [0, inf]"),
     ({"flip_prob": {"distribution": "normal", "mu": 0.5}},
      "flip_prob.distribution: a normal draw can leave [0, 1]; use a list or a uniform draw"),
+    ({"flip_prob": {"distribution": "uniform", "mu": 0.9, "sigma": 0.01}},
+     "flip_prob: a uniform draw does not read ['mu', 'sigma']"),
+    ({"mu": {"distribution": "normal", "sigma": -2}}, "mu.sigma: -2 is outside [0, inf]"),
+    ({"sigma": {"distribution": "laplace", "low": 0.0}},
+     "sigma: a laplace draw does not read ['low']"),
 ])
 def test_range_check_messages(params, message):
     with pytest.raises(ConfigError) as caught:
