@@ -537,18 +537,19 @@ def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
 
 
 def _apply_noise_cells(ctx, payload, group):
-    """Swap, mask or flip noise on the masked rows. A swap trades the rows of the
-    columns, so a cell the vocabulary lacks moves as it is; mask noise sets the rows
-    to ``mask_value``; a flip draws new codes, and only the rows whose code changed
-    are encoded anew, so the others keep their cells."""
-    columns = group.columns
+    """Noise on the masked rows: a flip step's on every encoded column, a swap or mask
+    step's on its input's first column alone. A swap trades the rows, so a cell the
+    vocabulary lacks moves as it is; mask noise sets them to ``mask_value``; a flip draws
+    new codes, and only the rows whose code changed are encoded anew."""
+    flip = ctx.step.kind == "noise_flip"
+    columns = group.columns if flip else group.columns[:1]
     drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
         # the rows' positions are swapped, and each column's rows move by them
         order = swap_noise(np.arange(len(group.missing)), drawn[2], ctx.sampler("swap"),
                            group.missing)
         columns = [data[order] for data in columns]
-    elif drawn is not None and ctx.step.kind == "noise_mask":
+    elif drawn is not None and not flip:
         columns = [mask_noise(columns[0], drawn[2], drawn[0].mask_value)]
     elif drawn is not None:
         _, pp, mask = drawn
@@ -1016,10 +1017,11 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
             raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
         if step.kind == "noise_flip" and basis != upstream:
             raise BasisFormatError(f"{at}.payload.categoric_basis: differs from its input's")
-        for key, table in getattr(payload.get("protected"), "segment_frequencies", {}).items():
-            if step.kind == "noise_flip" and len(table) != len(basis.vocabulary):
-                raise BasisFormatError(f"{at}.payload.protected.segment_frequencies.{key}: not "
-                                       "one frequency per value")
+        if step.kind == "noise_flip" and "protected" in payload:
+            for key, table in payload["protected"].segment_frequencies.items():
+                if len(table) != len(basis.vocabulary):
+                    raise BasisFormatError(f"{at}.payload.protected.segment_frequencies.{key}: "
+                                           "not one frequency per value")
         # a categoric kind's own encoding, or the one a flip step reads its codes in
         encoding = _KIND_ENCODINGS.get(step.kind, payload.get("encoding"))
         if encoding is not None and basis.encoding != encoding:

@@ -967,6 +967,27 @@ def test_swap_noise_partners_of_present_rows_are_present(sampling_type, root, pa
         assert (out == basis.missing_code).tolist() == (~present).tolist()
 
 
+@pytest.mark.parametrize("root, params", [("DPsk", {"mask_value": 5.0}), ("DPse", {})])
+def test_swap_and_mask_noise_below_a_multi_column_encoder_keep_its_first_column(root, params):
+    # a swap or mask step takes its input's first column alone, whether or not its mask
+    # is drawn: in train mode it is, in test mode a DP step draws none
+    table = DataTable({"c": [None if i % 5 == 0 else "abc"[i % 3] for i in range(20)]})
+    config = {"shuffletrain": False,
+              "processdict": {"ohenc": {"functionpointer": "onht"}, "nz": {"functionpointer": root}},
+              "transformdict": {"ohroot": {"parents": ["ohenc"]}, "ohenc": {"children": ["nz"]}},
+              "assigncat": {"ohroot": ["c"]},
+              "assignparam": {"nz": {"c": {"flip_prob": 1.0, **params}}}}
+    res = fit(table, config, _plan())
+    onehot = fit(table, {"shuffletrain": False, "assigncat": {"onht": ["c"]}}, _plan())
+    first = onehot.basis.plan_for("c").output_columns[0]
+    assert res.basis.plan_for("c").output_columns == ["c_ohenc_nz"]
+    for mode in ("train", "test"):
+        assert apply(res.basis, table, mode, _plan()).column_names == ["c_ohenc_nz"]
+    assert res.train.column("c_ohenc_nz") != onehot.train.column(first)
+    assert apply(res.basis, table, "test", _plan()).column("c_ohenc_nz") == \
+        apply(onehot.basis, table, "test", _plan()).column(first)
+
+
 @pytest.mark.parametrize("count", [0, 2, 5])
 def test_augment_applies_each_step_above_noise_once(monkeypatch, count):
     """An encoder with no noise step upstream gives every copy the same arrays, so one
