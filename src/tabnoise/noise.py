@@ -103,9 +103,11 @@ _SPEC_HINTS = {f.name: f.type for f in fields(NoiseSpec)}
 PARAM_HINTS = {name: _param_hint(name, hint) for name, hint in _SPEC_HINTS.items()}
 ResolvedParams = TypedDict("ResolvedParams", _SPEC_HINTS, total=False)
 RawParams = TypedDict("RawParams", PARAM_HINTS, total=False)
+# bins of a stdbins step: out to +/-2,048 standard deviations, a 32 KB edge array
+MAX_BINCOUNT = 4096
 # the range each bounded parameter holds, at every value it can resolve to
 PARAM_RANGES = {"flip_prob": (0.0, 1.0), "test_flip_prob": (0.0, 1.0),
-                "sigma": (0.0, np.inf), "test_sigma": (0.0, np.inf)}
+                "sigma": (0.0, np.inf), "test_sigma": (0.0, np.inf), "bincount": (2, MAX_BINCOUNT)}
 
 
 def sample_bernoulli_mask(sampler, n: int, p: float, missing_mask=None) -> np.ndarray:

@@ -79,8 +79,6 @@ from .trees import ParamAssignments, apply_root_category, builtin_catalog, resol
 
 BASIS_FORMAT_VERSION = "tabnoise-basis/1"
 
-# bins of a stdbins step: out to +/-2,048 standard deviations, a 32 KB edge array
-MAX_BINCOUNT = 4096
 # duplicates one augmentation may make: each is a full preparation of the table
 MAX_AUGMENT_COUNT = 1000
 
@@ -415,14 +413,8 @@ def _apply_passthrough_float(ctx, payload, group):
     return _single(values, missing, preserve=True)
 
 
-def _checked_bincount(bincount: int, error=ConfigError, at: str = "bincount") -> int:
-    if not 2 <= bincount <= MAX_BINCOUNT:
-        raise error(f"{at}: {bincount} is not between 2 and {MAX_BINCOUNT}")
-    return bincount
-
-
 def _fit_stdbins(ctx, group, params):
-    bincount = _checked_bincount(int(params.get("bincount", 6)))
+    bincount = int(params.get("bincount", 6))
     values, missing = _group_floats(group)
     mean, std = moments(values[~missing])
     return {"mean": mean, "std": std, "bincount": bincount}
@@ -981,13 +973,13 @@ def load_basis(path) -> TransformBasis:
 
 def _check_steps(where: str, plan: ColumnPlan) -> None:
     """Build each step's payload as its kind declares it, and check that each step
-    reads the input column or an earlier step's output, that each noise parameter
-    passes ``check_param``, that a protected payload names its column, that a flip
-    step keeps its input's vocabulary and holds one frequency per value in each
-    protected segment, that a categoric basis holds its step's
-    encoding (and a boolean one at most two values), that a numeric basis holds its
-    step's kind, that a bincount is in range, and that the plan's output columns are
-    ones its steps list."""
+    reads the input column or an earlier step's output and writes a new base, that each
+    noise parameter and a bincount passes ``check_param``, that a protected payload names
+    its column, that a flip step keeps its input's vocabulary and holds one frequency per
+    value in each protected segment, that a categoric basis holds its step's encoding (and
+    a boolean one at most two values) and a missing code its fit writes, that a numeric
+    basis holds its step's kind, and that the plan's output columns are ones its steps
+    list."""
     made, listed = {plan.input_column}, {plan.input_column}
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
@@ -997,6 +989,9 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         if step.input_base not in made:
             raise BasisFormatError(f"{at}.input_base: {step.input_base!r} is neither the input "
                                    "column nor an earlier step's output")
+        if step.output_base in made:
+            raise BasisFormatError(f"{at}.output_base: {step.output_base!r} is the input "
+                                   "column or an earlier step's output")
         made.add(step.output_base)
         listed.update(step.output_columns)
         payload = step.payload = typed(_TRANSFORMS[step.kind][2], step.payload, f"{at}.payload",
@@ -1015,6 +1010,10 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         basis = vocabularies[step.output_base] = payload.get("categoric_basis", upstream)
         if basis is not None and len(basis.frequencies) != len(basis.vocabulary):
             raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
+        if basis is not None and basis.missing_code not in (None, len(basis.vocabulary) + 1):
+            raise BasisFormatError(f"{at}.payload.categoric_basis.missing_code: "
+                                   f"{basis.missing_code!r} is neither null nor "
+                                   f"{len(basis.vocabulary) + 1}")
         if step.kind == "noise_flip" and basis != upstream:
             raise BasisFormatError(f"{at}.payload.categoric_basis: differs from its input's")
         if step.kind == "noise_flip" and "protected" in payload:
@@ -1035,7 +1034,8 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
             raise BasisFormatError(f"{at}.payload.numeric_basis.kind: {numeric.kind!r} is not "
                                    f"the step's {step.kind!r}")
         if step.kind == "stdbins":
-            _checked_bincount(payload["bincount"], BasisFormatError, f"{at}.payload.bincount")
+            check_param("bincount", payload["bincount"], f"{at}.payload.bincount",
+                        BasisFormatError)
     if not listed.issuperset(plan.output_columns):
         raise BasisFormatError(f"{where}.output_columns: {plan.output_columns} are not all "
                                "listed by the steps")

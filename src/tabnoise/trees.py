@@ -25,9 +25,7 @@ declares, directly or through ``functionpointer`` inheritance, with
 assignment scheme.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TypedDict
 
 from .errors import ConfigError
@@ -58,80 +56,48 @@ ROOT_PREFIX_POLICY = {
 
 DEPTH_LIMIT = 32
 
-
-@dataclass
-class FamilyTree:
-    parents: tuple = ()
-    siblings: tuple = ()
-    auntsuncles: tuple = ()
-    cousins: tuple = ()
-    children: tuple = ()
-    niecesnephews: tuple = ()
-    coworkers: tuple = ()
-    friends: tuple = ()
-
-    def __post_init__(self):
-        for f in fields(self):
-            setattr(self, f.name, tuple(getattr(self, f.name)))
-
-    @classmethod
-    def from_dict(cls, data: dict, where: str = "family tree primitives") -> "FamilyTree":
-        return cls(**typed(TreeSpec, data, where, ConfigError))
-
-
 # a family tree as a config's transformdict entry writes it
 TreeSpec = TypedDict("TreeSpec", {name: list[str] for name in PRIMITIVE_NAMES}, total=False)
+
+
+class ProcessSpec(TypedDict("_Pointer", {"functionpointer": str}), total=False):
+    """A process entry as a config's processdict entry writes it; a builtin entry
+    has ``transform``, a transform kind, in place of ``functionpointer``."""
+
+    defaultparams: dict
+
 
 # each parameter's configured value; the parameters of NoiseSpec plus bincount
 _PARAM_TYPES = {**PARAM_HINTS, "bincount": int}
 
 
 def _checked_params(params, where: str) -> dict:
-    """A copy of ``params`` with each parameter's value checked against ``_PARAM_TYPES``
-    and each noise parameter's by ``check_param``.
+    """A copy of ``params`` with each value of a ``_PARAM_TYPES`` name checked against
+    its type and by ``check_param``.
 
     Names it does not list are kept: ``resolve_params`` decides on them.
     """
     for name, value in typed(dict, params, where, ConfigError).items():
         if name in _PARAM_TYPES:
             typed(_PARAM_TYPES[name], value, f"{where}.{name}", ConfigError)
-        if name in PARAM_HINTS:
             check_param(name, value, f"{where}.{name}", ConfigError)
     return dict(params)
 
 
-@dataclass
-class ProcessEntry:
-    category: str
-    transform: str | None = None
-    functionpointer: str | None = None
-    defaultparams: dict = field(default_factory=dict)
-
-
 class TransformCatalog:
-    """Category definitions: family trees plus process entries."""
+    """Category definitions: family trees and process entries, by category."""
 
-    def __init__(self):
-        self._trees: dict[str, FamilyTree] = {}
-        self._process: dict[str, ProcessEntry] = {}
-
-    def register_tree(self, category: str, tree: FamilyTree) -> None:
-        self._trees[category] = tree
-
-    def register_entry(self, entry: ProcessEntry) -> None:
-        self._process[entry.category] = entry
+    def __init__(self, trees: dict[str, TreeSpec], process: dict[str, ProcessSpec]):
+        self._trees, self._process = trees, process
 
     def has_root(self, category: str) -> bool:
         return category in self._trees
 
-    def tree(self, category: str) -> FamilyTree:
+    def tree(self, category: str) -> TreeSpec:
         try:
             return self._trees[category]
         except KeyError:
             raise ConfigError(f"unknown root category: {category!r}") from None
-
-    def tree_or_empty(self, category: str) -> FamilyTree:
-        return self._trees.get(category) or FamilyTree()
 
     def resolve_entry(self, category: str) -> tuple[str, dict]:
         """(transform kind, merged defaultparams), chasing functionpointers."""
@@ -142,19 +108,15 @@ class TransformCatalog:
             if entry is None:
                 raise ConfigError(f"unknown transform category: {current!r}")
             chain.append(entry)
-            if entry.transform is not None:
+            if "transform" in entry:
                 break
-            if entry.functionpointer is None:
-                raise ConfigError(
-                    f"category {current!r} has neither a transform nor a functionpointer"
-                )
-            current = entry.functionpointer
+            current = entry["functionpointer"]
             if len(chain) > DEPTH_LIMIT:
                 raise ConfigError(f"functionpointer cycle at {category!r}")
-        kind = chain[-1].transform
+        kind = chain[-1]["transform"]
         defaults: dict = {}
         for entry in reversed(chain):
-            defaults.update(entry.defaultparams)
+            defaults.update(entry.get("defaultparams", {}))
         return kind, defaults
 
     def update_from_config(self, transformdict: dict | None, processdict: dict | None) -> None:
@@ -165,14 +127,13 @@ class TransformCatalog:
         """
         for category, spec in (processdict or {}).items():
             where = f"config.processdict.{category}"
-            pointer = typed(dict, spec, where, ConfigError).get("functionpointer")
-            typed(str, pointer, f"{where}.functionpointer", ConfigError)
-            params = _checked_params(spec.get("defaultparams", {}), f"{where}.defaultparams")
-            self.register_entry(ProcessEntry(category, functionpointer=pointer,
-                                             defaultparams=params))
+            entry = typed(ProcessSpec, spec, where, ConfigError)
+            entry["defaultparams"] = _checked_params(entry.get("defaultparams", {}),
+                                                     f"{where}.defaultparams")
+            self._process[category] = entry
         for category, spec in (transformdict or {}).items():
-            self.register_tree(category,
-                               FamilyTree.from_dict(spec, f"config.transformdict.{category}"))
+            self._trees[category] = typed(TreeSpec, spec, f"config.transformdict.{category}",
+                                          ConfigError)
 
 
 def apply_root_category(catalog: TransformCatalog, root: str, input_ref, executor):
@@ -185,13 +146,13 @@ def apply_root_category(catalog: TransformCatalog, root: str, input_ref, executo
     return _walk(catalog, catalog.tree(root), UPSTREAM_PRIMITIVES, input_ref, executor, 0)
 
 
-def _walk(catalog: TransformCatalog, tree: FamilyTree, primitives, ref, executor, depth: int):
+def _walk(catalog: TransformCatalog, tree: TreeSpec, primitives, ref, executor, depth: int):
     """Run ``primitives`` of ``tree`` on ``ref``; offspring walk their own trees'
     downstream primitives, one level deeper."""
     results = []
     retained = True
     for name, replaces, offspring in primitives:
-        for category in getattr(tree, name):
+        for category in tree.get(name, ()):
             out_ref = executor(category, ref)
             if replaces:
                 retained = False
@@ -203,7 +164,7 @@ def _walk(catalog: TransformCatalog, tree: FamilyTree, primitives, ref, executor
                     f"family tree recursion exceeded depth {DEPTH_LIMIT} at {category!r}; "
                     "check for cyclic definitions"
                 )
-            results.extend(_walk(catalog, catalog.tree_or_empty(category),
+            results.extend(_walk(catalog, catalog._trees.get(category, {}),
                                  DOWNSTREAM_PRIMITIVES, out_ref, executor, depth + 1))
     if retained:
         results.insert(0, ref)
@@ -315,20 +276,17 @@ _PASSTHROUGH_STEMS = ("ne", "pc", "se", "sk")
 
 
 def builtin_catalog() -> TransformCatalog:
-    catalog = TransformCatalog()
+    trees, process = {}, {}
     for category, kind in _ENCODER_ROOTS.items():
-        catalog.register_entry(ProcessEntry(category, transform=kind))
+        process[category] = {"transform": kind}
         if category in ("excl", "exclf", "pvoc"):
-            tree = FamilyTree(auntsuncles=(category,))
+            trees[category] = {"auntsuncles": [category]}
         else:
-            tree = FamilyTree(parents=(category,), cousins=("NArw",))
-        catalog.register_tree(category, tree)
-    catalog.register_entry(ProcessEntry("NArw", transform="missing_marker"))
-    catalog.register_tree("NArw", FamilyTree(cousins=("NArw",)))
-    catalog.register_entry(
-        ProcessEntry("bsor", transform="stdbins", defaultparams={"bincount": 6})
-    )
-    catalog.register_tree("bsor", FamilyTree(parents=("bsor",), cousins=("NArw",)))
+            trees[category] = {"parents": [category], "cousins": ["NArw"]}
+    process["NArw"] = {"transform": "missing_marker"}
+    trees["NArw"] = {"cousins": ["NArw"]}
+    process["bsor"] = {"transform": "stdbins", "defaultparams": {"bincount": 6}}
+    trees["bsor"] = {"parents": ["bsor"], "cousins": ["NArw"]}
 
     for stem, (encoder, kind, table_defaults) in _NOISE_STEMS.items():
         for prefix, (trainnoise, testnoise) in ROOT_PREFIX_POLICY.items():
@@ -336,16 +294,12 @@ def builtin_catalog() -> TransformCatalog:
             enc = root + "e"
             flags = {"trainnoise": trainnoise, "testnoise": testnoise}
             if prefix == "DP":
-                catalog.register_entry(
-                    ProcessEntry(root, transform=kind, defaultparams={**table_defaults, **flags})
-                )
+                process[root] = {"transform": kind, "defaultparams": {**table_defaults, **flags}}
             else:
                 # DT/DB inherit the DP entry via functionpointer with flag overrides
-                catalog.register_entry(
-                    ProcessEntry(root, functionpointer="DP" + stem, defaultparams=flags)
-                )
-            catalog.register_entry(ProcessEntry(enc, functionpointer=encoder))
-            narw = () if stem in _PASSTHROUGH_STEMS else ("NArw",)
-            catalog.register_tree(root, FamilyTree(parents=(enc,), cousins=narw))
-            catalog.register_tree(enc, FamilyTree(parents=(enc,), coworkers=(root,)))
-    return catalog
+                process[root] = {"functionpointer": "DP" + stem, "defaultparams": flags}
+            process[enc] = {"functionpointer": encoder}
+            narw = [] if stem in _PASSTHROUGH_STEMS else ["NArw"]
+            trees[root] = {"parents": [enc], "cousins": narw}
+            trees[enc] = {"parents": [enc], "coworkers": [root]}
+    return TransformCatalog(trees, process)

@@ -15,7 +15,8 @@ import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
 from tabnoise.errors import BasisFormatError
-from tabnoise.pipeline import MAX_AUGMENT_COUNT, MAX_BINCOUNT, fit, load_basis
+from tabnoise.noise import MAX_BINCOUNT
+from tabnoise.pipeline import MAX_AUGMENT_COUNT, fit, load_basis
 from tabnoise.sampling import SamplingPlan
 from tabnoise.table import load_csv, write_csv
 
@@ -503,7 +504,7 @@ def test_fit_bincount_above_bound_exit_2(workdir):
                          "--out-dir", str(workdir / "out"),
                          "--entropy-seeds", str(workdir / "seeds.txt"))
     assert code == 2
-    assert str(MAX_BINCOUNT) in err
+    assert "config.assignparam.bsor.num.bincount" in err and str(MAX_BINCOUNT) in err
     assert "Traceback" not in err
 
 
@@ -603,6 +604,8 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("assignparam", {"DPbn": {"cat": {"flip_prob": {"distribution": "uniform", "high": 2.0}}}}),
     ("assignparam", {"DPbn": {"cat": {"flip_prob": 1.5}}}),
     ("assignparam", {"DPnb": {"num": {"sigma": -0.2}}}),
+    ("processdict", {"mybins": {"functionpointer": "bsor", "defaultparam": {"bincount": 3}}}),
+    ("processdict", {"mybins": {"functionpointer": "bsor", "transform": "zscore"}}),
 ])
 def test_fit_malformed_config_section_exit_2(workdir, key, value):
     _with_config(workdir, **{key: value})
@@ -707,6 +710,16 @@ def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, m
     assert not (workdir / "prepared.csv").exists()
 
 
+def _basis_commands(workdir, basis):
+    """transform, augment and seed-report on ``basis`` and the training table."""
+    seeds = ("--entropy-seeds", str(workdir / "seeds.txt"))
+    return (("transform", str(basis), str(workdir / "train.csv"),
+             "--out", str(workdir / "prepared.csv"), "--traindata", "train", *seeds),
+            ("augment", str(basis), str(workdir / "train.csv"), "--count", "1",
+             "--out", str(workdir / "prepared.csv"), *seeds),
+            ("seed-report", str(basis)))
+
+
 @pytest.mark.parametrize("entries", [1, 2, 4, 5])
 def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdir, entries):
     """A protected flip step holds one frequency per vocabulary value in each segment's
@@ -726,12 +739,53 @@ def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdi
     basis.write_text(json.dumps(data))
     message = ("basis.column_plans.c.steps[1].payload.protected.segment_frequencies.x: not one "
                "frequency per value")
-    seeds = ("--entropy-seeds", str(workdir / "seeds.txt"))
-    for command in (("transform", str(basis), str(workdir / "train.csv"),
-                     "--out", str(workdir / "prepared.csv"), "--traindata", "train", *seeds),
-                    ("augment", str(basis), str(workdir / "train.csv"), "--count", "1",
-                     "--out", str(workdir / "prepared.csv"), *seeds),
-                    ("seed-report", str(basis))):
+    for command in _basis_commands(workdir, basis):
+        code, err = _run_cli(*command)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+    assert not (workdir / "prepared.csv").exists()
+
+
+@pytest.mark.parametrize("missing_code", [99, 1, 0])
+def test_basis_categoric_missing_code_not_the_fits_exit_2(workdir, missing_code):
+    """A categoric basis's missing code is null or one past its vocabulary, the two values
+    the fit writes; 99 once ended ``transform`` of a blank cell in a traceback, and 1
+    encoded the blank silently as the first vocabulary value."""
+    (workdir / "train.csv").write_text(
+        "c,g\n" + "".join(f"{'abc'[i % 3] if i % 4 else ''},{i}\n" for i in range(12)))
+    _with_config(workdir, labels_column=None, assigncat={"DPoh": ["c"]})
+    assert _fit(workdir) == 0
+    basis = workdir / "out" / "basis.json"
+    data = json.loads(basis.read_text())
+    steps = data["column_plans"]["c"]["steps"]
+    assert [step["kind"] for step in steps[:2]] == ["onehot", "noise_flip"]
+    for step in steps[:2]:
+        assert step["payload"]["categoric_basis"]["missing_code"] == 4
+        step["payload"]["categoric_basis"]["missing_code"] = missing_code
+    basis.write_text(json.dumps(data))
+    message = (f"basis.column_plans.c.steps[0].payload.categoric_basis.missing_code: "
+               f"{missing_code} is neither null nor 4")
+    for command in _basis_commands(workdir, basis):
+        code, err = _run_cli(*command)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+    assert not (workdir / "prepared.csv").exists()
+
+
+@pytest.mark.parametrize("output_base", ["num", "num_DPnbe"])
+def test_basis_step_output_base_not_new_exit_2(workdir, output_base):
+    """A step writes a base no earlier step wrote, nor the input column; either once ended
+    ``transform`` in a traceback."""
+    assert _fit(workdir) == 0
+    basis = workdir / "out" / "basis.json"
+    data = json.loads(basis.read_text())
+    steps = data["column_plans"]["num"]["steps"]
+    assert [step["output_base"] for step in steps[:2]] == ["num_DPnbe", "num_DPnbe_DPnb"]
+    steps[1]["output_base"] = output_base
+    basis.write_text(json.dumps(data))
+    message = (f"basis.column_plans.num.steps[1].output_base: {output_base!r} is the input "
+               "column or an earlier step's output")
+    for command in _basis_commands(workdir, basis):
         code, err = _run_cli(*command)
         assert code == 2
         assert err.splitlines() == [f"ERROR tabnoise: {message}"]

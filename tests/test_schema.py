@@ -149,10 +149,12 @@ _FUZZ_VALUES = (None, "x", -1, [], {}, 1e300)
 
 @pytest.fixture(scope="module")
 def fitted_dir(tmp_path_factory):
-    """A 40-row fit with every kind of noise step, its basis and its inputs."""
+    """A 40-row fit with every kind of noise step, its basis and its inputs; the one-hot
+    column ``c1`` has blank cells, so its basis has a missing code."""
     work = tmp_path_factory.mktemp("fuzz")
-    rows = [f"{i * 0.37 % 5:.3f},{(i * 7) % 11 / 10:.2f},{'abcd'[i % 4]},{'yn'[i % 3 == 0]},"
-            f"{'uvw'[i % 3]},{i % 6},{i * 1.5:.1f},{'pq'[i % 2]},{i % 2}\n" for i in range(40)]
+    rows = [f"{i * 0.37 % 5:.3f},{(i * 7) % 11 / 10:.2f},{'abcd'[i % 4] if i % 5 else ''},"
+            f"{'yn'[i % 3 == 0]},{'uvw'[i % 3]},{i % 6},{i * 1.5:.1f},{'pq'[i % 2]},{i % 2}\n"
+            for i in range(40)]
     (work / "train.csv").write_text("n1,n2,c1,b1,s1,k1,n3,p,label\n" + "".join(rows))
     (work / "seeds.txt").write_text("".join(f"{i}\n" for i in range(3000)))
     (work / "config.json").write_text(json.dumps({
@@ -194,12 +196,23 @@ def _transform_args(work: Path, basis: Path) -> list:
             "--entropy-seeds", str(work / "seeds.txt")]
 
 
+def _base_edits(basis: dict):
+    """(path, value) that sets a step's input_base or output_base to each base of its plan:
+    the input column or a step's output."""
+    for column, plan in basis["column_plans"].items():
+        bases = [plan["input_column"]] + [step["output_base"] for step in plan["steps"]]
+        for idx in range(len(plan["steps"])):
+            for key in ("input_base", "output_base"):
+                for base in bases:
+                    yield ("column_plans", column, "steps", idx, key), base
+
+
 def test_malformed_basis_exits_2_without_exception(fitted_dir):
     # a value of the schema's type (a number for a number) is a valid basis, and exits 0
     basis = json.loads((fitted_dir / "out" / "basis.json").read_text())
     cases = [(path, value) for path in _json_paths(basis) for value in _FUZZ_VALUES]
     codes = []
-    for path, value in random.Random(0).sample(cases, 150):
+    for path, value in random.Random(0).sample(cases, 150) + list(_base_edits(basis)):
         target = fitted_dir / "mutated.json"
         target.write_text(json.dumps(_mutated(basis, path, value)))
         with contextlib.redirect_stderr(io.StringIO()):
@@ -242,7 +255,9 @@ def edit_leaf(fitted_dir):
     replaced. The leaves outside the payloads name columns and steps, which the fuzz
     above covers. Half of the values keep the leaf's kind (a number, a string, or a list
     of either), so many edits pass the type check; strings come from the basis itself
-    (names, kinds, cells) or are short text."""
+    (names, kinds, cells) or are short text. An edit inside a categoric basis is made
+    in half the cases to every step of the plan that holds one, as a flip step must keep
+    its input's basis."""
     basis = json.loads((fitted_dir / "out" / "basis.json").read_text())
     leaves = {}
     for path, value in _leaves(basis):
@@ -260,7 +275,14 @@ def edit_leaf(fitted_dir):
         path = data.draw(st.sampled_from(leaves[kind]))
         if data.draw(st.booleans()):
             kind = data.draw(st.sampled_from(sorted(values)))
-        return _mutated(basis, path, data.draw(values[kind]))
+        value = data.draw(values[kind])
+        edited = _mutated(basis, path, value)
+        if "categoric_basis" in path and data.draw(st.booleans()):
+            tail = path[path.index("payload"):]
+            for step in _at(edited, path[:3]):
+                if "categoric_basis" in step["payload"]:
+                    _at(step, tail[:-1])[tail[-1]] = copy.deepcopy(value)
+        return edited
 
     # a function, so a failing example's report stays short
     return edit

@@ -2,12 +2,13 @@ import pytest
 
 from tabnoise.errors import ConfigError
 from tabnoise.pipeline import KIND_PARAMS
+from tabnoise.schema import typed
 from tabnoise.trees import (
-    FamilyTree,
     ParamAssignments,
-    ProcessEntry,
+    ProcessSpec,
     ROOT_PREFIX_POLICY,
     TransformCatalog,
+    TreeSpec,
     apply_root_category,
     builtin_catalog,
     resolve_params,
@@ -33,12 +34,8 @@ def _bases(refs):
 
 
 def test_worked_example_tree():
-    catalog = TransformCatalog()
-    catalog.register_tree(
-        "newt",
-        FamilyTree.from_dict(
-            {"parents": ["newt"], "cousins": ["NArw"], "friends": ["bsor"]}
-        ),
+    catalog = TransformCatalog(
+        {"newt": {"parents": ["newt"], "cousins": ["NArw"], "friends": ["bsor"]}}, {}
     )
     log = []
     refs = apply_root_category(catalog, "newt", _Ref("column"), _trace_executor(log))
@@ -46,98 +43,92 @@ def test_worked_example_tree():
 
 
 def test_cousins_only_root_retains_input():
-    catalog = TransformCatalog()
-    catalog.register_tree("markers", FamilyTree(cousins=("NArw",)))
+    catalog = TransformCatalog({"markers": {"cousins": ["NArw"]}}, {})
     refs = apply_root_category(catalog, "markers", _Ref("x"), _trace_executor([]))
     assert _bases(refs) == ["x", "x_NArw"]
 
 
 def test_coworkers_replace_downstream():
     # encoder upstream, noise replacing it downstream through coworkers
-    catalog = TransformCatalog()
-    catalog.register_tree("root", FamilyTree(parents=("enc",), cousins=("NArw",)))
-    catalog.register_tree("enc", FamilyTree(parents=("enc",), coworkers=("noise",)))
+    catalog = TransformCatalog({"root": {"parents": ["enc"], "cousins": ["NArw"]},
+                                "enc": {"parents": ["enc"], "coworkers": ["noise"]}}, {})
     refs = apply_root_category(catalog, "root", _Ref("x"), _trace_executor([]))
     assert _bases(refs) == ["x_enc_noise", "x_NArw"]
 
 
 def test_generation_chaining_with_children():
     # children act as downstream parents: replace, with further offspring
-    catalog = TransformCatalog()
-    catalog.register_tree("root", FamilyTree(parents=("a",)))
-    catalog.register_tree("a", FamilyTree(parents=("a",), children=("b",)))
-    catalog.register_tree("b", FamilyTree(parents=("b",), coworkers=("c",)))
+    catalog = TransformCatalog({"root": {"parents": ["a"]},
+                                "a": {"parents": ["a"], "children": ["b"]},
+                                "b": {"parents": ["b"], "coworkers": ["c"]}}, {})
     refs = apply_root_category(catalog, "root", _Ref("x"), _trace_executor([]))
     assert _bases(refs) == ["x_a_b_c"]
 
 
 def test_supplement_primitives_retain_their_input():
-    catalog = TransformCatalog()
-    catalog.register_tree("root", FamilyTree(siblings=("s",), cousins=("k",)))
+    catalog = TransformCatalog({"root": {"siblings": ["s"], "cousins": ["k"]}}, {})
     refs = apply_root_category(catalog, "root", _Ref("x"), _trace_executor([]))
     # siblings and cousins supplement: input survives, outputs appended
     assert _bases(refs) == ["x", "x_s", "x_k"]
 
 
 def test_unknown_root_category_named_in_error():
-    catalog = TransformCatalog()
+    catalog = TransformCatalog({}, {})
     with pytest.raises(ConfigError, match="nope"):
         apply_root_category(catalog, "nope", _Ref("x"), _trace_executor([]))
 
 
 def test_cycle_guarded_by_depth_limit():
-    catalog = TransformCatalog()
-    catalog.register_tree("loop", FamilyTree(parents=("loop",), children=("loop",)))
+    catalog = TransformCatalog({"loop": {"parents": ["loop"], "children": ["loop"]}}, {})
     with pytest.raises(ConfigError, match="depth"):
         apply_root_category(catalog, "loop", _Ref("x"), _trace_executor([]))
 
 
 def test_unknown_primitive_rejected():
-    with pytest.raises(ConfigError, match="primitive"):
-        FamilyTree.from_dict({"parents": [], "stepparents": ["x"]})
+    with pytest.raises(ConfigError) as caught:
+        builtin_catalog().update_from_config({"newt": {"parents": [], "stepparents": ["x"]}},
+                                             None)
+    assert str(caught.value) == "config.transformdict.newt: unknown keys ['stepparents']"
 
 
 # -- process entries and functionpointer ------------------------------------------
 
 
 def test_functionpointer_resolution_merges_defaults():
-    catalog = TransformCatalog()
-    catalog.register_entry(ProcessEntry("base", transform="noise_numeric",
-                                        defaultparams={"sigma": 0.06, "mu": 0.0}))
-    catalog.register_entry(ProcessEntry("derived", functionpointer="base",
-                                        defaultparams={"sigma": 0.5}))
+    catalog = TransformCatalog({}, {
+        "base": {"transform": "noise_numeric", "defaultparams": {"sigma": 0.06, "mu": 0.0}},
+        "derived": {"functionpointer": "base", "defaultparams": {"sigma": 0.5}},
+    })
     kind, defaults = catalog.resolve_entry("derived")
     assert kind == "noise_numeric"
     assert defaults == {"sigma": 0.5, "mu": 0.0}
 
 
 def test_functionpointer_chain():
-    catalog = TransformCatalog()
-    catalog.register_entry(ProcessEntry("a", transform="zscore", defaultparams={}))
-    catalog.register_entry(ProcessEntry("b", functionpointer="a"))
-    catalog.register_entry(ProcessEntry("c", functionpointer="b"))
+    catalog = TransformCatalog({}, {"a": {"transform": "zscore", "defaultparams": {}},
+                                    "b": {"functionpointer": "a"},
+                                    "c": {"functionpointer": "b"}})
     assert catalog.resolve_entry("c")[0] == "zscore"
 
 
 def test_functionpointer_cycle_detected():
-    catalog = TransformCatalog()
-    catalog.register_entry(ProcessEntry("a", functionpointer="b"))
-    catalog.register_entry(ProcessEntry("b", functionpointer="a"))
+    catalog = TransformCatalog({}, {"a": {"functionpointer": "b"},
+                                    "b": {"functionpointer": "a"}})
     with pytest.raises(ConfigError, match="cycle"):
         catalog.resolve_entry("a")
 
 
 def test_unknown_category_in_chain():
-    catalog = TransformCatalog()
-    catalog.register_entry(ProcessEntry("a", functionpointer="ghost"))
+    catalog = TransformCatalog({}, {"a": {"functionpointer": "ghost"}})
     with pytest.raises(ConfigError, match="ghost"):
         catalog.resolve_entry("a")
 
 
 def test_config_processdict_requires_functionpointer():
     catalog = builtin_catalog()
-    with pytest.raises(ConfigError, match="functionpointer"):
+    with pytest.raises(ConfigError) as caught:
         catalog.update_from_config(None, {"newt": {"defaultparams": {}}})
+    assert str(caught.value) == "config.processdict.newt: missing keys ['functionpointer']"
 
 
 # -- parameter precedence -----------------------------------------------------------
@@ -257,8 +248,8 @@ def test_builtin_noise_roots_structure():
     assert defaults["sigma"] == 0.06 and defaults["flip_prob"] == 0.03
     assert catalog.resolve_entry("DPnbe")[0] == "zscore"
     tree = catalog.tree("DPnb")
-    assert tree.parents == ("DPnbe",) and tree.cousins == ("NArw",)
-    assert catalog.tree("DPnbe").coworkers == ("DPnb",)
+    assert tree["parents"] == ["DPnbe"] and tree["cousins"] == ["NArw"]
+    assert catalog.tree("DPnbe")["coworkers"] == ["DPnb"]
 
 
 def test_builtin_swap_and_passthrough():
@@ -267,9 +258,9 @@ def test_builtin_swap_and_passthrough():
     assert catalog.resolve_entry("DPsee")[0] == "passthrough"
     assert catalog.resolve_entry("excl")[0] == "passthrough"
     # passthrough roots carry no missing markers
-    assert catalog.tree("DPse").cousins == ()
-    assert catalog.tree("excl").cousins == ()
-    assert catalog.tree("excl").auntsuncles == ("excl",)
+    assert catalog.tree("DPse").get("cousins", []) == []
+    assert catalog.tree("excl").get("cousins", []) == []
+    assert catalog.tree("excl")["auntsuncles"] == ["excl"]
 
 
 def test_builtin_prefix_policy_flags():
@@ -295,3 +286,17 @@ def test_builtin_table_defaults():
     assert ne["rescale_sigmas"] is True and ne["sigma"] == 0.06
     _, oh = catalog.resolve_entry("DPoh")
     assert oh["swap_noise"] is False
+
+
+def test_builtin_entries_have_the_config_form():
+    """A builtin tree is a TreeSpec, and a builtin entry a ProcessSpec with ``transform``
+    in place of ``functionpointer`` where it names a transform kind."""
+    catalog = builtin_catalog()
+    for category, tree in catalog._trees.items():
+        assert typed(TreeSpec, tree, category, ConfigError) == tree
+    for category, entry in catalog._process.items():
+        assert ("transform" in entry) != ("functionpointer" in entry), category
+        # each key ProcessSpec holds, with transform read as the functionpointer
+        as_config = {"functionpointer" if key == "transform" else key: value
+                     for key, value in entry.items()}
+        assert typed(ProcessSpec, as_config, category, ConfigError) == as_config
