@@ -653,7 +653,7 @@ def _structure(catalog, assignments, column, root, kind, used_names):
 
     Returns the plan's step skeleton (the fitting run fills in payloads and
     output columns) and, for that run, each step's resolved params and the
-    bases of the surviving outputs.
+    bases of the surviving outputs. ``load_basis`` checks each plan against it.
     """
     plan = ColumnPlan(input_column=column, root=root, kind=kind)
     params = []
@@ -726,9 +726,14 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column, fitting, shared: dict) -> l
         else:
             shared[step.output_base] = (out, {name: written[name] for name in names})
     if surviving is not None:
-        outputs = {step.output_base: step.output_columns for step in plan.steps}
-        plan.output_columns = [name for base in surviving for name in outputs.get(base, [base])]
+        plan.output_columns = _output_columns(plan.steps, surviving)
     return [(name, written[name]) for name in plan.output_columns]
+
+
+def _output_columns(steps: list, surviving: list) -> list:
+    """A plan's output columns: the columns of each surviving base, in order."""
+    outputs = {step.output_base: step.output_columns for step in steps}
+    return [name for base in surviving for name in outputs.get(base, [base])]
 
 
 def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: StreamManager,
@@ -952,7 +957,9 @@ def save_basis(basis: TransformBasis, path) -> None:
 
 def load_basis(path) -> TransformBasis:
     """The basis a file holds, every value checked; a malformed one raises
-    ``BasisFormatError`` naming its JSON path."""
+    ``BasisFormatError`` naming its JSON path. Each plan is the one ``fit`` makes: its root
+    is walked again (``_structure``) on the basis's own catalog, and the plan's input column,
+    each step's category, kind and bases, and its output columns are the walk's."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -964,36 +971,43 @@ def load_basis(path) -> TransformBasis:
             f"basis version {version!r} is not supported (expected {BASIS_FORMAT_VERSION!r})"
         )
     basis = typed(TransformBasis, data, "basis", BasisFormatError)
-    if not basis.column_plans.keys() >= set(basis.input_columns):
-        raise BasisFormatError("basis.column_plans: not every input column has a plan")
-    for column, plan in basis.column_plans.items():
-        _check_steps(f"basis.column_plans.{column}", plan)
+    columns, plans = basis.input_columns, basis.column_plans
+    if sorted(plans) != sorted(columns):  # one plan for each input column, listed once
+        raise BasisFormatError(f"basis.column_plans: plans for {sorted(plans)}, not one for "
+                               f"each input column, {sorted(columns)}")
+    catalog, used = builtin_catalog(), set(columns)  # as fit builds and walks them
+    try:
+        catalog.update_from_config(basis.transformdict, basis.processdict, "basis")
+    except ConfigError as exc:
+        raise BasisFormatError(str(exc)) from None
+    for column in sorted(columns):
+        where, plan = f"basis.column_plans.{column}", plans[column]
+        try:
+            walked, (_, surviving) = _structure(catalog, ParamAssignments(), column, plan.root,
+                                                plan.kind, used)
+        except ConfigError as exc:
+            raise BasisFormatError(f"{where}.root: {exc}") from None
+        checked = [("input_column", plan.input_column, column)]
+        checked += [(f"steps[{idx}].{name}", getattr(step, name), getattr(made, name))
+                    for idx, (step, made) in enumerate(zip(plan.steps, walked.steps))
+                    for name in ("category", "kind", "input_base", "output_base")]
+        checked += [("steps", [s.category for s in plan.steps], [s.category for s in walked.steps])]
+        checked += [("output_columns", plan.output_columns, _output_columns(plan.steps, surviving))]
+        for name, found, made in checked:
+            if found != made:
+                raise BasisFormatError(f"{where}.{name}: {found!r} is not {made!r}, as root "
+                                       f"{plan.root!r} makes it")
+        _check_steps(where, plan)
     return basis
 
 
 def _check_steps(where: str, plan: ColumnPlan) -> None:
-    """Build each step's payload as its kind declares it, and check that each step
-    reads the input column or an earlier step's output and writes a new base, that each
-    noise parameter and a bincount passes ``check_param``, that a protected payload names
-    its column, that a flip step keeps its input's vocabulary and holds one frequency per
-    value in each protected segment, that a categoric basis holds its step's encoding (and
-    a boolean one at most two values) and a missing code its fit writes, that a numeric
-    basis holds its step's kind, and that the plan's output columns are ones its steps
-    list."""
-    made, listed = {plan.input_column}, {plan.input_column}
+    """Build each step's payload as its kind declares it, and check what it fitted: the
+    payload types, parameter ranges (``check_param``), vocabularies, encodings, missing
+    codes and protected segment tables."""
     vocabularies = {}  # step output -> the categoric basis it is encoded on
     for idx, step in enumerate(plan.steps):
         at = f"{where}.steps[{idx}]"
-        if step.kind not in _TRANSFORMS:
-            raise BasisFormatError(f"{at}.kind: unknown transform kind {step.kind!r}")
-        if step.input_base not in made:
-            raise BasisFormatError(f"{at}.input_base: {step.input_base!r} is neither the input "
-                                   "column nor an earlier step's output")
-        if step.output_base in made:
-            raise BasisFormatError(f"{at}.output_base: {step.output_base!r} is the input "
-                                   "column or an earlier step's output")
-        made.add(step.output_base)
-        listed.update(step.output_columns)
         payload = step.payload = typed(_TRANSFORMS[step.kind][2], step.payload, f"{at}.payload",
                                        BasisFormatError)
         unknown = set(payload.get("randomized_fields", ())) - payload.get("params_raw", {}).keys()
@@ -1036,9 +1050,6 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
         if step.kind == "stdbins":
             check_param("bincount", payload["bincount"], f"{at}.payload.bincount",
                         BasisFormatError)
-    if not listed.issuperset(plan.output_columns):
-        raise BasisFormatError(f"{where}.output_columns: {plan.output_columns} are not all "
-                               "listed by the steps")
 
 
 def orig_headers_mode(prepared: DataTable, basis: TransformBasis) -> DataTable:

@@ -119,20 +119,21 @@ class TransformCatalog:
             defaults.update(entry.get("defaultparams", {}))
         return kind, defaults
 
-    def update_from_config(self, transformdict: dict | None, processdict: dict | None) -> None:
-        """Apply user ``transformdict``/``processdict`` sections.
+    def update_from_config(self, transformdict: dict | None, processdict: dict | None,
+                           prefix: str = "config") -> None:
+        """Apply user ``transformdict``/``processdict`` sections found at ``prefix``.
 
         Config-declared categories inherit an existing transform through
         ``functionpointer``.
         """
         for category, spec in (processdict or {}).items():
-            where = f"config.processdict.{category}"
+            where = f"{prefix}.processdict.{category}"
             entry = typed(ProcessSpec, spec, where, ConfigError)
             entry["defaultparams"] = _checked_params(entry.get("defaultparams", {}),
                                                      f"{where}.defaultparams")
             self._process[category] = entry
         for category, spec in (transformdict or {}).items():
-            self._trees[category] = typed(TreeSpec, spec, f"config.transformdict.{category}",
+            self._trees[category] = typed(TreeSpec, spec, f"{prefix}.transformdict.{category}",
                                           ConfigError)
 
 

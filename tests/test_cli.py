@@ -720,8 +720,17 @@ def _basis_commands(workdir, basis):
             ("seed-report", str(basis)))
 
 
+def _main_errors(caplog, command) -> tuple:
+    """The CLI in-process: (exit code, its ERROR records as the stderr lines they log)."""
+    caplog.clear()
+    code = main(list(command))
+    return code, [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+
+
 @pytest.mark.parametrize("entries", [1, 2, 4, 5])
-def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdir, entries):
+def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdir, caplog,
+                                                                          entries):
     """A protected flip step holds one frequency per vocabulary value in each segment's
     table; a table of another length once broadcast silently (1 entry) or ended in a
     traceback (2, 4 or 5 entries on 3 values)."""
@@ -740,14 +749,12 @@ def test_basis_protected_segment_table_not_one_frequency_per_value_exit_2(workdi
     message = ("basis.column_plans.c.steps[1].payload.protected.segment_frequencies.x: not one "
                "frequency per value")
     for command in _basis_commands(workdir, basis):
-        code, err = _run_cli(*command)
-        assert code == 2
-        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
     assert not (workdir / "prepared.csv").exists()
 
 
 @pytest.mark.parametrize("missing_code", [99, 1, 0])
-def test_basis_categoric_missing_code_not_the_fits_exit_2(workdir, missing_code):
+def test_basis_categoric_missing_code_not_the_fits_exit_2(workdir, caplog, missing_code):
     """A categoric basis's missing code is null or one past its vocabulary, the two values
     the fit writes; 99 once ended ``transform`` of a blank cell in a traceback, and 1
     encoded the blank silently as the first vocabulary value."""
@@ -766,16 +773,14 @@ def test_basis_categoric_missing_code_not_the_fits_exit_2(workdir, missing_code)
     message = (f"basis.column_plans.c.steps[0].payload.categoric_basis.missing_code: "
                f"{missing_code} is neither null nor 4")
     for command in _basis_commands(workdir, basis):
-        code, err = _run_cli(*command)
-        assert code == 2
-        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
     assert not (workdir / "prepared.csv").exists()
 
 
 @pytest.mark.parametrize("output_base", ["num", "num_DPnbe"])
-def test_basis_step_output_base_not_new_exit_2(workdir, output_base):
-    """A step writes a base no earlier step wrote, nor the input column; either once ended
-    ``transform`` in a traceback."""
+def test_basis_step_output_base_not_new_exit_2(workdir, caplog, output_base):
+    """A step writes the base its root's walk makes, not the input column or an earlier
+    step's output; either once ended ``transform`` in a traceback."""
     assert _fit(workdir) == 0
     basis = workdir / "out" / "basis.json"
     data = json.loads(basis.read_text())
@@ -783,12 +788,62 @@ def test_basis_step_output_base_not_new_exit_2(workdir, output_base):
     assert [step["output_base"] for step in steps[:2]] == ["num_DPnbe", "num_DPnbe_DPnb"]
     steps[1]["output_base"] = output_base
     basis.write_text(json.dumps(data))
-    message = (f"basis.column_plans.num.steps[1].output_base: {output_base!r} is the input "
-               "column or an earlier step's output")
+    message = (f"basis.column_plans.num.steps[1].output_base: {output_base!r} is not "
+               "'num_DPnbe_DPnb', as root 'DPnb' makes it")
     for command in _basis_commands(workdir, basis):
-        code, err = _run_cli(*command)
-        assert code == 2
-        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
+    assert not (workdir / "prepared.csv").exists()
+
+
+def _delete_noise_step(basis):
+    plan = basis["column_plans"]["num"]
+    del plan["steps"][1]
+    plan["output_columns"] = ["num_DPnbe", "num_NArw"]
+
+
+_NUM = "basis.column_plans.num"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda basis: basis["column_plans"]["num"].update(root="nosuchroot"),
+     f"{_NUM}.root: unknown root category: 'nosuchroot'"),
+    (lambda basis: basis["column_plans"]["cat"]["steps"][1].update(category="DBod"),
+     "basis.column_plans.cat.steps[1].category: 'DBod' is not 'DPod', as root 'DPod' makes it"),
+    (_delete_noise_step,
+     f"{_NUM}.steps[1].category: 'NArw' is not 'DPnb', as root 'DPnb' makes it"),
+    (lambda basis: basis["column_plans"]["num"]["output_columns"].reverse(),
+     f"{_NUM}.output_columns: ['num_NArw', 'num_DPnbe_DPnb'] is not ['num_DPnbe_DPnb', "
+     "'num_NArw'], as root 'DPnb' makes it"),
+    (lambda basis: basis["column_plans"]["num"]["output_columns"].pop(),
+     f"{_NUM}.output_columns: ['num_DPnbe_DPnb'] is not ['num_DPnbe_DPnb', 'num_NArw'], as "
+     "root 'DPnb' makes it"),
+    (lambda basis: basis["column_plans"].update({"0extra": basis["column_plans"]["num"]}),
+     "basis.column_plans: plans for ['0extra', 'cat', 'label', 'num'], not one for each input "
+     "column, ['cat', 'label', 'num']"),
+    (lambda basis: basis["input_columns"].append("num"),
+     "basis.column_plans: plans for ['cat', 'label', 'num'], not one for each input column, "
+     "['cat', 'label', 'num', 'num']"),
+    (lambda basis: basis["processdict"].update(mybins={"functionpointer": "bsor",
+                                                       "defaultparam": {"bincount": 3}}),
+     "basis.processdict.mybins: unknown keys ['defaultparam']"),
+    (lambda basis: basis["transformdict"].update(newt={"stepparents": ["newt"]}),
+     "basis.transformdict.newt: unknown keys ['stepparents']"),
+], ids=["root", "category", "noise-step-deleted", "outputs-reordered", "outputs-truncated",
+        "plan-not-an-input", "input-repeated", "processdict", "transformdict"])
+def test_basis_plan_not_the_walk_of_its_root_exit_2(workdir, caplog, edit, message):
+    """Each plan is the one ``fit`` makes from its root, with the catalog of the basis's own
+    ``transformdict`` and ``processdict``, and each input column has one plan; each edit
+    here once loaded and prepared with exit 0."""
+    _with_config(workdir, assigncat={"DPnb": ["num"], "DPod": ["cat"]})
+    assert _fit(workdir) == 0
+    basis = workdir / "out" / "basis.json"
+    data = json.loads(basis.read_text())
+    assert data["column_plans"]["num"]["output_columns"] == ["num_DPnbe_DPnb", "num_NArw"]
+    assert data["column_plans"]["cat"]["steps"][1]["category"] == "DPod"
+    edit(data)
+    basis.write_text(json.dumps(data))
+    for command in _basis_commands(workdir, basis):
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
     assert not (workdir / "prepared.csv").exists()
 
 
