@@ -224,7 +224,7 @@ class _Group:
 
     columns: list  # [np.ndarray | Coded]
     missing: np.ndarray  # bool mask: source cell missing or not usable
-    basis: CategoricBasis | None = None  # the vocabulary the columns encode, if any
+    basis: CategoricBasis | None = None  # the vocabulary the columns encode (_vocabulary_of)
     preserve_missing: bool = False
 
 
@@ -239,8 +239,8 @@ def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     return values, group.missing | missing
 
 
-def _single(data, missing, basis=None, preserve=False) -> _Group:
-    return _Group([data], np.asarray(missing, dtype=bool), basis, preserve)
+def _single(data, missing, preserve=False) -> _Group:
+    return _Group([data], np.asarray(missing, dtype=bool), preserve_missing=preserve)
 
 
 def _output_names(base: str, count: int) -> list:
@@ -265,10 +265,6 @@ class _Ctx:
         # the step's declared operation names (None while its payload is fitted), and those taken
         self.declared: list | None = []
         self.taken: list = []
-
-    @property
-    def phase(self) -> str:
-        return _phase(self.mode)
 
     def sampler(self, op: str):
         """The sampler for the step's next operation, ``op`` as ``_noise_ops`` names it."""
@@ -366,7 +362,7 @@ def _draw_mask(ctx: _Ctx, payload: dict, missing: np.ndarray):
     again = not ctx.fitting and "resolve" in ctx.declared
     spec = NoiseSpec(**_resolved(ctx, payload["resolved"], payload["params_raw"],
                                  payload["randomized_fields"] if again else ()))
-    pp = spec.phase_params(ctx.phase)
+    pp = spec.phase_params(_phase(ctx.mode))
     mask = sample_bernoulli_mask(ctx.sampler("mask"), len(missing), pp["flip_prob"], missing)
     return spec, pp, mask
 
@@ -399,13 +395,13 @@ def _fit_categoric(encoding, ctx, group, params):
 def _apply_categoric(ctx, payload, group):
     basis = payload["categoric_basis"]
     cells = _group_cells(group)
-    return _Group(apply_categoric(basis, cells), missing_of(cells), basis)
+    return _Group(apply_categoric(basis, cells), missing_of(cells))
 
 
 def _apply_passthrough(ctx, payload, group):
-    """Cells unchanged; a fitted vocabulary (passthrough_vocab) rides along for flip noise."""
+    """The cells unchanged."""
     cells = _group_cells(group)
-    return _single(cells, missing_of(cells), payload.get("categoric_basis"), preserve=True)
+    return _single(cells, missing_of(cells), preserve=True)
 
 
 def _apply_passthrough_float(ctx, payload, group):
@@ -509,7 +505,7 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group):
         spec, pp, mask = drawn
         mu, sigma = pp["mu"], pp["sigma"]
         if scaled:
-            adjusted = payload.get(f"mu_adjusted_{ctx.phase}")
+            adjusted = payload.get(f"mu_adjusted_{_phase(ctx.mode)}")
             mu = mu if adjusted is None else adjusted
         elif spec.rescale_sigmas:
             sigma = rescale_sigma_passthrough(sigma, payload["train_std"])
@@ -521,7 +517,7 @@ def _apply_noise_numeric(scaled: bool, ctx, payload, group):
         if scaled:
             noise = scale_noise_minmax(noise, out[active])
         out = inject_numeric(out, mask, noise)
-    return _single(out, missing, group.basis, preserve=group.preserve_missing)
+    return _single(out, missing, preserve=group.preserve_missing)
 
 
 def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
@@ -566,7 +562,7 @@ def _apply_noise_cells(ctx, payload, group):
         if len(flipped):
             encoded = CODECS[basis.encoding].encode(basis, new_codes[flipped])
             columns = [put(data, flipped, new) for data, new in zip(columns, encoded)]
-    return _Group(columns, group.missing, group.basis, group.preserve_missing)
+    return _Group(columns, group.missing, preserve_missing=group.preserve_missing)
 
 
 # -- payloads: the keys each kind's fit returns, as basis.json holds them ------
@@ -632,6 +628,11 @@ _TRANSFORMS = {
 KIND_PARAMS = {kind: accepted for kind, (*_, accepted) in _TRANSFORMS.items()}
 # noise steps: the kinds that take the noise flags
 NOISE_KINDS = tuple(kind for kind, accepted in KIND_PARAMS.items() if "trainnoise" in accepted)
+
+
+def _vocabulary_of(kind: str, payload: dict, upstream: CategoricBasis | None):
+    """The vocabulary a step's output encodes: its payload's, else a noise step's input's."""
+    return payload.get("categoric_basis") or (upstream if kind in NOISE_KINDS else None)
 
 
 # -- one executor for fit and apply --------------------------------------------
@@ -707,6 +708,7 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column, fitting, shared: dict) -> l
             ctx.declared = [op for op, _, _ in _noise_ops(step.kind, step.payload, ctx.mode,
                                                           ctx.fitting, len(column))]
         out = groups[step.output_base] = apply_fn(ctx, step.payload, in_group)
+        out.basis = _vocabulary_of(step.kind, step.payload, in_group.basis)
         ctx.check(done=True)
         names = _output_names(step.output_base, len(out.columns))
         if params is not None:
@@ -744,7 +746,7 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
     columns it does not know are ignored with a warning. ``shared`` holds, by
     input column, what an earlier preparation of the same table computed
     without noise (see ``_run_column``); when it holds anything, that
-    preparation has checked the columns.
+    preparation has checked the columns. ``DataTable`` rejects an output name made twice.
     """
     if mode not in TRAINDATA_MODES:
         raise ConfigError(f"unknown traindata mode: {mode!r}")
@@ -762,12 +764,10 @@ def _prepare(basis: TransformBasis, table: DataTable, mode: str, manager: Stream
     ctx = _Ctx(manager, mode, table, fitting=fitting is not None)
     # the label is optional in later data
     present = [c for c in basis.input_columns if c != basis.label_column or table.has_column(c)]
-    columns: dict[str, np.ndarray] = {}
-    for col in sorted(present):
-        columns.update(_run_column(ctx, basis.plan_for(col), table.data(col),
-                                   fitting and fitting[col], shared.setdefault(col, {})))
-    ordered = [name for col in present for name in basis.plan_for(col).output_columns]
-    return DataTable({name: columns[name] for name in ordered}, row_index=table.index)
+    outputs = {col: _run_column(ctx, basis.plan_for(col), table.data(col),
+                                fitting and fitting[col], shared.setdefault(col, {}))
+               for col in sorted(present)}
+    return DataTable([pair for col in present for pair in outputs[col]], row_index=table.index)
 
 
 # -- fitting -----------------------------------------------------------------
@@ -1021,7 +1021,7 @@ def _check_steps(where: str, plan: ColumnPlan) -> None:
             raise BasisFormatError(f"{at}.payload.resolved.protected_feature: a protected "
                                    "payload names no column")
         upstream = vocabularies.get(step.input_base)
-        basis = vocabularies[step.output_base] = payload.get("categoric_basis", upstream)
+        basis = vocabularies[step.output_base] = _vocabulary_of(step.kind, payload, upstream)
         if basis is not None and len(basis.frequencies) != len(basis.vocabulary):
             raise BasisFormatError(f"{at}.payload.categoric_basis: not one frequency per value")
         if basis is not None and basis.missing_code not in (None, len(basis.vocabulary) + 1):

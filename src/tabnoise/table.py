@@ -244,14 +244,16 @@ class DataTable:
 
     __slots__ = ("column_names", "_columns", "_index")
 
-    def __init__(self, columns: dict, row_index: Sequence[int] | np.ndarray | None = None):
-        names = list(columns)
-        if len(set(names)) != len(names):
-            raise TableError("duplicate column names")
-        data: dict[str, np.ndarray] = {}
+    def __init__(self, columns, row_index: Sequence[int] | np.ndarray | None = None):
+        """``columns`` is a dict of name to cells, or (name, cells) pairs in order."""
+        pairs = list(columns.items() if isinstance(columns, dict) else columns)
+        data = dict(pairs)
+        if len(data) != len(pairs):
+            repeated = Counter(name for name, _ in pairs) - Counter(data.keys())
+            raise TableError(f"duplicate column names: {sorted(repeated)}")
         n_rows = None
-        for name in names:
-            col = _as_column(columns[name])
+        for name, values in data.items():
+            col = _as_column(values)
             if n_rows is None:
                 n_rows = len(col)
             elif len(col) != n_rows:
@@ -269,7 +271,7 @@ class DataTable:
             raise TableError("row_index values must fit in 64 bits") from None
         if index.shape != (n_rows,):
             raise TableError("row_index length does not match column length")
-        self.column_names = names
+        self.column_names = list(data)
         self._columns = data
         self._index = _frozen(index)
 

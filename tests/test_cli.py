@@ -14,7 +14,7 @@ import pytest
 import tabnoise
 from tabnoise import cli
 from tabnoise.cli import main
-from tabnoise.errors import BasisFormatError
+from tabnoise.errors import BasisFormatError, ConfigError, TableError
 from tabnoise.noise import MAX_BINCOUNT
 from tabnoise.pipeline import MAX_AUGMENT_COUNT, fit, load_basis
 from tabnoise.sampling import SamplingPlan
@@ -265,11 +265,12 @@ def test_seed_report_rescaling(workdir, capsys):
     (("--rows-train", "-500", "--rows-test", "-100"), "--rows-train: must be nonnegative"),
     (("--rows-test", "-100"), "--rows-test: must be nonnegative"),
 ])
-def test_seed_report_negative_rows_exit_2(workdir, flags, named):
+def test_seed_report_negative_rows_exit_2(workdir, caplog, flags, named):
     _fit(workdir)
-    code, err = _run_cli("seed-report", str(workdir / "out" / "basis.json"), *flags)
+    code, errors = _main_errors(caplog, ("seed-report", str(workdir / "out" / "basis.json"),
+                                         *flags))
     assert code == 2
-    assert err.count("\n") == 1 and named in err
+    assert len(errors) == 1 and named in errors[0]
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -277,11 +278,12 @@ def test_seed_report_negative_rows_exit_2(workdir, flags, named):
     (("--categoric", "-2"), "n_categoric: must be nonnegative, got -2"),
     (("--task-seed", "-3"), "seed: must be nonnegative, got -3"),
 ])
-def test_sweep_negative_count_or_seed_exit_2(workdir, flags, named):
-    code, err = _run_cli("sweep", "--grid", "0", "--reps", "1", "--rows", "20",
-                         "--test-rows", "10", *flags, "--out", str(workdir / "curves.csv"))
+def test_sweep_negative_count_or_seed_exit_2(workdir, caplog, flags, named):
+    code, errors = _main_errors(caplog, ("sweep", "--grid", "0", "--reps", "1", "--rows", "20",
+                                         "--test-rows", "10", *flags,
+                                         "--out", str(workdir / "curves.csv")))
     assert code == 2
-    assert err.count("\n") == 1 and named in err
+    assert len(errors) == 1 and named in errors[0]
     assert not (workdir / "curves.csv").exists()
 
 
@@ -293,11 +295,10 @@ def test_sweep_negative_count_or_seed_exit_2(workdir, flags, named):
     (("--grid", "-1"), "-1.0 is outside [0, inf]"),
     (("--axis", "flip_prob", "--grid", "0.5,1.5"), "1.5 is outside [0, 1]"),
 ])
-def test_sweep_bad_grid_exit_2(workdir, flags, message):
-    code, err = _run_cli("sweep", "--reps", "1", "--rows", "20", "--test-rows", "10", *flags,
-                         "--out", str(workdir / "curves.csv"))
-    assert code == 2
-    assert err.splitlines() == [f"ERROR tabnoise: --grid: {message}"]
+def test_sweep_bad_grid_exit_2(workdir, caplog, flags, message):
+    assert _main_errors(caplog, ("sweep", "--reps", "1", "--rows", "20", "--test-rows", "10",
+                                 *flags, "--out", str(workdir / "curves.csv"))) == \
+        (2, [f"ERROR tabnoise: --grid: {message}"])
     assert not (workdir / "curves.csv").exists()
 
 
@@ -415,14 +416,29 @@ def _run_cli(*argv):
     return proc.returncode, proc.stderr
 
 
-def test_transform_basis_missing_key_exit_2(workdir):
+def _main_errors(caplog, command) -> tuple:
+    """The CLI in-process: (exit code, its ERROR records as the stderr lines they log). An
+    exception other than the CLI's own errors reaches the test as it would reach stderr."""
+    caplog.clear()
+    code = main(list(command))
+    return code, [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+
+
+def test_transform_basis_missing_key_exit_2(workdir, caplog):
     basis = workdir / "basis.json"
     basis.write_text(json.dumps({"format_version": "tabnoise-basis/1"}))
-    code, err = _run_cli("transform", str(basis), str(workdir / "train.csv"),
-                         "--out", str(workdir / "x.csv"))
+    code, errors = _main_errors(caplog, ("transform", str(basis), str(workdir / "train.csv"),
+                                         "--out", str(workdir / "x.csv")))
     assert code == 2
-    assert "input_columns" in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "input_columns" in errors[0]
+    assert not (workdir / "x.csv").exists()
+
+
+def _transform_bad(workdir):
+    """``transform`` of the edited basis ``bad.json`` on the training table, to ``x.csv``."""
+    return ("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
+            "--out", str(workdir / "x.csv"))
 
 
 @pytest.mark.parametrize("steps, edit, path", [
@@ -432,7 +448,7 @@ def test_transform_basis_missing_key_exit_2(workdir):
     # the flip reads boolean columns as ordinal codes
     ([1], ("encoding", None, "ordinal"), "cat.steps[1].payload.categoric_basis.encoding"),
 ])
-def test_transform_basis_encoding_not_its_steps_exit_2(workdir, steps, edit, path):
+def test_transform_basis_encoding_not_its_steps_exit_2(workdir, caplog, steps, edit, path):
     assert _fit(workdir) == 0
     basis = json.loads((workdir / "out" / "basis.json").read_text())
     plan = basis["column_plans"]["cat"]
@@ -444,11 +460,10 @@ def test_transform_basis_encoding_not_its_steps_exit_2(workdir, steps, edit, pat
         else:
             plan["steps"][i]["payload"][key][sub] = value
     (workdir / "bad.json").write_text(json.dumps(basis))
-    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
-                         "--out", str(workdir / "x.csv"))
+    code, errors = _main_errors(caplog, _transform_bad(workdir))
     assert code == 2
-    assert path in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and path in errors[0]
+    assert not (workdir / "x.csv").exists()
 
 
 @pytest.mark.parametrize("column, steps, key, edit, path", [
@@ -459,7 +474,7 @@ def test_transform_basis_encoding_not_its_steps_exit_2(workdir, steps, edit, pat
     # a zscore step whose basis claims min-max scaling
     ("num", [0], "numeric_basis", {"kind": "minmax"}, "num.steps[0].payload.numeric_basis.kind"),
 ])
-def test_transform_basis_not_its_kind_exit_2(workdir, column, steps, key, edit, path):
+def test_transform_basis_not_its_kind_exit_2(workdir, caplog, column, steps, key, edit, path):
     assert _fit(workdir) == 0
     basis = json.loads((workdir / "out" / "basis.json").read_text())
     plan = basis["column_plans"][column]
@@ -467,14 +482,13 @@ def test_transform_basis_not_its_kind_exit_2(workdir, column, steps, key, edit, 
     for i in steps:
         plan["steps"][i]["payload"][key].update(edit)
     (workdir / "bad.json").write_text(json.dumps(basis))
-    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
-                         "--out", str(workdir / "x.csv"))
+    code, errors = _main_errors(caplog, _transform_bad(workdir))
     assert code == 2
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and path in err
+    assert len(errors) == 1 and path in errors[0]
+    assert not (workdir / "x.csv").exists()
 
 
-def test_transform_basis_protected_payload_naming_no_column_exit_2(workdir):
+def test_transform_basis_protected_payload_naming_no_column_exit_2(workdir, caplog):
     _with_config(workdir, assignparam={"DPnb": {"num": {"protected_feature": "cat"}}})
     assert _fit(workdir) == 0
     basis = json.loads((workdir / "out" / "basis.json").read_text())
@@ -482,12 +496,11 @@ def test_transform_basis_protected_payload_naming_no_column_exit_2(workdir):
     assert step["kind"] == "noise_numeric" and "protected" in step["payload"]
     step["payload"]["resolved"]["protected_feature"] = None
     (workdir / "bad.json").write_text(json.dumps(basis))
-    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
-                         "--out", str(workdir / "x.csv"))
+    code, errors = _main_errors(caplog, _transform_bad(workdir))
     assert code == 2
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert "num.steps[1].payload.resolved.protected_feature" in err
+    assert len(errors) == 1
+    assert "num.steps[1].payload.resolved.protected_feature" in errors[0]
+    assert not (workdir / "x.csv").exists()
 
 
 def _bsor_config(workdir, bincount):
@@ -497,18 +510,16 @@ def _bsor_config(workdir, bincount):
     (workdir / "config.json").write_text(json.dumps(config))
 
 
-def test_fit_bincount_above_bound_exit_2(workdir):
+def test_fit_bincount_above_bound_exit_2(workdir, caplog):
     _bsor_config(workdir, MAX_BINCOUNT + 1)
-    code, err = _run_cli("fit", str(workdir / "train.csv"),
-                         "--config", str(workdir / "config.json"),
-                         "--out-dir", str(workdir / "out"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert "config.assignparam.bsor.num.bincount" in err and str(MAX_BINCOUNT) in err
-    assert "Traceback" not in err
+    assert len(errors) == 1
+    assert "config.assignparam.bsor.num.bincount" in errors[0] and str(MAX_BINCOUNT) in errors[0]
+    assert not (workdir / "out").exists()
 
 
-def test_transform_basis_bincount_above_bound_exit_2(workdir):
+def test_transform_basis_bincount_above_bound_exit_2(workdir, caplog):
     _bsor_config(workdir, MAX_BINCOUNT)
     assert _fit(workdir) == 0
     basis = json.loads((workdir / "out" / "basis.json").read_text())
@@ -516,15 +527,14 @@ def test_transform_basis_bincount_above_bound_exit_2(workdir):
     assert step["kind"] == "stdbins"
     step["payload"]["bincount"] = 10**9
     (workdir / "bad.json").write_text(json.dumps(basis))
-    code, err = _run_cli("transform", str(workdir / "bad.json"), str(workdir / "train.csv"),
-                         "--out", str(workdir / "x.csv"))
+    code, errors = _main_errors(caplog, _transform_bad(workdir))
     assert code == 2
-    assert "num.steps[0].payload.bincount" in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "num.steps[0].payload.bincount" in errors[0]
+    assert not (workdir / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "augment"])
-def test_table_missing_a_fitted_column_exit_2(workdir, command):
+def test_table_missing_a_fitted_column_exit_2(workdir, caplog, command):
     assert _fit(workdir) == 0
     short = workdir / "short.csv"
     short.write_text("num,label\n1.0,0\n2.0,1\n")
@@ -532,46 +542,43 @@ def test_table_missing_a_fitted_column_exit_2(workdir, command):
                     "--config", str(workdir / "config.json"), "--out-dir", str(workdir / "o")],
             "augment": ["augment", str(workdir / "out" / "basis.json"), str(short),
                         "--count", "1", "--out", str(workdir / "aug.csv")]}[command]
-    code, err = _run_cli(*args, "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _main_errors(caplog, (*args, "--entropy-seeds", str(workdir / "seeds.txt")))
     assert code == 2
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and "data is missing fitted schema columns: cat" in err
+    assert len(errors) == 1 and "data is missing fitted schema columns: cat" in errors[0]
+    assert not (workdir / "o").exists() and not (workdir / "aug.csv").exists()
 
 
-def test_augment_non_numeric_count_exit_2(workdir):
+def test_augment_non_numeric_count_exit_2(workdir, caplog):
     assert _fit(workdir) == 0
-    code, err = _run_cli("augment", str(workdir / "out" / "basis.json"),
-                         str(workdir / "train.csv"), "--count", "abc",
-                         "--out", str(workdir / "aug.csv"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _main_errors(caplog, ("augment", str(workdir / "out" / "basis.json"),
+                                         str(workdir / "train.csv"), "--count", "abc",
+                                         "--out", str(workdir / "aug.csv"),
+                                         "--entropy-seeds", str(workdir / "seeds.txt")))
     assert code == 2
-    assert "abc" in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "abc" in errors[0]
+    assert not (workdir / "aug.csv").exists()
 
 
-def test_augment_count_above_the_maximum_exit_2(workdir):
+def test_augment_count_above_the_maximum_exit_2(workdir, caplog):
     assert _fit(workdir) == 0
-    code, err = _run_cli("augment", str(workdir / "out" / "basis.json"),
-                         str(workdir / "train.csv"), "--count", str(MAX_AUGMENT_COUNT + 1),
-                         "--out", str(workdir / "aug.csv"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _main_errors(caplog, ("augment", str(workdir / "out" / "basis.json"),
+                                         str(workdir / "train.csv"),
+                                         "--count", str(MAX_AUGMENT_COUNT + 1),
+                                         "--out", str(workdir / "aug.csv"),
+                                         "--entropy-seeds", str(workdir / "seeds.txt")))
     assert code == 2
-    assert len(err.splitlines()) == 1 and f"between 0 and {MAX_AUGMENT_COUNT}" in err
+    assert len(errors) == 1 and f"between 0 and {MAX_AUGMENT_COUNT}" in errors[0]
     assert not (workdir / "aug.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["validation_ratio", "noise_augment"])
-def test_fit_non_numeric_config_value_exit_2(workdir, key):
+def test_fit_non_numeric_config_value_exit_2(workdir, caplog, key):
     config = json.loads((workdir / "config.json").read_text())
     config[key] = "x"
     (workdir / "config.json").write_text(json.dumps(config))
-    code, err = _run_cli("fit", str(workdir / "train.csv"),
-                         "--config", str(workdir / "config.json"),
-                         "--out-dir", str(workdir / "out"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert key in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and key in errors[0]
     assert not (workdir / "out").exists()  # rejected before anything is fitted
 
 
@@ -607,46 +614,36 @@ def test_fit_non_numeric_config_value_exit_2(workdir, key):
     ("processdict", {"mybins": {"functionpointer": "bsor", "defaultparam": {"bincount": 3}}}),
     ("processdict", {"mybins": {"functionpointer": "bsor", "transform": "zscore"}}),
 ])
-def test_fit_malformed_config_section_exit_2(workdir, key, value):
+def test_fit_malformed_config_section_exit_2(workdir, caplog, key, value):
     _with_config(workdir, **{key: value})
-    code, err = _run_cli("fit", str(workdir / "train.csv"),
-                         "--config", str(workdir / "config.json"),
-                         "--out-dir", str(workdir / "out"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert key in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and key in errors[0]
     assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("sampling_type", ["sampling_seed", "bulk_seeds"])
-def test_seed_at_or_above_2_128_exit_2(workdir, sampling_type):
+def test_seed_at_or_above_2_128_exit_2(workdir, caplog, sampling_type):
     config = json.loads((workdir / "config.json").read_text())
     config["sampling_dict"]["sampling_type"] = sampling_type
     (workdir / "config.json").write_text(json.dumps(config))
     (workdir / "seeds.txt").write_text("".join(f"{2**130 + i}\n" for i in range(2000)))
-    code, err = _run_cli("fit", str(workdir / "train.csv"),
-                         "--config", str(workdir / "config.json"),
-                         "--out-dir", str(workdir / "out"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert "2**128" in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "2**128" in errors[0]
+    assert not (workdir / "out").exists()
 
 
-def test_boolean_root_on_three_values_exit_2(workdir):
+def test_boolean_root_on_three_values_exit_2(workdir, caplog):
     config = json.loads((workdir / "config.json").read_text())
     config["assigncat"] = {"bnry": ["cat"]}
     (workdir / "train.csv").write_text(
         "num,cat,label\n" + "".join(f"{i},{'abc'[i % 3]},{i % 2}\n" for i in range(12)))
     (workdir / "config.json").write_text(json.dumps(config))
-    code, err = _run_cli("fit", str(workdir / "train.csv"),
-                         "--config", str(workdir / "config.json"),
-                         "--out-dir", str(workdir / "out"),
-                         "--entropy-seeds", str(workdir / "seeds.txt"))
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert "'cat'" in err and "boolean" in err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "'cat'" in errors[0] and "boolean" in errors[0]
+    assert not (workdir / "out").exists()
 
 
 def test_normal_draw_for_flip_prob_exit_2_before_sampling(workdir, caplog):
@@ -664,14 +661,13 @@ def test_normal_draw_for_flip_prob_exit_2_before_sampling(workdir, caplog):
 
 
 @pytest.mark.parametrize("name", ["flip_prob", "mu"])
-def test_fit_empty_candidate_list_exit_2(workdir, name):
+def test_fit_empty_candidate_list_exit_2(workdir, caplog, name):
     (workdir / "train.csv").write_text("x\n1\n2\n3\n4\n")
     _with_config(workdir, labels_column=None, assigncat={"DBnb": ["x"]},
                  assignparam={"DBnb": {"x": {name: []}}})
-    code, err = _fit_cli(workdir)
-    assert code == 2
-    assert err.splitlines() == [f"ERROR tabnoise: config.assignparam.DBnb.x.{name}: "
-                                "candidate list for parameter randomization is empty"]
+    assert _fit_errors(workdir, caplog) == (2, [
+        f"ERROR tabnoise: config.assignparam.DBnb.x.{name}: "
+        "candidate list for parameter randomization is empty"])
     assert not (workdir / "out").exists()
 
 
@@ -689,7 +685,7 @@ def test_fit_empty_candidate_list_exit_2(workdir, name):
     ("params_raw", "mu", {"distribution": "normal", "sigma": -2},
      "params_raw.mu.sigma: -2 is outside [0, inf]"),
 ])
-def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, message):
+def test_basis_noise_parameter_out_of_range_exit_2(workdir, caplog, part, name, value, message):
     """A noise parameter in a basis keeps its config range: ``load_basis`` names it, so
     ``transform`` and ``seed-report`` exit 2 with that one line."""
     basis = _numeric_fit(workdir, "DBnb", [0.5 * i for i in range(12)])
@@ -704,9 +700,7 @@ def test_basis_noise_parameter_out_of_range_exit_2(workdir, part, name, value, m
     assert str(caught.value) == message
     for command in (("transform", str(basis), str(workdir / "train.csv"),
                      "--out", str(workdir / "prepared.csv")), ("seed-report", str(basis))):
-        code, err = _run_cli(*command)
-        assert code == 2
-        assert err.splitlines() == [f"ERROR tabnoise: {message}"]
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
     assert not (workdir / "prepared.csv").exists()
 
 
@@ -718,14 +712,6 @@ def _basis_commands(workdir, basis):
             ("augment", str(basis), str(workdir / "train.csv"), "--count", "1",
              "--out", str(workdir / "prepared.csv"), *seeds),
             ("seed-report", str(basis)))
-
-
-def _main_errors(caplog, command) -> tuple:
-    """The CLI in-process: (exit code, its ERROR records as the stderr lines they log)."""
-    caplog.clear()
-    code = main(list(command))
-    return code, [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
-                  if r.levelno >= logging.ERROR]
 
 
 @pytest.mark.parametrize("entries", [1, 2, 4, 5])
@@ -847,6 +833,66 @@ def test_basis_plan_not_the_walk_of_its_root_exit_2(workdir, caplog, edit, messa
     assert not (workdir / "prepared.csv").exists()
 
 
+def test_an_output_name_made_twice_exit_2(workdir, caplog):
+    """A multi-column step names its columns ``<base>_<j>``, which another input column may
+    hold; ``fit`` once exited 0 and wrote 5 columns, not 6: the raw numbers replaced the
+    one-hot column of that name."""
+    (workdir / "train.csv").write_text(
+        "c,c_onht_0\n" + "".join(f"{'abc'[i % 3]},{i}\n" for i in range(12)))
+    _with_config(workdir, labels_column=None, assigncat={"onht": ["c"], "NArw": ["c_onht_0"]})
+    message = "duplicate column names: ['c_onht_0']"
+    assert _fit_errors(workdir, caplog) == (2, [f"ERROR tabnoise: {message}"])
+    assert not (workdir / "out").exists()
+    config = json.loads((workdir / "config.json").read_text())
+    plan = SamplingPlan(entropy_seeds=list(range(500)), **config.pop("sampling_dict"))
+    with pytest.raises(TableError) as caught:
+        fit(load_csv(workdir / "train.csv"), config, plan)
+    assert str(caught.value) == message
+
+
+def _insert_zscore_step(basis):
+    """Put a ``vnum`` zscore step between the ordinal step and the flip step of ``c``, with
+    the catalog, the bases and the output columns the walk of ``vcat`` then makes."""
+    basis["processdict"]["vnum"] = {"functionpointer": "nmbr"}
+    basis["transformdict"].update(vord={"children": ["vnum"]}, vnum={"children": ["vflip"]})
+    plan = basis["column_plans"]["c"]
+    flip = plan["steps"][1]
+    flip.update(input_base="c_vord_vnum", output_base="c_vord_vnum_vflip",
+                output_columns=["c_vord_vnum_vflip"])
+    plan["steps"].insert(1, {"category": "vnum", "kind": "zscore", "input_base": "c_vord",
+                             "output_base": "c_vord_vnum", "output_columns": ["c_vord_vnum"],
+                             "payload": {"numeric_basis": {"mean": 2.0, "std": 0.8,
+                                                           "min": 1.0, "max": 3.0,
+                                                           "kind": "zscore"}}})
+    plan["output_columns"] = ["c_vord_vnum_vflip"]
+
+
+def test_basis_flip_below_a_step_with_no_vocabulary_exit_2(workdir, caplog):
+    """A flip step's input must be encoded on its vocabulary. A numeric step's output is
+    encoded on none, so ``fit`` rejects a flip below one; a basis with a zscore step edited
+    in between once loaded and wrote codes decoded from z-scores with exit 0."""
+    (workdir / "train.csv").write_text("c\n" + "".join(f"{'abc'[i % 3]}\n" for i in range(12)))
+    catalog = {"transformdict": {"vcat": {"parents": ["vord"]}, "vord": {"children": ["vflip"]}},
+               "processdict": {"vord": {"functionpointer": "ord3"},
+                               "vflip": {"functionpointer": "DPod"}}}
+    _with_config(workdir, labels_column=None, assigncat={"vcat": ["c"]}, **catalog)
+    assert _fit(workdir) == 0
+    basis = workdir / "out" / "basis.json"
+    data = json.loads(basis.read_text())
+    assert [step["category"] for step in data["column_plans"]["c"]["steps"]] == ["vord", "vflip"]
+    _insert_zscore_step(data)
+    basis.write_text(json.dumps(data))
+    message = "basis.column_plans.c.steps[2].payload.categoric_basis: differs from its input's"
+    for command in _basis_commands(workdir, basis):
+        assert _main_errors(caplog, command) == (2, [f"ERROR tabnoise: {message}"])
+    assert not (workdir / "prepared.csv").exists()
+    # fit of the same structure is rejected too
+    with pytest.raises(ConfigError, match="flip noise requires an upstream categoric"):
+        fit(load_csv(workdir / "train.csv"), {"assigncat": {"vcat": ["c"]},
+                                              "transformdict": data["transformdict"],
+                                              "processdict": data["processdict"]})
+
+
 def _numeric_fit(workdir, root, train):
     """Fit one numeric column ``x`` under ``root``."""
     (workdir / "train.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in train))
@@ -855,14 +901,15 @@ def _numeric_fit(workdir, root, train):
     return workdir / "out" / "basis.json"
 
 
-def test_transform_to_a_non_finite_zscore_exit_2_naming_the_step_and_row(workdir):
+def test_transform_to_a_non_finite_zscore_exit_2_naming_the_step_and_row(workdir, caplog):
     basis = _numeric_fit(workdir, "nmbr", [1.0, 1.001, 0.999, 1.0])  # std about 7e-4
     (workdir / "later.csv").write_text("x\n1.0\n1e308\n")
-    code, err = _run_cli("transform", str(basis), str(workdir / "later.csv"),
-                         "--out", str(workdir / "prepared.csv"))
+    code, errors = _main_errors(caplog, ("transform", str(basis), str(workdir / "later.csv"),
+                                         "--out", str(workdir / "prepared.csv")))
     assert code == 2
-    assert len(err.splitlines()) == 1
-    assert "transform x#0" in err and "'x_nmbr'" in err and "row 1" in err
+    assert len(errors) == 1
+    assert "transform x#0" in errors[0] and "'x_nmbr'" in errors[0] and "row 1" in errors[0]
+    assert not (workdir / "prepared.csv").exists()
 
 
 def test_transform_far_above_a_minmax_range_clips_to_one_without_a_warning(workdir):
@@ -873,30 +920,31 @@ def test_transform_far_above_a_minmax_range_clips_to_one_without_a_warning(workd
     assert load_csv(workdir / "prepared.csv").column("x_mnmx") == [1.0]
 
 
-def _fit_cli(workdir):
-    return _run_cli("fit", str(workdir / "train.csv"),
-                    "--config", str(workdir / "config.json"),
-                    "--out-dir", str(workdir / "out"),
-                    "--entropy-seeds", str(workdir / "seeds.txt"))
+def _fit_errors(workdir, caplog):
+    """``fit`` of the workdir's table, config and seeds, in-process (see ``_main_errors``)."""
+    return _main_errors(caplog, ("fit", str(workdir / "train.csv"),
+                                 "--config", str(workdir / "config.json"),
+                                 "--out-dir", str(workdir / "out"),
+                                 "--entropy-seeds", str(workdir / "seeds.txt")))
 
 
 @pytest.mark.parametrize("name", ["config.json", "train.csv", "seeds.txt"])
-def test_fit_non_utf8_input_exit_2(workdir, name):
+def test_fit_non_utf8_input_exit_2(workdir, caplog, name):
     path = workdir / name
     path.write_bytes(path.read_bytes() + b"\xff\n")
-    code, err = _fit_cli(workdir)
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and str(path) in err
+    assert len(errors) == 1 and str(path) in errors[0]
+    assert not (workdir / "out").exists()
 
 
-def test_fit_csv_field_over_size_limit_exit_2(workdir):
+def test_fit_csv_field_over_size_limit_exit_2(workdir, caplog):
     path = workdir / "train.csv"
     path.write_text("num,cat,label\n1,a,0\n2," + "b" * (csv.field_size_limit() + 1) + ",1\n")
-    code, err = _fit_cli(workdir)
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and f"{path}: line 3: field larger" in err
+    assert len(errors) == 1 and f"{path}: line 3: field larger" in errors[0]
+    assert not (workdir / "out").exists()
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -985,15 +1033,14 @@ def test_written_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
 @pytest.mark.parametrize("root, param, value", [
     ("DPnb", "mu", math.nan), ("DPsk", "mask_value", math.nan), ("DPnb", "mu", math.inf),
 ])
-def test_fit_non_finite_config_number_exit_2(workdir, root, param, value):
+def test_fit_non_finite_config_number_exit_2(workdir, caplog, root, param, value):
     """``json.load`` reads the non-standard ``NaN`` and ``Infinity`` tokens as floats. A
     config number must be finite, so the config check names it before anything is fitted."""
     (workdir / "train.csv").write_text("x\n1\n2\n3\n4\n")
     _with_config(workdir, labels_column=None, assigncat={root: ["x"]},
                  assignparam={root: {"x": {"flip_prob": 1.0, param: value}}})
     assert ("Infinity" if value == math.inf else "NaN") in (workdir / "config.json").read_text()
-    code, err = _fit_cli(workdir)
+    code, errors = _fit_errors(workdir, caplog)
     assert code == 2
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert f"config.assignparam.{root}.x.{param}: expected" in err
+    assert len(errors) == 1 and f"config.assignparam.{root}.x.{param}: expected" in errors[0]
     assert not (workdir / "out").exists()

@@ -144,6 +144,12 @@ def test_duplicate_column_names_rejected():
         raise TableError("unreached")
     table = DataTable({"a": [1.0]})
     assert table.n_rows == 1
+    # a mapping cannot repeat a name, (name, cells) pairs can; each repeated name is listed
+    with pytest.raises(TableError, match=r"^duplicate column names: \['a', 'b'\]$"):
+        DataTable([("b", [1.0]), ("a", [2.0]), ("b", [3.0]), ("a", ["x"]), ("c", [4.0])])
+    table = DataTable([("b", [1.0]), ("a", ["x"])], row_index=[7])
+    assert table.column_names == ["b", "a"] and table.row_index == [7]
+    assert table.column("a") == ["x"]
 
 
 def test_unequal_columns_rejected():
