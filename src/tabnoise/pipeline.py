@@ -229,12 +229,12 @@ class _Group:
 
 
 def _group_cells(group: _Group):
-    """The first column as a table stores cells, with the rows ``missing`` marks missing."""
+    """The column as a table stores cells, with the rows ``missing`` marks missing."""
     return as_stored(group.columns[0], group.missing)
 
 
 def _group_floats(group: _Group) -> tuple[np.ndarray, np.ndarray]:
-    """(values, missing) of the first column; text and missing cells are masked and 0-filled."""
+    """(values, missing) of the column; text and missing cells are masked and 0-filled."""
     values, missing = column_as_floats(group.columns[0])
     return values, group.missing | missing
 
@@ -525,12 +525,10 @@ def _decode(group: _Group, basis: CategoricBasis) -> np.ndarray:
 
 
 def _apply_noise_cells(ctx, payload, group):
-    """Noise on the masked rows: a flip step's on every encoded column, a swap or mask
-    step's on its input's first column alone. A swap trades the rows, so a cell the
+    """Noise on the masked rows. A swap trades the rows of every column, so a cell the
     vocabulary lacks moves as it is; mask noise sets them to ``mask_value``; a flip draws
     new codes, and only the rows whose code changed are encoded anew."""
-    flip = ctx.step.kind == "noise_flip"
-    columns = group.columns if flip else group.columns[:1]
+    flip, columns = ctx.step.kind == "noise_flip", group.columns
     drawn = _draw_mask(ctx, payload, group.missing)
     if drawn is not None and "swap" in ctx.declared:
         # the rows' positions are swapped, and each column's rows move by them
@@ -675,8 +673,10 @@ def _structure(catalog, assignments, column, root, kind, used_names):
 def _run_column(ctx: _Ctx, plan: ColumnPlan, column, fitting, shared: dict) -> list:
     """Run a column's steps in order; returns its output columns as (name, array).
 
-    The executor names each step's outputs, checks them against the basis and
-    keeps them as the step finishes. A step that gives a NaN or an infinity in
+    Every kind but a flip (which decodes every encoded column) and a missing marker
+    (which reads only the missing rows) reads one column, and raises a ``ConfigError``
+    on a wider input. The executor names each step's outputs, checks them against the
+    basis and keeps them as the step finishes. A step that gives a NaN or an infinity in
     a present row of a float column raises a ``TableError`` that names the step
     and the row. With ``fitting`` (the structural pass's params and surviving
     bases), each step's payload is fitted just before the step is applied, and
@@ -700,6 +700,9 @@ def _run_column(ctx: _Ctx, plan: ColumnPlan, column, fitting, shared: dict) -> l
         fit_fn, apply_fn, _, _ = _TRANSFORMS[step.kind]
         ctx.step, ctx.key = step, _transform_key(plan.input_column, idx)
         in_group = groups[step.input_base]
+        if len(in_group.columns) > 1 and step.kind not in ("noise_flip", "missing_marker"):
+            raise ConfigError(f"transform {ctx.key}: a {step.kind} step reads one column, "
+                              f"and {step.input_base!r} makes {len(in_group.columns)}")
         noise = step.kind in NOISE_KINDS
         ctx.taken, ctx.declared = [], None if noise and params is not None else []
         if params is not None:

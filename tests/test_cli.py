@@ -938,6 +938,45 @@ def test_fit_non_utf8_input_exit_2(workdir, caplog, name):
     assert not (workdir / "out").exists()
 
 
+def _below_encoder_config(workdir, encoder, root):
+    """A 20-row ``c`` (every fifth cell blank) under ``encoder``, with ``root`` below it."""
+    (workdir / "train.csv").write_text("c,label\n" + "".join(
+        f"{'' if i % 5 == 0 else 'abc'[i % 3]},{i % 2}\n" for i in range(20)))
+    _with_config(workdir, processdict={"enc": {"functionpointer": encoder},
+                                       "nz": {"functionpointer": root}},
+                 transformdict={"encroot": {"parents": ["enc"]}, "enc": {"children": ["nz"]}},
+                 assigncat={"encroot": ["c"]})
+
+
+@pytest.mark.parametrize("encoder, width", [("onht", 4), ("1010", 3)])
+@pytest.mark.parametrize("root, kind", [("DPnb", "noise_numeric"), ("DPmm", "noise_scaled"),
+                                        ("DPne", "noise_numeric"), ("DPse", "noise_swap"),
+                                        ("DPsk", "noise_mask"), ("nmbr", "zscore")])
+def test_fit_one_column_step_below_a_multi_column_encoder_exit_2(workdir, caplog, encoder,
+                                                                 width, root, kind):
+    _below_encoder_config(workdir, encoder, root)
+    code, errors = _fit_errors(workdir, caplog)
+    assert code == 2
+    assert errors == [f"ERROR tabnoise: transform c#1: a {kind} step reads one column, "
+                      f"and 'c_enc' makes {width}"]
+    assert not (workdir / "out").exists()
+
+
+def test_basis_with_a_swap_step_below_one_hot_columns_exit_2(workdir, caplog):
+    """A basis that ``fit`` wrote before a step reading one column was refused a wider
+    input: a ``DPse`` swap step below ``onht``, whose output kept the first one-hot column
+    and dropped the other three. ``transform`` and ``augment`` of it exited 0."""
+    basis = Path(__file__).with_name("swap_below_onehot_basis.json")
+    (workdir / "train.csv").write_text("c\n" + "".join(
+        ('""' if i % 5 == 0 else "abc"[i % 3]) + "\n" for i in range(20)))
+    for command in _basis_commands(workdir, basis)[:2]:
+        code, errors = _main_errors(caplog, command)
+        assert code == 2
+        assert errors == ["ERROR tabnoise: transform c#1: a noise_swap step reads one column, "
+                          "and 'c_ohenc' makes 4"]
+        assert not (workdir / "prepared.csv").exists()
+
+
 def test_fit_csv_field_over_size_limit_exit_2(workdir, caplog):
     path = workdir / "train.csv"
     path.write_text("num,cat,label\n1,a,0\n2," + "b" * (csv.field_size_limit() + 1) + ",1\n")

@@ -967,25 +967,36 @@ def test_swap_noise_partners_of_present_rows_are_present(sampling_type, root, pa
         assert (out == basis.missing_code).tolist() == (~present).tolist()
 
 
-@pytest.mark.parametrize("root, params", [("DPsk", {"mask_value": 5.0}), ("DPse", {})])
-def test_swap_and_mask_noise_below_a_multi_column_encoder_keep_its_first_column(root, params):
-    # a swap or mask step takes its input's first column alone, whether or not its mask
-    # is drawn: in train mode it is, in test mode a DP step draws none
+def _below_encoder(encoder, root):
+    """A 20-row column ``c`` (every fifth cell blank) under ``encoder``, with ``root`` below it."""
     table = DataTable({"c": [None if i % 5 == 0 else "abc"[i % 3] for i in range(20)]})
     config = {"shuffletrain": False,
-              "processdict": {"ohenc": {"functionpointer": "onht"}, "nz": {"functionpointer": root}},
-              "transformdict": {"ohroot": {"parents": ["ohenc"]}, "ohenc": {"children": ["nz"]}},
-              "assigncat": {"ohroot": ["c"]},
-              "assignparam": {"nz": {"c": {"flip_prob": 1.0, **params}}}}
+              "processdict": {"enc": {"functionpointer": encoder}, "nz": {"functionpointer": root}},
+              "transformdict": {"encroot": {"parents": ["enc"]}, "enc": {"children": ["nz"]}},
+              "assigncat": {"encroot": ["c"]}}
+    return table, config
+
+
+@pytest.mark.parametrize("encoder, width", [("onht", 4), ("1010", 3)])
+@pytest.mark.parametrize("root, kind", [("DPnb", "noise_numeric"), ("DPmm", "noise_scaled"),
+                                        ("DPne", "noise_numeric"), ("DPse", "noise_swap"),
+                                        ("DPsk", "noise_mask"), ("nmbr", "zscore")])
+def test_a_one_column_step_below_a_multi_column_encoder_is_rejected(encoder, width, root, kind):
+    # every kind but a flip and a missing marker reads one column; below a one-hot or
+    # binarized encoding it once kept the first column and dropped the others silently
+    table, config = _below_encoder(encoder, root)
+    with pytest.raises(ConfigError) as info:
+        fit(table, config, _plan())
+    assert str(info.value) == (f"transform c#1: a {kind} step reads one column, "
+                               f"and 'c_enc' makes {width}")
+
+
+def test_a_missing_marker_below_a_multi_column_encoder_marks_the_blank_rows():
+    table, config = _below_encoder("onht", "NArw")
     res = fit(table, config, _plan())
-    onehot = fit(table, {"shuffletrain": False, "assigncat": {"onht": ["c"]}}, _plan())
-    first = onehot.basis.plan_for("c").output_columns[0]
-    assert res.basis.plan_for("c").output_columns == ["c_ohenc_nz"]
-    for mode in ("train", "test"):
-        assert apply(res.basis, table, mode, _plan()).column_names == ["c_ohenc_nz"]
-    assert res.train.column("c_ohenc_nz") != onehot.train.column(first)
-    assert apply(res.basis, table, "test", _plan()).column("c_ohenc_nz") == \
-        apply(onehot.basis, table, "test", _plan()).column(first)
+    assert res.basis.plan_for("c").output_columns == ["c_enc_nz"]
+    assert res.train.column_names == ["c_enc_nz"]
+    assert res.train.column("c_enc_nz") == [int(i % 5 == 0) for i in range(20)]
 
 
 @pytest.mark.parametrize("count", [0, 2, 5])
