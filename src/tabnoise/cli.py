@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TypedDict
@@ -313,7 +314,9 @@ def main(argv=None) -> int:
     saved = log.level  # -v holds under a configured root too, for this call only
     log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning is one line on the log, as an error is
+            warnings.showwarning = lambda message, *_: log.warning("%s", message)
+            return args.func(args)
     except TabnoiseError as exc:
         log.error("%s", exc)
         return 2

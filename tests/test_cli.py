@@ -977,6 +977,18 @@ def test_basis_with_a_swap_step_below_one_hot_columns_exit_2(workdir, caplog):
         assert not (workdir / "prepared.csv").exists()
 
 
+def test_transform_warns_of_an_unknown_column_in_one_line(workdir):
+    assert _fit(workdir) == 0
+    lines = (workdir / "train.csv").read_text().splitlines()
+    (workdir / "extra.csv").write_text(
+        "".join(f"{line},{'zz' if i == 0 else i}\n" for i, line in enumerate(lines)))
+    code, stderr = _run_cli("transform", str(workdir / "out" / "basis.json"),
+                            str(workdir / "extra.csv"), "--out", str(workdir / "x.csv"),
+                            "--entropy-seeds", str(workdir / "seeds.txt"))
+    assert code == 0
+    assert stderr == "WARNING tabnoise: ignoring columns not in fitted schema: zz\n"
+
+
 def test_fit_csv_field_over_size_limit_exit_2(workdir, caplog):
     path = workdir / "train.csv"
     path.write_text("num,cat,label\n1,a,0\n2," + "b" * (csv.field_size_limit() + 1) + ",1\n")
@@ -1017,7 +1029,8 @@ def test_import_leaves_numtext_unloaded():
     assert proc.stdout.split() == ["False"]
 
 
-def test_index_header_skips_a_row_index_column(workdir):
+@pytest.mark.filterwarnings("always:ignoring columns not in fitted schema:UserWarning")
+def test_index_header_skips_a_row_index_column(workdir, caplog):
     (workdir / "ids.csv").write_text(
         "row_index,x,label\n" + "".join(f"{9 - i},{i * 0.25},{i % 2}\n" for i in range(10)))
     (workdir / "ids.json").write_text(json.dumps({
@@ -1029,10 +1042,12 @@ def test_index_header_skips_a_row_index_column(workdir):
     lines = (out / "train.out.csv").read_text().splitlines()
     assert lines[:2] == ["row_index_1,row_index,x,label", "0,9,0,0"]
     # the written file reads back as a later batch of the same schema
-    with pytest.warns(UserWarning, match="^ignoring columns not in fitted schema: row_index_1$"):
-        code = main(["transform", str(out / "basis.json"), str(out / "train.out.csv"),
-                     "--config", str(workdir / "ids.json"), "--out", str(workdir / "again.csv")])
+    caplog.clear()
+    code = main(["transform", str(out / "basis.json"), str(out / "train.out.csv"),
+                 "--config", str(workdir / "ids.json"), "--out", str(workdir / "again.csv")])
     assert code == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "ignoring columns not in fitted schema: row_index_1")]
     again = (workdir / "again.csv").read_text().splitlines()
     assert again[0] == "row_index_1,row_index,x,label" and again[1:] == lines[1:]
 
