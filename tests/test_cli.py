@@ -938,6 +938,41 @@ def test_fit_non_utf8_input_exit_2(workdir, caplog, name):
     assert not (workdir / "out").exists()
 
 
+def test_fit_empty_csv_exit_2(workdir, caplog):
+    path = workdir / "train.csv"
+    path.write_text("")
+    code, errors = _fit_errors(workdir, caplog)
+    assert code == 2
+    assert errors == [f"ERROR tabnoise: {path}: empty file (no header row)"]
+    assert not (workdir / "out").exists()
+
+
+def test_fit_labels_column_not_in_training_data_exit_2(workdir, caplog):
+    _with_config(workdir, labels_column="target")
+    code, errors = _fit_errors(workdir, caplog)
+    assert code == 2
+    assert errors == ["ERROR tabnoise: labels_column 'target' not found in training data"]
+    assert not (workdir / "out").exists()
+
+
+def test_sampling_type_flag_overrides_the_config(workdir):
+    """``--sampling-type bulk_seeds`` on a ``sampling_seed`` config writes what a
+    ``bulk_seeds`` config writes, which is not what ``sampling_seed`` writes."""
+    def written(out_dir, *flags):
+        assert main(["fit", str(workdir / "train.csv"), "--config", str(workdir / "config.json"),
+                     "--out-dir", str(workdir / out_dir),
+                     "--entropy-seeds", str(workdir / "seeds.txt"), *flags]) == 0
+        return [(workdir / out_dir / name).read_bytes()
+                for name in ("train.out.csv", "basis.json", "seed_report.json")]
+
+    seeded = written("seeded")
+    flagged = written("flagged", "--sampling-type", "bulk_seeds")
+    _with_config(workdir, sampling_dict={"sampling_type": "bulk_seeds",
+                                         "seeding_type": "primary_seeds"})
+    assert flagged == written("bulk")
+    assert flagged[0] != seeded[0]
+
+
 def _below_encoder_config(workdir, encoder, root):
     """A 20-row ``c`` (every fifth cell blank) under ``encoder``, with ``root`` below it."""
     (workdir / "train.csv").write_text("c,label\n" + "".join(

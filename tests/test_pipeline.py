@@ -768,6 +768,16 @@ def test_orig_headers_rejects_multi_column_plans():
         orig_headers_mode(res.train, res.basis)
 
 
+def test_orig_headers_rejects_a_column_no_plan_makes():
+    res = fit(DataTable({"a": [1.0, 2.0]}), {"shuffletrain": False, "assigncat": {"excl": ["a"]}},
+              _plan())
+    prepared = DataTable({"a_excl": [1.0, 2.0], "zz": [3.0, 4.0]})
+    with pytest.raises(ConfigError) as info:
+        orig_headers_mode(prepared, res.basis)
+    assert str(info.value) == ("original headers require a one-to-one plan; "
+                               "unmapped outputs: ['zz']")
+
+
 def test_excl_only_plan_identity():
     table = DataTable({"a": [1.0, None, 3.0], "b": ["x", "", "z"]})
     res = fit(table, {"shuffletrain": False, "assigncat": {"excl": ["a", "b"]}}, _plan())

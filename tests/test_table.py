@@ -157,6 +157,22 @@ def test_unequal_columns_rejected():
         DataTable({"a": [1.0], "b": [1.0, 2.0]})
 
 
+def test_row_index_of_another_length_rejected():
+    with pytest.raises(TableError) as info:
+        DataTable({"a": [1.0, 2.0]}, row_index=[0])
+    assert str(info.value) == "row_index length does not match column length"
+
+
+@pytest.mark.parametrize("cell, message", [
+    (float("inf"), "non-finite numbers are not valid cells; use missing instead"),
+    (b"x", "unsupported cell type: bytes"),
+])
+def test_a_cell_among_text_cells_rejected(cell, message):
+    with pytest.raises(TableError) as info:
+        DataTable({"a": ["x", cell]})
+    assert str(info.value) == message
+
+
 def test_row_index_preserved_by_take():
     table = DataTable({"a": [1.0, 2.0, 3.0]}, row_index=[10, 11, 12])
     sub = table.take([2, 0])
